@@ -16,8 +16,8 @@ Request payloads are drawn from the seeded zipfian generator in
 benchmark replays — at a fixed 64-byte wire size.
 
 Also runs a marshalling micro-benchmark: the compiled per-signature plan
-(:mod:`repro.serialization.compiled`) against the recursive
-:func:`~repro.orb.typed_marshal.write_typed` tree walk for one
+(:mod:`repro.serialization.compiled`) against the recursive ``write_typed``
+tree walk kept in ``tests/oracles/typed_tree_walk.py`` for one
 ``set_balance``/``get_balance``-style signature.
 
 PR 3 adds the **conversion-overhead benchmark** (paper Table 1 analogue):
@@ -181,13 +181,12 @@ def run_marshal_bench(iterations: int) -> dict:
     ``struct.pack`` by the plan) and a string tail — the common shape of the
     paper's operations."""
     from repro.idl.compiler import compile_idl
-    from repro.orb.typed_marshal import (
-        marshal_arguments,
-        read_typed,
-        unmarshal_arguments,
-        write_typed,
-    )
+    from repro.orb.typed_marshal import marshal_arguments, unmarshal_arguments
     from repro.serialization.cdr import CdrInputStream, CdrOutputStream
+
+    # The tree walk lives with the tests, as the plans' differential oracle.
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+    from tests.oracles.typed_tree_walk import read_typed, write_typed
 
     compiled = compile_idl(MARSHAL_IDL)
     interface = compiled.interface("bench::Probe")

@@ -182,9 +182,12 @@ class CompiledIdl:
                 return True
             raise ConfigurationError(f"unknown basic type {kind!r}")
         if isinstance(idl_type, SequenceType):
-            return isinstance(value, (list, tuple)) and all(
-                self.conforms(idl_type.element, item) for item in value
-            )
+            if not isinstance(value, (list, tuple)):
+                return False
+            element = idl_type.element
+            if isinstance(element, BasicType) and element.kind == "any":
+                return True  # every element conforms to ``any``
+            return all(self.conforms(element, item) for item in value)
         if isinstance(idl_type, NamedType):
             cls = self.structs.get(idl_type.name) or self.exceptions.get(idl_type.name)
             if cls is None:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.serialization.cdr import CdrInputStream, CdrOutputStream
+from repro.serialization.cdr import CdrInputStream, read_any, write_any
 from repro.serialization.streams import acquire_output_stream, release_output_stream
 from repro.util.errors import MarshalError
 
@@ -37,6 +37,11 @@ _VERSION = 1
 
 MSG_REQUEST = 0
 MSG_REPLY = 1
+
+# The six header octets of each message type: magic, version, type.
+_HEADER_SIZE = 6
+_REQUEST_HEADER = _MAGIC + bytes((_VERSION, MSG_REQUEST))
+_REPLY_HEADER = _MAGIC + bytes((_VERSION, MSG_REPLY))
 
 REPLY_NO_EXCEPTION = 0
 REPLY_USER_EXCEPTION = 1
@@ -65,27 +70,21 @@ class ReplyMessage:
     typed_body: bytes | None = None
 
 
-def _header(out: CdrOutputStream, msg_type: int) -> None:
-    for byte in _MAGIC:
-        out.write_octet(byte)
-    out.write_octet(_VERSION)
-    out.write_octet(msg_type)
-
-
-def _check_header(stream: CdrInputStream) -> int:
-    magic = bytes(stream.read_octet() for _ in range(4))
-    if magic != _MAGIC:
-        raise MarshalError(f"bad GIOP magic: {magic!r}")
-    version = stream.read_octet()
-    if version != _VERSION:
-        raise MarshalError(f"unsupported GIOP version: {version}")
-    return stream.read_octet()
+def _bad_header(header: bytes) -> MarshalError:
+    """Say which of the six octets is wrong (or missing)."""
+    if len(header) < _HEADER_SIZE:
+        return MarshalError("CDR stream truncated")
+    if header[:4] != _MAGIC:
+        return MarshalError(f"bad GIOP magic: {header[:4]!r}")
+    if header[4] != _VERSION:
+        return MarshalError(f"unsupported GIOP version: {header[4]}")
+    return MarshalError(f"unknown GIOP message type: {header[5]}")
 
 
 def encode_request(message: RequestMessage) -> bytes:
     out = acquire_output_stream()
     try:
-        _header(out, MSG_REQUEST)
+        out.buf += _REQUEST_HEADER
         out.write_ulong(message.request_id)
         out.write_string(message.object_key)
         out.write_string(message.operation)
@@ -97,8 +96,8 @@ def encode_request(message: RequestMessage) -> bytes:
             out.write_bool(False)
             out.write_ulong(len(message.arguments))
             for argument in message.arguments:
-                out.write_any(argument)
-        out.write_any(message.context)
+                write_any(out.buf, argument)
+        write_any(out.buf, message.context)
         return out.getvalue()
     finally:
         release_output_stream(out)
@@ -107,7 +106,7 @@ def encode_request(message: RequestMessage) -> bytes:
 def encode_reply(message: ReplyMessage) -> bytes:
     out = acquire_output_stream()
     try:
-        _header(out, MSG_REPLY)
+        out.buf += _REPLY_HEADER
         out.write_ulong(message.request_id)
         out.write_octet(message.status)
         if message.typed_body is not None:
@@ -115,7 +114,7 @@ def encode_reply(message: ReplyMessage) -> bytes:
             out.write_bytes(message.typed_body)
         else:
             out.write_bool(False)
-            out.write_any(message.body)
+            write_any(out.buf, message.body)
         return out.getvalue()
     finally:
         release_output_stream(out)
@@ -124,8 +123,10 @@ def encode_reply(message: ReplyMessage) -> bytes:
 def decode_message(frame: bytes) -> RequestMessage | ReplyMessage:
     """Decode either message type, dispatching on the header."""
     stream = CdrInputStream(frame)
-    msg_type = _check_header(stream)
-    if msg_type == MSG_REQUEST:
+    data = stream.data
+    header = data[:_HEADER_SIZE]
+    stream.pos = _HEADER_SIZE
+    if header == _REQUEST_HEADER:
         request_id = stream.read_ulong()
         object_key = stream.read_string()
         operation = stream.read_string()
@@ -135,9 +136,10 @@ def decode_message(frame: bytes) -> RequestMessage | ReplyMessage:
         if stream.read_bool():
             typed_body = stream.read_bytes()
         else:
-            count = stream.read_ulong()
-            arguments = [stream.read_any() for _ in range(count)]
-        context = stream.read_any()
+            for _ in range(stream.read_ulong()):
+                argument, stream.pos = read_any(data, stream.pos)
+                arguments.append(argument)
+        context, _ = read_any(data, stream.pos)
         return RequestMessage(
             request_id=request_id,
             object_key=object_key,
@@ -147,10 +149,10 @@ def decode_message(frame: bytes) -> RequestMessage | ReplyMessage:
             response_expected=response_expected,
             typed_body=typed_body,
         )
-    if msg_type == MSG_REPLY:
+    if header == _REPLY_HEADER:
         request_id = stream.read_ulong()
         status = stream.read_octet()
         if stream.read_bool():
             return ReplyMessage(request_id=request_id, status=status, typed_body=stream.read_bytes())
-        return ReplyMessage(request_id=request_id, status=status, body=stream.read_any())
-    raise MarshalError(f"unknown GIOP message type: {msg_type}")
+        return ReplyMessage(request_id=request_id, status=status, body=read_any(data, stream.pos)[0])
+    raise _bad_header(header)

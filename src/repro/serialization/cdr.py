@@ -13,11 +13,18 @@ primitives.  This module reproduces that style:
 
 The ``any`` encoding supports None, bool, int, float, str, bytes, list,
 tuple, dict, and registered value types (:mod:`repro.serialization.registry`).
+
+Every write is one pre-built :class:`struct.Struct` whose format already
+holds the pad bytes for the buffer's current alignment residue, and every
+read is an ``unpack_from`` at an aligned offset.  :func:`write_any` and
+:func:`read_any` each walk a whole value in one loop, keeping the enclosing
+containers on an explicit stack of at most :data:`MAX_DEPTH`.
 """
 
 from __future__ import annotations
 
 import struct
+from itertools import chain
 from typing import Any
 
 from repro.serialization.registry import TypeRegistry, global_registry
@@ -40,244 +47,353 @@ _TAG_VALUE = 11
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
 
+#: Containers an ``any`` may nest.  The codec itself does not recurse, but
+#: what reads the value afterwards does (``hash`` of a nested tuple used as
+#: a dict key overflows the C stack), so a peer may not send deeper.
+MAX_DEPTH = 512
+
+_TRUNCATED = "CDR stream truncated"
+_TOO_DEEP = f"CDR any nested deeper than {MAX_DEPTH}"
+
+
+def _packers(code: str, align: int, tagged: bool = False) -> tuple:
+    """``pack`` methods for one primitive, indexed by buffer length modulo
+    ``align``: each emits the pad bytes that residue needs and then the
+    value, after a leading ``any`` tag octet when ``tagged``."""
+    lead = "B" if tagged else ""
+    return tuple(
+        struct.Struct(f">{lead}{-(residue + tagged) % align}x{code}").pack
+        for residue in range(align)
+    )
+
+
+_PACK_ULONG = _packers("I", 4)
+_PACK_ANY_ULONG = _packers("I", 4, tagged=True)
+_PACK_ANY_LONGLONG = _packers("q", 8, tagged=True)
+_PACK_ANY_DOUBLE = _packers("d", 8, tagged=True)
+
+_ULONG_AT = struct.Struct(">I").unpack_from
+_LONGLONG_AT = struct.Struct(">q").unpack_from
+_DOUBLE_AT = struct.Struct(">d").unpack_from
+
+
+def _writer(code: str, align: int):
+    """The stream method that writes one aligned primitive."""
+    packers = _packers(code, align)
+    mask = align - 1
+
+    def write(self, value) -> None:
+        buf = self.buf
+        buf += packers[len(buf) & mask](value)
+
+    return write
+
+
+def _reader(code: str, size: int):
+    """The stream method that reads one aligned primitive."""
+    unpack_from = struct.Struct(">" + code).unpack_from
+    mask = size - 1
+
+    def read(self):
+        pos = self.pos
+        pos += -pos & mask
+        try:
+            (value,) = unpack_from(self.data, pos)
+        except struct.error:
+            raise MarshalError(_TRUNCATED) from None
+        self.pos = pos + size
+        return value
+
+    return read
+
 
 class CdrOutputStream:
-    """Write-side CDR stream with natural alignment."""
+    """Write-side CDR stream with natural alignment, appending to :attr:`buf`."""
 
-    def __init__(self, registry: TypeRegistry | None = None):
-        self._buf = bytearray()
-        self._registry = registry or global_registry
-
-    def _align(self, n: int) -> None:
-        pad = (-len(self._buf)) % n
-        if pad:
-            self._buf.extend(b"\x00" * pad)
+    def __init__(self) -> None:
+        self.buf = bytearray()
 
     def write_octet(self, value: int) -> None:
-        self._buf.append(value & 0xFF)
+        self.buf.append(value & 0xFF)
 
     def write_bool(self, value: bool) -> None:
-        self._buf.append(1 if value else 0)
+        self.buf.append(1 if value else 0)
 
-    def write_short(self, value: int) -> None:
-        self._align(2)
-        self._buf.extend(struct.pack(">h", value))
-
-    def write_ushort(self, value: int) -> None:
-        self._align(2)
-        self._buf.extend(struct.pack(">H", value))
-
-    def write_long(self, value: int) -> None:
-        self._align(4)
-        self._buf.extend(struct.pack(">i", value))
-
-    def write_ulong(self, value: int) -> None:
-        self._align(4)
-        self._buf.extend(struct.pack(">I", value))
-
-    def write_longlong(self, value: int) -> None:
-        self._align(8)
-        self._buf.extend(struct.pack(">q", value))
-
-    def write_double(self, value: float) -> None:
-        self._align(8)
-        self._buf.extend(struct.pack(">d", value))
+    write_short = _writer("h", 2)
+    write_ushort = _writer("H", 2)
+    write_long = _writer("i", 4)
+    write_ulong = _writer("I", 4)
+    write_longlong = _writer("q", 8)
+    write_double = _writer("d", 8)
 
     def write_string(self, value: str) -> None:
-        data = value.encode("utf-8")
-        self.write_ulong(len(data))
-        self._buf.extend(data)
+        data = value.encode()
+        buf = self.buf
+        buf += _PACK_ULONG[len(buf) & 3](len(data))
+        buf += data
 
     def write_bytes(self, value: bytes) -> None:
-        self.write_ulong(len(value))
-        self._buf.extend(value)
-
-    def write_any(self, value: Any) -> None:
-        """Write a run-time-typed value with a leading type tag."""
-        if value is None:
-            self.write_octet(_TAG_NONE)
-        elif value is True:
-            self.write_octet(_TAG_TRUE)
-        elif value is False:
-            self.write_octet(_TAG_FALSE)
-        elif isinstance(value, int):
-            if _INT64_MIN <= value <= _INT64_MAX:
-                self.write_octet(_TAG_INT64)
-                self.write_longlong(value)
-            else:
-                self.write_octet(_TAG_BIGINT)
-                self.write_string(str(value))
-        elif isinstance(value, float):
-            self.write_octet(_TAG_DOUBLE)
-            self.write_double(value)
-        elif isinstance(value, str):
-            self.write_octet(_TAG_STRING)
-            self.write_string(value)
-        elif isinstance(value, (bytes, bytearray)):
-            self.write_octet(_TAG_BYTES)
-            self.write_bytes(bytes(value))
-        elif isinstance(value, list):
-            self.write_octet(_TAG_LIST)
-            self.write_ulong(len(value))
-            for item in value:
-                self.write_any(item)
-        elif isinstance(value, tuple):
-            self.write_octet(_TAG_TUPLE)
-            self.write_ulong(len(value))
-            for item in value:
-                self.write_any(item)
-        elif isinstance(value, dict):
-            self.write_octet(_TAG_DICT)
-            self.write_ulong(len(value))
-            for key, item in value.items():
-                self.write_any(key)
-                self.write_any(item)
-        else:
-            name = self._registry.name_for(value)
-            if name is None:
-                raise MarshalError(
-                    f"cannot marshal {type(value).__name__}; register it as a value type"
-                )
-            type_name, state = self._registry.encode(value)
-            self.write_octet(_TAG_VALUE)
-            self.write_string(type_name)
-            self.write_any(state)
+        buf = self.buf
+        buf += _PACK_ULONG[len(buf) & 3](len(value))
+        buf += value
 
     def getvalue(self) -> bytes:
-        return bytes(self._buf)
-
-    def getbuffer(self) -> memoryview:
-        """Zero-copy view of the encoded bytes.
-
-        For call sites that immediately hand the frame to a socket (or any
-        bytes-like consumer) this skips the final ``bytes()`` copy of
-        :meth:`getvalue`.  The view aliases the live buffer: it must be
-        consumed before the stream is written to again or :meth:`reset`."""
-        return memoryview(self._buf)
+        return bytes(self.buf)
 
     def reset(self) -> None:
         """Clear the stream for reuse, keeping the allocated buffer."""
-        self._buf.clear()
+        self.buf.clear()
 
     def __len__(self) -> int:
-        return len(self._buf)
+        return len(self.buf)
 
 
 class CdrInputStream:
-    """Read-side CDR stream; raises :class:`MarshalError` on truncation.
+    """Read-side CDR stream over :attr:`data`, a cursor at :attr:`pos`.
 
-    Reads operate on a :class:`memoryview` of the input, so every ``_take``
-    is a zero-copy slice; bytes only materialize at string/bytes leaves."""
+    Raises :class:`MarshalError` on truncation and on strings that are not
+    UTF-8."""
 
-    def __init__(self, data, registry: TypeRegistry | None = None):
-        self._data = data if isinstance(data, memoryview) else memoryview(data)
-        self._pos = 0
-        self._registry = registry or global_registry
-
-    def _align(self, n: int) -> None:
-        self._pos += (-self._pos) % n
-
-    def _take(self, n: int) -> memoryview:
-        if self._pos + n > len(self._data):
-            raise MarshalError("CDR stream truncated")
-        chunk = self._data[self._pos : self._pos + n]
-        self._pos += n
-        return chunk
-
-    def seek(self, pos: int) -> None:
-        """Position the read cursor (used by compiled marshalling plans)."""
-        if not 0 <= pos <= len(self._data):
-            raise MarshalError("CDR seek out of bounds")
-        self._pos = pos
+    def __init__(self, data) -> None:
+        self.data = data if type(data) is bytes else bytes(data)
+        self.pos = 0
 
     def read_octet(self) -> int:
-        return self._take(1)[0]
+        try:
+            value = self.data[self.pos]
+        except IndexError:
+            raise MarshalError(_TRUNCATED) from None
+        self.pos += 1
+        return value
 
     def read_bool(self) -> bool:
-        return self._take(1)[0] != 0
+        return self.read_octet() != 0
 
-    def read_short(self) -> int:
-        self._align(2)
-        return struct.unpack(">h", self._take(2))[0]
-
-    def read_ushort(self) -> int:
-        self._align(2)
-        return struct.unpack(">H", self._take(2))[0]
-
-    def read_long(self) -> int:
-        self._align(4)
-        return struct.unpack(">i", self._take(4))[0]
-
-    def read_ulong(self) -> int:
-        self._align(4)
-        return struct.unpack(">I", self._take(4))[0]
-
-    def read_longlong(self) -> int:
-        self._align(8)
-        return struct.unpack(">q", self._take(8))[0]
-
-    def read_double(self) -> float:
-        self._align(8)
-        return struct.unpack(">d", self._take(8))[0]
+    read_short = _reader("h", 2)
+    read_ushort = _reader("H", 2)
+    read_long = _reader("i", 4)
+    read_ulong = _reader("I", 4)
+    read_longlong = _reader("q", 8)
+    read_double = _reader("d", 8)
 
     def read_string(self) -> str:
-        length = self.read_ulong()
-        # str(buffer, encoding) decodes straight from the memoryview slice.
-        return str(self._take(length), "utf-8")
+        try:
+            return self.read_bytes().decode()
+        except UnicodeDecodeError as exc:
+            raise MarshalError(f"CDR string is not UTF-8: {exc}") from exc
 
     def read_bytes(self) -> bytes:
-        length = self.read_ulong()
-        return bytes(self._take(length))
-
-    def read_any(self) -> Any:
-        tag = self.read_octet()
-        if tag == _TAG_NONE:
-            return None
-        if tag == _TAG_TRUE:
-            return True
-        if tag == _TAG_FALSE:
-            return False
-        if tag == _TAG_INT64:
-            return self.read_longlong()
-        if tag == _TAG_BIGINT:
-            return int(self.read_string())
-        if tag == _TAG_DOUBLE:
-            return self.read_double()
-        if tag == _TAG_STRING:
-            return self.read_string()
-        if tag == _TAG_BYTES:
-            return self.read_bytes()
-        if tag in (_TAG_LIST, _TAG_TUPLE):
-            count = self.read_ulong()
-            items = [self.read_any() for _ in range(count)]
-            return tuple(items) if tag == _TAG_TUPLE else items
-        if tag == _TAG_DICT:
-            count = self.read_ulong()
-            result = {}
-            for _ in range(count):
-                key = self.read_any()
-                result[key] = self.read_any()
-            return result
-        if tag == _TAG_VALUE:
-            type_name = self.read_string()
-            state = self.read_any()
-            return self._registry.decode(type_name, state)
-        raise MarshalError(f"unknown CDR any tag: {tag}")
+        data = self.data
+        pos = self.pos
+        pos += -pos & 3
+        try:
+            end = pos + 4 + _ULONG_AT(data, pos)[0]
+        except struct.error:
+            raise MarshalError(_TRUNCATED) from None
+        if end > len(data):
+            raise MarshalError(_TRUNCATED)
+        self.pos = end
+        return data[pos + 4 : end]
 
     @property
     def remaining(self) -> int:
-        return len(self._data) - self._pos
+        return len(self.data) - self.pos
+
+
+# -- the run-time-typed ``any`` ------------------------------------------------
+
+_TAG_OF = {
+    type(None): _TAG_NONE,
+    bool: _TAG_TRUE,
+    int: _TAG_INT64,
+    float: _TAG_DOUBLE,
+    str: _TAG_STRING,
+    bytes: _TAG_BYTES,
+    bytearray: _TAG_BYTES,
+    list: _TAG_LIST,
+    tuple: _TAG_TUPLE,
+    dict: _TAG_DICT,
+}
+
+_LADDER = (
+    (int, _TAG_INT64),
+    (float, _TAG_DOUBLE),
+    (str, _TAG_STRING),
+    ((bytes, bytearray), _TAG_BYTES),
+    (list, _TAG_LIST),
+    (tuple, _TAG_TUPLE),
+    (dict, _TAG_DICT),
+)
+
+
+def _ladder_tag(value: Any) -> int:
+    """Tag for a value whose exact type :data:`_TAG_OF` does not list: a
+    subclass is written as the first base it matches, in this order, and
+    anything else has to be a registered value type."""
+    for base, tag in _LADDER:
+        if isinstance(value, base):
+            return tag
+    return _TAG_VALUE
+
+
+_LENGTH_PREFIXED = frozenset((_TAG_STRING, _TAG_BYTES, _TAG_BIGINT, _TAG_VALUE))
+
+
+def write_any(buf: bytearray, value: Any, registry: TypeRegistry = global_registry) -> None:
+    """Append ``value`` to ``buf`` as a run-time-typed value with a leading tag."""
+    outer: list = []  # iterators over the enclosing containers
+    pending = iter((value,))
+    try:
+        while True:
+            for value in pending:
+                try:
+                    tag = _TAG_OF[type(value)]
+                except KeyError:
+                    tag = _ladder_tag(value)
+                if tag == _TAG_STRING:
+                    data = value.encode()
+                    buf += _PACK_ANY_ULONG[len(buf) & 3](tag, len(data))
+                    buf += data
+                elif tag == _TAG_DOUBLE:
+                    buf += _PACK_ANY_DOUBLE[len(buf) & 7](tag, value)
+                elif tag == _TAG_DICT:
+                    buf += _PACK_ANY_ULONG[len(buf) & 3](tag, len(value))
+                    children = chain.from_iterable(value.items())
+                    break
+                elif tag == _TAG_LIST or tag == _TAG_TUPLE:
+                    buf += _PACK_ANY_ULONG[len(buf) & 3](tag, len(value))
+                    children = iter(value)
+                    break
+                elif tag == _TAG_INT64:
+                    if _INT64_MIN <= value <= _INT64_MAX:
+                        buf += _PACK_ANY_LONGLONG[len(buf) & 7](tag, value)
+                    else:
+                        data = str(value).encode()
+                        buf += _PACK_ANY_ULONG[len(buf) & 3](_TAG_BIGINT, len(data))
+                        buf += data
+                elif tag == _TAG_NONE:
+                    buf += b"\x00"
+                elif tag == _TAG_TRUE:
+                    buf += b"\x01" if value else b"\x02"
+                elif tag == _TAG_BYTES:
+                    buf += _PACK_ANY_ULONG[len(buf) & 3](tag, len(value))
+                    buf += value
+                else:
+                    if registry.name_for(value) is None:
+                        raise MarshalError(
+                            f"cannot marshal {type(value).__name__}; register it as a value type"
+                        )
+                    type_name, state = registry.encode(value)
+                    data = type_name.encode()
+                    buf += _PACK_ANY_ULONG[len(buf) & 3](tag, len(data))
+                    buf += data
+                    children = iter((state,))
+                    break
+            else:
+                if not outer:
+                    return
+                pending = outer.pop()
+                continue
+            # The value just begun has children: they come before the rest.
+            if len(outer) >= MAX_DEPTH:
+                raise MarshalError(_TOO_DEEP)
+            outer.append(pending)
+            pending = children
+    except UnicodeEncodeError as exc:
+        raise MarshalError(f"cannot marshal string: {exc}") from exc
+
+
+def read_any(data, pos: int, registry: TypeRegistry = global_registry) -> tuple[Any, int]:
+    """Decode the tagged value at ``data[pos:]``; return it with the offset
+    just past it.  Whatever is wrong with the bytes, the error is a
+    :class:`MarshalError`."""
+    if type(data) is not bytes:
+        data = bytes(data)
+    size = len(data)
+    # The container being filled: its tag, the child values read so far and
+    # how many are still missing.  A dict collects keys and values
+    # alternately; a value type holds its name, then its state.
+    kind = items = None
+    missing = 0
+    outer: list = []  # the containers around it
+    try:
+        while True:
+            tag = data[pos]
+            pos += 1
+            if tag == _TAG_DOUBLE:
+                pos += -pos & 7
+                (value,) = _DOUBLE_AT(data, pos)
+                pos += 8
+            elif tag in _LENGTH_PREFIXED:
+                pos += -pos & 3
+                end = pos + 4 + _ULONG_AT(data, pos)[0]
+                if end > size:
+                    raise MarshalError(_TRUNCATED)
+                value = data[pos + 4 : end]
+                pos = end
+                if tag == _TAG_STRING:
+                    value = value.decode()
+                elif tag == _TAG_BIGINT:
+                    value = int(value.decode())
+                elif tag == _TAG_VALUE:
+                    if len(outer) >= MAX_DEPTH:
+                        raise MarshalError(_TOO_DEEP)
+                    outer.append((kind, items, missing))
+                    kind, items, missing = tag, [value.decode()], 1
+                    continue
+            elif tag == _TAG_LIST or tag == _TAG_TUPLE or tag == _TAG_DICT:
+                pos += -pos & 3
+                (count,) = _ULONG_AT(data, pos)
+                pos += 4
+                if count:
+                    if len(outer) >= MAX_DEPTH:
+                        raise MarshalError(_TOO_DEEP)
+                    outer.append((kind, items, missing))
+                    kind, items, missing = tag, [], count * 2 if tag == _TAG_DICT else count
+                    continue
+                value = [] if tag == _TAG_LIST else () if tag == _TAG_TUPLE else {}
+            elif tag == _TAG_INT64:
+                pos += -pos & 7
+                (value,) = _LONGLONG_AT(data, pos)
+                pos += 8
+            elif tag == _TAG_NONE:
+                value = None
+            elif tag == _TAG_TRUE:
+                value = True
+            elif tag == _TAG_FALSE:
+                value = False
+            else:
+                raise MarshalError(f"unknown CDR any tag: {tag}")
+            while kind is not None:
+                items.append(value)
+                missing -= 1
+                if missing:
+                    break
+                if kind == _TAG_LIST:
+                    value = items
+                elif kind == _TAG_TUPLE:
+                    value = tuple(items)
+                elif kind == _TAG_DICT:
+                    pairs = iter(items)
+                    value = dict(zip(pairs, pairs))
+                else:
+                    value = registry.decode(*items)
+                kind, items, missing = outer.pop()
+            else:
+                return value, pos
+    except (IndexError, struct.error) as exc:
+        raise MarshalError(_TRUNCATED) from exc
+    except (ValueError, TypeError) as exc:
+        raise MarshalError(f"corrupt CDR any: {exc}") from exc
 
 
 def cdr_dumps(value: Any, registry: TypeRegistry | None = None) -> bytes:
     """Encode one run-time-typed value as a standalone CDR buffer."""
-    out = CdrOutputStream(registry)
-    out.write_any(value)
-    return out.getvalue()
+    buf = bytearray()
+    write_any(buf, value, registry or global_registry)
+    return bytes(buf)
 
 
 def cdr_loads(data: bytes, registry: TypeRegistry | None = None) -> Any:
     """Decode a buffer produced by :func:`cdr_dumps`."""
-    stream = CdrInputStream(data, registry)
-    value = stream.read_any()
-    return value
+    return read_any(data, 0, registry or global_registry)[0]

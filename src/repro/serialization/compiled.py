@@ -1,10 +1,10 @@
-"""Per-signature compiled marshalling plans (the IDL-compiler fast path).
+"""Per-signature compiled marshalling plans: the typed CDR encoder.
 
-:mod:`repro.orb.typed_marshal` walks the IDL type tree per *value*: every
-write re-runs an ``isinstance`` ladder over the type model and re-resolves
-named types through the compiled-IDL tables.  Real IDL compilers do that
-walk once, at stub generation time, and emit flat marshalling code.  This
-module is that step for the Python reproduction:
+Real IDL compilers walk the IDL type tree once, at stub generation time, and
+emit flat marshalling code, where a naive marshaller re-runs an
+``isinstance`` ladder over the type model and re-resolves named types for
+every *value*.  This module is that compile step for the Python
+reproduction:
 
 - :class:`SignaturePlan` compiles an ordered list of IDL types (an
   operation's parameter list, or its result) into a *flat list of pre-bound
@@ -13,19 +13,17 @@ module is that step for the Python reproduction:
   into a single pre-built :class:`struct.Struct` pack/unpack (with explicit
   pad bytes), so a primitives-only signature marshals in one call.
 - Types after the first variable-length field (strings, sequences, ``any``,
-  structs) are compiled to closures with all name resolution, member lists,
-  and method binding done once; runtime alignment is handled by the stream
-  as before.
-- ``any`` falls back to the tagged :meth:`~repro.serialization.cdr.CdrOutputStream.write_any`
-  encoding — the dynamic DII/DSI route is untouched.
+  structs) are compiled to closures with all name resolution and member
+  lists done once and the stream's primitive functions bound directly;
+  runtime alignment is handled by the stream.
+- ``any`` members use the tagged :func:`~repro.serialization.cdr.write_any`
+  encoding, the same one the dynamic DII/DSI route sends.
 
-The wire format is byte-identical to :func:`repro.orb.typed_marshal.write_typed`
-(the plan for ``unsigned long long`` packs a big-endian ``Q`` at 4-byte
-alignment, exactly the two consecutive ``ulong`` writes of the tree walk),
-so compiled and tree-walking peers interoperate freely.
-
-Validation matches the tree walk too: a bad value raises
+``unsigned long long`` is two consecutive big-endian ``ulong`` values, which
+the fixed prefix packs as one ``Q`` at 4-byte alignment.  A bad value raises
 :class:`~repro.util.errors.MarshalError` at the sender with nothing written.
+``tests/oracles/typed_tree_walk.py`` keeps a per-value tree walk that the
+plans are tested against, byte for byte.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ import struct
 from typing import Any, Callable
 
 from repro.idl.ast import BasicType, IdlType, NamedType, SequenceType
-from repro.serialization.cdr import CdrInputStream, CdrOutputStream
+from repro.serialization.cdr import CdrInputStream, CdrOutputStream, read_any, write_any
 from repro.util.errors import MarshalError
 
 # kind -> (struct code, CDR alignment, size). ``unsigned long long`` is two
@@ -53,6 +51,31 @@ _FIXED: dict[str, tuple[str, int, int]] = {
     "double": ("d", 8, 8),
 }
 
+# kind -> the stream function that moves one such value after the prefix.
+_WRITE = {
+    "boolean": CdrOutputStream.write_bool,
+    "octet": CdrOutputStream.write_octet,
+    "short": CdrOutputStream.write_short,
+    "unsigned short": CdrOutputStream.write_ushort,
+    "long": CdrOutputStream.write_long,
+    "unsigned long": CdrOutputStream.write_ulong,
+    "long long": CdrOutputStream.write_longlong,
+    "float": CdrOutputStream.write_double,
+    "double": CdrOutputStream.write_double,
+}
+_READ = {
+    "boolean": CdrInputStream.read_bool,
+    "octet": CdrInputStream.read_octet,
+    "short": CdrInputStream.read_short,
+    "unsigned short": CdrInputStream.read_ushort,
+    "long": CdrInputStream.read_long,
+    "unsigned long": CdrInputStream.read_ulong,
+    "long long": CdrInputStream.read_longlong,
+    "float": CdrInputStream.read_double,
+    "double": CdrInputStream.read_double,
+    "string": CdrInputStream.read_string,
+}
+
 _INT_RANGES = {
     "octet": (0, 255),
     "short": (-(2**15), 2**15 - 1),
@@ -65,7 +88,7 @@ _INT_RANGES = {
 
 
 def _validator(kind: str) -> Callable[[Any], None]:
-    """Build the per-kind value check matching ``write_typed`` semantics."""
+    """Build the per-kind value check: exact type, then range."""
     if kind == "boolean":
 
         def check_bool(value: Any) -> None:
@@ -89,13 +112,6 @@ def _validator(kind: str) -> Callable[[Any], None]:
             raise MarshalError(f"{kind} out of range: {value}")
 
     return check_int
-
-
-def _coerce(kind: str) -> Callable[[Any], Any] | None:
-    """Post-validation coercion applied before packing (float widening)."""
-    if kind in ("float", "double"):
-        return float
-    return None
 
 
 # -- dynamic (closure-compiled) writers and readers ---------------------------
@@ -127,44 +143,33 @@ def compile_writer(idl_type: IdlType, compiled) -> Callable[[Any, Any], None]:
 
             return write_string
         if kind == "any":
-            return lambda out, value: out.write_any(value)
+            return lambda out, value: write_any(out.buf, value)
         if kind == "unsigned long long":
             check_u64 = _validator(kind)
+            write_ulong = CdrOutputStream.write_ulong
 
             def write_u64(out: Any, value: Any) -> None:
                 check_u64(value)
-                out.write_ulong(value >> 32)
-                out.write_ulong(value & 0xFFFFFFFF)
+                write_ulong(out, value >> 32)
+                write_ulong(out, value & 0xFFFFFFFF)
 
             return write_u64
-        if kind in _FIXED:
+        if kind in _WRITE:
             check = _validator(kind)
-            coerce = _coerce(kind)
-            method_name = {
-                "boolean": "write_bool",
-                "octet": "write_octet",
-                "short": "write_short",
-                "unsigned short": "write_ushort",
-                "long": "write_long",
-                "unsigned long": "write_ulong",
-                "long long": "write_longlong",
-                "float": "write_double",
-                "double": "write_double",
-            }[kind]
+            write = _WRITE[kind]
+            if kind in ("float", "double"):
 
-            if coerce is None:
-
-                def write_fixed(out: Any, value: Any) -> None:
+                def write_widened(out: Any, value: Any) -> None:
                     check(value)
-                    getattr(out, method_name)(value)
+                    write(out, float(value))
 
-                return write_fixed
+                return write_widened
 
-            def write_fixed_coerced(out: Any, value: Any) -> None:
+            def write_fixed(out: Any, value: Any) -> None:
                 check(value)
-                getattr(out, method_name)(coerce(value))
+                write(out, value)
 
-            return write_fixed_coerced
+            return write_fixed
         raise MarshalError(f"unknown basic type {kind!r}")
     if isinstance(idl_type, SequenceType):
         write_element = compile_writer(idl_type.element, compiled)
@@ -204,33 +209,24 @@ def compile_reader(idl_type: IdlType, compiled) -> Callable[[Any], Any]:
         kind = idl_type.kind
         if kind == "void":
             return lambda stream: None
+        if kind == "any":
+
+            def read_tagged(stream: Any) -> Any:
+                value, stream.pos = read_any(stream.data, stream.pos)
+                return value
+
+            return read_tagged
         if kind == "unsigned long long":
+            read_ulong = CdrInputStream.read_ulong
 
             def read_u64(stream: Any) -> int:
-                high = stream.read_ulong()
-                return (high << 32) | stream.read_ulong()
+                high = read_ulong(stream)
+                return (high << 32) | read_ulong(stream)
 
             return read_u64
-        method_name = {
-            "boolean": "read_bool",
-            "octet": "read_octet",
-            "short": "read_short",
-            "unsigned short": "read_ushort",
-            "long": "read_long",
-            "unsigned long": "read_ulong",
-            "long long": "read_longlong",
-            "float": "read_double",
-            "double": "read_double",
-            "string": "read_string",
-            "any": "read_any",
-        }.get(kind)
-        if method_name is None:
-            raise MarshalError(f"unknown basic type {kind!r}")
-
-        def read_basic(stream: Any, _name: str = method_name) -> Any:
-            return getattr(stream, _name)()
-
-        return read_basic
+        if kind in _READ:
+            return _READ[kind]
+        raise MarshalError(f"unknown basic type {kind!r}")
     if isinstance(idl_type, SequenceType):
         read_element = compile_reader(idl_type.element, compiled)
 
@@ -342,8 +338,8 @@ class SignaturePlan:
             head_values = values[:head_count]
         packed = b""
         if self._head_struct is not None:
-            # Validators enforce write_typed's type strictness; pack itself
-            # then handles int -> double widening for float/double slots.
+            # Validators enforce type strictness; pack itself then handles
+            # int -> double widening for float/double slots.
             for check, value in zip(self._head_checks, head_values):
                 check(value)
             try:
@@ -353,7 +349,7 @@ class SignaturePlan:
         if not self._tail_writers:
             return packed
         out = CdrOutputStream()
-        out._buf.extend(packed)
+        out.buf += packed
         for write, value in zip(self._tail_writers, values[head_count:]):
             write(out, value)
         return out.getvalue()
@@ -379,7 +375,7 @@ class SignaturePlan:
             values = list(fixed)
         if self._tail_readers:
             stream = CdrInputStream(data)
-            stream.seek(self._head_size)
+            stream.pos = self._head_size
             for read in self._tail_readers:
                 values.append(read(stream))
         return values

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.serialization.cdr import cdr_dumps, cdr_loads
 from repro.serialization.jser import jser_dumps, jser_loads
+from repro.util.errors import MarshalError
+from tests.oracles import cdr_tree_walk
 
 # Finite floats only: NaN breaks equality (covered by explicit tests).
 scalars = st.one_of(
@@ -44,6 +46,34 @@ def normalize(value):
 @settings(max_examples=200)
 def test_cdr_roundtrip(value):
     assert cdr_loads(cdr_dumps(value)) == value
+
+
+@given(wire_values)
+@settings(max_examples=300)
+def test_cdr_flat_codec_matches_the_tree_walk(value):
+    """Bytes equal one way, values equal the other."""
+    encoded = cdr_dumps(value)
+    assert encoded == cdr_tree_walk.cdr_dumps(value)
+    assert cdr_loads(encoded) == cdr_tree_walk.cdr_loads(encoded) == value
+
+
+@given(wire_values, st.data())
+@settings(max_examples=200)
+def test_cdr_corrupt_input_only_raises_marshal_error(value, data):
+    """Cut or flip the encoding anywhere: a value or MarshalError, nothing else."""
+    encoded = bytearray(cdr_dumps(value))
+    cut = data.draw(st.integers(min_value=0, max_value=len(encoded) - 1))
+    try:
+        cdr_loads(bytes(encoded[:cut]))
+    except MarshalError:
+        pass
+    else:
+        raise AssertionError("a strict prefix decoded")
+    encoded[cut] = data.draw(st.integers(min_value=0, max_value=255))
+    try:
+        cdr_loads(bytes(encoded))
+    except MarshalError:
+        pass
 
 
 @given(wire_values)

@@ -176,6 +176,7 @@ class TestConformance:
               void take_octet(in octet o);
               void take_short(in short s);
               void take_seq(in sequence<long> xs);
+              void take_anys(in sequence<any> xs);
               void take_pt(in Pt p);
               double ret();
             };
@@ -202,6 +203,21 @@ class TestConformance:
         op.check_args(([1, 2, 3],), compiled)
         with pytest.raises(MarshalError):
             op.check_args(([1, "no"],), compiled)
+
+    def test_sequence_of_any_checks_the_container_only(self, compiled, monkeypatch):
+        op = compiled.interface("T").operation("take_anys")
+        seq_type = op.params[0].type
+        with pytest.raises(MarshalError):
+            op.check_args(("not a sequence",), compiled)
+        calls = []
+        conforms = type(compiled).conforms
+        monkeypatch.setattr(
+            type(compiled), "conforms",
+            lambda self, idl_type, value: calls.append(idl_type) or conforms(self, idl_type, value),
+        )
+        assert compiled.conforms(seq_type, [object(), {"k": 1}] * 32)
+        assert compiled.conforms(seq_type, ())
+        assert calls == [seq_type, seq_type]  # no visit per element
 
     def test_struct_instance_checked(self, compiled):
         op = compiled.interface("T").operation("take_pt")

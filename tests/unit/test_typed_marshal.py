@@ -7,14 +7,13 @@ from repro.idl.compiler import compile_idl
 from repro.orb.typed_marshal import (
     marshal_arguments,
     marshal_result,
-    read_typed,
     unmarshal_arguments,
     unmarshal_result,
-    write_typed,
 )
 from repro.serialization.cdr import CdrInputStream, CdrOutputStream
 from repro.serialization.registry import TypeRegistry
 from repro.util.errors import MarshalError
+from tests.oracles.typed_tree_walk import read_typed, write_typed
 
 IDL = """
 struct Pt { double x; double y; };
@@ -125,6 +124,59 @@ class TestOperationHelpers:
         blob = marshal_result(op, None, compiled)
         assert blob == b""
         assert unmarshal_result(op, blob, compiled) is None
+
+
+class TestPlansMatchTheTreeWalk:
+    """``SignaturePlan`` against the per-value oracle: same bytes, same values."""
+
+    def cases(self, compiled):
+        pt = compiled.structs["Pt"]
+        shape = compiled.structs["Shape"](name="tri", points=[pt(x=0.0, y=1.5), pt(x=2, y=-3.0)])
+        return [
+            ("scale", [2, shape], 7.25),
+            ("nothing", [], None),
+            ("numbers", [3], [1, -2, 3]),
+            ("big", [2**64 - 1], 2**40 + 5),
+            ("byte_op", [255], 0),
+            ("flag", [True], False),
+        ]
+
+    def tree_walk(self, types, values, compiled):
+        out = CdrOutputStream()
+        for idl_type, value in zip(types, values):
+            write_typed(out, idl_type, value, compiled)
+        return out.getvalue()
+
+    def test_arguments_and_results(self, compiled):
+        for name, args, result in self.cases(compiled):
+            op = compiled.interface("T").operation(name)
+            types = [param.type for param in op.params]
+            body = marshal_arguments(op, args, compiled)
+            assert body == self.tree_walk(types, args, compiled), name
+            stream = CdrInputStream(body)
+            assert unmarshal_arguments(op, body, compiled) == [
+                read_typed(stream, idl_type, compiled) for idl_type in types
+            ]
+            body = marshal_result(op, result, compiled)
+            assert body == self.tree_walk([op.return_type], [result], compiled), name
+            assert unmarshal_result(op, body, compiled) == read_typed(
+                CdrInputStream(body), op.return_type, compiled
+            )
+
+    def test_any_member_after_a_fixed_prefix(self):
+        compiled = compile_idl(
+            "interface A { any pick(in octet slot, in any hint, in sequence<any> rest); };",
+            TypeRegistry(),
+        )
+        op = compiled.interface("A").operation("pick")
+        args = [3, {"k": [1.5, None]}, ["x", (True, b"\x00")]]
+        types = [param.type for param in op.params]
+        body = marshal_arguments(op, args, compiled)
+        assert body == self.tree_walk(types, args, compiled)
+        assert unmarshal_arguments(op, body, compiled) == args
+        for cut in range(len(body)):
+            with pytest.raises(MarshalError):
+                unmarshal_arguments(op, body[:cut], compiled)
 
 
 class TestEndToEnd:
