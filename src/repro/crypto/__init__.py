@@ -13,13 +13,14 @@ algorithm is available here as a dependency, so:
 """
 
 from repro.crypto.des import DesCipher, des_decrypt, des_encrypt
-from repro.crypto.mac import hmac_digest, hmac_verify
+from repro.crypto.mac import KeyedMac, hmac_digest, hmac_verify
 from repro.crypto.keys import KeyStore
 
 __all__ = [
     "DesCipher",
     "des_encrypt",
     "des_decrypt",
+    "KeyedMac",
     "hmac_digest",
     "hmac_verify",
     "KeyStore",

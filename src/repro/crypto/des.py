@@ -6,15 +6,23 @@ algorithm so the Table 2 "Privacy" rows exercise a genuinely CPU-bound
 cipher, preserving the paper's cost shape (crypto dominates the response
 time on both platforms).
 
-Implementation notes:
+The FIPS tables below are the source of truth; what the cipher indexes at
+run time is derived from them once, at import:
 
-- all permutations (IP, FP, E, P, PC-1, PC-2) are applied through
-  precomputed byte-indexed lookup tables, the standard software
-  optimization, so encrypting kilobyte payloads in the benchmarks is
-  tolerable while remaining readable;
-- the S-box and P permutations are fused into ``_SP`` tables at import time;
-- correctness is pinned by published test vectors in
-  ``tests/unit/test_des.py`` and round-trip property tests.
+- :func:`_crypt_block`, the only block function, makes no call.  It keeps
+  both halves rotated left by one bit, so that the eight 6-bit chunks of the
+  E expansion are the byte-aligned 6-bit fields of ``r`` (chunks 2, 4, 6, 8)
+  and of ``r`` rotated right by four (chunks 1, 3, 5, 7): two masks, no table;
+- a round key is two 32-bit words holding its odd and its even chunks at
+  those positions (:func:`_key_schedule`, once per :class:`DesCipher`);
+- S-box and P are fused, rotated like the halves and fused again in pairs
+  of fields: four tables indexed through a ``0x3F3F`` mask make a round;
+- two rounds per loop step, each half updated in place, so no swap;
+- IP and FP are eight byte-indexed lookups each, rotation included;
+- a mode unpacks and packs a whole message with one :mod:`struct` call each.
+
+Published test vectors and the table-per-step implementation in
+``tests/oracles/des_reference.py`` pin it (``tests/unit/test_des.py``).
 
 DES is used here because the paper uses it; it is *not* a recommendation —
 single DES has been breakable by exhaustive key search since the 1990s.
@@ -23,6 +31,7 @@ single DES has been breakable by exhaustive key search since the 1990s.
 from __future__ import annotations
 
 import os
+import struct
 
 from repro.util.errors import MarshalError
 
@@ -48,17 +57,6 @@ _FP = [
     35, 3, 43, 11, 51, 19, 59, 27,
     34, 2, 42, 10, 50, 18, 58, 26,
     33, 1, 41, 9, 49, 17, 57, 25,
-]
-
-_E = [
-    32, 1, 2, 3, 4, 5,
-    4, 5, 6, 7, 8, 9,
-    8, 9, 10, 11, 12, 13,
-    12, 13, 14, 15, 16, 17,
-    16, 17, 18, 19, 20, 21,
-    20, 21, 22, 23, 24, 25,
-    24, 25, 26, 27, 28, 29,
-    28, 29, 30, 31, 32, 1,
 ]
 
 _P = [
@@ -148,106 +146,112 @@ _SBOXES = [
 ]
 
 
-class _BytewisePermutation:
-    """A bit permutation applied via per-input-byte lookup tables.
-
-    ``spec[i]`` is the 1-based (from the MSB) input bit that becomes output
-    bit ``i``.  ``in_width`` must be a multiple of 8.
-    """
-
-    def __init__(self, spec: list[int], in_width: int):
-        if in_width % 8:
-            raise ValueError("in_width must be a multiple of 8")
-        self._n_bytes = in_width // 8
-        out_width = len(spec)
-        luts = [[0] * 256 for _ in range(self._n_bytes)]
-        for out_pos, in_pos in enumerate(spec):
-            in_idx = in_pos - 1
-            byte_idx, bit_idx = divmod(in_idx, 8)
-            bit_in_byte = 7 - bit_idx
-            out_shift = out_width - 1 - out_pos
-            lut = luts[byte_idx]
-            for byte_val in range(256):
-                if (byte_val >> bit_in_byte) & 1:
-                    lut[byte_val] |= 1 << out_shift
-        self._luts = luts
-
-    def apply(self, value: int) -> int:
-        result = 0
-        n = self._n_bytes
-        for i, lut in enumerate(self._luts):
-            result |= lut[(value >> ((n - 1 - i) * 8)) & 0xFF]
-        return result
+def _byte_luts(spec: list[int], in_width: int) -> list[list[int]]:
+    """Per-input-byte lookup tables for a bit permutation: ``spec[i]`` is the
+    1-based (from the MSB) input bit that becomes output bit ``i``, or 0 for
+    an output bit that is always clear; table ``k`` maps the value of input
+    byte ``k`` to its share of the output.  Built by doubling, bit by bit."""
+    out_width = len(spec)
+    masks = [0] * (in_width + 1)
+    for out_pos, in_pos in enumerate(spec):
+        masks[in_pos] |= 1 << (out_width - 1 - out_pos)
+    luts = []
+    for first in range(0, in_width, 8):
+        lut = [0]
+        for mask in masks[first + 8 : first : -1]:
+            lut += [value | mask for value in lut]
+        luts.append(lut)
+    return luts
 
 
-_IP_PERM = _BytewisePermutation(_IP, 64)
-_FP_PERM = _BytewisePermutation(_FP, 64)
-_E_PERM = _BytewisePermutation(_E, 32)
-_PC1_PERM = _BytewisePermutation(_PC1, 64)
-_PC2_PERM = _BytewisePermutation(_PC2, 56)
+# Both 32-bit halves of a block rotated left (right) by one bit, as specs.
+_ROTL1 = [*range(2, 33), 1, *range(34, 65), 33]
+_ROTR1 = [32, *range(1, 32), 64, *range(33, 64)]
+
+_IP0, _IP1, _IP2, _IP3, _IP4, _IP5, _IP6, _IP7 = _byte_luts([_IP[pos - 1] for pos in _ROTL1], 64)
+_FP0, _FP1, _FP2, _FP3, _FP4, _FP5, _FP6, _FP7 = _byte_luts([_ROTR1[pos - 1] for pos in _FP], 64)
+_PC1_LUTS = _byte_luts(_PC1, 64)
+# PC-2 straight into the two round-key words: the odd chunks, then the even
+# ones, each chunk in the low six bits of its own byte.
+_PC2_LUTS = _byte_luts(
+    [pos for first in (0, 6) for at in range(first, 48, 12) for pos in (0, 0, *_PC2[at : at + 6])],
+    56,
+)
 
 
 def _build_sp_tables() -> list[list[int]]:
-    """Fuse each S-box with the P permutation: SP[i][six_bits] -> 32 bits."""
-    p_perm = _BytewisePermutation(_P, 32)
-    tables = []
-    for box_index, box in enumerate(_SBOXES):
-        shift = 28 - 4 * box_index
-        table = []
-        for six in range(64):
-            row = ((six & 0x20) >> 4) | (six & 0x01)
-            col = (six >> 1) & 0x0F
-            table.append(p_perm.apply(box[row][col] << shift))
-        tables.append(table)
-    return tables
+    """Fuse S-boxes and P, two boxes to a table (1 and 3, 5 and 7, 2 and 4,
+    6 and 8): index ``six_a << 8 | six_b``, value both boxes' output bits
+    after P, rotated left by one like the halves they are XORed into."""
+    p_luts = _byte_luts(_P[1:] + _P[:1], 32)
+    singles = []
+    for index, box in enumerate(_SBOXES):
+        lut, shift = p_luts[index // 2], 4 * (1 - index % 2)  # two boxes' nibbles to a byte
+        singles.append(
+            [lut[box[(six & 0x20) >> 4 | (six & 1)][six >> 1 & 0x0F] << shift] for six in range(64)]
+        )
+    pairs = []
+    for high, low in ((0, 2), (4, 6), (1, 3), (5, 7)):
+        table = [0] * 0x3F40
+        for six, high_bits in enumerate(singles[high]):
+            table[six << 8 : (six << 8) + 64] = [high_bits | bits for bits in singles[low]]
+        pairs.append(table)
+    return pairs
 
 
-_SP = _build_sp_tables()
+_SP13, _SP57, _SP24, _SP68 = _build_sp_tables()
 
 _BLOCK = 8
 
 
-def _rotl28(value: int, n: int) -> int:
-    return ((value << n) | (value >> (28 - n))) & 0x0FFFFFFF
-
-
-def _key_schedule(key: bytes) -> list[int]:
-    """Derive the 16 48-bit round subkeys from an 8-byte key."""
+def _key_schedule(key: bytes) -> tuple:
+    """Derive the round keys from an 8-byte key, as :func:`_crypt_block`
+    walks them: eight steps of two rounds, two 32-bit words a round."""
     key_int = int.from_bytes(key, "big")
-    cd = _PC1_PERM.apply(key_int)
-    c = (cd >> 28) & 0x0FFFFFFF
-    d = cd & 0x0FFFFFFF
-    subkeys = []
+    cd = 0
+    for shift, lut in zip(range(56, -8, -8), _PC1_LUTS):
+        cd |= lut[(key_int >> shift) & 0xFF]
+    c, d = cd >> 28, cd & 0x0FFFFFFF
+    words = []
     for shift in _SHIFTS:
-        c = _rotl28(c, shift)
-        d = _rotl28(d, shift)
-        subkeys.append(_PC2_PERM.apply((c << 28) | d))
-    return subkeys
+        c = ((c << shift) | (c >> (28 - shift))) & 0x0FFFFFFF
+        d = ((d << shift) | (d >> (28 - shift))) & 0x0FFFFFFF
+        cd = (c << 28) | d
+        subkey = 0
+        for byte_shift, lut in zip(range(48, -8, -8), _PC2_LUTS):
+            subkey |= lut[(cd >> byte_shift) & 0xFF]
+        words += (subkey >> 32, subkey & 0xFFFFFFFF)
+    return tuple(zip(words[0::4], words[1::4], words[2::4], words[3::4]))
 
 
-def _feistel(right: int, subkey: int) -> int:
-    x = _E_PERM.apply(right) ^ subkey
-    sp = _SP
-    return (
-        sp[0][(x >> 42) & 0x3F]
-        | sp[1][(x >> 36) & 0x3F]
-        | sp[2][(x >> 30) & 0x3F]
-        | sp[3][(x >> 24) & 0x3F]
-        | sp[4][(x >> 18) & 0x3F]
-        | sp[5][(x >> 12) & 0x3F]
-        | sp[6][(x >> 6) & 0x3F]
-        | sp[7][x & 0x3F]
+def _crypt_block(block: int, round_keys: tuple) -> int:
+    """One 64-bit block through IP, sixteen rounds and FP."""
+    x = (
+        _IP0[block >> 56] | _IP1[block >> 48 & 0xFF] | _IP2[block >> 40 & 0xFF]
+        | _IP3[block >> 32 & 0xFF] | _IP4[block >> 24 & 0xFF] | _IP5[block >> 16 & 0xFF]
+        | _IP6[block >> 8 & 0xFF] | _IP7[block & 0xFF]
     )
-
-
-def _crypt_block(block: int, subkeys: list[int]) -> int:
-    x = _IP_PERM.apply(block)
-    left = (x >> 32) & 0xFFFFFFFF
-    right = x & 0xFFFFFFFF
-    for subkey in subkeys:
-        left, right = right, left ^ _feistel(right, subkey)
-    # Final swap (R16 || L16) then the inverse permutation.
-    return _FP_PERM.apply((right << 32) | left)
+    left, right = x >> 32, x & 0xFFFFFFFF
+    sp13, sp57, sp24, sp68 = _SP13, _SP57, _SP24, _SP68
+    for k0, k1, k2, k3 in round_keys:
+        # Bits above 32 of the rotation are never looked at.
+        odd = (right << 28 | right >> 4) ^ k0
+        even = right ^ k1
+        left ^= (
+            sp13[odd >> 16 & 0x3F3F] | sp57[odd & 0x3F3F]
+            | sp24[even >> 16 & 0x3F3F] | sp68[even & 0x3F3F]
+        )
+        odd = (left << 28 | left >> 4) ^ k2
+        even = left ^ k3
+        right ^= (
+            sp13[odd >> 16 & 0x3F3F] | sp57[odd & 0x3F3F]
+            | sp24[even >> 16 & 0x3F3F] | sp68[even & 0x3F3F]
+        )
+    # R16 || L16 into the inverse permutation.
+    return (
+        _FP0[right >> 24] | _FP1[right >> 16 & 0xFF] | _FP2[right >> 8 & 0xFF] | _FP3[right & 0xFF]
+        | _FP4[left >> 24] | _FP5[left >> 16 & 0xFF] | _FP6[left >> 8 & 0xFF] | _FP7[left & 0xFF]
+    )
 
 
 def _pkcs5_pad(data: bytes) -> bytes:
@@ -279,7 +283,8 @@ class DesCipher:
             raise ValueError(f"unsupported mode: {mode}")
         self.mode = mode
         self._enc_keys = _key_schedule(key)
-        self._dec_keys = list(reversed(self._enc_keys))
+        # The same rounds, last first.
+        self._dec_keys = tuple((k2, k3, k0, k1) for k0, k1, k2, k3 in reversed(self._enc_keys))
 
     def encrypt_block(self, block: bytes) -> bytes:
         """Encrypt exactly one 8-byte block (no padding, no chaining)."""
@@ -302,41 +307,34 @@ class DesCipher:
         to the ciphertext, so :meth:`decrypt` needs no extra state.
         """
         padded = _pkcs5_pad(data)
-        out = bytearray()
+        keys = self._enc_keys
         if self.mode == "ECB":
-            for i in range(0, len(padded), _BLOCK):
-                out += self.encrypt_block(padded[i : i + _BLOCK])
-            return bytes(out)
+            blocks = struct.unpack(f">{len(padded) // _BLOCK}Q", padded)
+            out = [_crypt_block(block, keys) for block in blocks]
+            return struct.pack(f">{len(out)}Q", *out)
         if iv is None:
             iv = os.urandom(_BLOCK)
         elif len(iv) != _BLOCK:
             raise ValueError("IV must be 8 bytes")
-        out += iv
-        prev = int.from_bytes(iv, "big")
-        for i in range(0, len(padded), _BLOCK):
-            block = int.from_bytes(padded[i : i + _BLOCK], "big") ^ prev
-            prev = _crypt_block(block, self._enc_keys)
-            out += prev.to_bytes(_BLOCK, "big")
-        return bytes(out)
+        prev, *blocks = struct.unpack(f">{len(padded) // _BLOCK + 1}Q", iv + padded)
+        out = [prev]
+        for block in blocks:
+            prev = _crypt_block(block ^ prev, keys)
+            out.append(prev)
+        return struct.pack(f">{len(out)}Q", *out)
 
     def decrypt(self, data: bytes) -> bytes:
         """Invert :meth:`encrypt`, validating and stripping the padding."""
-        if self.mode == "ECB":
-            if not data or len(data) % _BLOCK:
-                raise MarshalError("invalid DES ciphertext length")
-            out = bytearray()
-            for i in range(0, len(data), _BLOCK):
-                out += self.decrypt_block(data[i : i + _BLOCK])
-            return _pkcs5_unpad(bytes(out))
-        if len(data) < 2 * _BLOCK or len(data) % _BLOCK:
+        chained = self.mode == "CBC"
+        if len(data) < (2 * _BLOCK if chained else _BLOCK) or len(data) % _BLOCK:
             raise MarshalError("invalid DES ciphertext length")
-        prev = int.from_bytes(data[:_BLOCK], "big")
-        out = bytearray()
-        for i in range(_BLOCK, len(data), _BLOCK):
-            block = int.from_bytes(data[i : i + _BLOCK], "big")
-            out += (_crypt_block(block, self._dec_keys) ^ prev).to_bytes(_BLOCK, "big")
-            prev = block
-        return _pkcs5_unpad(bytes(out))
+        keys = self._dec_keys
+        blocks = struct.unpack(f">{len(data) // _BLOCK}Q", data)
+        if chained:
+            out = [_crypt_block(block, keys) ^ prev for prev, block in zip(blocks, blocks[1:])]
+        else:
+            out = [_crypt_block(block, keys) for block in blocks]
+        return _pkcs5_unpad(struct.pack(f">{len(out)}Q", *out))
 
 
 def des_encrypt(key: bytes, data: bytes, mode: str = "CBC") -> bytes:

@@ -14,6 +14,18 @@ import threading
 from repro.util.errors import ConfigurationError
 
 
+def resolve_key(key: bytes | None, key_hex: str | None, owner: str) -> bytes:
+    """The key micro-protocol ``owner`` was configured with: raw or as hex
+    text (what a configuration file can carry), exactly one of the two."""
+    if key is not None and key_hex is not None:
+        raise ConfigurationError("pass either key or key_hex, not both")
+    if key_hex is not None:
+        key = bytes.fromhex(key_hex)
+    if key is None:
+        raise ConfigurationError(f"{owner} requires a key (key= or key_hex=)")
+    return key
+
+
 class KeyStore:
     """A thread-safe named store of symmetric keys.
 

@@ -5,39 +5,69 @@ value.  With only symmetric keys in the prototype, a keyed MAC is the
 signature scheme: we implement the HMAC construction explicitly over a
 :mod:`hashlib` digest (the hash primitive is the only borrowed piece; the
 construction itself, including key normalization and the ipad/opad scheme,
-is spelled out here).
+is spelled out here).  :class:`KeyedMac` does the part that depends only on
+the key once: a digest is a copy of two keyed hash states plus the message.
 """
 
 from __future__ import annotations
 
 import hashlib
 import hmac as _stdlib_hmac  # only for compare_digest semantics
-from typing import Callable
 
-_IPAD = 0x36
-_OPAD = 0x5C
+from repro.util.errors import ConfigurationError
+
+_IPAD = bytes(b ^ 0x36 for b in range(256))
+_OPAD = bytes(b ^ 0x5C for b in range(256))
+
+# Guaranteed by hashlib and of fixed length (SHAKE takes its length per call).
+_HASH_NAMES = frozenset(
+    name for name in hashlib.algorithms_guaranteed if not name.startswith("shake_")
+)
 
 
-def hmac_digest(key: bytes, message: bytes, hash_name: str = "sha256") -> bytes:
-    """Compute HMAC(key, message) with the named hashlib digest.
+class KeyedMac:
+    """HMAC under one key and one named hashlib digest.
 
     Implements RFC 2104 directly:
     ``H((K' ^ opad) || H((K' ^ ipad) || message))`` where ``K'`` is the key
     padded (or first hashed, if longer than the block size) to the digest's
     block length.
     """
-    make_hash: Callable[..., "hashlib._Hash"] = getattr(hashlib, hash_name)
-    block_size = make_hash().block_size
-    if len(key) > block_size:
-        key = make_hash(key).digest()
-    key = key.ljust(block_size, b"\x00")
-    inner = make_hash(bytes(b ^ _IPAD for b in key) + message).digest()
-    return make_hash(bytes(b ^ _OPAD for b in key) + inner).digest()
+
+    def __init__(self, key: bytes, hash_name: str = "sha256"):
+        if hash_name not in _HASH_NAMES:
+            raise ConfigurationError(f"not a fixed-length hashlib digest: {hash_name!r}")
+        make_hash = getattr(hashlib, hash_name)
+        block_size = make_hash().block_size
+        if len(key) > block_size:
+            key = make_hash(key).digest()
+        key = bytes(key).ljust(block_size, b"\x00")
+        self._inner = make_hash(key.translate(_IPAD))
+        self._outer = make_hash(key.translate(_OPAD))
+
+    def digest(self, message: bytes) -> bytes:
+        """HMAC(key, message)."""
+        inner = self._inner.copy()
+        inner.update(message)
+        outer = self._outer.copy()
+        outer.update(inner.digest())
+        return outer.digest()
+
+    def verify(self, message: bytes, signature: bytes) -> bool:
+        """Constant-time verification of a signature from :meth:`digest`;
+        whatever is not bytes (a peer sent it) is not a signature."""
+        return isinstance(signature, (bytes, bytearray)) and _stdlib_hmac.compare_digest(
+            self.digest(message), signature
+        )
+
+
+def hmac_digest(key: bytes, message: bytes, hash_name: str = "sha256") -> bytes:
+    """One-shot HMAC(key, message) with the named hashlib digest."""
+    return KeyedMac(key, hash_name).digest(message)
 
 
 def hmac_verify(
     key: bytes, message: bytes, signature: bytes, hash_name: str = "sha256"
 ) -> bool:
     """Constant-time verification of a signature from :func:`hmac_digest`."""
-    expected = hmac_digest(key, message, hash_name)
-    return _stdlib_hmac.compare_digest(expected, signature)
+    return KeyedMac(key, hash_name).verify(message, signature)

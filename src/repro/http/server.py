@@ -28,7 +28,7 @@ from repro.http.message import (
 from repro.idl.compiler import CompiledIdl, IdlRemoteException, InterfaceDef
 from repro.net.transport import Network, blocking_handler
 from repro.orb.stubs import StaticSkeleton
-from repro.serialization.jser import jser_dumps
+from repro.serialization.jser import jser_dumps, jser_loads
 from repro.util.errors import BindError
 
 SERVICE = "http"
@@ -116,8 +116,6 @@ class HttpObjectServer:
         return format_response(response)
 
     def _dispatch(self, request: HttpRequest) -> HttpResponse:
-        from repro.serialization.jser import jser_loads
-
         if request.method != "POST":
             return HttpResponse(status=400, body=jser_dumps({"type": "BadMethod", "message": request.method}))
         parts = request.path.strip("/").split("/")

@@ -36,7 +36,8 @@ from repro.core.events import (
     EV_READY_TO_SEND,
 )
 from repro.core.request import PB_SIGNATURE, Reply, Request
-from repro.crypto.mac import hmac_digest, hmac_verify
+from repro.crypto.keys import resolve_key
+from repro.crypto.mac import KeyedMac
 from repro.qos.base import ATTR_SERVANT_EXCEPTION
 from repro.qos.security.privacy import (
     ORDER_CLIENT_SIGN,
@@ -45,26 +46,16 @@ from repro.qos.security.privacy import (
     ORDER_SERVER_VERIFY,
 )
 from repro.serialization.jser import jser_dumps
-from repro.util.errors import ConfigurationError, IntegrityError
+from repro.util.errors import IntegrityError
 
 SIG_KEY = "__cqos_sig__"
 ATTR_SIGNED = "integrity_signed"
 ATTR_WANTS_SIGNED_REPLY = "integrity_reply"
 
 
-def _resolve_key(key: bytes | None, key_hex: str | None) -> bytes:
-    if key is not None and key_hex is not None:
-        raise ConfigurationError("pass either key or key_hex, not both")
-    if key_hex is not None:
-        key = bytes.fromhex(key_hex)
-    if key is None:
-        raise ConfigurationError("SignedIntegrity requires a key (key= or key_hex=)")
-    return key
-
-
-def _request_digest(key: bytes, request: Request) -> bytes:
-    blob = jser_dumps([request.object_id, request.operation, request.get_params()])
-    return hmac_digest(key, blob)
+def _request_blob(request: Request) -> bytes:
+    """What a request signature covers, in canonical form."""
+    return jser_dumps([request.object_id, request.operation, request.get_params()])
 
 
 @register_micro_protocol("SignedIntegrity")
@@ -75,7 +66,7 @@ class SignedIntegrity(MicroProtocol):
 
     def __init__(self, key: bytes | None = None, key_hex: str | None = None):
         super().__init__()
-        self._key = _resolve_key(key, key_hex)
+        self._mac = KeyedMac(resolve_key(key, key_hex, self.name))
 
     def start(self) -> None:
         self.bind(EV_READY_TO_SEND, self.sign_request, order=ORDER_CLIENT_SIGN)
@@ -86,7 +77,7 @@ class SignedIntegrity(MicroProtocol):
         with request.mutex:
             if request.attributes.get(ATTR_SIGNED):
                 return
-            request.piggyback[PB_SIGNATURE] = _request_digest(self._key, request)
+            request.piggyback[PB_SIGNATURE] = self._mac.digest(_request_blob(request))
             request.attributes[ATTR_SIGNED] = True
 
     def verify_reply(self, occurrence: Occurrence) -> None:
@@ -95,7 +86,7 @@ class SignedIntegrity(MicroProtocol):
             return
         signature = reply.value[SIG_KEY]
         value = reply.value.get("v")
-        if hmac_verify(self._key, jser_dumps(value), signature):
+        if self._mac.verify(jser_dumps(value), signature):
             reply.value = value
         else:
             reply.value = None
@@ -112,7 +103,7 @@ class SignedIntegrityServer(MicroProtocol):
 
     def __init__(self, key: bytes | None = None, key_hex: str | None = None):
         super().__init__()
-        self._key = _resolve_key(key, key_hex)
+        self._mac = KeyedMac(resolve_key(key, key_hex, self.name))
 
     def start(self) -> None:
         self.bind(EV_NEW_SERVER_REQUEST, self.verify_request, order=ORDER_SERVER_VERIFY)
@@ -121,11 +112,7 @@ class SignedIntegrityServer(MicroProtocol):
     def verify_request(self, occurrence: Occurrence) -> None:
         request: Request = occurrence.args[0]
         signature = request.piggyback.get(PB_SIGNATURE)
-        if not isinstance(signature, (bytes, bytearray)) or not hmac_verify(
-            self._key,
-            jser_dumps([request.object_id, request.operation, request.get_params()]),
-            bytes(signature),
-        ):
+        if not self._mac.verify(_request_blob(request), signature):
             request.fail(
                 IntegrityError(
                     f"request signature {'missing' if signature is None else 'invalid'} "
@@ -144,5 +131,5 @@ class SignedIntegrityServer(MicroProtocol):
             return
         value = request.stored_result
         request.set_result(
-            {SIG_KEY: hmac_digest(self._key, jser_dumps(value)), "v": value}
+            {SIG_KEY: self._mac.digest(jser_dumps(value)), "v": value}
         )

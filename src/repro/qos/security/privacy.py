@@ -37,9 +37,10 @@ from repro.core.events import (
 )
 from repro.core.request import PB_ENCRYPTED, Reply, Request
 from repro.crypto.des import DesCipher
+from repro.crypto.keys import resolve_key
 from repro.qos.base import ATTR_SERVANT_EXCEPTION
 from repro.serialization.jser import jser_dumps, jser_loads
-from repro.util.errors import ConfigurationError
+from repro.util.errors import MarshalError
 
 # Handler orders within the security layer (see package docstring).
 ORDER_CLIENT_SIGN = 3
@@ -56,16 +57,6 @@ CT_KEY = "__cqos_ct__"
 ATTR_WAS_ENCRYPTED = "privacy_was_encrypted"
 
 
-def _resolve_key(key: bytes | None, key_hex: str | None) -> bytes:
-    if key is not None and key_hex is not None:
-        raise ConfigurationError("pass either key or key_hex, not both")
-    if key_hex is not None:
-        key = bytes.fromhex(key_hex)
-    if key is None:
-        raise ConfigurationError("DesPrivacy requires a key (key= or key_hex=)")
-    return key
-
-
 @register_micro_protocol("DesPrivacy")
 class DesPrivacy(MicroProtocol):
     """Client half: encrypt outgoing parameters, decrypt reply values."""
@@ -74,7 +65,7 @@ class DesPrivacy(MicroProtocol):
 
     def __init__(self, key: bytes | None = None, key_hex: str | None = None):
         super().__init__()
-        self._cipher = DesCipher(_resolve_key(key, key_hex))
+        self._cipher = DesCipher(resolve_key(key, key_hex, self.name))
 
     def start(self) -> None:
         self.bind(EV_READY_TO_SEND, self.encrypt_params, order=ORDER_CLIENT_ENCRYPT)
@@ -92,7 +83,10 @@ class DesPrivacy(MicroProtocol):
     def decrypt_reply(self, occurrence: Occurrence) -> None:
         reply: Reply = occurrence.args[2]
         if isinstance(reply.value, dict) and CT_KEY in reply.value:
-            reply.value = jser_loads(self._cipher.decrypt(reply.value[CT_KEY]))
+            ciphertext = reply.value[CT_KEY]
+            if not isinstance(ciphertext, (bytes, bytearray)):
+                raise MarshalError("encrypted reply does not carry bytes")
+            reply.value = jser_loads(self._cipher.decrypt(ciphertext))
 
 
 @register_micro_protocol("DesPrivacyServer")
@@ -103,7 +97,7 @@ class DesPrivacyServer(MicroProtocol):
 
     def __init__(self, key: bytes | None = None, key_hex: str | None = None):
         super().__init__()
-        self._cipher = DesCipher(_resolve_key(key, key_hex))
+        self._cipher = DesCipher(resolve_key(key, key_hex, self.name))
 
     def start(self) -> None:
         self.bind(EV_NEW_SERVER_REQUEST, self.decrypt_params, order=ORDER_SERVER_DECRYPT)
@@ -113,8 +107,10 @@ class DesPrivacyServer(MicroProtocol):
         request: Request = occurrence.args[0]
         if not request.piggyback.get(PB_ENCRYPTED):
             return
-        ciphertext = request.get_param(0)
-        request.set_params(jser_loads(self._cipher.decrypt(ciphertext)))
+        params = request.get_params()
+        if len(params) != 1 or not isinstance(params[0], (bytes, bytearray)):
+            raise MarshalError("encrypted request does not carry one ciphertext")
+        request.set_params(jser_loads(self._cipher.decrypt(params[0])))
         # Clear the flag so replica forwarding ships plaintext exactly once;
         # remember locally that this client expects an encrypted reply.
         request.piggyback[PB_ENCRYPTED] = False

@@ -64,6 +64,7 @@ def encode_return(message: ReturnMessage) -> bytes:
 
 
 def decode(frame: bytes) -> CallMessage | ReturnMessage:
+    """Parse a frame; a malformed one raises :class:`MarshalError`, nothing else."""
     payload = jser_loads(frame)
     if not isinstance(payload, tuple) or not payload:
         raise MarshalError("malformed JRMP frame")
@@ -71,13 +72,11 @@ def decode(frame: bytes) -> CallMessage | ReturnMessage:
     if kind == _KIND_CALL:
         if len(payload) != 6:
             raise MarshalError("malformed JRMP call frame")
-        return CallMessage(
-            object_id=payload[1],
-            method=payload[2],
-            arguments=list(payload[3]),
-            context=dict(payload[4]),
-            oneway=bool(payload[5]),
-        )
+        try:
+            arguments, context = list(payload[3]), dict(payload[4])
+        except (TypeError, ValueError) as exc:
+            raise MarshalError(f"malformed JRMP call frame: {exc}") from exc
+        return CallMessage(payload[1], payload[2], arguments, context, oneway=bool(payload[5]))
     if len(payload) != 2:
         raise MarshalError("malformed JRMP return frame")
     if kind == _KIND_RETURN:
@@ -88,5 +87,8 @@ def decode(frame: bytes) -> CallMessage | ReturnMessage:
             raise MarshalError("JRMP throw frame did not carry an exception")
         return ReturnMessage(exception=exception)
     if kind == _KIND_SYSTEM:
-        return ReturnMessage(system_error=dict(payload[1]))
+        try:
+            return ReturnMessage(system_error=dict(payload[1]))
+        except (TypeError, ValueError) as exc:
+            raise MarshalError(f"malformed JRMP system frame: {exc}") from exc
     raise MarshalError(f"unknown JRMP message kind: {kind!r}")

@@ -28,29 +28,12 @@ from itertools import chain
 from typing import Any
 
 from repro.serialization.registry import TypeRegistry, global_registry
+from repro.serialization.tags import (
+    INT64_MAX, INT64_MIN, LENGTH_PREFIXED, MAX_DEPTH, TAG_BIGINT, TAG_BYTES, TAG_DICT, TAG_FALSE,
+    TAG_FLOAT, TAG_INT, TAG_LIST, TAG_NONE, TAG_OF, TAG_STR, TAG_TRUE, TAG_TUPLE, TAG_VALUE,
+    ladder_tag,
+)
 from repro.util.errors import MarshalError
-
-# Type tags for the "any" encoding.
-_TAG_NONE = 0
-_TAG_TRUE = 1
-_TAG_FALSE = 2
-_TAG_INT64 = 3
-_TAG_BIGINT = 4
-_TAG_DOUBLE = 5
-_TAG_STRING = 6
-_TAG_BYTES = 7
-_TAG_LIST = 8
-_TAG_TUPLE = 9
-_TAG_DICT = 10
-_TAG_VALUE = 11
-
-_INT64_MIN = -(2**63)
-_INT64_MAX = 2**63 - 1
-
-#: Containers an ``any`` may nest.  The codec itself does not recurse, but
-#: what reads the value afterwards does (``hash`` of a nested tuple used as
-#: a dict key overflows the C stack), so a peer may not send deeper.
-MAX_DEPTH = 512
 
 _TRUNCATED = "CDR stream truncated"
 _TOO_DEEP = f"CDR any nested deeper than {MAX_DEPTH}"
@@ -202,43 +185,6 @@ class CdrInputStream:
 
 # -- the run-time-typed ``any`` ------------------------------------------------
 
-_TAG_OF = {
-    type(None): _TAG_NONE,
-    bool: _TAG_TRUE,
-    int: _TAG_INT64,
-    float: _TAG_DOUBLE,
-    str: _TAG_STRING,
-    bytes: _TAG_BYTES,
-    bytearray: _TAG_BYTES,
-    list: _TAG_LIST,
-    tuple: _TAG_TUPLE,
-    dict: _TAG_DICT,
-}
-
-_LADDER = (
-    (int, _TAG_INT64),
-    (float, _TAG_DOUBLE),
-    (str, _TAG_STRING),
-    ((bytes, bytearray), _TAG_BYTES),
-    (list, _TAG_LIST),
-    (tuple, _TAG_TUPLE),
-    (dict, _TAG_DICT),
-)
-
-
-def _ladder_tag(value: Any) -> int:
-    """Tag for a value whose exact type :data:`_TAG_OF` does not list: a
-    subclass is written as the first base it matches, in this order, and
-    anything else has to be a registered value type."""
-    for base, tag in _LADDER:
-        if isinstance(value, base):
-            return tag
-    return _TAG_VALUE
-
-
-_LENGTH_PREFIXED = frozenset((_TAG_STRING, _TAG_BYTES, _TAG_BIGINT, _TAG_VALUE))
-
-
 def write_any(buf: bytearray, value: Any, registry: TypeRegistry = global_registry) -> None:
     """Append ``value`` to ``buf`` as a run-time-typed value with a leading tag."""
     outer: list = []  # iterators over the enclosing containers
@@ -247,42 +193,38 @@ def write_any(buf: bytearray, value: Any, registry: TypeRegistry = global_regist
         while True:
             for value in pending:
                 try:
-                    tag = _TAG_OF[type(value)]
+                    tag = TAG_OF[type(value)]
                 except KeyError:
-                    tag = _ladder_tag(value)
-                if tag == _TAG_STRING:
+                    tag = ladder_tag(value)
+                if tag == TAG_STR:
                     data = value.encode()
                     buf += _PACK_ANY_ULONG[len(buf) & 3](tag, len(data))
                     buf += data
-                elif tag == _TAG_DOUBLE:
+                elif tag == TAG_FLOAT:
                     buf += _PACK_ANY_DOUBLE[len(buf) & 7](tag, value)
-                elif tag == _TAG_DICT:
+                elif tag == TAG_DICT:
                     buf += _PACK_ANY_ULONG[len(buf) & 3](tag, len(value))
                     children = chain.from_iterable(value.items())
                     break
-                elif tag == _TAG_LIST or tag == _TAG_TUPLE:
+                elif tag == TAG_LIST or tag == TAG_TUPLE:
                     buf += _PACK_ANY_ULONG[len(buf) & 3](tag, len(value))
                     children = iter(value)
                     break
-                elif tag == _TAG_INT64:
-                    if _INT64_MIN <= value <= _INT64_MAX:
+                elif tag == TAG_INT:
+                    if INT64_MIN <= value <= INT64_MAX:
                         buf += _PACK_ANY_LONGLONG[len(buf) & 7](tag, value)
                     else:
                         data = str(value).encode()
-                        buf += _PACK_ANY_ULONG[len(buf) & 3](_TAG_BIGINT, len(data))
+                        buf += _PACK_ANY_ULONG[len(buf) & 3](TAG_BIGINT, len(data))
                         buf += data
-                elif tag == _TAG_NONE:
+                elif tag == TAG_NONE:
                     buf += b"\x00"
-                elif tag == _TAG_TRUE:
+                elif tag == TAG_TRUE:
                     buf += b"\x01" if value else b"\x02"
-                elif tag == _TAG_BYTES:
+                elif tag == TAG_BYTES:
                     buf += _PACK_ANY_ULONG[len(buf) & 3](tag, len(value))
                     buf += value
                 else:
-                    if registry.name_for(value) is None:
-                        raise MarshalError(
-                            f"cannot marshal {type(value).__name__}; register it as a value type"
-                        )
                     type_name, state = registry.encode(value)
                     data = type_name.encode()
                     buf += _PACK_ANY_ULONG[len(buf) & 3](tag, len(data))
@@ -320,28 +262,28 @@ def read_any(data, pos: int, registry: TypeRegistry = global_registry) -> tuple[
         while True:
             tag = data[pos]
             pos += 1
-            if tag == _TAG_DOUBLE:
+            if tag == TAG_FLOAT:
                 pos += -pos & 7
                 (value,) = _DOUBLE_AT(data, pos)
                 pos += 8
-            elif tag in _LENGTH_PREFIXED:
+            elif tag in LENGTH_PREFIXED:
                 pos += -pos & 3
                 end = pos + 4 + _ULONG_AT(data, pos)[0]
                 if end > size:
                     raise MarshalError(_TRUNCATED)
                 value = data[pos + 4 : end]
                 pos = end
-                if tag == _TAG_STRING:
+                if tag == TAG_STR:
                     value = value.decode()
-                elif tag == _TAG_BIGINT:
+                elif tag == TAG_BIGINT:
                     value = int(value.decode())
-                elif tag == _TAG_VALUE:
+                elif tag == TAG_VALUE:
                     if len(outer) >= MAX_DEPTH:
                         raise MarshalError(_TOO_DEEP)
                     outer.append((kind, items, missing))
                     kind, items, missing = tag, [value.decode()], 1
                     continue
-            elif tag == _TAG_LIST or tag == _TAG_TUPLE or tag == _TAG_DICT:
+            elif tag == TAG_LIST or tag == TAG_TUPLE or tag == TAG_DICT:
                 pos += -pos & 3
                 (count,) = _ULONG_AT(data, pos)
                 pos += 4
@@ -349,18 +291,18 @@ def read_any(data, pos: int, registry: TypeRegistry = global_registry) -> tuple[
                     if len(outer) >= MAX_DEPTH:
                         raise MarshalError(_TOO_DEEP)
                     outer.append((kind, items, missing))
-                    kind, items, missing = tag, [], count * 2 if tag == _TAG_DICT else count
+                    kind, items, missing = tag, [], count * 2 if tag == TAG_DICT else count
                     continue
-                value = [] if tag == _TAG_LIST else () if tag == _TAG_TUPLE else {}
-            elif tag == _TAG_INT64:
+                value = [] if tag == TAG_LIST else () if tag == TAG_TUPLE else {}
+            elif tag == TAG_INT:
                 pos += -pos & 7
                 (value,) = _LONGLONG_AT(data, pos)
                 pos += 8
-            elif tag == _TAG_NONE:
+            elif tag == TAG_NONE:
                 value = None
-            elif tag == _TAG_TRUE:
+            elif tag == TAG_TRUE:
                 value = True
-            elif tag == _TAG_FALSE:
+            elif tag == TAG_FALSE:
                 value = False
             else:
                 raise MarshalError(f"unknown CDR any tag: {tag}")
@@ -369,11 +311,11 @@ def read_any(data, pos: int, registry: TypeRegistry = global_registry) -> tuple[
                 missing -= 1
                 if missing:
                     break
-                if kind == _TAG_LIST:
+                if kind == TAG_LIST:
                     value = items
-                elif kind == _TAG_TUPLE:
+                elif kind == TAG_TUPLE:
                     value = tuple(items)
-                elif kind == _TAG_DICT:
+                elif kind == TAG_DICT:
                     pairs = iter(items)
                     value = dict(zip(pairs, pairs))
                 else:

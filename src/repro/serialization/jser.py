@@ -15,252 +15,229 @@ round-trips.  This codec reproduces those properties:
 Varint-encoded lengths keep small messages compact, which is one of the
 reasons the RMI substrate benchmarks faster than the ORB substrate — the
 same qualitative gap the paper reports between JDK 1.3 RMI and Visibroker.
+
+:func:`jser_dumps` and :func:`jser_loads` each walk a whole value in one
+loop, the enclosing containers on an explicit stack of at most ``MAX_DEPTH``;
+a tag and a length below 128 are one constant out and two index reads in.
 """
 
 from __future__ import annotations
 
 import struct
+from itertools import chain
 from typing import Any
 
 from repro.serialization.registry import TypeRegistry, global_registry
+from repro.serialization.tags import (
+    INT64_MAX, INT64_MIN, LENGTH_PREFIXED, MAX_DEPTH, TAG_BIGINT, TAG_BYTES, TAG_DICT, TAG_FALSE,
+    TAG_FLOAT, TAG_INT, TAG_LIST, TAG_NONE, TAG_OF, TAG_STR, TAG_TRUE, TAG_TUPLE, TAG_VALUE,
+    ladder_tag,
+)
 from repro.util.errors import MarshalError
 
-_TAG_NONE = 0
-_TAG_TRUE = 1
-_TAG_FALSE = 2
-_TAG_INT = 3
-_TAG_BIGINT = 4
-_TAG_FLOAT = 5
-_TAG_STR = 6
-_TAG_BYTES = 7
-_TAG_LIST = 8
-_TAG_TUPLE = 9
-_TAG_DICT = 10
-_TAG_VALUE = 11
-_TAG_REF = 12
+_TAG_REF = 12  # jser only: a back-reference to the nth list, dict or instance
 
-_INT64_MIN = -(2**63)
-_INT64_MAX = 2**63 - 1
+_TRUNCATED = "jser stream truncated"
+_TOO_DEEP = f"jser value nested deeper than {MAX_DEPTH}"
+
+_PACK_FLOAT = struct.Struct(">Bd").pack
+_DOUBLE_AT = struct.Struct(">d").unpack_from
+
+# ``_SHORT[tag][n]``: the tag and, after it, ``n`` as a one-byte varint.
+_SHORT = tuple(tuple(bytes((tag, n)) for n in range(0x80)) for tag in range(_TAG_REF + 1))
 
 
-def _write_varint(buf: bytearray, value: int) -> None:
-    """LEB128 unsigned varint."""
-    if value < 0:
-        raise MarshalError("varint must be non-negative")
-    while True:
-        byte = value & 0x7F
+def _head(tag: int, value: int) -> bytes:
+    """The tag and, after it, ``value`` as a LEB128 unsigned varint."""
+    out = bytearray((tag,))
+    while value > 0x7F:
+        out.append(value & 0x7F | 0x80)
         value >>= 7
-        if value:
-            buf.append(byte | 0x80)
-        else:
-            buf.append(byte)
-            return
+    out.append(value)
+    return bytes(out)
 
 
-class _Encoder:
-    def __init__(self, registry: TypeRegistry):
-        self._buf = bytearray()
-        self._registry = registry
-        self._handles: dict[int, int] = {}  # id(obj) -> handle
-        # Keep encoded objects alive so ids stay unique during encoding.
-        self._pins: list[Any] = []
-
-    def encode(self, value: Any) -> bytes:
-        self._write(value)
-        return bytes(self._buf)
-
-    def _assign_handle(self, value: Any) -> int:
-        handle = len(self._handles)
-        self._handles[id(value)] = handle
-        self._pins.append(value)
-        return handle
-
-    def _write_ref_or(self, value: Any) -> bool:
-        """Write a back-reference if ``value`` was seen; return True if so."""
-        handle = self._handles.get(id(value))
-        if handle is None:
-            return False
-        self._buf.append(_TAG_REF)
-        _write_varint(self._buf, handle)
-        return True
-
-    def _write(self, value: Any) -> None:
-        # Ordered by observed frequency in RPC frames (strings and small
-        # ints dominate); small lengths skip the varint helper entirely.
-        buf = self._buf
-        if type(value) is str:
-            buf.append(_TAG_STR)
-            data = value.encode("utf-8")
-            n = len(data)
-            if n < 0x80:
-                buf.append(n)
-            else:
-                _write_varint(buf, n)
-            buf.extend(data)
-        elif value is None:
-            buf.append(_TAG_NONE)
-        elif value is True:
-            buf.append(_TAG_TRUE)
-        elif value is False:
-            buf.append(_TAG_FALSE)
-        elif isinstance(value, int):
-            if _INT64_MIN <= value <= _INT64_MAX:
-                buf.append(_TAG_INT)
-                # zigzag so small negatives stay small
-                encoded = ((value << 1) ^ (value >> 63)) & ((1 << 64) - 1)
-                if encoded < 0x80:
-                    buf.append(encoded)
-                else:
-                    _write_varint(buf, encoded)
-            else:
-                buf.append(_TAG_BIGINT)
-                text = str(value).encode("ascii")
-                _write_varint(buf, len(text))
-                buf.extend(text)
-        elif isinstance(value, float):
-            buf.append(_TAG_FLOAT)
-            buf.extend(struct.pack(">d", value))
-        elif isinstance(value, str):  # str subclasses take the slow path
-            buf.append(_TAG_STR)
-            data = value.encode("utf-8")
-            _write_varint(buf, len(data))
-            buf.extend(data)
-        elif isinstance(value, (bytes, bytearray)):
-            self._buf.append(_TAG_BYTES)
-            _write_varint(self._buf, len(value))
-            self._buf.extend(value)
-        elif isinstance(value, list):
-            if self._write_ref_or(value):
-                return
-            self._assign_handle(value)
-            self._buf.append(_TAG_LIST)
-            _write_varint(self._buf, len(value))
-            for item in value:
-                self._write(item)
-        elif isinstance(value, tuple):
-            self._buf.append(_TAG_TUPLE)
-            _write_varint(self._buf, len(value))
-            for item in value:
-                self._write(item)
-        elif isinstance(value, dict):
-            if self._write_ref_or(value):
-                return
-            self._assign_handle(value)
-            self._buf.append(_TAG_DICT)
-            _write_varint(self._buf, len(value))
-            for key, item in value.items():
-                self._write(key)
-                self._write(item)
-        else:
-            if self._write_ref_or(value):
-                return
-            name = self._registry.name_for(value)
-            if name is None:
-                raise MarshalError(
-                    f"cannot marshal {type(value).__name__}; register it as a value type"
-                )
-            self._assign_handle(value)
-            type_name, state = self._registry.encode(value)
-            self._buf.append(_TAG_VALUE)
-            data = type_name.encode("utf-8")
-            _write_varint(self._buf, len(data))
-            self._buf.extend(data)
-            self._write(state)
-
-
-class _Decoder:
-    def __init__(self, data: bytes, registry: TypeRegistry):
-        self._data = data
-        self._pos = 0
-        self._registry = registry
-        self._objects: list[Any] = []
-
-    def _take(self, n: int) -> bytes:
-        if self._pos + n > len(self._data):
-            raise MarshalError("jser stream truncated")
-        chunk = self._data[self._pos : self._pos + n]
-        self._pos += n
-        return chunk
-
-    def _read_varint(self) -> int:
-        shift = 0
-        result = 0
-        while True:
-            byte = self._take(1)[0]
-            result |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                return result
-            shift += 7
-            if shift > 70:
-                raise MarshalError("varint too long")
-
-    def decode(self) -> Any:
-        return self._read()
-
-    def _read(self) -> Any:
-        tag = self._take(1)[0]
-        if tag == _TAG_NONE:
-            return None
-        if tag == _TAG_TRUE:
-            return True
-        if tag == _TAG_FALSE:
-            return False
-        if tag == _TAG_INT:
-            raw = self._read_varint()
-            return (raw >> 1) ^ -(raw & 1)  # un-zigzag
-        if tag == _TAG_BIGINT:
-            length = self._read_varint()
-            return int(self._take(length).decode("ascii"))
-        if tag == _TAG_FLOAT:
-            return struct.unpack(">d", self._take(8))[0]
-        if tag == _TAG_STR:
-            length = self._read_varint()
-            return self._take(length).decode("utf-8")
-        if tag == _TAG_BYTES:
-            length = self._read_varint()
-            return self._take(length)
-        if tag == _TAG_LIST:
-            count = self._read_varint()
-            items: list[Any] = []
-            self._objects.append(items)
-            for _ in range(count):
-                items.append(self._read())
-            return items
-        if tag == _TAG_TUPLE:
-            count = self._read_varint()
-            return tuple(self._read() for _ in range(count))
-        if tag == _TAG_DICT:
-            count = self._read_varint()
-            result: dict[Any, Any] = {}
-            self._objects.append(result)
-            for _ in range(count):
-                key = self._read()
-                result[key] = self._read()
-            return result
-        if tag == _TAG_VALUE:
-            length = self._read_varint()
-            type_name = self._take(length).decode("utf-8")
-            # Reserve the handle before reading state so cycles through the
-            # instance resolve; patch the placeholder after construction.
-            placeholder_index = len(self._objects)
-            self._objects.append(None)
-            state = self._read()
-            obj = self._registry.decode(type_name, state)
-            self._objects[placeholder_index] = obj
-            return obj
-        if tag == _TAG_REF:
-            handle = self._read_varint()
-            if handle >= len(self._objects):
-                raise MarshalError(f"dangling jser reference: {handle}")
-            return self._objects[handle]
-        raise MarshalError(f"unknown jser tag: {tag}")
+def _long_varint(data: bytes, pos: int) -> tuple[int, int]:
+    """The varint at ``data[pos:]`` (a multi-byte one) and the offset just past it."""
+    result = shift = 0
+    while True:
+        byte = data[pos]
+        pos += 1
+        result |= (byte & 0x7F) << shift
+        if byte < 0x80:
+            return result, pos
+        shift += 7
+        if shift > 70:
+            raise MarshalError("varint too long")
 
 
 def jser_dumps(value: Any, registry: TypeRegistry | None = None) -> bytes:
     """Encode a value as a self-describing jser buffer."""
-    return _Encoder(registry or global_registry).encode(value)
+    if registry is None:
+        registry = global_registry
+    buf = bytearray()
+    # id -> (handle, object) for each list, dict and value instance written;
+    # holding the object keeps its id from being handed out again.
+    handles: dict[int, tuple[int, Any]] = {}
+    outer: list = []  # iterators over the enclosing containers
+    pending = iter((value,))
+    try:
+        while True:
+            for value in pending:
+                try:
+                    tag = TAG_OF[type(value)]
+                except KeyError:
+                    tag = ladder_tag(value)
+                if tag == TAG_STR:
+                    data = value.encode()
+                    n = len(data)
+                    buf += _SHORT[tag][n] if n < 0x80 else _head(tag, n)
+                    buf += data
+                elif tag == TAG_INT:
+                    if INT64_MIN <= value <= INT64_MAX:
+                        n = (value << 1) ^ (value >> 63)  # zigzag: small negatives stay small
+                        buf += _SHORT[tag][n] if n < 0x80 else _head(tag, n)
+                    else:
+                        data = str(value).encode()
+                        buf += _head(TAG_BIGINT, len(data))
+                        buf += data
+                elif tag == TAG_NONE:
+                    buf += b"\x00"
+                elif tag == TAG_TRUE:
+                    buf += b"\x01" if value else b"\x02"
+                elif tag == TAG_FLOAT:
+                    buf += _PACK_FLOAT(tag, value)
+                elif tag == TAG_BYTES:
+                    n = len(value)
+                    buf += _SHORT[tag][n] if n < 0x80 else _head(tag, n)
+                    buf += value
+                elif tag == TAG_TUPLE:
+                    n = len(value)
+                    buf += _SHORT[tag][n] if n < 0x80 else _head(tag, n)
+                    children = iter(value)
+                    break
+                else:
+                    key = id(value)
+                    if key in handles:
+                        n = handles[key][0]
+                        buf += _SHORT[_TAG_REF][n] if n < 0x80 else _head(_TAG_REF, n)
+                        continue
+                    handles[key] = (len(handles), value)
+                    if tag == TAG_LIST:
+                        data, n, children = b"", len(value), iter(value)
+                    elif tag == TAG_DICT:
+                        data, n, children = b"", len(value), chain.from_iterable(value.items())
+                    else:
+                        type_name, state = registry.encode(value)
+                        data = type_name.encode()
+                        n, children = len(data), iter((state,))
+                    buf += _SHORT[tag][n] if n < 0x80 else _head(tag, n)
+                    buf += data
+                    break
+            else:
+                if not outer:
+                    return bytes(buf)
+                pending = outer.pop()
+                continue
+            # The value just begun has children: they come before the rest.
+            if len(outer) >= MAX_DEPTH:
+                raise MarshalError(_TOO_DEEP)
+            outer.append(pending)
+            pending = children
+    except ValueError as exc:  # a lone surrogate; an int past the digit limit
+        raise MarshalError(f"cannot marshal value: {exc}") from exc
 
 
 def jser_loads(data: bytes, registry: TypeRegistry | None = None) -> Any:
-    """Decode a buffer produced by :func:`jser_dumps`."""
-    return _Decoder(data, registry or global_registry).decode()
+    """Decode a buffer produced by :func:`jser_dumps`.  Whatever is wrong
+    with the bytes, the error is a :class:`MarshalError`."""
+    if registry is None:
+        registry = global_registry
+    if type(data) is not bytes:
+        data = bytes(data)
+    size = len(data)
+    pos = 0
+    objects: list = []  # what each handle stands for, in stream order
+    # The container being filled: its tag, the object collecting its
+    # children, how many are still missing, and one more word -- a dict's
+    # key while its value is read, a value type's handle while its state is.
+    kind = items = key = None
+    missing = 0
+    outer: list = []  # the containers around it
+    try:
+        while True:
+            tag = data[pos]
+            if tag <= TAG_FALSE:
+                pos += 1
+                value = None if tag == TAG_NONE else tag == TAG_TRUE
+            elif tag == TAG_FLOAT:
+                (value,) = _DOUBLE_AT(data, pos + 1)
+                pos += 9
+            elif tag > _TAG_REF:
+                raise MarshalError(f"unknown jser tag: {tag}")
+            else:
+                n = data[pos + 1]
+                pos += 2
+                if n > 0x7F:
+                    n, pos = _long_varint(data, pos - 1)
+                if tag in LENGTH_PREFIXED:
+                    end = pos + n
+                    if end > size:
+                        raise MarshalError(_TRUNCATED)
+                    value = data[pos:end]
+                    pos = end
+                    if tag == TAG_STR:
+                        value = value.decode()
+                    elif tag == TAG_BIGINT:
+                        value = int(value.decode("ascii"))
+                    elif tag == TAG_VALUE:
+                        if len(outer) >= MAX_DEPTH:
+                            raise MarshalError(_TOO_DEEP)
+                        outer.append((kind, items, missing, key))
+                        # The handle is reserved before the state is read, so
+                        # that a reference to the instance from inside its own
+                        # state resolves (to None, until the instance exists).
+                        kind, items, missing, key = tag, value.decode(), 1, len(objects)
+                        objects.append(None)
+                        continue
+                elif tag == TAG_INT:
+                    value = (n >> 1) ^ -(n & 1)  # un-zigzag
+                elif tag == _TAG_REF:
+                    if n >= len(objects):
+                        raise MarshalError(f"dangling jser reference: {n}")
+                    value = objects[n]
+                else:
+                    value = () if tag == TAG_TUPLE else [] if tag == TAG_LIST else {}
+                    if tag != TAG_TUPLE:
+                        objects.append(value)
+                    if n:
+                        if len(outer) >= MAX_DEPTH:
+                            raise MarshalError(_TOO_DEEP)
+                        outer.append((kind, items, missing, key))
+                        kind = tag
+                        items = [] if tag == TAG_TUPLE else value
+                        missing = n * 2 if tag == TAG_DICT else n
+                        continue
+            while kind is not None:
+                if kind == TAG_DICT:
+                    if missing & 1:
+                        items[key] = value
+                    else:
+                        key = value
+                elif kind == TAG_VALUE:
+                    value = objects[key] = registry.decode(items, value)
+                    kind, items, missing, key = outer.pop()
+                    continue
+                else:
+                    items.append(value)
+                missing -= 1
+                if missing:
+                    break
+                value = tuple(items) if kind == TAG_TUPLE else items
+                kind, items, missing, key = outer.pop()
+            else:
+                return value
+    except (IndexError, struct.error) as exc:
+        raise MarshalError(_TRUNCATED) from exc
+    except (ValueError, TypeError) as exc:
+        raise MarshalError(f"corrupt jser stream: {exc}") from exc

@@ -67,7 +67,7 @@ class TypeRegistry:
         """Return (type_name, state_dict) for a registered instance."""
         name = self.name_for(obj)
         if name is None:
-            raise MarshalError(f"unregistered value type: {type(obj).__name__}")
+            raise MarshalError(f"cannot marshal {type(obj).__name__}; register it as a value type")
         with self._lock:
             _, to_dict, _ = self._by_name[name]
         state = to_dict(obj)

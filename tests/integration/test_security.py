@@ -3,6 +3,9 @@
 import pytest
 
 from repro.apps.bank import BankAccount, bank_interface
+from repro.cactus.composite import MicroProtocol
+from repro.core.events import EV_INVOKE_RETURN, EV_READY_TO_SEND
+from repro.core.request import PB_ENCRYPTED
 from repro.qos import (
     AccessControl,
     ActiveRep,
@@ -12,7 +15,7 @@ from repro.qos import (
     SignedIntegrity,
     SignedIntegrityServer,
 )
-from repro.util.errors import IntegrityError, InvocationError
+from repro.util.errors import IntegrityError, InvocationError, MarshalError
 
 KEY = "0123456789abcdef"
 OTHER_KEY = "fedcba9876543210"
@@ -192,6 +195,101 @@ class TestPrivacyPlusIntegrity:
         stub.set_balance(55.5)
         assert stub.get_balance() == 55.5
         assert stub.deposit(4.5) == 60.0
+
+
+class ForgeReply(MicroProtocol):
+    """Server side: replace the reply, after the security handlers ran."""
+
+    name = "ForgeReply"
+
+    def __init__(self, value):
+        super().__init__()
+        self._value = value
+
+    def start(self) -> None:
+        self.bind(EV_INVOKE_RETURN, self.forge, order=90)
+
+    def forge(self, occurrence) -> None:
+        occurrence.args[0].set_result(self._value)
+
+
+class ForgeParams(MicroProtocol):
+    """Client side: send this parameter vector, flagged as encrypted."""
+
+    name = "ForgeParams"
+
+    def __init__(self, params):
+        super().__init__()
+        self._params = params
+
+    def start(self) -> None:
+        self.bind(EV_READY_TO_SEND, self.forge, order=90)
+
+    def forge(self, occurrence) -> None:
+        request = occurrence.args[0]
+        request.set_params(self._params)
+        request.piggyback[PB_ENCRYPTED] = True
+
+
+class TestForgedShapes:
+    """A peer that sends the right wrapper around the wrong type gets the
+    error the protocol promises, not a TypeError out of a handler."""
+
+    @pytest.mark.parametrize("signature", ["x", None, 7, ["s"]])
+    def test_reply_signature_of_the_wrong_type(self, deployment, signature):
+        deployment.add_replicas(
+            "acct",
+            BankAccount,
+            bank_interface(),
+            server_micro_protocols=lambda: [
+                SignedIntegrityServer(key_hex=KEY),
+                ForgeReply({"__cqos_sig__": signature, "v": 1.0}),
+            ],
+        )
+        stub = deployment.client_stub(
+            "acct",
+            bank_interface(),
+            client_micro_protocols=lambda: [SignedIntegrity(key_hex=KEY)],
+        )
+        with pytest.raises(IntegrityError, match="verification failed"):
+            stub.get_balance()
+
+    @pytest.mark.parametrize("ciphertext", ["a" * 16, None, 7, b"\x00" * 12, b"\x00" * 16])
+    def test_reply_ciphertext_of_the_wrong_type_or_length(self, deployment, ciphertext):
+        deployment.add_replicas(
+            "acct",
+            BankAccount,
+            bank_interface(),
+            server_micro_protocols=lambda: [
+                DesPrivacyServer(key_hex=KEY),
+                ForgeReply({"__cqos_ct__": ciphertext}),
+            ],
+        )
+        stub = deployment.client_stub(
+            "acct",
+            bank_interface(),
+            client_micro_protocols=lambda: [DesPrivacy(key_hex=KEY)],
+        )
+        with pytest.raises(MarshalError):
+            stub.get_balance()
+
+    @pytest.mark.parametrize("params", [[], ["a" * 16], [7], [b"\x00" * 16, b"\x00" * 16]])
+    def test_encrypted_flag_without_one_ciphertext(self, deployment, params):
+        account = BankAccount()
+        deployment.add_replicas(
+            "acct",
+            lambda: account,
+            bank_interface(),
+            server_micro_protocols=lambda: [DesPrivacyServer(key_hex=KEY)],
+        )
+        stub = deployment.client_stub(
+            "acct",
+            bank_interface(),
+            client_micro_protocols=lambda: [ForgeParams(params)],
+        )
+        with pytest.raises(InvocationError, match="MarshalError"):
+            stub.set_balance(5.0)
+        assert account.get_balance() == 0.0
 
 
 class TestAccessControl:

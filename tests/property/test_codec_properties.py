@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.serialization.cdr import cdr_dumps, cdr_loads
 from repro.serialization.jser import jser_dumps, jser_loads
 from repro.util.errors import MarshalError
-from tests.oracles import cdr_tree_walk
+from tests.oracles import cdr_tree_walk, jser_tree_walk
 
 # Finite floats only: NaN breaks equality (covered by explicit tests).
 scalars = st.one_of(
@@ -80,6 +80,34 @@ def test_cdr_corrupt_input_only_raises_marshal_error(value, data):
 @settings(max_examples=200)
 def test_jser_roundtrip(value):
     assert jser_loads(jser_dumps(value)) == value
+
+
+@given(wire_values)
+@settings(max_examples=300)
+def test_jser_flat_codec_matches_the_tree_walk(value):
+    """Bytes equal one way, values equal the other."""
+    encoded = jser_dumps(value)
+    assert encoded == jser_tree_walk.tree_dumps(value)
+    assert jser_loads(encoded) == jser_tree_walk.tree_loads(encoded) == value
+
+
+@given(wire_values, st.data())
+@settings(max_examples=200)
+def test_jser_corrupt_input_only_raises_marshal_error(value, data):
+    """Cut or flip the encoding anywhere: a value or MarshalError, nothing else."""
+    encoded = bytearray(jser_dumps(value))
+    cut = data.draw(st.integers(min_value=0, max_value=len(encoded) - 1))
+    try:
+        jser_loads(bytes(encoded[:cut]))
+    except MarshalError:
+        pass
+    else:
+        raise AssertionError("a strict prefix decoded")
+    encoded[cut] = data.draw(st.integers(min_value=0, max_value=255))
+    try:
+        jser_loads(bytes(encoded))
+    except MarshalError:
+        pass
 
 
 @given(wire_values)

@@ -1,13 +1,19 @@
 """Unit tests for the pure-Python DES implementation.
 
 Known-answer vectors pin the algorithm to FIPS 46-3; mode/padding tests
-cover the envelope around the block cipher.
+cover the envelope around the block cipher; the fused-table block function
+is held, block for block and message for message, to the table-per-step
+implementation it replaced (``tests/oracles/des_reference.py``).
 """
+
+import random
 
 import pytest
 
+from repro.crypto import des
 from repro.crypto.des import DesCipher, des_decrypt, des_encrypt
 from repro.util.errors import MarshalError
+from tests.oracles.des_reference import ReferenceDes
 
 # The classic worked example (used in innumerable DES expositions).
 KAT_KEY = bytes.fromhex("133457799BBCDFF1")
@@ -125,3 +131,74 @@ class TestOneShotHelpers:
         ct = des_encrypt(KAT_KEY, b"data", mode="ECB")
         with pytest.raises(MarshalError):
             des_decrypt(KAT_KEY, ct, mode="CBC")
+
+
+class TestAgainstTheReference:
+    def test_seeded_blocks_both_directions(self):
+        rng = random.Random(15)
+        for _ in range(2000):
+            key, block = rng.randbytes(8), rng.randbytes(8)
+            cipher, reference = DesCipher(key, mode="ECB"), ReferenceDes(key, mode="ECB")
+            assert cipher.encrypt_block(block) == reference.encrypt_block(block)
+            assert cipher.decrypt_block(block) == reference.decrypt_block(block)
+
+    @pytest.mark.parametrize(
+        "key",
+        ["0101010101010101", "FEFEFEFEFEFEFEFE", "E0E0E0E0F1F1F1F1", "1F1F1F1F0E0E0E0E"],
+    )
+    def test_weak_keys_self_invert(self, key):
+        """All sixteen round keys of a weak key are equal, so encrypting
+        twice is the identity -- whatever order the schedule is walked in."""
+        cipher = DesCipher(bytes.fromhex(key), mode="ECB")
+        rng = random.Random(key)
+        for _ in range(50):
+            block = rng.randbytes(8)
+            assert cipher.encrypt_block(cipher.encrypt_block(block)) == block
+            assert cipher.decrypt_block(block) == cipher.encrypt_block(block)
+
+    @pytest.mark.parametrize("mode", ["CBC", "ECB"])
+    def test_messages_of_every_length_byte_identical(self, mode):
+        rng = random.Random(mode)
+        key, iv = rng.randbytes(8), rng.randbytes(8)
+        cipher, reference = DesCipher(key, mode=mode), ReferenceDes(key, mode=mode)
+        for length in range(65):
+            data = rng.randbytes(length)
+            extra = {"iv": iv} if mode == "CBC" else {}
+            encrypted = cipher.encrypt(data, **extra)
+            assert encrypted == reference.encrypt(data, **extra)
+            assert cipher.decrypt(encrypted) == reference.decrypt(encrypted) == data
+            assert cipher.decrypt(bytearray(encrypted)) == data
+
+    def test_corrupt_ciphertext_fails_alike(self):
+        key = bytes.fromhex("133457799BBCDFF1")
+        for mode in ("CBC", "ECB"):
+            cipher, reference = DesCipher(key, mode=mode), ReferenceDes(key, mode=mode)
+            for data in (b"", b"\x00" * 7, b"\x00" * 8, b"\x00" * 12, b"\x00" * 16, b"\x01" * 24):
+                outcomes = []
+                for subject in (cipher, reference):
+                    try:
+                        outcomes.append(subject.decrypt(data))
+                    except MarshalError as exc:
+                        outcomes.append(str(exc))
+                assert outcomes[0] == outcomes[1], (mode, data)
+
+    def test_a_fresh_iv_for_every_cbc_encryption(self, monkeypatch):
+        drawn = []
+
+        def urandom(count):
+            drawn.append(count)
+            return bytes([len(drawn)]) * count
+
+        monkeypatch.setattr(des.os, "urandom", urandom)
+        cipher = DesCipher(KAT_KEY)
+        first, second = cipher.encrypt(b"same"), cipher.encrypt(b"same")
+        assert drawn == [8, 8]
+        assert first[:8] == b"\x01" * 8 and second[:8] == b"\x02" * 8
+
+    def test_one_block_function_and_small_tables(self):
+        """What the round indexes stays small: four pair tables with 64 runs
+        of 64 entries each, eight 256-entry tables for IP and for FP."""
+        pair_tables = (des._SP13, des._SP57, des._SP24, des._SP68)
+        assert all(len(table) == 0x3F40 for table in pair_tables)
+        assert all(value < 2**32 for table in pair_tables for value in table)
+        assert all(len(lut) == 256 for lut in (des._IP0, des._IP7, des._FP0, des._FP7))
