@@ -1,4 +1,4 @@
-"""The Cactus runtime: event execution threads and delayed raises.
+"""The Cactus runtime: what one composite executes on.
 
 Wraps a :class:`~repro.util.concurrency.PriorityExecutor` (the thread pool
 the paper mentions adding to Cactus/J as a performance optimization) and a
@@ -21,6 +21,7 @@ from repro.util.clock import Clock, RealClock
 from repro.util.concurrency import (
     PriorityExecutor,
     ResultFuture,
+    WorkerThreads,
     current_thread_priority,
 )
 
@@ -92,28 +93,31 @@ class _TimerWheel:
 
 
 def default_worker_count() -> int:
-    """Pool size scaled to the machine: 4 per core, at least 4, at most 16.
+    """Lane limit scaled to the machine: 4 per core, at least 4, at most 16.
 
-    Every composite protocol owns a pool; a replicated deployment holds
-    many composites, so oversized pools just add scheduler pressure
-    (especially on single-core hosts).
+    How many of one composite's asynchronous tasks may run at once: it
+    bounds scheduler pressure from a busy composite and starts no thread
+    (threads come on demand from the deployment's ``WorkerThreads``).
     """
     return max(4, min(16, 4 * (os.cpu_count() or 1)))
 
 
 class CactusRuntime:
-    """Execution resources shared by the composite protocols of one process."""
+    """What one composite executes on: a clock, delayed raises and a lane of
+    at most ``workers`` concurrent tasks over ``threads``, the deployment's
+    set (or a private one, closed by :meth:`shutdown`, when none is given)."""
 
     def __init__(
         self,
         clock: Clock | None = None,
         workers: int | None = None,
         name: str = "cactus",
+        threads: WorkerThreads | None = None,
     ):
         self.clock = clock or RealClock()
         if workers is None:
             workers = default_worker_count()
-        self._executor = PriorityExecutor(workers=workers, name=name)
+        self._executor = PriorityExecutor(workers=workers, name=name, threads=threads)
         self._closed = False
         # Delayed raises share one heap-driven timer thread under a real
         # clock; virtual clocks keep a dedicated sleeper per raise so the
@@ -184,7 +188,3 @@ class CactusRuntime:
             if self._timers is not None:
                 self._timers.close()
             self._executor.shutdown(wait=False)
-
-    @property
-    def pending(self) -> int:
-        return self._executor.pending

@@ -32,6 +32,7 @@ from typing import Any, Callable, Sequence
 
 from repro.cactus.composite import MicroProtocol
 from repro.cactus.config import MicroProtocolSpec, build_micro_protocols
+from repro.cactus.runtime import CactusRuntime
 from repro.core.client import CactusClient
 from repro.core.request import Request
 from repro.core.server import CactusServer
@@ -66,6 +67,7 @@ from repro.orb.orb import Orb
 from repro.orb.stubs import make_static_stub_class
 from repro.rmi.registry import REGISTRY_HOST, registry_client, start_registry
 from repro.rmi.runtime import RmiRuntime, make_rmi_stub_class
+from repro.util.concurrency import WorkerThreads
 from repro.util.errors import ConfigurationError
 from repro.util.ids import IdGenerator
 
@@ -78,10 +80,10 @@ MpConfig = (
 )
 
 
-def _instantiate(config: MpConfig) -> list[MicroProtocol] | None:
+def _instantiate(config: MpConfig | str) -> list[MicroProtocol]:
     """Normalize a configuration into fresh micro-protocol instances."""
-    if config is None:
-        return None
+    if config is None or config == "with_base":
+        return []
     if callable(config):
         return list(config())
     specs = [
@@ -122,6 +124,8 @@ class CqosDeployment:
         self._http_servers: list[HttpObjectServer] = []
         self._http_clients: list[HttpClient] = []
         self._cactus: list[CactusServer | CactusClient] = []
+        # Every composite's lane borrows its threads from this one set.
+        self._threads = WorkerThreads("cactus-worker")
         self._replica_hosts: dict[tuple[str, int], str] = {}
         self._bootstrap()
 
@@ -278,24 +282,16 @@ class CqosDeployment:
             return None
 
         def factory(platform) -> CactusServer:
-            if config == "with_base":
-                server = CactusServer.with_base(
-                    platform,
-                    name=f"cactus-server-{object_id}-{replica}",
-                    request_timeout=self.request_timeout,
-                    priority_policy=priority_policy,
-                    compiled_dispatch=self.compiled_dispatch,
-                )
-            else:
-                extra = _instantiate(config) or []
-                server = CactusServer.with_base(
-                    platform,
-                    extra,
-                    name=f"cactus-server-{object_id}-{replica}",
-                    request_timeout=self.request_timeout,
-                    priority_policy=priority_policy,
-                    compiled_dispatch=self.compiled_dispatch,
-                )
+            name = f"cactus-server-{object_id}-{replica}"
+            server = CactusServer.with_base(
+                platform,
+                _instantiate(config),
+                name=name,
+                request_timeout=self.request_timeout,
+                runtime=CactusRuntime(name=f"{name}-rt", threads=self._threads),
+                priority_policy=priority_policy,
+                compiled_dispatch=self.compiled_dispatch,
+            )
             self._track(server)
             return server
 
@@ -384,33 +380,19 @@ class CqosDeployment:
         cactus_client: CactusClient | None = None
         if with_cactus_client:
             # Replication against gated replicas parks invocation legs on
-            # pool workers until each replica answers; callers that mix
-            # replication with server-side queuing size the pool up.
-            runtime = None
-            if runtime_workers is not None:
-                from repro.cactus.runtime import CactusRuntime
-
-                runtime = CactusRuntime(
-                    workers=runtime_workers, name=f"cactus-client-{host}-rt"
-                )
-            if client_micro_protocols == "with_base":
-                cactus_client = CactusClient.with_base(
-                    platform,
-                    name=f"cactus-client-{host}",
-                    request_timeout=self.request_timeout,
-                    runtime=runtime,
-                    compiled_dispatch=self.compiled_dispatch,
-                )
-            else:
-                extra = _instantiate(client_micro_protocols) or []
-                cactus_client = CactusClient.with_base(
-                    platform,
-                    extra,
-                    name=f"cactus-client-{host}",
-                    request_timeout=self.request_timeout,
-                    runtime=runtime,
-                    compiled_dispatch=self.compiled_dispatch,
-                )
+            # this composite's lane until each replica answers; callers that
+            # mix replication with server-side queuing raise its limit.
+            name = f"cactus-client-{host}"
+            cactus_client = CactusClient.with_base(
+                platform,
+                _instantiate(client_micro_protocols),
+                name=name,
+                request_timeout=self.request_timeout,
+                runtime=CactusRuntime(
+                    workers=runtime_workers, name=f"{name}-rt", threads=self._threads
+                ),
+                compiled_dispatch=self.compiled_dispatch,
+            )
             self._track(cactus_client)
         stub_class = make_cqos_stub_class(interface)
         return stub_class(
@@ -490,7 +472,8 @@ class CqosDeployment:
             self._http_clients.clear()
         for composite in composites:
             composite.shutdown()
-            composite.runtime.shutdown()
+            composite.runtime.shutdown()  # its lane and timers; no thread is its own
+        self._threads.close()
         for orb in orbs:
             orb.shutdown()
         for runtime in runtimes:

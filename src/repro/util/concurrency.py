@@ -19,13 +19,22 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import queue
 import threading
 from typing import Any, Callable, Iterator
 from contextlib import contextmanager
 
+from repro.util.log import get_logger
+
 DEFAULT_PRIORITY = 5
 MIN_PRIORITY = 1
 MAX_PRIORITY = 10
+
+# How long a WorkerThreads thread stays parked after a job before it exits:
+# longer than TimedSched's 50 ms period, so a tick does not start a thread.
+KEEP_ALIVE_S = 2.0
+
+logger = get_logger("util.concurrency")
 
 _tls = threading.local()
 
@@ -139,33 +148,95 @@ class ResultFuture:
             return self._value
 
 
-class PriorityExecutor:
-    """A thread pool that runs submitted callables highest-priority-first.
+class WorkerThreads:
+    """Daemon threads started on demand and parked briefly between jobs.
 
-    Tasks submitted with equal priority run in FIFO order.  Worker threads
-    adopt the priority the task was submitted with (via
+    :meth:`spawn` never queues, so a job waiting for another job of the same
+    set cannot deadlock it; limits belong to the lanes sharing the set.  A
+    thread parks for ``KEEP_ALIVE_S`` after its job and then exits, so the
+    set holds as many threads as jobs ran lately.
+    """
+
+    def __init__(self, name: str = "cactus"):
+        self._name = name
+        self._lock = threading.Lock()
+        # The inbox of every parked thread, most recently parked last.
+        self._parked: list[queue.SimpleQueue] = []
+        self._seq = itertools.count()
+        self._closed = False
+
+    def spawn(self, job: Callable[[], None]) -> None:
+        """Run ``job()`` now, on a parked thread or else on a new one (also
+        after :meth:`close`; the thread then exits with the job)."""
+        with self._lock:
+            if self._parked:
+                self._parked.pop().put(job)
+                return
+        name = f"{self._name}-{next(self._seq)}"
+        threading.Thread(target=self._run, args=(job,), name=name, daemon=True).start()
+
+    def _run(self, job: Callable[[], None] | None) -> None:
+        inbox: queue.SimpleQueue = queue.SimpleQueue()
+        while job is not None:  # None is close()'s wake-up
+            set_thread_priority(DEFAULT_PRIORITY)  # as on a fresh thread
+            try:
+                job()
+            except Exception:  # noqa: BLE001 - the thread outlives its jobs
+                logger.exception("job on %s failed", threading.current_thread().name)
+            with self._lock:
+                if self._closed:
+                    return
+                self._parked.append(inbox)
+            try:
+                job = inbox.get(timeout=KEEP_ALIVE_S)
+            except queue.Empty:
+                with self._lock:
+                    if inbox in self._parked:
+                        self._parked.remove(inbox)
+                        return
+                job = inbox.get()  # claimed just as the keep-alive ran out
+
+    def close(self) -> None:
+        """Release parked threads at once; busy ones exit after their job."""
+        with self._lock:
+            self._closed = True
+            parked, self._parked = self._parked, []
+        for inbox in parked:
+            inbox.put(None)
+
+
+class PriorityExecutor:
+    """A lane: runs submitted callables highest-priority-first, at most
+    ``workers`` at once, on threads borrowed from a :class:`WorkerThreads`.
+
+    Tasks submitted with equal priority run in FIFO order.  The thread
+    running a task adopts the priority it was submitted with (via
     :func:`set_thread_priority`), reproducing the Cactus/J behaviour that
     event handlers run at the raiser's priority.
 
-    The pool is unbounded in queue size and fixed in worker count; workers
-    are daemon threads so an un-shutdown pool never blocks interpreter exit.
+    The queue is unbounded and the lane owns no thread: a submit starts a
+    drainer while fewer than ``workers`` run, and a drainer returns its thread
+    when the queue is empty.  Without ``threads`` the lane makes a private set.
     """
 
-    def __init__(self, workers: int = 8, name: str = "cactus-pool"):
+    def __init__(
+        self,
+        workers: int = 8,
+        name: str = "cactus-pool",
+        threads: WorkerThreads | None = None,
+    ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self._name = name
+        self._workers = workers
+        self._owns_threads = threads is None
+        self._threads = threads or WorkerThreads(name)
         self._cond = threading.Condition()
-        # Heap entries: (-priority, seq, fn, args, future, priority)
+        # Heap entries: (-priority, seq, (fn, args, kwargs, future, priority))
         self._queue: list[tuple[int, int, Any]] = []
         self._seq = itertools.count()
+        self._running = 0  # drainers started and not yet returned
         self._shutdown = False
-        self._threads = [
-            threading.Thread(target=self._worker, name=f"{name}-{i}", daemon=True)
-            for i in range(workers)
-        ]
-        for t in self._threads:
-            t.start()
 
     def submit(
         self,
@@ -177,25 +248,31 @@ class PriorityExecutor:
         """Queue ``fn(*args, **kwargs)``; return a future for its result.
 
         ``priority`` defaults to the submitting thread's current priority
-        (priority preservation across event raises).
+        (priority preservation across event raises); clamped here, so queue
+        order and the priority the task runs at agree.
         """
         if priority is None:
             priority = current_thread_priority()
+        priority = max(MIN_PRIORITY, min(MAX_PRIORITY, priority))
         future = ResultFuture()
         task = (fn, args, kwargs, future, priority)
         with self._cond:
             if self._shutdown:
                 raise RuntimeError(f"executor {self._name} is shut down")
+            if self._running < self._workers:
+                # The drainer cannot pop before this lock is released.
+                self._threads.spawn(self._drain)
+                self._running += 1
             heapq.heappush(self._queue, (-priority, next(self._seq), task))
-            self._cond.notify()
         return future
 
-    def _worker(self) -> None:
+    def _drain(self) -> None:
         while True:
             with self._cond:
-                while not self._queue and not self._shutdown:
-                    self._cond.wait()
-                if self._shutdown and not self._queue:
+                if not self._queue:
+                    # Under the lock that saw it empty: no lost wake-up.
+                    self._running -= 1
+                    self._cond.notify_all()  # a shutdown waiting for 0
                     return
                 _, _, task = heapq.heappop(self._queue)
             fn, args, kwargs, future, priority = task
@@ -209,10 +286,10 @@ class PriorityExecutor:
         """Stop accepting work; optionally wait for queued tasks to drain."""
         with self._cond:
             self._shutdown = True
-            self._cond.notify_all()
-        if wait:
-            for t in self._threads:
-                t.join(timeout=5.0)
+            if wait:
+                self._cond.wait_for(lambda: self._running == 0, timeout=5.0)
+        if self._owns_threads:
+            self._threads.close()
 
     @property
     def pending(self) -> int:

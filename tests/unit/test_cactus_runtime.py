@@ -5,9 +5,16 @@ import time
 
 import pytest
 
+from repro.cactus.composite import CompositeProtocol
 from repro.cactus.runtime import CactusRuntime, default_worker_count
 from repro.util.clock import VirtualClock
-from repro.util.concurrency import current_thread_priority, thread_priority
+from repro.util.concurrency import (
+    MAX_PRIORITY,
+    WorkerThreads,
+    current_thread_priority,
+    thread_priority,
+)
+from tests.unit.test_concurrency import alive_threads, poll
 
 
 @pytest.fixture
@@ -19,14 +26,18 @@ def runtime():
 
 class TestSubmit:
     def test_runs_on_pool(self, runtime):
-        assert runtime.submit(lambda: threading.current_thread().name).result(2.0).startswith(
-            "test-rt"
-        )
+        ran_on = runtime.submit(threading.current_thread).result(2.0)
+        assert ran_on is not threading.current_thread()
 
     def test_priority_inherited(self, runtime):
         with thread_priority(7):
             future = runtime.submit(current_thread_priority)
         assert future.result(2.0) == 7
+
+    def test_explicit_priority_is_clamped(self, runtime):
+        assert runtime.submit(current_thread_priority, priority=50).result(2.0) == MAX_PRIORITY
+        delayed = runtime.submit_delayed(0.01, current_thread_priority, priority=50)
+        assert delayed.result(2.0) == MAX_PRIORITY
 
     def test_default_worker_count_bounds(self):
         count = default_worker_count()
@@ -108,3 +119,34 @@ class TestSubmitDelayed:
         rt.shutdown()
         time.sleep(0.15)
         assert not fired.is_set()
+
+
+class TestSharedThreads:
+    def test_quiet_composites_start_no_thread(self):
+        """Composites that raise nothing asynchronously cost no thread."""
+        threads = WorkerThreads("quiet")
+        composites = [
+            CompositeProtocol(f"c{i}", runtime=CactusRuntime(name=f"c{i}-rt", threads=threads))
+            for i in range(40)
+        ]
+        seen = []
+        for composite in composites:
+            composite.bind("ping", lambda occurrence: seen.append(occurrence.args[0]))
+            composite.raise_event("ping", composite.name)
+        assert len(seen) == 40 and alive_threads("quiet") == []
+        composites[0].raise_event("ping", "async", mode="async").result(2.0)
+        assert seen[-1] == "async" and len(alive_threads("quiet")) == 1
+        for composite in composites:
+            composite.runtime.shutdown()
+        # A runtime handed its threads does not close them.
+        other = CactusRuntime(name="late-rt", threads=threads)
+        assert other.submit(lambda: "ok").result(2.0) == "ok"
+        other.shutdown()
+        threads.close()
+
+    def test_private_set_is_closed_by_shutdown(self):
+        rt = CactusRuntime(workers=2, name="private-rt")
+        assert rt.submit(lambda: "ok").result(2.0) == "ok"
+        assert len(alive_threads("private-rt")) == 1
+        rt.shutdown()
+        assert poll(lambda: not alive_threads("private-rt"), timeout=2.0)
