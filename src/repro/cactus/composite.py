@@ -28,7 +28,6 @@ from repro.cactus.events import (
     Handler,
     ORDER_DEFAULT,
     _handling,
-    compiled_dispatch_default,
     current_event,
     validate_event_name,
 )
@@ -76,20 +75,10 @@ class SharedData:
 class CompositeProtocol:
     """A container of micro-protocols coordinating through events."""
 
-    def __init__(
-        self,
-        name: str,
-        runtime: CactusRuntime | None = None,
-        compiled_dispatch: bool | None = None,
-    ):
+    def __init__(self, name: str, runtime: CactusRuntime | None = None):
         self.name = name
         self.runtime = runtime or CactusRuntime(name=f"{name}-rt")
         self.shared = SharedData()
-        # Dispatch executor choice for every event of this composite; None
-        # defers to the CQOS_COMPILED_DISPATCH environment escape hatch.
-        if compiled_dispatch is None:
-            compiled_dispatch = compiled_dispatch_default()
-        self.compiled_dispatch = bool(compiled_dispatch)
         self._events: dict[str, Event] = {}
         self._events_lock = threading.Lock()
         self._micro_protocols: dict[str, "MicroProtocol"] = {}
@@ -112,7 +101,7 @@ class CompositeProtocol:
         with self._events_lock:
             event = self._events.get(name)
             if event is None:
-                event = Event(self, name, compiled=self.compiled_dispatch)
+                event = Event(self, name)
                 self._events[name] = event
             return event
 

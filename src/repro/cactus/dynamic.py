@@ -183,22 +183,13 @@ class ConfigurationService:
         return fetch
 
 
-def dynamic_composite(
-    name: str,
-    source: ConfigSource,
-    runtime=None,
-    compiled_dispatch: bool | None = None,
-) -> CompositeProtocol:
+def dynamic_composite(name: str, source: ConfigSource, runtime=None) -> CompositeProtocol:
     """Create a composite whose constructor starts only rBoot (full dynamic).
 
-    ``compiled_dispatch`` picks the event executor for the composite (None
-    defers to ``CQOS_COMPILED_DISPATCH``); micro-protocols loaded later by
-    rControl bind into whichever executor the composite was created with —
-    dynamic reconfiguration invalidates and recompiles the per-event
-    handler chains through the normal bind/unbind versioning.
+    Micro-protocols loaded later by rControl bind like any others: dynamic
+    reconfiguration invalidates and recompiles the per-event handler chains
+    through the normal bind/unbind versioning.
     """
-    composite = CompositeProtocol(
-        name, runtime=runtime, compiled_dispatch=compiled_dispatch
-    )
+    composite = CompositeProtocol(name, runtime=runtime)
     composite.add_micro_protocol(RBoot(source))
     return composite

@@ -22,34 +22,26 @@ Causal tracing: when enabled on the composite, every ``raise`` records an
 edge from the event whose handler performed the raise — the data behind the
 Figure 3 reproduction.
 
-Dispatch executors
-------------------
+Dispatch
+--------
 
-Every event carries two executors with identical observable semantics:
+``bind``/``unbind`` bump a version and invalidate a copy-on-write
+*snapshot*; the raise path reads an immutable pre-compiled handler chain — a
+flat tuple of ``(binding, handler, order, static_args)`` — with **no lock
+and no list copy**, enters the causality stack once per raise instead of
+once per handler, and recycles :class:`Occurrence` objects through a
+per-thread freelist when the raise provably did not leak them.
 
-- the **reference executor** is the paper-shaped interpretation loop: take
-  the binding lock, copy the binding list, run handlers one by one;
-- the **compiled executor** is the fast path (mirroring the
-  ``SignaturePlan`` idea from the marshalling layer): ``bind``/``unbind``
-  bump a version and invalidate a copy-on-write *snapshot*; the raise path
-  reads an immutable pre-compiled handler chain — a flat tuple of
-  ``(binding, handler, order, static_args)`` — with **no lock and no list
-  copy**, enters the causality stack once per raise instead of once per
-  handler, and recycles :class:`Occurrence` objects through a per-thread
-  freelist when the raise provably did not leak them.
-
-The compiled path is the default; set ``CQOS_COMPILED_DISPATCH=0`` to fall
-back to the reference executor everywhere (the escape hatch), or pass
-``compiled_dispatch=`` to a composite to pick per instance.  The
-differential suite (tests/unit/test_dispatch_fastpath.py) drives randomized
-binding sets through both executors and requires identical handler
+The paper-shaped interpretation loop (lock, copy the binding list, run
+handlers one by one) is the differential oracle in
+``tests/oracles/event_reference.py``: tests/unit/test_dispatch_fastpath.py
+drives randomized binding sets through both and requires identical handler
 sequences and trace edges.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import threading
 from bisect import insort
 from sys import getrefcount
@@ -67,17 +59,6 @@ ORDER_LATE = 75
 ORDER_LAST = 100
 
 Handler = Callable[..., None]
-
-#: Environment escape hatch: ``0``/``false``/``no``/``off`` disables the
-#: compiled executor for every composite that does not pick explicitly.
-COMPILED_DISPATCH_ENV = "CQOS_COMPILED_DISPATCH"
-
-
-def compiled_dispatch_default() -> bool:
-    """Whether new composites use the compiled executor (env-controlled)."""
-    value = os.environ.get(COMPILED_DISPATCH_ENV, "1").strip().lower()
-    return value not in ("0", "false", "no", "off")
-
 
 # Thread-local stack of (composite, event name) currently being handled,
 # for causality tracing.  Scoped per composite: with an in-process network
@@ -145,7 +126,7 @@ class Binding:
         """Detach this handler from the event.  Idempotent.
 
         Takes effect immediately, including for raises already in flight:
-        both executors re-check ``active`` before each activation.
+        the executor re-checks ``active`` before each activation.
         """
         if self._active:
             self._active = False
@@ -166,8 +147,8 @@ class Occurrence:
     Halt state is *truthful*: :attr:`halted` / :attr:`halted_all` report
     whether any handler of this raise called :meth:`halt` /
     :meth:`halt_all`, and stay set after the raise completes.  The
-    executors track their chaining decisions in executor-local variables
-    instead of mutating this public state back and forth.
+    executor tracks its chaining decisions in local variables instead of
+    mutating this public state back and forth.
     """
 
     __slots__ = ("event", "args", "parent_event", "_halt", "_halt_all")
@@ -216,7 +197,7 @@ class Event:
     compiles the chain once, not N times.
     """
 
-    def __init__(self, composite: "CompositeProtocol", name: str, compiled: bool | None = None):
+    def __init__(self, composite: "CompositeProtocol", name: str):
         self.composite = composite
         self.name = name
         self._lock = threading.Lock()
@@ -230,23 +211,6 @@ class Event:
         #: without a lock: exact for the causally-serial flows experiments
         #: assert on, best-effort under truly concurrent raises.
         self.raise_count = 0
-        if compiled is None:
-            compiled = compiled_dispatch_default()
-        self._compiled = bool(compiled)
-        # Bound once so the dispatch branch costs nothing per raise.
-        if self._compiled:
-            self._execute = self._execute_compiled
-            self._raise_blocking = self._raise_blocking_compiled
-        else:
-            self._execute = self._execute_reference
-            # No pooling on the reference path; the returned occurrence is
-            # simply dropped by the blocking raise.
-            self._raise_blocking = self._execute_reference
-
-    @property
-    def compiled(self) -> bool:
-        """Whether this event dispatches through the compiled executor."""
-        return self._compiled
 
     @property
     def version(self) -> int:
@@ -294,51 +258,18 @@ class Event:
         with self._lock:
             return len(self._bindings)
 
-    # -- executors -------------------------------------------------------
+    # -- executor --------------------------------------------------------
 
-    def _execute_reference(
+    def _execute(
         self,
         args: tuple,
         parent_event: str | None,
         stack: list | None = None,
     ) -> Occurrence:
-        """The interpretation loop, preserved as the seed implementation
-        shipped it: per-raise lock + binding-list copy, per-handler
-        causality push/pop.  (Only the halt-state handling differs: the
-        executor tracks chaining decisions locally so the occurrence's
-        public state stays truthful.)
+        """Run the chain: immutable snapshot, no lock, one stack entry.
 
         Returns the occurrence so callers can inspect halt state.
         """
-        occurrence = Occurrence(self, args, parent_event)
-        snapshot = self.bindings()
-        if stack is None:
-            stack = _handling_stack()
-        halted_after: int | None = None  # order threshold set by halt()
-        for binding in snapshot:
-            if not binding.active:
-                continue
-            if halted_after is not None and binding.order > halted_after:
-                break
-            stack.append((self.composite, self.name))
-            try:
-                binding.handler(occurrence, *binding.static_args)
-            finally:
-                stack.pop()
-            if occurrence._halt_all:
-                break  # halt_all(): nothing else runs, not even peers
-            if occurrence._halt and halted_after is None:
-                # halt(): let same-order peers run, stop later orders.
-                halted_after = binding.order
-        return occurrence
-
-    def _execute_compiled(
-        self,
-        args: tuple,
-        parent_event: str | None,
-        stack: list | None = None,
-    ) -> Occurrence:
-        """The fast path: immutable chain, no lock, one stack entry."""
         chain = self._chain
         if self._dirty:
             chain = self._refresh_chain()
@@ -391,16 +322,16 @@ class Event:
             stack.pop()
         return occurrence
 
-    def _raise_blocking_compiled(
+    def _raise_blocking(
         self,
         args: tuple,
         parent_event: str | None,
         stack: list | None = None,
     ) -> None:
-        """Blocking raise on the fast path: execute, then recycle if safe.
+        """Blocking raise: execute, then recycle the occurrence if safe.
 
         The executor body is intentionally inlined from
-        :meth:`_execute_compiled` (one call frame per raise matters at this
+        :meth:`_execute` (one call frame per raise matters at this
         altitude; keep the two in lockstep).  Recycling is refcount-gated:
         exactly two references (the local below plus ``getrefcount``'s
         argument) prove no handler kept the occurrence, so reuse cannot

@@ -349,9 +349,6 @@ def fault_action(error: BaseException | None) -> str:
 # for the protocols that use it (active replication sends to every replica
 # regardless; the reply value is what is being raced).
 
-#: Environment knob selecting the replication gather policy.
-GATHER_POLICY_ENV = "CQOS_GATHER_POLICY"
-
 #: Valid gather-policy modes.
 GATHER_ALL = "all"
 GATHER_FIRST = "first"

@@ -14,7 +14,7 @@ construction (importing an adapter package here is a layering violation,
 machine-checked by ``tools/check_layering.py``):
 
 - :class:`HashRing` — a consistent-hash ring of virtual nodes over server
-  *groups* (``CQOS_VNODES`` per group); adding or removing one group remaps
+  *groups* (``DEFAULT_VNODES`` per group); adding or removing one group remaps
   only the keys that land on its arcs;
 - :class:`DirectoryView` / :class:`ServerGroup` / :class:`Placement` — one
   immutable, versioned snapshot of the whole object space (groups, ring,

@@ -10,27 +10,16 @@ The hash is BLAKE2b (stdlib, seeded-process independent): ring placement
 must be identical in every process that ever computes it — clients,
 servers, and the deployment all derive the same owner for the same key, so
 ownership never needs to travel on the wire.
-
-``CQOS_VNODES`` overrides the per-group virtual-node count (default 64).
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 from bisect import bisect_right
 from typing import Iterable, Iterator
 
+#: Virtual nodes per group when ``HashRing`` is given none.
 DEFAULT_VNODES = 64
-
-
-def configured_vnodes() -> int:
-    """The per-group virtual-node count (``CQOS_VNODES``, default 64)."""
-    try:
-        value = int(os.environ.get("CQOS_VNODES", DEFAULT_VNODES))
-    except ValueError:
-        return DEFAULT_VNODES
-    return max(1, value)
 
 
 def stable_hash(key: str) -> int:
@@ -46,7 +35,7 @@ class HashRing:
     __slots__ = ("_groups", "_points", "_owners", "_vnodes")
 
     def __init__(self, groups: Iterable[str], vnodes: int | None = None):
-        self._vnodes = configured_vnodes() if vnodes is None else max(1, int(vnodes))
+        self._vnodes = DEFAULT_VNODES if vnodes is None else max(1, int(vnodes))
         self._groups = tuple(sorted(set(groups)))
         points: list[tuple[int, str]] = []
         for group in self._groups:

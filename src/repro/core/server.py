@@ -41,9 +41,8 @@ class CactusServer(CompositeProtocol):
         runtime: CactusRuntime | None = None,
         request_timeout: float | None = 30.0,
         priority_policy: Callable[[Request], int] | None = None,
-        compiled_dispatch: bool | None = None,
     ):
-        super().__init__(name, runtime=runtime, compiled_dispatch=compiled_dispatch)
+        super().__init__(name, runtime=runtime)
         self.platform = platform
         self.request_timeout = request_timeout
         self.shared.set(SHARED_PLATFORM, platform)

@@ -104,7 +104,6 @@ class CqosDeployment:
         platform: str,
         compiled: CompiledIdl,
         request_timeout: float | None = 30.0,
-        compiled_dispatch: bool | None = None,
     ):
         if platform not in self.PLATFORMS:
             raise ConfigurationError(
@@ -114,9 +113,6 @@ class CqosDeployment:
         self.platform = platform
         self.compiled = compiled
         self.request_timeout = request_timeout
-        # Event-dispatch executor for every Cactus composite this deployment
-        # creates; None defers to the CQOS_COMPILED_DISPATCH escape hatch.
-        self.compiled_dispatch = compiled_dispatch
         self._ids = IdGenerator("dep")
         self._lock = threading.Lock()
         self._orbs: list[Orb] = []
@@ -290,7 +286,6 @@ class CqosDeployment:
                 request_timeout=self.request_timeout,
                 runtime=CactusRuntime(name=f"{name}-rt", threads=self._threads),
                 priority_policy=priority_policy,
-                compiled_dispatch=self.compiled_dispatch,
             )
             self._track(server)
             return server
@@ -391,7 +386,6 @@ class CqosDeployment:
                 runtime=CactusRuntime(
                     workers=runtime_workers, name=f"{name}-rt", threads=self._threads
                 ),
-                compiled_dispatch=self.compiled_dispatch,
             )
             self._track(cactus_client)
         stub_class = make_cqos_stub_class(interface)

@@ -1,7 +1,7 @@
 """Asyncio-native execution engine for the TCP transport.
 
 The sibling of the threaded engine in :mod:`repro.net.tcp`, selected with
-``TcpNetwork(engine="async")`` (or ``CQOS_ENGINE=async``): same v2
+``TcpNetwork(engine="async")`` (or ``CQOS_ENGINE=async``): same
 correlation-id wire format, same :class:`~repro.net.transport.Connection` /
 :class:`~repro.net.transport.Listener` contracts, different concurrency
 machinery underneath.
@@ -36,7 +36,7 @@ every connection of that network:
   concurrent traffic; it is **off by default** because measurements show
   closed-loop request/reply traffic convoys behind the timer (each wave's
   first frame waits out the linger) while loop-idle coalescing already
-  batches same-wave frames.  Batching is pure concatenation of v2 frames,
+  batches same-wave frames.  Batching is pure concatenation of frames,
   so the bytes on the wire are bit-identical to the threaded engine's.
 
 Crash injection and recovery mirror the threaded listener exactly: suspend
@@ -251,7 +251,7 @@ class FrameBatcher:
         self._lingering = False
 
     def send(self, request_id: int, payload) -> None:
-        """Queue one v2 frame; raises FrameTooLargeError before buffering."""
+        """Queue one frame; raises FrameTooLargeError before buffering."""
         size = len(payload)
         check_frame_size(size)
         self._parts.append(FRAME_HEADER.pack(size, request_id))
@@ -334,7 +334,7 @@ class _MuxClientProtocol(asyncio.Protocol):
 
 
 class AsyncMuxConnection(Connection):
-    """v2 client connection: loop-side receive, caller-side coalesced send.
+    """Client connection: loop-side receive, caller-side coalesced send.
 
     ``call`` appends ``(correlation id, frame, future)`` to a submission
     deque and then — once the socket exists — the **submitting thread
@@ -767,7 +767,7 @@ class _MuxServerProtocol(asyncio.Protocol):
 
 
 class AsyncTcpListener(Listener):
-    """Event-loop sibling of the threaded ``_TcpListener`` (v2 frames only).
+    """Event-loop sibling of the threaded ``_TcpListener``.
 
     Dispatch policy per handler: start every request on the bounded
     executor; after :data:`_PROMOTE_AFTER` consecutive sub-``_SLOW_HANDLER``
@@ -879,7 +879,7 @@ def _make_async_network():
     """Deferred import so ``repro.net.aio`` has no import-time tcp dependency."""
     from repro.net.tcp import TcpNetwork
 
-    return TcpNetwork(multiplex=True, engine="async")
+    return TcpNetwork(engine="async")
 
 
 class AsyncTcpNetwork:

@@ -1,4 +1,4 @@
-"""The v2 wire format, engine-neutral: one place that defines the bytes.
+"""The wire format, engine-neutral: one place that defines the bytes.
 
 Both execution engines — the threaded leader/follower demultiplexer in
 :mod:`repro.net.tcp` and the event-loop engine in :mod:`repro.net.aio` —
@@ -27,9 +27,7 @@ import struct
 
 from repro.util.errors import FrameTooLargeError
 
-#: v1 frame header: payload length only (one in-flight call per connection).
-LEN_HEADER = struct.Struct(">I")
-#: v2 frame header: payload length + correlation (request) id.
+#: Frame header: payload length + correlation (request) id.
 FRAME_HEADER = struct.Struct(">IQ")
 #: Refuse frames above this size on both the sending and receiving side.
 MAX_FRAME = 64 * 1024 * 1024
@@ -44,7 +42,7 @@ def check_frame_size(size: int) -> None:
 
 
 def encode_frame(request_id: int, payload) -> bytes:
-    """Encode one v2 frame (``>IQ`` header + payload) as standalone bytes.
+    """Encode one frame (``>IQ`` header + payload) as standalone bytes.
 
     ``payload`` may be any bytes-like object.  The result is bit-identical
     to what the threaded engine's ``write_frame_mux`` sends for the same
@@ -56,7 +54,7 @@ def encode_frame(request_id: int, payload) -> bytes:
 
 
 class FrameDecoder:
-    """Incremental v2 frame parser, agnostic to chunk boundaries.
+    """Incremental frame parser, agnostic to chunk boundaries.
 
     ``feed(data)`` consumes one received chunk and returns the list of
     complete ``(request_id, payload)`` frames it finished; partial frames

@@ -59,26 +59,17 @@ class _MemoryListener(Listener):
 
 
 class _MemoryConnection(Connection):
-    """Concurrent in-flight calls by default (the multiplexed-TCP parity
-    semantics); with ``serialize_connections`` a per-connection lock holds
-    for the whole round trip, modelling the pre-multiplexing one-in-flight
-    transport for apples-to-apples benchmark baselines."""
+    """Any number of calls in flight at once, as on multiplexed TCP."""
 
     def __init__(self, network: "InMemoryNetwork", source_host: str, address: str):
         self._network = network
         self._source = source_host
         self._address = address
         self._closed = False
-        self._serial_lock = (
-            threading.Lock() if network.serialize_connections else None
-        )
 
     def call(self, data: bytes, timeout: float | None = None) -> bytes:
         if self._closed:
             raise CommunicationError("connection is closed")
-        if self._serial_lock is not None:
-            with self._serial_lock:
-                return self._network._deliver(self._source, self._address, data)
         return self._network._deliver(self._source, self._address, data)
 
     def call_async(self, data: bytes, timeout: float | None = None) -> ReplyFuture:
@@ -143,21 +134,16 @@ class InMemoryNetwork(Network):
         jitter: float = 0.0,
         seed: int = 0,
         spin: bool = False,
-        serialize_connections: bool = False,
     ):
         """``spin=True`` charges latency by busy-waiting on the wall clock
         instead of sleeping — microsecond-accurate, which the benchmarks
         need (``time.sleep`` oversleeps by tens of microseconds with high
         variance at LAN-latency scales).  Only meaningful with a real clock.
-
-        ``serialize_connections=True`` restores the pre-multiplexing
-        one-in-flight-per-connection semantics (benchmark baseline).
         """
         self.clock = clock or RealClock()
         self.latency = latency
         self.jitter = jitter
         self.spin = spin
-        self.serialize_connections = serialize_connections
         self._lock = threading.Lock()
         self._handlers: dict[str, FrameHandler] = {}
         self._hosts: dict[str, _MemoryHost] = {}

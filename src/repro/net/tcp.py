@@ -5,32 +5,28 @@ real socket on 127.0.0.1 with an ephemeral port.  A process-local name table
 maps ``"host/service"`` addresses to ports so the two transports stay
 interchangeable.
 
-Wire format v2 (the default, ``multiplex=True``): every frame carries a
-``>IQ`` header — payload length plus a 64-bit correlation id — so one TCP
+Wire format (:mod:`repro.net.framing`): every frame carries a ``>IQ``
+header — payload length plus a 64-bit correlation id — so one TCP
 connection carries many concurrent in-flight calls.  The client side uses a
 leader/follower demultiplexer: the first caller waiting for a reply reads
 the socket and completes other callers' futures by correlation id, so a
-single-client workload takes exactly the old one-reader syscall path (no
+single-client workload reads its own reply on its own thread (no
 background thread, no handoff latency) while concurrent callers pipeline.
 The server side reads frames on one thread per connection and dispatches
 handlers inline when the socket has no further pipelined data, or onto a
 small per-connection worker pool when it does — again keeping the serial
 fast path allocation-free.
 
-Wire format v1 (``multiplex=False``): ``>I``-length-prefixed frames with one
-in-flight request per connection (a per-connection lock held across the
-round trip).  Kept as the measured baseline for the throughput benchmarks.
-
 Crash injection closes the host's server sockets and refuses new accepts
 until :meth:`TcpNetwork.recover`, at which point the same listeners re-open
 on the same logical addresses (new ports, re-resolved through the name
 table) — enough fidelity for failover tests.
 
-Execution engines: this module implements the **threaded** engine (the
-measured baseline).  ``TcpNetwork(engine="async")`` — or ``CQOS_ENGINE=async``
-in the environment — selects the event-loop sibling in :mod:`repro.net.aio`:
-same v2 wire bytes, same Connection/Listener contracts, single-loop framing
-with adaptive outbound batching instead of leader/follower threads.
+Execution engines: this module implements the **threaded** engine.
+``TcpNetwork(engine="async")`` — or ``CQOS_ENGINE=async`` in the
+environment — selects the event-loop sibling in :mod:`repro.net.aio`: same
+wire bytes, same Connection/Listener contracts, single-loop framing with
+adaptive outbound batching instead of leader/follower threads.
 """
 
 from __future__ import annotations
@@ -46,7 +42,8 @@ import time
 
 import concurrent.futures
 
-from repro.net.framing import FRAME_HEADER, LEN_HEADER, MAX_FRAME
+from repro.net import framing
+from repro.net.framing import FRAME_HEADER, check_frame_size
 from repro.net.transport import (
     Connection,
     FrameHandler,
@@ -71,12 +68,6 @@ logger = get_logger("net.tcp")
 ENGINE_ENV = "CQOS_ENGINE"
 _ENGINES = ("threaded", "async")
 
-# The wire format itself lives in repro.net.framing (shared with the async
-# engine); these aliases keep this module's historical names working.
-_LEN = LEN_HEADER
-_HDR2 = FRAME_HEADER
-_MAX_FRAME = MAX_FRAME
-
 #: Per-connection server worker pool size for multiplexed dispatch.
 _SERVER_WORKERS = max(4, min(16, 2 * (os.cpu_count() or 1)))
 
@@ -97,45 +88,34 @@ def _read_exact(sock: socket.socket, n: int) -> bytes:
     return chunks[0] if len(chunks) == 1 else b"".join(chunks)
 
 
-def read_frame(sock: socket.socket) -> bytes:
-    """Read one v1 length-prefixed frame from ``sock``."""
-    (length,) = _LEN.unpack(_read_exact(sock, _LEN.size))
-    if length > _MAX_FRAME:
-        raise FrameTooLargeError(f"frame too large: {length} bytes (max {_MAX_FRAME})")
-    return _read_exact(sock, length)
-
-
-def write_frame(sock: socket.socket, data: bytes) -> None:
-    """Write one v1 length-prefixed frame to ``sock``.
-
-    Refuses frames over the limit *before* any byte hits the wire, so an
-    oversized payload fails fast on the sending side instead of being
-    rejected (and reset) by the receiver mid-stream.
-    """
-    if len(data) > _MAX_FRAME:
-        raise FrameTooLargeError(f"frame too large: {len(data)} bytes (max {_MAX_FRAME})")
-    sock.sendall(_LEN.pack(len(data)) + data)
+# On the per-frame paths below the size limit is compared inline and
+# ``check_frame_size`` (which owns the message and the raise) is entered only
+# for a frame that fails it: a call per frame would be four calls of the
+# ~512 an ``rtt_tcp_base`` invocation makes.
 
 
 def read_frame_mux(sock: socket.socket) -> tuple[int, bytes]:
-    """Read one v2 frame; returns ``(request_id, payload)``."""
-    length, request_id = _HDR2.unpack(_read_exact(sock, _HDR2.size))
-    if length > _MAX_FRAME:
-        raise FrameTooLargeError(f"frame too large: {length} bytes (max {_MAX_FRAME})")
+    """Read one frame; returns ``(request_id, payload)``."""
+    length, request_id = FRAME_HEADER.unpack(_read_exact(sock, FRAME_HEADER.size))
+    if length > framing.MAX_FRAME:
+        check_frame_size(length)
     return request_id, _read_exact(sock, length)
 
 
 def write_frame_mux(sock: socket.socket, request_id: int, data) -> None:
-    """Write one v2 frame (length + correlation id header, then payload).
+    """Write one frame (length + correlation id header, then payload).
 
     ``data`` may be any bytes-like object (``bytes``, ``bytearray``,
     ``memoryview``) — the zero-copy encoder paths hand buffers straight in.
     The caller is responsible for serializing writes on the socket.
+    Refuses frames over the limit *before* any byte hits the wire, so an
+    oversized payload fails fast on the sending side instead of being
+    rejected (and reset) by the receiver mid-stream.
     """
     size = len(data)
-    if size > _MAX_FRAME:
-        raise FrameTooLargeError(f"frame too large: {size} bytes (max {_MAX_FRAME})")
-    header = _HDR2.pack(size, request_id)
+    if size > framing.MAX_FRAME:
+        check_frame_size(size)
+    header = FRAME_HEADER.pack(size, request_id)
     if size <= 0xFFFF and isinstance(data, bytes):
         sock.sendall(header + data)
     else:
@@ -212,7 +192,6 @@ class _TcpListener(Listener):
         self._host_name = host_name
         self._service = service
         self._handler = handler
-        self._multiplex = network.multiplex
         self._closed = False
         self._lock = threading.Lock()
         self._server_sock: socket.socket | None = None
@@ -263,61 +242,11 @@ class _TcpListener(Listener):
             if stale:
                 _reset_connection(conn)
                 continue
-            serve = self._serve_mux if self._multiplex else self._serve
             threading.Thread(
-                target=serve, args=(conn,), daemon=True, name=f"tcp-serve-{self.address}"
+                target=self._serve_mux, args=(conn,), daemon=True, name=f"tcp-serve-{self.address}"
             ).start()
 
-    # -- v1 serving: one request in flight per connection ------------------
-
-    def _serve(self, conn: socket.socket) -> None:
-        try:
-            with conn:
-                try:
-                    conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                except OSError:
-                    return  # crash injection closed the socket before we ran
-                while True:
-                    try:
-                        request = read_frame(conn)
-                    except FrameTooLargeError as exc:
-                        # The payload was never read; the stream is now
-                        # unframed garbage.  Reset so the (possibly still
-                        # sending) peer fails promptly with a connection
-                        # error instead of blocking until its timeout.
-                        logger.warning("%s: %s; resetting connection", self.address, exc)
-                        _reset_connection(conn)
-                        return
-                    except (CommunicationError, OSError):
-                        return
-                    with self._lock:
-                        suspended = self._suspended
-                    if suspended:
-                        # Crashed between reading the request and serving it:
-                        # a dead host must not execute work.
-                        _reset_connection(conn)
-                        return
-                    try:
-                        reply = self._handler(request)
-                    except BaseException:  # noqa: BLE001 - keep serving thread honest
-                        # Handlers marshal their own errors; one that raises
-                        # anyway must not silently strand the blocked client.
-                        logger.exception("%s: handler raised; resetting connection", self.address)
-                        _reset_connection(conn)
-                        return
-                    try:
-                        write_frame(conn, reply)
-                    except FrameTooLargeError as exc:
-                        logger.warning("%s: reply %s; resetting connection", self.address, exc)
-                        _reset_connection(conn)
-                        return
-                    except OSError:
-                        return
-        finally:
-            with self._lock:
-                self._accepted.discard(conn)
-
-    # -- v2 serving: correlation-id multiplexing ---------------------------
+    # -- serving: correlation-id multiplexing ------------------------------
 
     def _serve_mux(self, conn: socket.socket) -> None:
         pool = _MuxServerPool(f"tcp-mux-{self.address}")
@@ -360,8 +289,7 @@ class _TcpListener(Listener):
                         )
                     else:
                         # Fast or serial workload: inline execution, no
-                        # handoff (the single-client path stays syscall-
-                        # identical to v1).
+                        # handoff.
                         started = time.monotonic()
                         if not self._serve_one(conn, write_lock, request_id, request):
                             return
@@ -436,63 +364,6 @@ class _TcpListener(Listener):
         self._network._drop_listener(self)
 
 
-class _TcpConnection(Connection):
-    """v1 client connection: lazy, auto-reconnecting, one call in flight.
-
-    The socket is (re-)established per call attempt if needed, so a server
-    that crashed and recovered on a new port is transparently re-resolved.
-    Kept as the measured pre-multiplexing baseline (``multiplex=False``).
-    """
-
-    def __init__(self, network: "TcpNetwork", address: str):
-        self._network = network
-        self._address = address
-        self._lock = threading.Lock()
-        self._sock: socket.socket | None = None
-        self._closed = False
-
-    def _ensure_socket(self) -> socket.socket:
-        if self._sock is None:
-            port = self._network._resolve(self._address)
-            if port is None:
-                raise ServerFailedError(f"no listener at {self._address}")
-            sock = socket.create_connection(("127.0.0.1", port), timeout=5.0)
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            self._sock = sock
-        return self._sock
-
-    def call(self, data: bytes, timeout: float | None = None) -> bytes:
-        if self._closed:
-            raise CommunicationError("connection is closed")
-        with self._lock:
-            try:
-                sock = self._ensure_socket()
-                sock.settimeout(timeout)
-                write_frame(sock, data)
-                return read_frame(sock)
-            except socket.timeout as exc:
-                self._reset()
-                raise TimeoutError_(f"call to {self._address} timed out") from exc
-            except (ServerFailedError, TimeoutError_):
-                self._reset()
-                raise  # already precise; don't flatten the subtype
-            except (OSError, CommunicationError) as exc:
-                self._reset()
-                raise CommunicationError(f"call to {self._address} failed: {exc}") from exc
-
-    def _reset(self) -> None:
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            finally:
-                self._sock = None
-
-    def close(self) -> None:
-        with self._lock:
-            self._closed = True
-            self._reset()
-
-
 class _PendingReply:
     """One in-flight request awaiting its correlated reply.
 
@@ -525,7 +396,7 @@ class _PendingReply:
 
 
 class _TcpMuxConnection(Connection):
-    """v2 client connection: many concurrent in-flight calls, one socket.
+    """Client connection: many concurrent in-flight calls, one socket.
 
     Concurrency model (leader/follower):
 
@@ -555,7 +426,7 @@ class _TcpMuxConnection(Connection):
         self._reader_active = False
         self._closed = False
         # Background demultiplexer: started lazily by the first call_async
-        # so purely-synchronous workloads keep the historical zero-thread
+        # so purely-synchronous workloads keep the zero-thread
         # leader/follower path (and its leader-timeout reset semantics).
         self._demux_started = False
 
@@ -589,10 +460,8 @@ class _TcpMuxConnection(Connection):
     # -- Connection interface ----------------------------------------------
 
     def call(self, data: bytes, timeout: float | None = None) -> bytes:
-        if len(data) > _MAX_FRAME:
-            raise FrameTooLargeError(
-                f"frame too large: {len(data)} bytes (max {_MAX_FRAME})"
-            )
+        if len(data) > framing.MAX_FRAME:
+            check_frame_size(len(data))
         slot = _PendingReply()
         with self._cond:
             if self._closed:
@@ -720,12 +589,10 @@ class _TcpMuxConnection(Connection):
         is enforced by the consumer (``result(timeout)``); an abandoned
         call's pending entry is reclaimed via :meth:`ReplyFuture.abandon`.
         """
-        if len(data) > _MAX_FRAME:
-            return ReplyFuture.failed(
-                FrameTooLargeError(
-                    f"frame too large: {len(data)} bytes (max {_MAX_FRAME})"
-                )
-            )
+        try:
+            check_frame_size(len(data))
+        except FrameTooLargeError as exc:
+            return ReplyFuture.failed(exc)
         future: concurrent.futures.Future = concurrent.futures.Future()
         slot = _PendingReply(future)
         with self._cond:
@@ -888,47 +755,29 @@ class _TcpHost(Host):
             return AsyncMuxConnection(
                 self._network, address, self._network._engine_runtime(self.name)
             )
-        if self._network.multiplex:
-            return _TcpMuxConnection(self._network, address)
-        return _TcpConnection(self._network, address)
+        return _TcpMuxConnection(self._network, address)
 
 
 class TcpNetwork(Network):
     """A set of logical hosts backed by loopback TCP sockets.
 
-    ``multiplex`` selects the wire format: v2 correlation-id frames with
-    concurrent in-flight calls per connection (default), or the v1
-    one-in-flight protocol kept as the benchmark baseline.  Both ends of a
-    network share the flag, so framing always matches.
-
-    ``engine`` selects the concurrency machinery under the v2 format:
+    ``engine`` selects the concurrency machinery under the one wire format:
     ``"threaded"`` (this module — leader/follower client demux, thread-per-
     connection server) or ``"async"`` (:mod:`repro.net.aio` — one event loop
     with adaptive outbound batching, servants on a bounded executor).  The
     default comes from ``CQOS_ENGINE`` in the environment, falling back to
-    threaded.  The async engine requires the multiplexed wire format.
+    threaded.
     """
 
-    def __init__(self, multiplex: bool = True, engine: str | None = None) -> None:
-        if engine is None:
-            engine = os.environ.get(ENGINE_ENV, "threaded") or "threaded"
-            if engine == "async" and not multiplex:
-                # The environment variable sets a session default, not a
-                # mandate: the serialized v1 wire format has no event-loop
-                # implementation, so it keeps the threaded engine.
-                engine = "threaded"
+    def __init__(self, engine: str | None = None) -> None:
+        engine = engine or os.environ.get(ENGINE_ENV) or "threaded"
         if engine not in _ENGINES:
             raise ConfigurationError(
                 f"unknown TCP engine {engine!r}; expected one of {_ENGINES}"
             )
-        if engine == "async" and not multiplex:
-            raise ConfigurationError(
-                "the async engine requires the multiplexed (v2) wire format"
-            )
         # The name table is mutated from listener open/suspend paths that run
         # on accept/recovery threads and read from every client call: all
         # access goes through the locked helpers below.
-        self.multiplex = multiplex
         self.engine = engine
         # One AsyncEngineRuntime per logical host, created lazily: each
         # host gets its own event loop (as separate processes would), so

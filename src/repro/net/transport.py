@@ -186,8 +186,7 @@ class Connection(ABC):
 
         Connections are safe for concurrent callers: many threads may have
         calls in flight on one connection at once, and each receives its own
-        correlated reply (multiplexed transports pipeline them; serialized
-        ones queue internally).
+        correlated reply.
 
         Raises :class:`~repro.util.errors.CommunicationError` when the peer
         is crashed, partitioned away, or the message is lost, and

@@ -20,7 +20,7 @@ one pass, :meth:`submit_invoker` turns each into one *non-blocking*
 back-to-back submissions into a single syscall), and one runtime task
 gathers the replies in completion order, raising the invoke events.
 
-Gather policies (``CQOS_GATHER_POLICY``, beyond the paper):
+Gather policies (``gather_policy=``, beyond the paper):
 
 - ``all`` (default) — every branch is gathered and raises its event; the
   first reply still completes the request (historical semantics, event for
@@ -37,8 +37,6 @@ every replica regardless; only the local wait is cut short.
 
 from __future__ import annotations
 
-import os
-
 from repro.cactus.composite import MicroProtocol
 from repro.cactus.config import register_micro_protocol
 from repro.cactus.events import ORDER_EARLY, Occurrence
@@ -53,7 +51,6 @@ from repro.core.interfaces import ClientPlatform
 from repro.core.platform import (
     GATHER_ALL,
     GATHER_FIRST,
-    GATHER_POLICY_ENV,
     GATHER_QUORUM,
     BranchOutcome,
     ScatterGather,
@@ -146,8 +143,8 @@ class ActiveRep(MicroProtocol):
 
     def __init__(self, num_servers: int | None = None, gather_policy: str | None = None):
         """``num_servers`` caps the replica group (mainly for tests);
-        ``gather_policy`` overrides the ``CQOS_GATHER_POLICY`` environment
-        knob (``"all"`` / ``"first"`` / ``"quorum:k"``)."""
+        ``gather_policy`` is ``"all"`` (the default for ``None``),
+        ``"first"`` or ``"quorum:k"``."""
         super().__init__()
         self._num_servers = num_servers
         self._policy_spec = gather_policy
@@ -155,10 +152,7 @@ class ActiveRep(MicroProtocol):
         self._quorum_k = 0
 
     def start(self) -> None:
-        spec = self._policy_spec
-        if spec is None:
-            spec = os.environ.get(GATHER_POLICY_ENV)
-        self._mode, self._quorum_k = parse_gather_policy(spec)
+        self._mode, self._quorum_k = parse_gather_policy(self._policy_spec)
         self.bind(EV_NEW_REQUEST, self.act_assigner, order=ORDER_EARLY)
         self.bind(EV_READY_TO_SEND, self.submit_invoker, order=ORDER_SUBMIT)
         if self._mode != GATHER_ALL:

@@ -206,8 +206,17 @@ def _servant_balance(skeleton) -> float:
 class TestQuorumOverTcp:
     STRAGGLE_S = 1.5
 
+    @pytest.mark.parametrize(
+        "policy, beats_straggler",
+        [("quorum:2", True), ("quorum:3", False)],
+        ids=["quorum:2-early", "quorum:3-waits"],
+    )
     @pytest.mark.parametrize("engine", ["threaded", "async"])
-    def test_quorum_two_of_three_returns_before_straggler(self, engine):
+    def test_quorum_two_of_three_returns_before_straggler(
+        self, engine, policy, beats_straggler
+    ):
+        """Two matching replies of three settle ``quorum:2`` while replica 3
+        still sleeps; ``quorum:3`` needs the straggler's reply and cannot."""
         deployment = CqosDeployment.over_tcp(
             "rmi", bank_compiled(), engine=engine, request_timeout=10.0
         )
@@ -221,13 +230,14 @@ class TestQuorumOverTcp:
             stub = deployment.client_stub(
                 "acct",
                 bank_interface(),
-                client_micro_protocols=lambda: [ActiveRep(gather_policy="quorum:2")],
+                client_micro_protocols=lambda: [ActiveRep(gather_policy=policy)],
             )
             started = time.monotonic()
             assert stub.get_balance() == 0.0
             elapsed = time.monotonic() - started
-            assert elapsed < self.STRAGGLE_S, (
-                f"quorum waited on the straggler: {elapsed:.2f}s"
+            assert (elapsed < self.STRAGGLE_S) == beats_straggler, (
+                f"{policy} returned after {elapsed:.2f}s against a "
+                f"{self.STRAGGLE_S}s straggler"
             )
         finally:
             deployment.close()

@@ -16,8 +16,8 @@ import pytest
 
 from repro.apps.bank import BankAccount, bank_compiled, bank_interface
 from repro.cactus.composite import MicroProtocol
-from repro.cactus.events import ORDER_EARLY
-from repro.core.events import EV_READY_TO_INVOKE
+from repro.cactus.events import ORDER_EARLY, ORDER_LAST
+from repro.core.events import EV_INVOKE_SUCCESS, EV_READY_TO_INVOKE
 from repro.core.service import CqosDeployment
 from repro.net.chaos import ChaosNetwork
 from repro.net.memory import InMemoryNetwork
@@ -28,7 +28,7 @@ from repro.qos.extensions import (
     CacheInvalidator,
     ClientCache,
 )
-from repro.qos.fault_tolerance.deadline import DeadlineBudget
+from repro.qos.fault_tolerance.deadline import DeadlineBudget, DeadlineShed
 from repro.util.errors import DeadlineExceededError
 from repro.qos.timeliness import HIGH_PRIORITY, LOW_PRIORITY
 from repro.qos.timeliness.common import HIGH_PRIORITY_THRESHOLD
@@ -386,6 +386,90 @@ class TestLateReplyRejected:
         )
         with pytest.raises(DeadlineExceededError, match="after its deadline"):
             stub.owner()
+
+
+class DeadlineAuditor(MicroProtocol):
+    """Counts replies *delivered* past their PB_DEADLINE, judged at delivery
+    time on the runtime clock.
+
+    Bound LAST on ``invokeSuccess``: ``DeadlineBudget.reject_late`` (FIRST)
+    halts expired replies, so anything the auditor still sees is on its way
+    to the caller.
+    """
+
+    name = "DeadlineAuditor"
+
+    def start(self):
+        self.bind(EV_INVOKE_SUCCESS, self.audit, order=ORDER_LAST)
+
+    def audit(self, occurrence):
+        request = occurrence.args[0]
+        self.incr("delivered")
+        if request.deadline_expired(self.composite.runtime.clock.now()):
+            self.incr("late_served")
+
+
+class TestNoReplyPastDeadline:
+    SERVICE_S = 0.03
+    BUDGET_S = 0.075
+    CALLERS = 6
+
+    def test_burst_against_serialized_servant_delivers_nothing_late(self, deployment):
+        """Six callers hit a one-at-a-time 30 ms servant at once with 75 ms
+        budgets: two replies make it, the rest come back late or are shed,
+        and not one late reply is delivered as a success."""
+        service_s = self.SERVICE_S
+
+        class Serialized(BankAccount):
+            backend = threading.Lock()
+
+            def owner(self):
+                with self.backend:
+                    time.sleep(service_s)
+                return super().owner()
+
+        deployment.add_replicas(
+            "acct",
+            Serialized,
+            bank_interface(),
+            server_micro_protocols=lambda: [DeadlineShed()],
+        )
+        auditors = [DeadlineAuditor() for _ in range(self.CALLERS)]
+        stubs = [
+            deployment.client_stub(
+                "acct",
+                bank_interface(),
+                client_micro_protocols=lambda auditor=auditor: [
+                    DeadlineBudget(budget=self.BUDGET_S),
+                    auditor,
+                ],
+            )
+            for auditor in auditors
+        ]
+        barrier = threading.Barrier(self.CALLERS)
+        outcomes = []
+
+        def call(stub):
+            barrier.wait(10.0)
+            for _ in range(2):  # the second wave meets an already-late queue
+                try:
+                    outcomes.append(stub.owner())
+                except DeadlineExceededError as exc:
+                    outcomes.append(exc)
+
+        callers = [threading.Thread(target=call, args=(stub,)) for stub in stubs]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(10.0)
+        assert not any(caller.is_alive() for caller in callers)
+
+        stats = [auditor.stats() for auditor in auditors]
+        assert sum(s.get("late_served", 0) for s in stats) == 0
+        # The burst did exercise both sides of the deadline.
+        delivered = sum(s.get("delivered", 0) for s in stats)
+        assert delivered == outcomes.count("alice") >= 1
+        assert any(isinstance(o, DeadlineExceededError) for o in outcomes)
 
 
 class _CrashMidInvoke(MicroProtocol):

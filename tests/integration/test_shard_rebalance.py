@@ -8,6 +8,10 @@ passive-replication QoS stack composed on top of the ring.
 
 from __future__ import annotations
 
+import random
+import sys
+import threading
+
 import pytest
 
 from repro.apps.bank import BankAccount, bank_interface
@@ -68,6 +72,52 @@ class TestShardSpace:
         # and state moved with the servant.
         for i, oid in enumerate(ids):
             assert stubs[oid].get_balance() == float(i)
+
+    def test_add_group_during_traffic_drops_nothing(self, deployment, bank_iface):
+        """A closed-loop client keeps depositing over a skewed object mix
+        while another thread grows the fleet: no call fails, and every
+        deposit lands exactly once (a dropped one would undershoot its
+        object's balance, a doubled one overshoot it)."""
+        space = make_space(deployment)
+        ids = place_objects(space, bank_iface, count=16)
+        stubs = {oid: space.client_stub(oid, bank_iface) for oid in ids}
+        weights = [1.0 / (rank + 1) ** 1.1 for rank in range(len(ids))]
+        sequence = random.Random(88).choices(ids, weights, k=400)
+        before = space.view()
+        trigger = threading.Event()
+
+        def rebalance():
+            assert trigger.wait(30.0)
+            space.add_group("c", 1)
+
+        rebalancer = threading.Thread(target=rebalance)
+        rebalancer.start()
+        issued = dict.fromkeys(ids, 0)
+        errors = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the two threads call by call
+        try:
+            for position, oid in enumerate(sequence):
+                if position == len(sequence) * 2 // 5:
+                    trigger.set()
+                try:
+                    stubs[oid].deposit(1.0)
+                    issued[oid] += 1
+                except Exception as exc:  # noqa: BLE001 - any failure is a drop
+                    errors.append((position, oid, exc))
+        finally:
+            sys.setswitchinterval(interval)
+            trigger.set()
+        rebalancer.join(30.0)
+        assert not rebalancer.is_alive()
+
+        assert errors == []
+        after = space.view()
+        assert after.version == before.version + 1
+        assert any(before.assignments(oid) != after.assignments(oid) for oid in ids)
+        assert {oid: stubs[oid].get_balance() for oid in ids} == {
+            oid: float(count) for oid, count in issued.items()
+        }
 
     def test_client_view_version_is_monotonic(self, deployment, bank_iface):
         space = make_space(deployment)

@@ -1,25 +1,28 @@
 """Property-based tests for Cactus event-execution invariants.
 
-Every invariant is checked against both dispatch executors (the compiled
-fast path and the reference interpretation loop) — they must agree.
+Every invariant is checked against both the compiled chain and the reference
+interpretation loop (``tests/oracles/event_reference.py``) — they must agree.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cactus.composite import CompositeProtocol
+from tests.oracles.event_reference import ReferenceComposite
 
 orders = st.lists(st.integers(min_value=0, max_value=100), min_size=1, max_size=12)
 
-both_executors = pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "reference"])
+both_executors = pytest.mark.parametrize(
+    "make_composite", [CompositeProtocol, ReferenceComposite], ids=["compiled", "reference"]
+)
 
 
 @both_executors
 @given(orders)
 @settings(max_examples=100, deadline=None)
-def test_handlers_execute_in_nondecreasing_order(compiled, order_values):
+def test_handlers_execute_in_nondecreasing_order(make_composite, order_values):
     """Whatever the bind sequence, execution order is sorted by order."""
-    composite = CompositeProtocol("prop", compiled_dispatch=compiled)
+    composite = make_composite("prop")
     executed = []
     for order in order_values:
         composite.bind(
@@ -33,9 +36,9 @@ def test_handlers_execute_in_nondecreasing_order(compiled, order_values):
 @both_executors
 @given(orders, st.integers(min_value=0, max_value=100))
 @settings(max_examples=100, deadline=None)
-def test_halt_suppresses_exactly_later_orders(compiled, order_values, halt_at):
+def test_halt_suppresses_exactly_later_orders(make_composite, order_values, halt_at):
     """A halting handler at order H runs peers at H, suppresses > H."""
-    composite = CompositeProtocol("prop", compiled_dispatch=compiled)
+    composite = make_composite("prop")
     executed = []
 
     def halting(occ):
@@ -58,8 +61,8 @@ def test_halt_suppresses_exactly_later_orders(compiled, order_values, halt_at):
 @both_executors
 @given(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=6))
 @settings(max_examples=50, deadline=None)
-def test_unbinding_removes_exactly_that_binding(compiled, names):
-    composite = CompositeProtocol("prop", compiled_dispatch=compiled)
+def test_unbinding_removes_exactly_that_binding(make_composite, names):
+    composite = make_composite("prop")
     executed = []
     bindings = [
         composite.bind("ev", lambda occ, n=n: executed.append(n)) for n in names
@@ -73,10 +76,10 @@ def test_unbinding_removes_exactly_that_binding(compiled, names):
 @both_executors
 @given(st.integers(min_value=1, max_value=8))
 @settings(max_examples=30, deadline=None)
-def test_one_activation_per_binding_per_raise(compiled, bind_count):
+def test_one_activation_per_binding_per_raise(make_composite, bind_count):
     """N bindings of the same handler run exactly N times per raise —
     the mechanism ActiveRep uses for per-replica activations."""
-    composite = CompositeProtocol("prop", compiled_dispatch=compiled)
+    composite = make_composite("prop")
     activations = []
 
     def handler(occ, replica):

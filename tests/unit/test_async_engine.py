@@ -37,18 +37,6 @@ class TestEngineSelection:
         with pytest.raises(ConfigurationError, match="unknown TCP engine"):
             TcpNetwork(engine="fibers")
 
-    def test_async_requires_multiplex(self):
-        with pytest.raises(ConfigurationError, match="multiplexed"):
-            TcpNetwork(multiplex=False, engine="async")
-
-    def test_env_default_falls_back_to_threaded_without_multiplex(self, monkeypatch):
-        # The env var is a default, not a mandate: a serialized (v1) network
-        # cannot run the async engine, so it silently keeps threaded.
-        monkeypatch.setenv("CQOS_ENGINE", "async")
-        network = TcpNetwork(multiplex=False)
-        assert network.engine == "threaded"
-        network.close()
-
     def test_env_default(self, monkeypatch):
         monkeypatch.setenv("CQOS_ENGINE", "async")
         network = TcpNetwork()

@@ -13,12 +13,13 @@ from repro.util.concurrency import (
     set_thread_priority,
 )
 from repro.util.errors import ConfigurationError
+from tests.oracles.event_reference import ReferenceComposite
 
 
 @pytest.fixture(params=["compiled", "reference"])
 def composite(request):
     """Every test in this module runs against both dispatch executors."""
-    comp = CompositeProtocol("test", compiled_dispatch=(request.param == "compiled"))
+    comp = (CompositeProtocol if request.param == "compiled" else ReferenceComposite)("test")
     yield comp
     comp.shutdown()
     comp.runtime.shutdown()

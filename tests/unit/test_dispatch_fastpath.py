@@ -1,15 +1,16 @@
-"""The compiled event-dispatch fast path vs. the reference executor.
+"""The compiled event-dispatch chain vs. the reference interpretation loop
+(``tests/oracles/event_reference.py``).
 
 Three families of coverage:
 
 - **differential testing**: randomized binding sets (orders, ties, halts,
   halt_alls, unbinds-from-inside-handlers, nested raises) executed through
-  the reference executor and the compiled chain must produce identical
+  the reference loop and the compiled chain must produce identical
   handler sequences and causal-trace edges;
 - **snapshot consistency**: a raise in flight observes one point-in-time
   binding set on both executors, even while other threads bind/unbind;
-- **mechanics**: escape hatch resolution, occurrence-freelist safety, and
-  chain recompilation across dynamic reconfiguration.
+- **mechanics**: occurrence-freelist safety, and chain recompilation across
+  dynamic reconfiguration.
 """
 
 import random
@@ -18,10 +19,7 @@ import threading
 import pytest
 
 from repro.cactus.composite import CompositeProtocol, MicroProtocol
-from repro.cactus.events import (
-    COMPILED_DISPATCH_ENV,
-    compiled_dispatch_default,
-)
+from tests.oracles.event_reference import ReferenceComposite
 
 both_executors = pytest.mark.parametrize(
     "compiled", [True, False], ids=["compiled", "reference"]
@@ -29,7 +27,7 @@ both_executors = pytest.mark.parametrize(
 
 
 def make_composite(compiled):
-    return CompositeProtocol("fastpath", compiled_dispatch=compiled)
+    return (CompositeProtocol if compiled else ReferenceComposite)("fastpath")
 
 
 # -- differential testing ----------------------------------------------------
@@ -185,39 +183,6 @@ def test_concurrent_bind_unbind_stress(compiled):
         stop.set()
         composite.shutdown()
         composite.runtime.shutdown()
-
-
-# -- escape hatch ------------------------------------------------------------
-
-
-class TestEscapeHatch:
-    def test_env_disables_compiled_dispatch(self, monkeypatch):
-        monkeypatch.setenv(COMPILED_DISPATCH_ENV, "0")
-        assert not compiled_dispatch_default()
-        composite = CompositeProtocol("hatch")
-        try:
-            assert not composite.compiled_dispatch
-            assert not composite.event("ev").compiled
-        finally:
-            composite.runtime.shutdown()
-
-    def test_env_default_is_compiled(self, monkeypatch):
-        monkeypatch.delenv(COMPILED_DISPATCH_ENV, raising=False)
-        assert compiled_dispatch_default()
-        composite = CompositeProtocol("hatch")
-        try:
-            assert composite.compiled_dispatch
-            assert composite.event("ev").compiled
-        finally:
-            composite.runtime.shutdown()
-
-    def test_explicit_choice_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(COMPILED_DISPATCH_ENV, "0")
-        composite = CompositeProtocol("hatch", compiled_dispatch=True)
-        try:
-            assert composite.event("ev").compiled
-        finally:
-            composite.runtime.shutdown()
 
 
 # -- occurrence freelist -----------------------------------------------------

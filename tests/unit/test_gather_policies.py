@@ -2,10 +2,10 @@
 
 Policy mechanics over fake platforms: ``first`` and ``quorum:k`` must
 complete without waiting on a straggler, a drained scatter without a quorum
-must fail loudly, and the ``CQOS_GATHER_POLICY`` knob must reach the
-protocol.  Sparse-id coverage pins the satellite fixes: ActiveRep,
-TotalOrder and PassiveRepServer iterate the platform's *real* replica ids
-instead of assuming ``range(1, N+1)``.
+must fail loudly, and an invalid ``gather_policy=`` must be refused.
+Sparse-id coverage pins the satellite fixes: ActiveRep, TotalOrder and
+PassiveRepServer iterate the platform's *real* replica ids instead of
+assuming ``range(1, N+1)``.
 """
 
 import time
@@ -13,7 +13,6 @@ import time
 import pytest
 
 from repro.core.client import CactusClient
-from repro.core.platform import GATHER_FIRST, GATHER_QUORUM
 from repro.core.request import Request
 from repro.core.server import CactusServer
 from repro.qos import ActiveRep, PassiveRepServer, TotalOrder
@@ -98,28 +97,6 @@ class TestGatherPolicies:
                 run_request(client)
             # Every replica was still asked (active replication sends to all).
             assert sorted(s for s, _, _ in platform.invocations) == [1, 2, 3]
-        finally:
-            client.shutdown()
-            client.runtime.shutdown()
-
-    def test_env_knob_selects_the_policy(self, monkeypatch):
-        monkeypatch.setenv("CQOS_GATHER_POLICY", "quorum:3")
-        platform = FakeClientPlatform(servers=3)
-        client = make_client(platform, [ActiveRep()])
-        try:
-            protocol: ActiveRep = client.micro_protocol("ActiveRep")
-            assert (protocol._mode, protocol._quorum_k) == (GATHER_QUORUM, 3)
-        finally:
-            client.shutdown()
-            client.runtime.shutdown()
-
-    def test_constructor_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("CQOS_GATHER_POLICY", "quorum:3")
-        platform = FakeClientPlatform(servers=3)
-        client = make_client(platform, [ActiveRep(gather_policy="first")])
-        try:
-            protocol: ActiveRep = client.micro_protocol("ActiveRep")
-            assert protocol._mode == GATHER_FIRST
         finally:
             client.shutdown()
             client.runtime.shutdown()

@@ -60,14 +60,6 @@ class TestMuxCorrelation:
         finally:
             net.close()
 
-    def test_serialized_baseline_still_correct(self):
-        """The v1 one-in-flight mode stays safe under sharing (lock-step)."""
-        net = TcpNetwork(multiplex=False)
-        try:
-            assert _hammer_one_connection(net, threads=8, calls=25) == []
-        finally:
-            net.close()
-
     def test_slow_handler_calls_overlap(self):
         """Two 100ms calls over one mux connection take ~one delay, not two."""
         import time

@@ -2,7 +2,7 @@
 
 Covers the fan-out substrate directly, below any micro-protocol:
 
-- gather-policy parsing (``CQOS_GATHER_POLICY`` grammar);
+- gather-policy parsing (the ``gather_policy=`` grammar);
 - ScatterGather completion-order gathering, submit-time failure capture,
   drain detection, whole-gather timeouts, and branch abandonment;
 - the latency-EWMA ranking every fan-out consumer orders candidates by.

@@ -5,7 +5,6 @@ import threading
 import pytest
 
 from repro.net import framing as framing_mod
-from repro.net import tcp as tcp_mod
 from repro.net.tcp import TcpNetwork
 from repro.util.errors import CommunicationError, FrameTooLargeError, ServerFailedError
 
@@ -112,7 +111,6 @@ class TestFrameLimits:
         conn = net.host("client").connect("server/echo")
         assert conn.call(b"warm") == b"warm"
         # Shrink the limit instead of allocating 64 MiB in a unit test.
-        monkeypatch.setattr(tcp_mod, "_MAX_FRAME", 1024)
         monkeypatch.setattr(framing_mod, "MAX_FRAME", 1024)
         with pytest.raises(CommunicationError):
             conn.call(b"x" * 2048)
@@ -127,7 +125,6 @@ class TestFrameLimits:
         # must see a prompt connection error, not block until timeout.
         net.host("server").listen("big", lambda d: b"y" * 4096)
         conn = net.host("client").connect("server/big")
-        monkeypatch.setattr(tcp_mod, "_MAX_FRAME", 1024)
         monkeypatch.setattr(framing_mod, "MAX_FRAME", 1024)
         with pytest.raises(CommunicationError):
             conn.call(b"x", timeout=5.0)
