@@ -85,32 +85,6 @@ CONTROL_OPERATION = "__cqos__"
 CONTROL_PING = "ping"
 
 
-def assert_blocking_safe(what: str) -> None:
-    """Fail loudly if a blocking wait is about to run *on* an event loop.
-
-    The async transport engine executes servants on its executor precisely
-    so they may block; code that nevertheless ends up on the loop thread —
-    a user calling a blocking stub from inside an ``asyncio`` coroutine, or
-    a mis-marked handler promoted inline — would deadlock the entire
-    network the moment it waits for a reply that needs that same loop.
-    Guarding the wait sites turns that silent hang into an immediate
-    :class:`~repro.util.errors.ConfigurationError` naming the offender.
-    """
-    import asyncio
-
-    from repro.util.errors import ConfigurationError
-
-    try:
-        asyncio.get_running_loop()
-    except RuntimeError:
-        return
-    raise ConfigurationError(
-        f"{what} would block inside a running event loop; blocking CQoS "
-        "calls must run on a worker thread (the async engine's servant "
-        "executor does this automatically for marked handlers)"
-    )
-
-
 # -- observers ----------------------------------------------------------------
 
 
@@ -332,9 +306,8 @@ def fault_action(error: BaseException | None) -> str:
 # -- scatter-gather fan-out ---------------------------------------------------
 #
 # The fan-out primitive of the replication protocols: submit every replica
-# request in one non-blocking pass (the async engine coalesces back-to-back
-# submissions into one writev-style syscall; the threaded mux pipelines them
-# on one socket), then gather completions in arrival order under a policy.
+# request in one non-blocking pass (the TCP mux pipelines them on each
+# replica's socket), then gather completions in arrival order under a policy.
 # Policies:
 #
 # - "all"       — every branch is gathered (the historical semantics: active

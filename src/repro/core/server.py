@@ -22,7 +22,7 @@ from repro.cactus.composite import CompositeProtocol, MicroProtocol
 from repro.cactus.runtime import CactusRuntime
 from repro.core.events import CONTROL_EVENT_PREFIX, EV_NEW_SERVER_REQUEST
 from repro.core.interfaces import ControlMessage, ServerPlatform
-from repro.core.platform import assert_blocking_safe, wrap_reply_value
+from repro.core.platform import wrap_reply_value
 from repro.core.request import Request
 from repro.util.errors import ConfigurationError
 
@@ -77,7 +77,6 @@ class CactusServer(CompositeProtocol):
         result travels inside the reserved reply envelope (see
         :func:`repro.core.platform.wrap_reply_value`).
         """
-        assert_blocking_safe("cactus_invoke")
         try:
             self.raise_event(EV_NEW_SERVER_REQUEST, request)
             value = request.wait(self.request_timeout)

@@ -125,25 +125,6 @@ class CqosDeployment:
         self._replica_hosts: dict[tuple[str, int], str] = {}
         self._bootstrap()
 
-    @classmethod
-    def over_tcp(
-        cls,
-        platform: str,
-        compiled: CompiledIdl,
-        engine: str | None = None,
-        **kwargs: Any,
-    ) -> "CqosDeployment":
-        """Deploy over loopback TCP with an explicit execution engine.
-
-        ``engine`` is ``"threaded"``, ``"async"``, or ``None`` to defer to
-        the ``CQOS_ENGINE`` environment default — the whole selection lives
-        below the transport interface, so the deployment (stubs, skeletons,
-        QoS micro-protocols) is byte-for-byte the same either way.
-        """
-        from repro.net.tcp import TcpNetwork
-
-        return cls(TcpNetwork(engine=engine), platform, compiled, **kwargs)
-
     # -- bootstrap -------------------------------------------------------
 
     def _bootstrap(self) -> None:

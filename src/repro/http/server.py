@@ -26,7 +26,7 @@ from repro.http.message import (
     piggyback_headers,
 )
 from repro.idl.compiler import CompiledIdl, IdlRemoteException, InterfaceDef
-from repro.net.transport import Network, blocking_handler
+from repro.net.transport import Network
 from repro.orb.stubs import StaticSkeleton
 from repro.serialization.jser import jser_dumps, jser_loads
 from repro.util.errors import BindError
@@ -98,9 +98,7 @@ class HttpObjectServer:
 
     # -- serving -------------------------------------------------------------
 
-    # Servant dispatch can block (request.wait, replica forwarding): the
-    # async engine must keep it off the event loop.
-    @blocking_handler
+    # Servant dispatch can block (request.wait, replica forwarding).
     def _handle_frame(self, frame: bytes) -> bytes:
         try:
             request = parse_request(frame)

@@ -12,7 +12,8 @@ of two interchangeable transports:
 - :class:`~repro.net.tcp.TcpNetwork` — real TCP sockets on the loopback
   interface with correlation-id-multiplexed frames (many concurrent
   in-flight calls per connection), for integration tests that want an
-  actual kernel network path.
+  actual kernel network path.  It has one engine: a leader/follower
+  client demultiplexer and a thread per accepted connection.
 
 :class:`~repro.net.chaos.ChaosNetwork` decorates either transport with a
 seedable :class:`~repro.net.chaos.FaultPlan` (loss, latency/jitter,
@@ -25,11 +26,10 @@ Both expose the same shape: ``network.host(name)`` returns a
 request/reply exchanges, the only primitive the middleware layers need.
 """
 
-from repro.net.transport import Connection, Host, Listener, Network, blocking_handler
+from repro.net.transport import Connection, Host, Listener, Network
 from repro.net.memory import InMemoryNetwork
 from repro.net.pool import ConnectionPool
 from repro.net.tcp import TcpNetwork
-from repro.net.aio import AsyncTcpNetwork
 from repro.net.chaos import ChaosNetwork, ChaosStats, FaultPlan
 
 __all__ = [
@@ -40,9 +40,7 @@ __all__ = [
     "ConnectionPool",
     "InMemoryNetwork",
     "TcpNetwork",
-    "AsyncTcpNetwork",
     "ChaosNetwork",
     "ChaosStats",
     "FaultPlan",
-    "blocking_handler",
 ]

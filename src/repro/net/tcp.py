@@ -21,12 +21,6 @@ Crash injection closes the host's server sockets and refuses new accepts
 until :meth:`TcpNetwork.recover`, at which point the same listeners re-open
 on the same logical addresses (new ports, re-resolved through the name
 table) — enough fidelity for failover tests.
-
-Execution engines: this module implements the **threaded** engine.
-``TcpNetwork(engine="async")`` — or ``CQOS_ENGINE=async`` in the
-environment — selects the event-loop sibling in :mod:`repro.net.aio`: same
-wire bytes, same Connection/Listener contracts, single-loop framing with
-adaptive outbound batching instead of leader/follower threads.
 """
 
 from __future__ import annotations
@@ -55,7 +49,6 @@ from repro.net.transport import (
 )
 from repro.util.errors import (
     CommunicationError,
-    ConfigurationError,
     FrameTooLargeError,
     ServerFailedError,
     TimeoutError_,
@@ -63,10 +56,6 @@ from repro.util.errors import (
 from repro.util.log import get_logger
 
 logger = get_logger("net.tcp")
-
-#: Environment default for :class:`TcpNetwork`'s ``engine`` argument.
-ENGINE_ENV = "CQOS_ENGINE"
-_ENGINES = ("threaded", "async")
 
 #: Per-connection server worker pool size for multiplexed dispatch.
 _SERVER_WORKERS = max(4, min(16, 2 * (os.cpu_count() or 1)))
@@ -499,9 +488,7 @@ class _TcpMuxConnection(Connection):
         slot: _PendingReply,
         timeout: float | None,
     ) -> bytes:
-        import time as _time
-
-        deadline = None if timeout is None else _time.monotonic() + timeout
+        deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             with self._cond:
                 if slot.done:
@@ -513,7 +500,7 @@ class _TcpMuxConnection(Connection):
                     lead = False
                     remaining = None
                     if deadline is not None:
-                        remaining = deadline - _time.monotonic()
+                        remaining = deadline - time.monotonic()
                         if remaining <= 0:
                             # Follower timeout: drop only this call; the
                             # stream stays framed and the late reply is
@@ -536,12 +523,10 @@ class _TcpMuxConnection(Connection):
         deadline: float | None,
     ) -> None:
         """Read frames as the leader until our reply arrives (or error)."""
-        import time as _time
-
         while True:
             try:
                 if deadline is not None:
-                    remaining = deadline - _time.monotonic()
+                    remaining = deadline - time.monotonic()
                     if remaining <= 0:
                         raise socket.timeout("deadline expired")
                     sock.settimeout(remaining)
@@ -733,14 +718,7 @@ class _TcpHost(Host):
         # listen() calls on one address cannot both pass a resolve() check.
         self._network._claim(address)
         try:
-            if self._network.engine == "async":
-                from repro.net.aio import AsyncTcpListener
-
-                listener: Listener = AsyncTcpListener(
-                    self._network, self.name, service, handler
-                )
-            else:
-                listener = _TcpListener(self._network, self.name, service, handler)
+            listener = _TcpListener(self._network, self.name, service, handler)
         except BaseException:
             self._network._release(address)
             raise
@@ -749,75 +727,21 @@ class _TcpHost(Host):
 
     def connect(self, address: str) -> Connection:
         split_address(address)
-        if self._network.engine == "async":
-            from repro.net.aio import AsyncMuxConnection
-
-            return AsyncMuxConnection(
-                self._network, address, self._network._engine_runtime(self.name)
-            )
         return _TcpMuxConnection(self._network, address)
 
 
 class TcpNetwork(Network):
-    """A set of logical hosts backed by loopback TCP sockets.
+    """A set of logical hosts backed by loopback TCP sockets."""
 
-    ``engine`` selects the concurrency machinery under the one wire format:
-    ``"threaded"`` (this module — leader/follower client demux, thread-per-
-    connection server) or ``"async"`` (:mod:`repro.net.aio` — one event loop
-    with adaptive outbound batching, servants on a bounded executor).  The
-    default comes from ``CQOS_ENGINE`` in the environment, falling back to
-    threaded.
-    """
-
-    def __init__(self, engine: str | None = None) -> None:
-        engine = engine or os.environ.get(ENGINE_ENV) or "threaded"
-        if engine not in _ENGINES:
-            raise ConfigurationError(
-                f"unknown TCP engine {engine!r}; expected one of {_ENGINES}"
-            )
+    def __init__(self) -> None:
         # The name table is mutated from listener open/suspend paths that run
         # on accept/recovery threads and read from every client call: all
         # access goes through the locked helpers below.
-        self.engine = engine
-        # One AsyncEngineRuntime per logical host, created lazily: each
-        # host gets its own event loop (as separate processes would), so
-        # the client and server ends of a link pipeline in parallel.
-        self._aio: dict[str, object] = {}
         self._resolve_table: dict[str, int] = {}
         self._claimed: set[str] = set()
         self._hosts: dict[str, _TcpHost] = {}
         self._listeners: dict[str, list[Listener]] = {}
         self._lock = threading.Lock()
-
-    def _engine_runtime(self, host_name: str):
-        """The :class:`~repro.net.aio.AsyncEngineRuntime` for one host."""
-        with self._lock:
-            runtime = self._aio.get(host_name)
-            if runtime is None:
-                from repro.net.aio import AsyncEngineRuntime
-
-                runtime = AsyncEngineRuntime(name=f"cqos-aio-{host_name}")
-                self._aio[host_name] = runtime
-            return runtime
-
-    def batch_stats(self) -> dict | None:
-        """Outbound batching counters summed over every host's runtime
-        (async engine only; None when no runtime exists)."""
-        with self._lock:
-            runtimes = list(self._aio.values())
-        if not runtimes:
-            return None
-        totals = {"frames_out": 0, "flushes": 0, "bytes_out": 0}
-        for runtime in runtimes:
-            stats = runtime.batch_stats()
-            for key in totals:
-                totals[key] += stats[key]
-        totals["frames_per_flush"] = (
-            round(totals["frames_out"] / totals["flushes"], 3)
-            if totals["flushes"]
-            else None
-        )
-        return totals
 
     # -- name table (lock-guarded) ----------------------------------------
 
@@ -888,7 +812,3 @@ class TcpNetwork(Network):
             self._claimed.clear()
         for listener in all_listeners:
             listener.close()
-        with self._lock:
-            runtimes, self._aio = list(self._aio.values()), {}
-        for runtime in runtimes:
-            runtime.shutdown()

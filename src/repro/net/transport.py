@@ -22,24 +22,6 @@ from repro.util.errors import TimeoutError_
 FrameHandler = Callable[[bytes], bytes]
 
 
-def blocking_handler(func):
-    """Mark a frame handler as potentially blocking.
-
-    The asyncio engine (:mod:`repro.net.aio`) never promotes a marked
-    handler to inline-on-the-event-loop execution: it always runs on the
-    servant executor.  Middleware endpoints carry this mark because their
-    servants may block arbitrarily (request.wait, replica forwarding) — a
-    block on the loop thread would stall every connection of the network.
-
-    Apply at class-definition time (above a ``_handle_frame`` method) or to
-    a plain function; bound methods forward attribute lookup to the
-    underlying function, so the mark survives ``self._handle_frame``.  The
-    threaded engine ignores the mark entirely.
-    """
-    func.cqos_blocking = True
-    return func
-
-
 class ReplyFuture:
     """The non-blocking half of one request/reply exchange.
 
@@ -47,7 +29,7 @@ class ReplyFuture:
     (or the delivery error) plus an optional lazy *transform chain* — the
     decode steps the substrates (GIOP/JRMP/HTTP) attach via :meth:`then`.
     Transforms run on the **consumer's** thread at :meth:`result` time, never
-    on a transport reader or event-loop thread, and their outcome is cached
+    on a transport reader thread, and their outcome is cached
     so decode and its side effects (connection-pool drops) happen once.
 
     :meth:`add_done_callback` fires when the *wire* exchange settles (reply
@@ -94,7 +76,7 @@ class ReplyFuture:
         """Run ``fn(self)`` when the exchange settles (immediately if done).
 
         The callback runs on whichever thread settles the future (a
-        transport reader or event-loop thread): it must be cheap and must
+        transport reader thread): it must be cheap and must
         not block — push to a queue and consume elsewhere.
         """
         self._future.add_done_callback(lambda _f: fn(self))

@@ -27,9 +27,8 @@ from repro.util.errors import MarshalError
 # Encoders reuse pooled output streams instead of allocating a fresh
 # bytearray per message.  The pool uses explicit acquire/release (see
 # repro.serialization.streams) rather than the earlier thread-local slot:
-# each marshal owns its stream for exactly the encode's duration, which
-# stays correct when the async engine interleaves many logical requests on
-# one event-loop thread.  Nested encodes (a value type whose registry
+# each marshal owns its stream for exactly the encode's duration, whatever
+# thread runs it.  Nested encodes (a value type whose registry
 # encoder itself marshals) simply acquire a second stream.
 
 _MAGIC = b"GIOP"

@@ -24,7 +24,7 @@ from typing import Any
 
 from repro.idl.compiler import CompiledIdl, IdlRemoteException
 from repro.net.pool import ConnectionPool
-from repro.net.transport import Connection, Network, blocking_handler
+from repro.net.transport import Connection, Network
 from repro.orb import giop
 from repro.orb.dii import DiiRequest
 from repro.orb.dsi import ServerRequest
@@ -295,9 +295,7 @@ class Orb:
 
     # -- server side -------------------------------------------------------------
 
-    # Servant dispatch can block (request.wait, replica forwarding): the
-    # async engine must keep it off the event loop.
-    @blocking_handler
+    # Servant dispatch can block (request.wait, replica forwarding).
     def _handle_frame(self, frame: bytes) -> bytes:
         message = giop.decode_message(frame)
         if not isinstance(message, giop.RequestMessage):

@@ -16,8 +16,8 @@ taxonomy, the base ``resultReturner`` completing from the first reply — but
 the mechanics are a scatter-gather pipeline instead of a thread per
 replica: :meth:`act_assigner` raises ``readyToSend`` for every replica in
 one pass, :meth:`submit_invoker` turns each into one *non-blocking*
-``invoke_server_async`` submission (the async engine coalesces the
-back-to-back submissions into a single syscall), and one runtime task
+``invoke_server_async`` submission (the mux pipelines back-to-back
+submissions on each replica's socket), and one runtime task
 gathers the replies in completion order, raising the invoke events.
 
 Gather policies (``gather_policy=``, beyond the paper):

@@ -118,7 +118,7 @@ class TotalOrder(MicroProtocol):
         """Multicast the order: one pipelined submit pass, one drain task.
 
         Every peer's announcement is submitted non-blocking back-to-back
-        (the async engine coalesces them into one syscall); a single
+        (the mux pipelines them on each peer's socket); a single
         runtime task then drains the outcomes — a crashed replica's
         CommunicationError is its branch outcome (ignored: it will not
         execute anything anyway), and consuming each branch runs the

@@ -22,7 +22,7 @@ from typing import Any, Protocol, runtime_checkable
 
 from repro.idl.compiler import CompiledIdl, IdlRemoteException, InterfaceDef
 from repro.net.pool import ConnectionPool
-from repro.net.transport import Connection, Network, blocking_handler
+from repro.net.transport import Connection, Network
 from repro.rmi import jrmp
 from repro.serialization.registry import global_registry
 from repro.util.errors import (
@@ -243,9 +243,7 @@ class RmiRuntime:
 
     # -- server side ----------------------------------------------------------
 
-    # Servant dispatch can block (request.wait, replica forwarding): the
-    # async engine must keep it off the event loop.
-    @blocking_handler
+    # Servant dispatch can block (request.wait, replica forwarding).
     def _handle_frame(self, frame: bytes) -> bytes:
         message = jrmp.decode(frame)
         if not isinstance(message, jrmp.CallMessage):

@@ -1,11 +1,10 @@
-"""Engine-aware reuse of CDR output streams: explicit acquire/release.
+"""Reuse of CDR output streams: explicit acquire/release.
 
 PR 2 cached one reusable :class:`~repro.serialization.cdr.CdrOutputStream`
 per thread (``threading.local``) for the GIOP encoders.  That scheme bakes
-in the assumption *one marshal in flight per thread* — true for the
-threaded engine, false on an event loop, where one loop thread interleaves
-many logical requests and a buffer held across a suspension point would be
-shared by two marshals (the regression test in
+in the assumption *one marshal in flight per thread*, which fails as soon
+as one thread interleaves logical requests: a buffer held across a
+suspension point would be shared by two marshals (the regression test in
 ``tests/unit/test_stream_reuse.py`` demonstrates the interleaving under
 ``asyncio.gather``).
 
@@ -28,8 +27,8 @@ from __future__ import annotations
 
 from repro.serialization.cdr import CdrOutputStream
 
-#: Upper bound on retained idle streams: enough for every servant-executor
-#: worker and benchmark client to hold one, without pinning unbounded
+#: Upper bound on retained idle streams: enough for every serving thread
+#: and benchmark client to hold one, without pinning unbounded
 #: buffers after a concurrency spike.
 _MAX_POOLED = 32
 

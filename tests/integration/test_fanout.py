@@ -8,7 +8,7 @@ Three layers:
   (one readyToSend and one invoke event per replica, base resultReturner
   completing from the first reply);
 - **policy over real TCP** — quorum(2-of-3) completes without waiting on a
-  slow straggler on *both* execution engines;
+  slow straggler;
 - **chaos** — crash and partition of the straggler mid-gather: the quorum
   still answers, every live replica applies exactly once, no lost replies.
 """
@@ -211,14 +211,13 @@ class TestQuorumOverTcp:
         [("quorum:2", True), ("quorum:3", False)],
         ids=["quorum:2-early", "quorum:3-waits"],
     )
-    @pytest.mark.parametrize("engine", ["threaded", "async"])
     def test_quorum_two_of_three_returns_before_straggler(
-        self, engine, policy, beats_straggler
+        self, policy, beats_straggler
     ):
         """Two matching replies of three settle ``quorum:2`` while replica 3
         still sleeps; ``quorum:3`` needs the straggler's reply and cannot."""
-        deployment = CqosDeployment.over_tcp(
-            "rmi", bank_compiled(), engine=engine, request_timeout=10.0
+        deployment = CqosDeployment(
+            TcpNetwork(), "rmi", bank_compiled(), request_timeout=10.0
         )
         try:
             deployment.add_replicas(

@@ -1,35 +1,33 @@
-"""Property tests for the v2 framing / batch-flush wire-bytes invariant.
+"""Property tests for the frame format and the two functions that speak it.
 
-The async engine's batcher coalesces outbound frames by pure concatenation,
-and the incremental decoder is chunk-agnostic, so the load-bearing
-invariants are algebraic:
+The oracle (``tests/oracles/framing_reference.py``) states the wire bytes
+without a socket; the algebra it must satisfy is:
 
-- any grouping of frames into batches concatenates to exactly the bytes of
-  the unbatched per-frame encoding (sender-side invariant);
-- any re-chunking of that byte stream decodes to the identical
-  ``(request_id, payload)`` sequence (receiver-side invariant);
-- a real :class:`~repro.net.aio.FrameBatcher` driven through arbitrary
-  interleavings of sends, idle flushes, linger expiries, and size-threshold
-  crossings emits writes whose concatenation is again exactly the
-  unbatched encoding — frames straddling flush boundaries included.
+- frames concatenate: any grouping of frames into consecutive writes is
+  byte-identical to writing them one at a time;
+- any re-chunking of that byte stream, down to single bytes, decodes to the
+  identical ``(request_id, payload)`` sequence.
 
-Together these make sender-side batching invisible to the receiver, which
-is what lets the two engines interoperate bit-identically.
+``repro.net.tcp`` is then held to the oracle: ``write_frame_mux`` puts
+exactly ``encode_frame``'s bytes on the socket on both of its branches (one
+``sendall`` for a small ``bytes`` payload, two for a large or non-``bytes``
+one), and ``read_frame_mux`` over a socket that returns whatever chunk
+sizes it likes yields exactly the oracle decoder's frames, refusing an
+over-limit header before it reads a payload byte.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net.aio import FrameBatcher
-from repro.net.framing import FrameDecoder, encode_frame
+from repro.net import framing
+from repro.net.tcp import read_frame_mux, write_frame_mux
+from repro.util.errors import FrameTooLargeError
+from tests.oracles.framing_reference import FrameDecoder, encode_frame
 
+request_ids = st.integers(min_value=0, max_value=2**64 - 1)
 frames_strategy = st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=2**64 - 1),
-        st.binary(max_size=200),
-    ),
-    min_size=0,
-    max_size=20,
+    st.tuples(request_ids, st.binary(max_size=200)), min_size=0, max_size=20
 )
 
 
@@ -83,103 +81,76 @@ def test_single_byte_feeding_decodes_identically(frames):
     assert decoded == frames
 
 
-class _FakeHandle:
-    def __init__(self, loop, callback):
-        self._loop = loop
-        self.callback = callback
-        self.cancelled = False
-
-    def cancel(self):
-        self.cancelled = True
-        if self in self._loop.ready:
-            self._loop.ready.remove(self)
-        if self in self._loop.timers:
-            self._loop.timers.remove(self)
-
-
-class _FakeLoop:
-    """Just enough of an event loop to drive FrameBatcher deterministically."""
-
+class _RecordingSocket:
     def __init__(self):
-        self.ready: list[_FakeHandle] = []
-        self.timers: list[_FakeHandle] = []
+        self.sends: list[bytes] = []
 
-    def call_soon(self, callback, *args):
-        handle = _FakeHandle(self, lambda: callback(*args))
-        self.ready.append(handle)
-        return handle
-
-    def call_later(self, _delay, callback, *args):
-        handle = _FakeHandle(self, lambda: callback(*args))
-        self.timers.append(handle)
-        return handle
-
-    def run_one(self, queue: list[_FakeHandle]) -> bool:
-        if not queue:
-            return False
-        handle = queue.pop(0)
-        if not handle.cancelled:
-            handle.callback()
-        return True
-
-    def drain(self):
-        while self.run_one(self.ready) or self.run_one(self.timers):
-            pass
+    def sendall(self, data):
+        self.sends.append(bytes(data))
 
 
-class _FakeTransport:
-    def __init__(self):
-        self.writes: list[bytes] = []
+class _ChunkedSocket:
+    """``recv`` hands out the stream in the chunk sizes it was given, never
+    more than asked for; once the sizes run out it returns all that was
+    asked for, and ``b""`` at end of stream."""
 
-    def write(self, data):
-        self.writes.append(bytes(data))
+    def __init__(self, stream: bytes, sizes: list[int]):
+        self._stream = stream
+        self._sizes = list(sizes)
+        self.pos = 0
+
+    def recv(self, n: int) -> bytes:
+        if self._sizes:
+            n = min(n, self._sizes.pop(0))
+        chunk = self._stream[self.pos : self.pos + n]
+        self.pos += len(chunk)
+        return chunk
 
 
-class _FakeRuntime:
-    frames_out = 0
-    flushes = 0
-    bytes_out = 0
+# One frame above the 0xFFFF one-sendall threshold in a few examples, and
+# the three bytes-like types the encoders hand in.
+payloads = st.one_of(
+    st.binary(max_size=200),
+    st.integers(min_value=0xFFFF - 2, max_value=0xFFFF + 2).map(lambda n: b"p" * n),
+)
+wrappers = st.sampled_from([bytes, bytearray, memoryview])
 
 
 @settings(max_examples=60)
+@given(frames=st.lists(st.tuples(request_ids, payloads, wrappers), max_size=8))
+def test_write_frame_mux_sends_the_oracle_bytes(frames):
+    sock = _RecordingSocket()
+    for request_id, payload, wrap in frames:
+        before = len(sock.sends)
+        write_frame_mux(sock, request_id, wrap(payload))
+        one_send = wrap is bytes and len(payload) <= 0xFFFF
+        assert len(sock.sends) - before == (1 if one_send else 2)
+    assert b"".join(sock.sends) == b"".join(
+        encode_frame(request_id, payload) for request_id, payload, _ in frames
+    )
+
+
 @given(
     frames=frames_strategy,
-    max_bytes=st.integers(min_value=1, max_value=600),
-    schedule=st.lists(st.sampled_from(["send", "idle", "timer"]), max_size=60),
+    sizes=st.lists(st.integers(min_value=1, max_value=64), max_size=200),
 )
-def test_frame_batcher_interleavings_preserve_wire_bytes(frames, max_bytes, schedule):
-    """Arbitrary send/idle-flush/linger interleavings → identical wire bytes.
+def test_read_frame_mux_over_any_recv_chunking_yields_the_oracle_frames(frames, sizes):
+    stream = b"".join(encode_frame(rid, payload) for rid, payload in frames)
+    sock = _ChunkedSocket(stream, sizes)
+    assert [read_frame_mux(sock) for _ in frames] == FrameDecoder().feed(stream)
+    assert sock.pos == len(stream)
 
-    ``max_bytes`` small enough forces size-threshold flushes mid-batch, so
-    frames straddle batch boundaries; running idle callbacks and linger
-    timers at arbitrary points exercises every flush path.
-    """
-    loop = _FakeLoop()
-    transport = _FakeTransport()
-    runtime = _FakeRuntime()
-    batcher = FrameBatcher(loop, transport, runtime, linger=0.0002, max_bytes=max_bytes)
-    pending = list(frames)
-    for action in schedule:
-        if action == "send" and pending:
-            rid, payload = pending.pop(0)
-            batcher.send(rid, payload)
-        elif action == "idle":
-            loop.run_one(loop.ready)
-        elif action == "timer":
-            loop.run_one(loop.timers)
-    for rid, payload in pending:  # send whatever the schedule didn't cover
-        batcher.send(rid, payload)
-    loop.drain()  # let every outstanding idle/linger callback fire
 
-    wire = b"".join(transport.writes)
-    assert wire == b"".join(encode_frame(rid, p) for rid, p in frames)
-    # And the receiver reconstructs the exact frame sequence.
-    decoder = FrameDecoder()
-    decoded: list[tuple[int, bytes]] = []
-    for chunk in transport.writes:
-        decoded.extend(decoder.feed(chunk))
-    assert decoded == frames
-    # Accounting matches what actually hit the transport.
-    assert runtime.frames_out == len(frames)
-    assert runtime.bytes_out == len(wire)
-    assert runtime.flushes == len(transport.writes)
+@given(
+    request_id=request_ids,
+    excess=st.integers(min_value=1, max_value=2**32 - 1 - framing.MAX_FRAME),
+    sizes=st.lists(st.integers(min_value=1, max_value=12), max_size=12),
+)
+def test_read_frame_mux_refuses_an_over_limit_header_before_its_payload(
+    request_id, excess, sizes
+):
+    header = framing.FRAME_HEADER.pack(framing.MAX_FRAME + excess, request_id)
+    sock = _ChunkedSocket(header + b"payload bytes that must stay unread", sizes)
+    with pytest.raises(FrameTooLargeError):
+        read_frame_mux(sock)
+    assert sock.pos == len(header)

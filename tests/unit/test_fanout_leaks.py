@@ -1,7 +1,7 @@
 """Fan-out cancellation hygiene at the transport layer (PR 10).
 
-Abandoned correlation ids must not leak waiter entries in either engine's
-multiplexed connection — including when the straggler's host crashes
+Abandoned correlation ids must not leak waiter entries in the multiplexed
+connection — including when the straggler's host crashes
 mid-gather — and the non-blocking submit path must put byte-identical
 frames on the wire as the blocking path (the differential half of the
 scatter-gather acceptance).
@@ -27,8 +27,7 @@ def _handler(data: bytes) -> bytes:
 
 
 def _pending_count(connection) -> int:
-    # Both engines expose their correlation-id waiter map as ``_pending``;
-    # reading its size without the guarding lock is fine for polling.
+    # The correlation-id waiter map of ``_TcpMuxConnection``; reading its size without the guarding lock is fine for polling.
     return len(connection._pending)
 
 
@@ -41,11 +40,10 @@ def _poll(predicate, timeout=5.0):
     return predicate()
 
 
-@pytest.mark.parametrize("engine", ["threaded", "async"])
 class TestAbandonReclaimsWaiters:
     @pytest.fixture
-    def network(self, engine):
-        net = TcpNetwork(engine=engine)
+    def network(self):
+        net = TcpNetwork()
         yield net
         net.close()
 
@@ -57,7 +55,7 @@ class TestAbandonReclaimsWaiters:
         conn.close()
 
     def test_abandoned_id_does_not_leak(self, connection):
-        # Fast first: the threaded server may run handlers inline in arrival
+        # Fast first: the server may run handlers inline in arrival
         # order, so a leading straggler would head-of-line block the reply
         # we gather (scheduling noise, not the property under test).
         fast = connection.call_async(b"fast-1")
@@ -116,36 +114,26 @@ def _poll_call(connection, payload, timeout=5.0):
 class TestWireDifferential:
     def test_async_submit_sends_identical_bytes_as_blocking_call(self):
         """Same payload via call() and call_async(): the server must see
-        byte-identical request frames and produce identical replies, on both
-        engines — the futures API changes scheduling, never the wire."""
-        seen: dict[str, list[bytes]] = {}
-        replies: dict[str, list[bytes]] = {}
+        byte-identical request frames and produce identical replies — the
+        futures API changes scheduling, never the wire."""
         payload = b"\x00differential\xffpayload" * 3
-        for engine in ("threaded", "async"):
-            received: list[bytes] = []
+        received: list[bytes] = []
 
-            def recording(data: bytes, received=received) -> bytes:
-                received.append(bytes(data))
-                return b"ok:" + data
+        def recording(data: bytes) -> bytes:
+            received.append(bytes(data))
+            return b"ok:" + data
 
-            network = TcpNetwork(engine=engine)
-            try:
-                network.host("srv").listen("svc", recording)
-                conn = network.host("cli").connect("srv/svc")
-                sync_reply = conn.call(payload, timeout=5.0)
-                async_reply = conn.call_async(payload).result(timeout=5.0)
-                conn.close()
-            finally:
-                network.close()
-            assert sync_reply == async_reply
-            seen[engine] = received
-            replies[engine] = [sync_reply, async_reply]
-        # Within each engine: both paths delivered the same bytes.
-        for engine, received in seen.items():
-            assert received == [payload, payload], engine
-        # Across engines: identical frames, identical replies.
-        assert seen["threaded"] == seen["async"]
-        assert replies["threaded"] == replies["async"]
+        network = TcpNetwork()
+        try:
+            network.host("srv").listen("svc", recording)
+            conn = network.host("cli").connect("srv/svc")
+            sync_reply = conn.call(payload, timeout=5.0)
+            async_reply = conn.call_async(payload).result(timeout=5.0)
+            conn.close()
+        finally:
+            network.close()
+        assert sync_reply == async_reply
+        assert received == [payload, payload]
 
     def test_chaos_decorated_submit_keeps_the_per_call_fault_model(self):
         """The chaos wrapper only implements the blocking call, so its

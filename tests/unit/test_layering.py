@@ -3,7 +3,9 @@
 The paper's portability claim — QoS micro-protocols see only the abstract
 request and the Cactus QoS interface — is enforced statically by
 ``tools/check_layering.py``; this wrapper makes every local/CI pytest run
-fail on a violation, and checks the checker itself catches one.
+fail on a violation, and checks the checker itself catches one.  The same
+lint keeps the count of ``CQOS_*`` environment switches under ``src/`` at
+zero.
 """
 
 from __future__ import annotations
@@ -82,3 +84,28 @@ def test_checker_flags_platform_import_in_routing(tmp_path):
     violations = check_layering.check(tmp_path)
     assert len(violations) == 1
     assert "repro.core.routing.bad" in violations[0]
+
+
+def test_checker_flags_an_environment_switch(tmp_path):
+    """A ``CQOS_*`` name is caught read directly or through a constant, in
+    any package; prose that merely mentions one is not."""
+    pkg = tmp_path / "repro" / "net"
+    pkg.mkdir(parents=True)
+    (tmp_path / "repro" / "__init__.py").write_text("")
+    (pkg / "__init__.py").write_text("")
+    (pkg / "knob.py").write_text(
+        textwrap.dedent(
+            '''
+            """Set CQOS_FAST=1 to go faster (prose, not a read)."""
+            import os
+
+            FAST_ENV = "CQOS_FAST"
+            fast = os.environ.get(FAST_ENV) == "1"
+            linger = float(os.environ.get("CQOS_LINGER", "0"))
+            '''
+        )
+    )
+    violations = check_layering.check(tmp_path)
+    assert len(violations) == 2
+    assert all("repro.net.knob" in v for v in violations)
+    assert "CQOS_FAST" in violations[0] and "CQOS_LINGER" in violations[1]

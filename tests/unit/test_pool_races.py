@@ -5,15 +5,13 @@ Two layers of coverage:
 - a deterministic unit test for the ABA eviction race: a caller whose call
   failed on an *old* connection must not evict the fresh replacement
   another caller pooled in the meantime (``drop(address, connection=...)``);
-- phase-structured stress over a seeded ChaosNetwork-wrapped TCP transport,
-  for BOTH execution engines: while the host is crashed, no checkout may
-  complete a call successfully — a crashed host never serves — and after
-  recovery the drop-and-retry discipline heals every worker.
+- phase-structured stress over a seeded ChaosNetwork-wrapped TCP
+  transport: while the host is crashed, no checkout may complete a call
+  successfully — a crashed host never serves — and after recovery the
+  drop-and-retry discipline heals every worker.
 """
 
 import threading
-
-import pytest
 
 from repro.net.chaos import ChaosNetwork, FaultPlan
 from repro.net.pool import ConnectionPool
@@ -81,14 +79,13 @@ class TestAbaEviction:
         assert pool.get("srv/svc") is not first
 
 
-@pytest.mark.parametrize("engine", ["threaded", "async"])
 class TestCrashEvictionStress:
     WORKERS = 8
     CALLS_PER_PHASE = 15
 
-    def test_crashed_host_never_serves_a_checkout(self, engine):
+    def test_crashed_host_never_serves_a_checkout(self):
         plan = FaultPlan(seed=42)
-        network = ChaosNetwork(TcpNetwork(engine=engine), plan)
+        network = ChaosNetwork(TcpNetwork(), plan)
         try:
             self._run(network)
         finally:

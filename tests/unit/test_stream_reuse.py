@@ -1,4 +1,4 @@
-"""Regression tests for engine-aware CDR output-stream reuse.
+"""Regression tests for CDR output-stream reuse.
 
 PR 2 cached one reusable output stream per *thread*; on an event loop one
 thread interleaves many logical marshals, so a stream held across a
@@ -43,7 +43,7 @@ class TestAcquireRelease:
         release_output_stream(b)
 
     def test_interleaved_marshals_under_gather(self):
-        # The async-engine interleaving: every task acquires, writes, yields
+        # The one-thread interleaving: every task acquires, writes, yields
         # to the loop (other tasks run and write), writes again, and checks
         # that its buffer holds exactly its own bytes.  A thread-local
         # single-stream cache fails this: all tasks share the loop thread.

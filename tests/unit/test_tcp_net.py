@@ -1,12 +1,18 @@
 """Unit tests for the TCP loopback transport."""
 
 import threading
+import time
 
 import pytest
 
 from repro.net import framing as framing_mod
 from repro.net.tcp import TcpNetwork
-from repro.util.errors import CommunicationError, FrameTooLargeError, ServerFailedError
+from repro.util.errors import (
+    CommunicationError,
+    FrameTooLargeError,
+    ServerFailedError,
+    TimeoutError_,
+)
 
 
 @pytest.fixture
@@ -103,6 +109,138 @@ class TestTcpFaults:
         listener.close()
         with pytest.raises(CommunicationError):
             conn.call(b"b")
+
+    def test_no_execution_while_crashed(self, net):
+        served: list[bytes] = []
+
+        def handler(data: bytes) -> bytes:
+            served.append(data)
+            return data
+
+        net.host("server").listen("svc", handler)
+        conn = net.host("client").connect("server/svc")
+        conn.call(b"one")
+        net.crash("server")
+        for _ in range(10):
+            with pytest.raises(CommunicationError):
+                conn.call(b"dead", timeout=1)
+        assert served == [b"one"]
+        conn.close()
+
+    def test_listener_close_releases_address(self, net):
+        listener = net.host("server").listen("echo", lambda d: d)
+        listener.close()
+        # Address is reclaimable after close (claim released).
+        listener2 = net.host("server").listen("echo", lambda d: b"2" + d)
+        conn = net.host("client").connect("server/echo")
+        assert conn.call(b"x", timeout=5) == b"2x"
+        listener2.close()
+        conn.close()
+
+
+def _poll(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(0.005)
+    return predicate()
+
+
+class TestCallTimeouts:
+    """The per-call timeout contract of the leader/follower connection.
+
+    The first caller awaiting a reply reads the socket (leader); later
+    callers wait on the condition (followers).  A follower that gives up
+    costs nothing but its own call.  A leader that gives up may have stopped
+    mid-frame, so it resets the connection and every other pending call
+    fails with it: the accepted cost of a single caller reading its own
+    reply on its own thread with no reader thread behind it.
+    """
+
+    @pytest.fixture
+    def stalled(self, net):
+        """A connection to a server that holds ``b"stall"`` until released.
+
+        The listener runs a connection's handlers inline while nothing is
+        pipelined behind the request it just read, so once ``entered`` is
+        set any later request on the same connection waits unread."""
+        entered = threading.Event()
+        release = threading.Event()
+
+        def handler(data: bytes) -> bytes:
+            if data == b"stall":
+                entered.set()
+                release.wait(10.0)
+            return data
+
+        net.host("server").listen("svc", handler)
+        conn = net.host("client").connect("server/svc")
+        yield conn, entered, release
+        release.set()
+        conn.close()
+
+    @staticmethod
+    def _call_in_thread(conn, payload, timeout):
+        outcome: list = []
+
+        def run() -> None:
+            try:
+                outcome.append(conn.call(payload, timeout=timeout))
+            except BaseException as exc:  # noqa: BLE001 - handed to the assert
+                outcome.append(exc)
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        return thread, outcome
+
+    def test_per_call_timeout_leaves_stream_intact(self, stalled):
+        conn, _entered, release = stalled
+        assert conn.call(b"warm") == b"warm"
+        with pytest.raises(TimeoutError_):
+            conn.call(b"stall", timeout=0.05)
+        # The single caller was the leader, so its timeout reset the
+        # connection; nobody else was pending, and the reset heals on the
+        # next call, which reconnects through the name table.
+        assert conn.call(b"after", timeout=5) == b"after"
+        release.set()
+
+    def test_follower_timeout_drops_only_its_own_call(self, stalled):
+        conn, entered, release = stalled
+        leader, leader_outcome = self._call_in_thread(conn, b"stall", 10.0)
+        assert entered.wait(5.0)
+        assert _poll(lambda: conn._reader_active)
+        with pytest.raises(TimeoutError_):
+            conn.call(b"quick", timeout=0.1)
+        # Ids are handed out from 1: the leader's entry stays, ours is gone.
+        assert list(conn._pending) == [1]
+        release.set()
+        leader.join(timeout=10)
+        assert not leader.is_alive()
+        assert leader_outcome == [b"stall"]
+        # The follower's late reply (id 2) is discarded by the next leader
+        # and the stream is still framed.
+        assert conn.call(b"after", timeout=5) == b"after"
+        assert conn._pending == {}
+
+    def test_leader_timeout_resets_and_fails_the_other_pending_call(self, stalled):
+        conn, entered, release = stalled
+        leader, leader_outcome = self._call_in_thread(conn, b"stall", 0.3)
+        assert entered.wait(5.0)
+        assert _poll(lambda: conn._reader_active)
+        with pytest.raises(CommunicationError) as follower_error:
+            conn.call(b"quick", timeout=10.0)
+        assert not isinstance(follower_error.value, TimeoutError_)
+        leader.join(timeout=10)
+        assert not leader.is_alive()
+        assert len(leader_outcome) == 1
+        assert isinstance(leader_outcome[0], TimeoutError_)
+        assert conn._pending == {}
+        assert conn._sock is None
+        release.set()
+        # The same connection object reconnects on the next call.
+        assert conn.call(b"again", timeout=5) == b"again"
+        assert conn._sock is not None
 
 
 class TestFrameLimits:

@@ -14,7 +14,12 @@ This script AST-scans ``src/repro`` and fails (exit 1) on violations of:
   the adapters and the deployment façade may;
 - the routing layer (``repro.core.routing``) is below every adapter: it
   must not import platform packages, so the same consistent-hash views
-  serve CORBA, RMI, and HTTP without wire or naming changes.
+  serve CORBA, RMI, and HTTP without wire or naming changes;
+- no file names a ``CQOS_*`` environment switch: behaviour is chosen by
+  constructor arguments, and the benchmark refuses to run with such a
+  variable set, so a switch read under ``src/`` would be a path nothing
+  measures.  The rule flags the name as a string literal, which also
+  catches a read through a module constant.
 
 Usage::
 
@@ -25,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -88,14 +94,33 @@ def banned_for(module: str) -> tuple[str, ...]:
     return ()
 
 
+SWITCH_NAME = re.compile(r"CQOS_[A-Z0-9_]+")
+
+
+def named_switches(tree: ast.AST) -> list[tuple[int, str]]:
+    """String literals that are exactly a ``CQOS_*`` name (with line)."""
+    return [
+        (node.lineno, node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and SWITCH_NAME.fullmatch(node.value)
+    ]
+
+
 def check(root: Path) -> list[str]:
     violations: list[str] = []
     for path in sorted(root.rglob("*.py")):
         module = module_name(path, root)
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for lineno, name in named_switches(tree):
+            violations.append(
+                f"{path}:{lineno}: {module} names the environment switch {name} "
+                "(no CQOS_* switches under src/)"
+            )
         banned = banned_for(module)
         if not banned:
             continue
-        tree = ast.parse(path.read_text(), filename=str(path))
         is_package = path.name == "__init__.py"
         for lineno, imported in imported_modules(tree, module, is_package):
             for target in banned:
@@ -121,7 +146,7 @@ def main(argv: list[str] | None = None) -> int:
     if violations:
         print(f"FAIL: {len(violations)} layering violation(s)")
         return 1
-    print("layering OK: generic layers import no platform packages")
+    print("layering OK: generic layers import no platform packages, no CQOS_* switches")
     return 0
 
 
