@@ -27,7 +27,6 @@ from repro.cactus.events import (
     Event,
     Handler,
     ORDER_DEFAULT,
-    _handling,
     current_event,
     validate_event_name,
 )
@@ -105,10 +104,6 @@ class CompositeProtocol:
                 self._events[name] = event
             return event
 
-    def delete_event(self, name: str) -> None:
-        with self._events_lock:
-            self._events.pop(name, None)
-
     def event_names(self) -> list[str]:
         with self._events_lock:
             return sorted(self._events)
@@ -135,40 +130,17 @@ class CompositeProtocol:
         Returns None for blocking raises, a future for async raises, and a
         cancellable :class:`DelayedRaise` handle when ``delay`` is set.
         """
-        # Lock-free event lookup (events are only ever added) and inlined
-        # current_event(self): both run on every raise.
-        event = self._events.get(event_name)
+        event = self._events.get(event_name)  # events are only ever added
         if event is None:
             event = self.event(event_name)
-        stack = getattr(_handling, "stack", None)
-        parent: str | None = None
-        if stack is None:
-            stack = []
-            _handling.stack = stack
-        elif stack:
-            owner, parent = stack[-1]
-            if owner is not self:
-                parent = None
-            elif self._tracing:
-                self._record_edge(parent, event_name)
-        if mode == "blocking" and delay == 0.0:
-            event.raise_count += 1
-            event._raise_blocking(args, parent, stack)
+        if mode == "blocking" and delay <= 0.0:
+            event.raise_blocking(*args)
             return None
-        return self._raise_slow(event, args, mode, delay, priority, parent)
-
-    def _raise_slow(
-        self,
-        event: Event,
-        args: tuple,
-        mode: str,
-        delay: float,
-        priority: int | None,
-        parent: str | None,
-    ) -> ResultFuture | DelayedRaise | None:
-        """Delayed, async, and invalid-mode raises (off the hot path)."""
         if mode != "blocking" and mode != "async":
             raise ConfigurationError(f"unknown raise mode {mode!r}")
+        parent = current_event(self)
+        if self._tracing:
+            self._record_edge(parent, event_name)
         event.raise_count += 1
         if delay > 0.0:
             handle = DelayedRaise()
@@ -181,10 +153,7 @@ class CompositeProtocol:
                 cancelled=lambda: handle.cancelled,
             )
             return handle
-        if mode == "async":
-            return self.runtime.submit(event._execute, args, parent, priority=priority)
-        event._raise_blocking(args, parent)
-        return None
+        return self.runtime.submit(event._execute, args, parent, priority=priority)
 
     # -- micro-protocols ----------------------------------------------------
 

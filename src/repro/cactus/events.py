@@ -28,9 +28,14 @@ Dispatch
 ``bind``/``unbind`` bump a version and invalidate a copy-on-write
 *snapshot*; the raise path reads an immutable pre-compiled handler chain — a
 flat tuple of ``(binding, handler, order, static_args)`` — with **no lock
-and no list copy**, enters the causality stack once per raise instead of
-once per handler, and recycles :class:`Occurrence` objects through a
-per-thread freelist when the raise provably did not leak them.
+and no list copy** and enters the causality stack once per raise instead
+of once per handler.  Every raise allocates its own :class:`Occurrence`, so
+a handler that keeps the one it was given keeps a truthful object.
+
+A micro-protocol that raises an event on every invocation resolves it once
+(``self._ready = composite.event(name)`` in ``start()``) and calls
+:meth:`Event.raise_blocking`; ``CompositeProtocol.raise_event(name, ...)``
+looks the name up and enters the same method.
 
 The paper-shaped interpretation loop (lock, copy the binding list, run
 handlers one by one) is the differential oracle in
@@ -44,7 +49,6 @@ from __future__ import annotations
 import itertools
 import threading
 from bisect import insort
-from sys import getrefcount
 from typing import TYPE_CHECKING, Callable
 
 from repro.util.errors import ConfigurationError
@@ -85,22 +89,6 @@ def current_event(composite: object | None = None) -> str | None:
         return stack[-1][1]
     owner, name = stack[-1]
     return name if owner is composite else None
-
-
-# Per-thread Occurrence freelist.  An occurrence is recycled only when the
-# refcount proves the raise did not leak it (see Event._raise_blocking), so
-# a handler that stashes its occurrence keeps a stable, truthful object.
-_occ_pool_local = threading.local()
-
-_OCC_POOL_LIMIT = 64
-
-
-def _occ_pool() -> list["Occurrence"]:
-    pool = getattr(_occ_pool_local, "pool", None)
-    if pool is None:
-        pool = []
-        _occ_pool_local.pool = pool
-    return pool
 
 
 class Binding:
@@ -258,7 +246,28 @@ class Event:
         with self._lock:
             return len(self._bindings)
 
-    # -- executor --------------------------------------------------------
+    # -- raising ---------------------------------------------------------
+
+    def raise_blocking(self, *args) -> None:
+        """Raise this event: run its handlers in the calling thread.
+
+        The one blocking entry.  The event being handled on this thread, if
+        it belongs to the same composite, is the causal parent (and a trace
+        edge while tracing is on).
+        """
+        parent: str | None = None
+        try:
+            stack = _handling.stack
+        except AttributeError:  # this thread's first raise
+            stack = _handling.stack = []
+        if stack:
+            owner, parent = stack[-1]
+            if owner is not self.composite:
+                parent = None
+            elif owner._tracing:
+                owner._record_edge(parent, self.name)
+        self.raise_count += 1
+        self._execute(args, parent, stack)
 
     def _execute(
         self,
@@ -273,18 +282,7 @@ class Event:
         chain = self._chain
         if self._dirty:
             chain = self._refresh_chain()
-        pool = getattr(_occ_pool_local, "pool", None)
-        if pool is None:
-            pool = _occ_pool()
-        if pool:
-            occurrence = pool.pop()
-            occurrence.event = self
-            occurrence.args = args
-            occurrence.parent_event = parent_event
-            occurrence._halt = False
-            occurrence._halt_all = False
-        else:
-            occurrence = Occurrence(self, args, parent_event)
+        occurrence = Occurrence(self, args, parent_event)
         if not chain:
             return occurrence
         if stack is None:
@@ -321,76 +319,6 @@ class Event:
         finally:
             stack.pop()
         return occurrence
-
-    def _raise_blocking(
-        self,
-        args: tuple,
-        parent_event: str | None,
-        stack: list | None = None,
-    ) -> None:
-        """Blocking raise: execute, then recycle the occurrence if safe.
-
-        The executor body is intentionally inlined from
-        :meth:`_execute` (one call frame per raise matters at this
-        altitude; keep the two in lockstep).  Recycling is refcount-gated:
-        exactly two references (the local below plus ``getrefcount``'s
-        argument) prove no handler kept the occurrence, so reuse cannot
-        mutate state anyone can still observe.
-        """
-        chain = self._chain
-        if self._dirty:
-            chain = self._refresh_chain()
-        pool = getattr(_occ_pool_local, "pool", None)
-        if pool is None:
-            pool = _occ_pool()
-        if pool:
-            occurrence = pool.pop()
-            occurrence.event = self
-            occurrence.args = args
-            occurrence.parent_event = parent_event
-            occurrence._halt = False
-            occurrence._halt_all = False
-        else:
-            occurrence = Occurrence(self, args, parent_event)
-        if chain:
-            if stack is None:
-                stack = _handling_stack()
-            stack.append(self._stack_entry)
-            entries = iter(chain)
-            try:
-                for binding, handler, order, static_args in entries:
-                    if not binding._active:
-                        continue
-                    if static_args:
-                        handler(occurrence, *static_args)
-                    else:
-                        handler(occurrence)
-                    if occurrence._halt:  # halt_all implies halt: one read
-                        if occurrence._halt_all:
-                            break
-                        # halt(): finish same-order peers, skip the rest.
-                        # Only the first halt sets the threshold, so later
-                        # halt() calls in the tail are no-ops (as before).
-                        threshold = order
-                        for binding, handler, order, static_args in entries:
-                            if order > threshold:
-                                break
-                            if not binding._active:
-                                continue
-                            if static_args:
-                                handler(occurrence, *static_args)
-                            else:
-                                handler(occurrence)
-                            if occurrence._halt_all:
-                                break
-                        break
-            finally:
-                stack.pop()
-        if getrefcount(occurrence) == 2 and len(pool) < _OCC_POOL_LIMIT:
-            occurrence.event = None  # type: ignore[assignment] - parked
-            occurrence.args = ()
-            occurrence.parent_event = None
-            pool.append(occurrence)
 
     def __repr__(self) -> str:
         return f"Event({self.name}, handlers={self.handler_count()})"

@@ -48,6 +48,7 @@ class CactusClient(CompositeProtocol):
         self.shared.set(SHARED_PLATFORM, platform)
         # Failure knowledge persists across requests (PassiveRep failover).
         self.shared.set(SHARED_FAILED_SERVERS, set())
+        self._new_request = self.event(EV_NEW_REQUEST)
         self.configure(micro_protocols)
 
     @classmethod
@@ -70,10 +71,18 @@ class CactusClient(CompositeProtocol):
         """Process ``request``; block until completed; return its result.
 
         Raises whatever the request failed with (remote application
-        exceptions, communication errors, QoS policy errors).
+        exceptions, communication errors, QoS policy errors).  A handler
+        exception that unwinds the chain (a ``BindError`` out of
+        ``platform.bind()``, a ``MarshalError`` out of ``invoke_server()``)
+        *fails* the request before it propagates, as does a timed-out wait,
+        so ``Request.on_complete`` release hooks always fire exactly once.
         """
-        self.raise_event(EV_NEW_REQUEST, request)
-        return request.wait(self.request_timeout)
+        try:
+            self._new_request.raise_blocking(request)
+            return request.wait(self.request_timeout)
+        except BaseException as exc:
+            request.fail(exc)  # no-op when already completed
+            raise
 
     def cactus_request_async(self, request: Request) -> Request:
         """Asynchronous-invocation extension: start processing, don't block.

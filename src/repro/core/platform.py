@@ -668,8 +668,7 @@ class BaseClientPlatform(ClientPlatform):
         raise AssertionError("unreachable")
 
     def _invoke_server_once(self, server: int, request: Request) -> Any:
-        self.directory.bind(server)
-        endpoint = self.directory.endpoint(server)
+        endpoint = self.directory.bind_endpoint(server)
         # In-flight invocations pin the view they routed with: during a
         # shard handoff this attempt completes against the old view while
         # new binds route to the new owner (zero-drop rebalancing).  The
@@ -678,7 +677,11 @@ class BaseClientPlatform(ClientPlatform):
         lease = self.router.lease() if self.router.sharded else None
         if lease is not None:
             request.piggyback[PB_VIEW_VERSION] = lease.view.version
-        notify_observers(self.observers, "on_wire_send", request, server)
+        # Read once: an invocation that starts with no observer makes none
+        # of its hook calls, so a late add_observer never sees half a call.
+        observers = self.observers or None
+        if observers is not None:
+            notify_observers(observers, "on_wire_send", request, server)
         started = time.monotonic()
         try:
             value = self._send(
@@ -689,7 +692,8 @@ class BaseClientPlatform(ClientPlatform):
             # it); transient CommunicationErrors only drop the binding so
             # the next attempt reconnects.
             self.directory.apply_fault(server, exc)
-            notify_observers(self.observers, "on_wire_failure", request, server, exc)
+            if observers is not None:
+                notify_observers(observers, "on_wire_failure", request, server, exc)
             raise
         finally:
             if lease is not None:
@@ -703,7 +707,8 @@ class BaseClientPlatform(ClientPlatform):
                 # Delta not applicable (history evicted / base mismatch):
                 # fall back to bootstrap re-enumeration.
                 self.refresh()
-        notify_observers(self.observers, "on_wire_reply", request, server, value)
+        if observers is not None:
+            notify_observers(observers, "on_wire_reply", request, server, value)
         return value
 
     def invoke_server_async(self, server: int, request: Request) -> ReplyFuture:
@@ -722,12 +727,13 @@ class BaseClientPlatform(ClientPlatform):
         whichever comes first, so abandoned stragglers cannot pin a retired
         view forever.
         """
-        self.directory.bind(server)
-        endpoint = self.directory.endpoint(server)
+        endpoint = self.directory.bind_endpoint(server)
         lease = self.router.lease() if self.router.sharded else None
         if lease is not None:
             request.piggyback[PB_VIEW_VERSION] = lease.view.version
-        notify_observers(self.observers, "on_wire_send", request, server)
+        observers = self.observers or None
+        if observers is not None:
+            notify_observers(observers, "on_wire_send", request, server)
         started = time.monotonic()
         reply = self._send_async(
             endpoint, request.operation, request.get_params(), dict(request.piggyback)
@@ -745,12 +751,14 @@ class BaseClientPlatform(ClientPlatform):
                 delta = reply_piggyback.get(PB_VIEW_DELTA)
                 if delta is not None and not self.router.apply_delta(delta):
                     self.refresh()
-            notify_observers(self.observers, "on_wire_reply", request, server, value)
+            if observers is not None:
+                notify_observers(observers, "on_wire_reply", request, server, value)
             return value
 
         def on_error(exc: BaseException) -> Any:
             self.directory.apply_fault(server, exc)
-            notify_observers(self.observers, "on_wire_failure", request, server, exc)
+            if observers is not None:
+                notify_observers(observers, "on_wire_failure", request, server, exc)
             if isinstance(exc, ShardMovedError):
                 return self.invoke_server(server, request)
             raise exc
@@ -848,9 +856,12 @@ class BaseServerPlatform(ServerPlatform):
     # -- Cactus QoS interface (shared lifecycle) ----------------------------
 
     def invoke_servant(self, request: Request) -> Any:
-        notify_observers(self.observers, "on_servant_invoke", request)
+        observers = self.observers or None
+        if observers is None:
+            return self._dispatch.dispatch(request.operation, request.get_params())
+        notify_observers(observers, "on_servant_invoke", request)
         value = self._dispatch.dispatch(request.operation, request.get_params())
-        notify_observers(self.observers, "on_servant_return", request, value)
+        notify_observers(observers, "on_servant_return", request, value)
         return value
 
     def my_replica(self) -> int:
@@ -946,19 +957,17 @@ class BaseSkeletonServant:
 
     def dispatch_invocation(self, operation: str, arguments: list, context: dict) -> Any:
         """Run one intercepted platform request through the CQoS skeleton."""
-        notify_observers(
-            self.observers, "on_skeleton_receive", self.skeleton.object_id, operation, context
-        )
+        observers = self.observers or None
+        if observers is None:
+            return self.skeleton.handle_invocation(operation, arguments, context)
+        object_id = self.skeleton.object_id
+        notify_observers(observers, "on_skeleton_receive", object_id, operation, context)
         try:
             value = self.skeleton.handle_invocation(operation, arguments, context)
         except BaseException as exc:
-            notify_observers(
-                self.observers, "on_skeleton_failure", self.skeleton.object_id, operation, exc
-            )
+            notify_observers(observers, "on_skeleton_failure", object_id, operation, exc)
             raise
-        notify_observers(
-            self.observers, "on_skeleton_reply", self.skeleton.object_id, operation, value
-        )
+        notify_observers(observers, "on_skeleton_reply", object_id, operation, value)
         return value
 
     def invoke(self, method: str, arguments: list, context: dict) -> Any:

@@ -26,7 +26,7 @@ import threading
 from dataclasses import dataclass
 from typing import Any
 
-from repro.util.concurrency import CountDownLatch, DEFAULT_PRIORITY
+from repro.util.concurrency import DEFAULT_PRIORITY
 from repro.util.errors import ReproError, TimeoutError_
 from repro.util.ids import IdGenerator
 
@@ -111,15 +111,29 @@ class Request:
         self.server: int | None = None
 
         self._lock = threading.Lock()
-        #: Public mutex for micro-protocol critical sections on this request
-        #: (e.g. encrypt-exactly-once under ActiveRep's concurrent sends).
-        self.mutex = threading.RLock()
-        self._latch = CountDownLatch(1)
+        # Both made on first use, under ``_lock``: a request completed on
+        # the thread that then waits for it (every synchronous invocation)
+        # never blocks, and only some micro-protocols take the mutex.
+        self._mutex: Any = None
+        self._waiter: threading.Event | None = None
         self._result: Any = None
         self._exception: BaseException | None = None
         self._completed = False
         self._replies: dict[int, Reply] = {}
         self._completion_callbacks: list = []
+
+    @property
+    def mutex(self):
+        """Re-entrant lock for micro-protocol critical sections on this
+        request (e.g. encrypt-exactly-once under ActiveRep's concurrent
+        sends); the same object for every caller."""
+        mutex = self._mutex
+        if mutex is None:
+            with self._lock:
+                mutex = self._mutex
+                if mutex is None:
+                    mutex = self._mutex = threading.RLock()
+        return mutex
 
     # -- parameter vector accessors (the Cactus QoS interface surface) ------
 
@@ -192,9 +206,12 @@ class Request:
                 return False
             self._result = value
             self._completed = True
+            waiter = self._waiter
             callbacks, self._completion_callbacks = self._completion_callbacks, []
-        self._latch.count_down()
-        self._run_callbacks(callbacks)
+        if waiter is not None:
+            waiter.set()
+        if callbacks:
+            self._run_callbacks(callbacks)
         return True
 
     def fail(self, exception: BaseException) -> bool:
@@ -204,9 +221,12 @@ class Request:
                 return False
             self._exception = exception
             self._completed = True
+            waiter = self._waiter
             callbacks, self._completion_callbacks = self._completion_callbacks, []
-        self._latch.count_down()
-        self._run_callbacks(callbacks)
+        if waiter is not None:
+            waiter.set()
+        if callbacks:
+            self._run_callbacks(callbacks)
         return True
 
     def on_complete(self, callback) -> None:
@@ -272,14 +292,20 @@ class Request:
 
     def wait(self, timeout: float | None = None) -> Any:
         """Block until completion; return the result or raise the failure."""
-        if not self._latch.wait(timeout):
+        with self._lock:
+            waiter = None
+            if not self._completed:
+                waiter = self._waiter
+                if waiter is None:
+                    waiter = self._waiter = threading.Event()
+        if waiter is not None and not waiter.wait(timeout):
             raise TimeoutError_(
                 f"request {self.request_id} ({self.operation}) did not complete"
             )
-        with self._lock:
-            if self._exception is not None:
-                raise self._exception
-            return self._result
+        # Completed: neither field changes again.
+        if self._exception is not None:
+            raise self._exception
+        return self._result
 
     # -- per-replica outcomes -------------------------------------------------
 

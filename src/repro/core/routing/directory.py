@@ -79,27 +79,26 @@ class ReplicaDirectory:
         return self._router
 
     def _routed(self) -> bool:
+        router = self._router
         return (
-            self._router is not None
+            router is not None
             and self._object_id is not None
-            and self._router.view().sharded
+            and bool(router._view.groups)  # DirectoryView.sharded, no call
         )
 
     def _sync_view(self) -> None:
         """Adopt a newer directory view: drop every stale binding.
 
-        The lock-free fast path is one version compare; a version change
-        clears cached endpoints, failure marks, and the cached count so the
-        next use rebinds through the (possibly re-registered) naming
-        entries — this is the client half of a shard handoff or a
-        membership-driven view change.
+        Callers compare ``router._view.version`` with ``_seen_version``
+        inline and enter only on a difference, so an unchanged view costs
+        one compare and no call.  A version change clears cached
+        endpoints, failure marks, and the cached count so the next use
+        rebinds through the (possibly re-registered) naming entries — this
+        is the client half of a shard handoff or a membership-driven view
+        change.
         """
         router = self._router
-        if router is None:
-            return
-        version = router.view().version
-        if version == self._seen_version:
-            return
+        version = router._view.version
         with self._lock:
             if version == self._seen_version:
                 return
@@ -139,19 +138,28 @@ class ReplicaDirectory:
         Also the recovery path: "the bind() operation can also be used to
         rebind to a failed server after it has recovered."
         """
-        self._sync_view()
+        self.bind_endpoint(replica)
+
+    def bind_endpoint(self, replica: int) -> Any:
+        """:meth:`bind`, returning the endpoint: what every send does,
+        under one view check and one lock."""
+        router = self._router
+        if router is not None and router._view.version != self._seen_version:
+            self._sync_view()
         with self._lock:
-            bound = replica in self._endpoints
             self._failed.discard(replica)  # rebinding clears failure knowledge
-        if bound:
-            return
-        endpoint = self._resolve_name(replica)
-        with self._lock:
-            self._endpoints[replica] = endpoint
+            endpoint = self._endpoints.get(replica)
+        if endpoint is None:
+            endpoint = self._resolve_name(replica)
+            with self._lock:
+                self._endpoints[replica] = endpoint
+        return endpoint
 
     def endpoint(self, replica: int) -> Any:
         """The (lazily bound) endpoint for ``replica``."""
-        self._sync_view()
+        router = self._router
+        if router is not None and router._view.version != self._seen_version:
+            self._sync_view()
         with self._lock:
             endpoint = self._endpoints.get(replica)
         if endpoint is not None:
@@ -174,7 +182,9 @@ class ReplicaDirectory:
 
     def status(self, replica: int) -> bool:
         """True while the replica is not marked failed (local knowledge)."""
-        self._sync_view()
+        router = self._router
+        if router is not None and router._view.version != self._seen_version:
+            self._sync_view()
         with self._lock:
             return replica not in self._failed
 
@@ -193,7 +203,9 @@ class ReplicaDirectory:
 
     def count(self) -> int:
         """Replica count: from the routed view, else by prefix enumeration."""
-        self._sync_view()
+        router = self._router
+        if router is not None and router._view.version != self._seen_version:
+            self._sync_view()
         if self._routed():
             return len(self._router.route(self._object_id))
         if self._list_names is None or self._prefix is None:
@@ -213,7 +225,9 @@ class ReplicaDirectory:
         ids (legitimately sparse) when routed.  Failure detectors must probe
         *these*, not ``range(1, count+1)``.
         """
-        self._sync_view()
+        router = self._router
+        if router is not None and router._view.version != self._seen_version:
+            self._sync_view()
         if self._routed():
             return self._router.route(self._object_id)
         return tuple(range(1, self.count() + 1))

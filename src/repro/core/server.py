@@ -48,6 +48,7 @@ class CactusServer(CompositeProtocol):
         self.shared.set(SHARED_PLATFORM, platform)
         if priority_policy is not None:
             self.shared.set(SHARED_PRIORITY_POLICY, priority_policy)
+        self._new_server_request = self.event(EV_NEW_SERVER_REQUEST)
         self.configure(micro_protocols)
 
     @classmethod
@@ -78,7 +79,7 @@ class CactusServer(CompositeProtocol):
         :func:`repro.core.platform.wrap_reply_value`).
         """
         try:
-            self.raise_event(EV_NEW_SERVER_REQUEST, request)
+            self._new_server_request.raise_blocking(request)
             value = request.wait(self.request_timeout)
         except BaseException as exc:
             request.fail(exc)  # no-op when already completed

@@ -87,7 +87,11 @@ class CqosStub:
         request = self._make_request(operation, args)
         with self._pending_lock:
             self._pending[request.request_id] = request
-        notify_observers(self._observers, "on_stub_request", request)
+        # Read once: a call that starts with no observer makes neither hook
+        # call, so a late add_observer never sees half an invocation.
+        observers = self._observers or None
+        if observers is not None:
+            notify_observers(observers, "on_stub_request", request)
         error: BaseException | None = None
         try:
             if self._cactus_client is not None:
@@ -102,7 +106,8 @@ class CqosStub:
         finally:
             with self._pending_lock:
                 self._pending.pop(request.request_id, None)
-            notify_observers(self._observers, "on_stub_complete", request, error)
+            if observers is not None:
+                notify_observers(observers, "on_stub_complete", request, error)
 
 
 def _make_method(operation_name: str, arity: int):

@@ -68,13 +68,16 @@ def _format_headers(headers: dict[str, str], body: bytes) -> bytes:
 
 def _parse_headers(block: bytes) -> dict[str, str]:
     headers: dict[str, str] = {}
-    for line in block.split(_CRLF):
+    # latin-1 maps bytes to code points one to one: decode the block once.
+    for line in block.decode("latin-1").split("\r\n"):
         if not line:
             continue
-        name, sep, value = line.partition(b":")
+        name, sep, value = line.partition(":")
         if not sep:
-            raise MarshalError(f"malformed HTTP header line: {line!r}")
-        headers[name.decode("latin-1").strip().lower()] = value.decode("latin-1").strip()
+            raise MarshalError(
+                f"malformed HTTP header line: {line.encode('latin-1')!r}"
+            )
+        headers[name.strip().lower()] = value.strip()
     return headers
 
 

@@ -86,6 +86,15 @@ class ClientBase(MicroProtocol):
     name = "ClientBase"
 
     def start(self) -> None:
+        # Resolved once: the composite sets both before it configures, the
+        # failed set is only ever mutated in place, and events are never
+        # removed from a composite.
+        composite = self.composite
+        self._platform: ClientPlatform = composite.shared.get(SHARED_PLATFORM)
+        self._failed: set = composite.shared.get(SHARED_FAILED_SERVERS)
+        self._ready_to_send = composite.event(EV_READY_TO_SEND)
+        self._invoke_success = composite.event(EV_INVOKE_SUCCESS)
+        self._invoke_failure = composite.event(EV_INVOKE_FAILURE)
         self.bind(EV_NEW_REQUEST, self.assigner, order=ORDER_LAST)
         self.bind(EV_READY_TO_SEND, self.sync_invoker, order=ORDER_LAST)
         self.bind(EV_INVOKE_SUCCESS, self.result_returner, order=ORDER_LAST)
@@ -103,8 +112,8 @@ class ClientBase(MicroProtocol):
         base clients away from a dead replica before the first timeout.
         """
         request: Request = occurrence.args[0]
-        platform: ClientPlatform = self.shared.get(SHARED_PLATFORM)
-        failed: set = self.shared.get(SHARED_FAILED_SERVERS) or set()
+        platform = self._platform
+        failed = self._failed
         candidates = replica_ids(platform)
         server = candidates[0] if candidates else 1
         for candidate in candidates:
@@ -112,13 +121,13 @@ class ClientBase(MicroProtocol):
                 server = candidate
                 break
         request.server = server
-        self.raise_event(EV_READY_TO_SEND, request, server)
+        self._ready_to_send.raise_blocking(request, server)
 
     def sync_invoker(self, occurrence: Occurrence) -> None:
         """Invoke the assigned server; raise invokeSuccess/invokeFailure."""
         request: Request = occurrence.args[0]
         server: int = occurrence.args[1]
-        platform: ClientPlatform = self.shared.get(SHARED_PLATFORM)
+        platform = self._platform
         try:
             if not platform.server_status(server):
                 raise ServerFailedError(f"server {server} is not running")
@@ -127,18 +136,18 @@ class ClientBase(MicroProtocol):
         except CommunicationError as exc:
             reply = Reply(server=server, exception=exc, failed=True)
             request.add_reply(reply)
-            self.raise_event(EV_INVOKE_FAILURE, request, server, reply)
+            self._invoke_failure.raise_blocking(request, server, reply)
             return
         except (IdlRemoteException, InvocationError) as exc:
             # The invocation reached the servant and raised: an application-
             # level outcome, not a failure (PassiveRep must not fail over).
             reply = Reply(server=server, exception=exc)
             request.add_reply(reply)
-            self.raise_event(EV_INVOKE_SUCCESS, request, server, reply)
+            self._invoke_success.raise_blocking(request, server, reply)
             return
         reply = Reply(server=server, value=value)
         request.add_reply(reply)
-        self.raise_event(EV_INVOKE_SUCCESS, request, server, reply)
+        self._invoke_success.raise_blocking(request, server, reply)
 
     def result_returner(self, occurrence: Occurrence) -> None:
         """Default acceptance: the first reply completes the request."""
@@ -154,6 +163,11 @@ class ServerBase(MicroProtocol):
     name = "ServerBase"
 
     def start(self) -> None:
+        composite = self.composite
+        self._platform: ServerPlatform = composite.shared.get(SHARED_PLATFORM)
+        self._priority_policy = composite.shared.get(SHARED_PRIORITY_POLICY)
+        self._ready_to_invoke = composite.event(EV_READY_TO_INVOKE)
+        self._invoke_return = composite.event(EV_INVOKE_RETURN)
         self.bind(EV_NEW_SERVER_REQUEST, self.get_parameters, order=ORDER_LAST)
         self.bind(EV_READY_TO_INVOKE, self.invoke_servant, order=ORDER_LAST)
 
@@ -162,24 +176,23 @@ class ServerBase(MicroProtocol):
     def get_parameters(self, occurrence: Occurrence) -> None:
         """Extract Cactus parameters (priority) and raise readyToInvoke."""
         request: Request = occurrence.args[0]
-        policy = self.shared.get(SHARED_PRIORITY_POLICY)
+        policy = self._priority_policy
         if policy is not None:
             request.piggyback[PB_PRIORITY] = int(policy(request))
-        self.raise_event(EV_READY_TO_INVOKE, request)
+        self._ready_to_invoke.raise_blocking(request)
 
     def invoke_servant(self, occurrence: Occurrence) -> None:
         """Call the server object, raise invokeReturn, complete the request."""
         request: Request = occurrence.args[0]
-        platform: ServerPlatform = self.shared.get(SHARED_PLATFORM)
         try:
-            value = platform.invoke_servant(request)
+            value = self._platform.invoke_servant(request)
         except BaseException as exc:  # noqa: BLE001 - staged for invokeReturn
             request.attributes[ATTR_SERVANT_EXCEPTION] = exc
         else:
             request.set_result(value)
         # invokeReturn handlers run before the reply goes out: they may
         # transform the staged result (encryption) or advance ordering state.
-        self.raise_event(EV_INVOKE_RETURN, request)
+        self._invoke_return.raise_blocking(request)
         exception = request.attributes.get(ATTR_SERVANT_EXCEPTION)
         if exception is not None:
             request.fail(exception)

@@ -20,7 +20,6 @@ from repro.util.errors import (
 )
 from repro.util.ids import IdGenerator, unique_id
 from repro.util.concurrency import (
-    CountDownLatch,
     PriorityExecutor,
     ResultFuture,
     current_thread_priority,
@@ -44,7 +43,6 @@ __all__ = [
     "TimeoutError_",
     "IdGenerator",
     "unique_id",
-    "CountDownLatch",
     "ResultFuture",
     "PriorityExecutor",
     "current_thread_priority",

@@ -1,4 +1,4 @@
-"""Concurrency primitives: priority-aware executor, latches, futures.
+"""Concurrency primitives: priority-aware executor and futures.
 
 The paper's Cactus/J runtime was modified in two ways to support the
 timeliness micro-protocols (section 3.4):
@@ -61,39 +61,6 @@ def thread_priority(priority: int) -> Iterator[None]:
         yield
     finally:
         set_thread_priority(previous)
-
-
-class CountDownLatch:
-    """A latch that releases waiters once it has been counted down to zero.
-
-    Used by the Cactus client to block ``cactus_request()`` until a
-    result-returner handler releases the waiting client thread.
-    """
-
-    def __init__(self, count: int = 1):
-        if count < 0:
-            raise ValueError("count must be >= 0")
-        self._count = count
-        self._cond = threading.Condition()
-
-    def count_down(self) -> None:
-        with self._cond:
-            if self._count > 0:
-                self._count -= 1
-                if self._count == 0:
-                    self._cond.notify_all()
-
-    def wait(self, timeout: float | None = None) -> bool:
-        """Block until the count reaches zero; return False on timeout."""
-        with self._cond:
-            if self._count == 0:
-                return True
-            return self._cond.wait_for(lambda: self._count == 0, timeout)
-
-    @property
-    def count(self) -> int:
-        with self._cond:
-            return self._count
 
 
 class ResultFuture:

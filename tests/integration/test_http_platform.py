@@ -60,6 +60,16 @@ class TestWireFormat:
         with pytest.raises(MarshalError, match="terminator"):
             parse_request(b"POST /x HTTP/1.0\r\nfoo: bar")
 
+    def test_header_line_without_colon(self):
+        # The message quotes the offending line as the bytes received.
+        with pytest.raises(MarshalError) as caught:
+            parse_request(b"POST /x HTTP/1.0\r\nfoo: bar\r\nno-colon\xe9\r\n\r\n")
+        assert str(caught.value) == "malformed HTTP header line: b'no-colon\\xe9'"
+
+    def test_header_names_fold_and_values_strip(self):
+        frame = b"POST /x HTTP/1.0\r\n X-Mixed : a:b\xa0\r\ncontent-length: 0\r\n\r\n"
+        assert parse_request(frame).headers == {"x-mixed": "a:b", "content-length": "0"}
+
 
 @pytest.fixture
 def http_world():

@@ -11,16 +11,22 @@ executable.
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
+from repro.apps.bank import BankAccount
+from repro.cactus.composite import SharedData
 from repro.core.platform import (
     ACTION_DROP_BINDING,
     ACTION_KEEP,
     ACTION_MARK_FAILED,
     InvocationObserver,
     fault_action,
+    notify_observers,
 )
 from repro.core.request import PB_REQUEST_ID, Request
+from repro.core.routing.directory import ReplicaDirectory
 from repro.util.errors import (
     BindError,
     CircuitOpenError,
@@ -257,3 +263,64 @@ def test_stub_and_wire_observers_fire_in_order(deployment, bank_iface):
     # Completion hook reports success (no error).
     final = observer.events[-1]
     assert final[0] == "on_stub_complete" and final[2] is None
+
+
+def test_late_observer_sees_whole_invocations_only(deployment, bank_iface):
+    """An invocation that starts with no observer makes none of its hook
+    calls: one attached while it is in flight first sees the next one."""
+    observer = RecordingObserver()
+    deployment.add_replicas(
+        "acct", make_account(), bank_iface, replicas=1, server_micro_protocols=None
+    )
+    stub = deployment.client_stub("acct", bank_iface, with_cactus_client=False)
+    platform = stub._platform
+    send = platform._send
+
+    def attach_then_send(*args):
+        if not platform.observers:
+            stub.add_observer(observer)
+            platform.add_observer(observer)
+        return send(*args)
+
+    platform._send = attach_then_send
+    stub.set_balance(5.0)
+    assert observer.events == []
+    assert stub.get_balance() == 5.0
+    assert [name for name, *_ in observer.events] == [
+        "on_stub_request", "on_wire_send", "on_wire_reply", "on_stub_complete",
+    ]
+
+
+def test_idle_hooks_and_lookups_cost_no_call(deployment, bank_iface):
+    """With no observer registered and an unchanged view, a base-stack
+    invocation enters ``notify_observers``, ``SharedData.get`` and
+    ``ReplicaDirectory._sync_view`` zero times — counted, not timed, so the
+    idle cost is nothing by construction."""
+    deployment.add_replicas("acct", make_account(), bank_iface, replicas=1)
+    stub = deployment.client_stub("acct", bank_iface)
+    stub.set_balance(1.0)  # bind, compile chains, first-use work
+    watched = {
+        notify_observers.__code__: "notify_observers",
+        SharedData.get.__code__: "SharedData.get",
+        ReplicaDirectory._sync_view.__code__: "_sync_view",
+        BankAccount.get_balance.__code__: "servant",
+    }
+    seen = dict.fromkeys(watched.values(), 0)
+
+    def count(frame, event, arg):
+        if event == "call":
+            name = watched.get(frame.f_code)
+            if name is not None:
+                seen[name] += 1
+
+    sys.setprofile(count)
+    try:
+        for _ in range(4):
+            stub.get_balance()
+    finally:
+        sys.setprofile(None)
+    # The in-memory network dispatches on the caller's thread, so the
+    # server half of the path is inside the profile: the servant proves it.
+    assert seen == {
+        "notify_observers": 0, "SharedData.get": 0, "_sync_view": 0, "servant": 4,
+    }

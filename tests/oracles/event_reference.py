@@ -4,8 +4,9 @@ run the handlers one by one with a causality push/pop around each.  Kept as
 the differential oracle: a :class:`ReferenceComposite` is a
 ``CompositeProtocol`` in every other respect (binding, raise modes, tracing,
 micro-protocols), so the same script can be run through both and must give
-the same handler sequence, halt state and trace edges.  No occurrence is
-pooled here; a blocking raise simply drops the one it made."""
+the same handler sequence, halt state and trace edges.  ``raise_blocking``
+is inherited: parent lookup and ``raise_count`` are the same code on both
+sides, only the executor body differs."""
 
 from __future__ import annotations
 
@@ -46,8 +47,6 @@ class ReferenceEvent(Event):
                 # halt(): let same-order peers run, stop later orders.
                 halted_after = binding.order
         return occurrence
-
-    _raise_blocking = _execute
 
 
 class ReferenceComposite(CompositeProtocol):

@@ -1,4 +1,4 @@
-"""Unit tests for latches, futures, priorities, the on-demand thread set
+"""Unit tests for futures, priorities, the on-demand thread set
 and the priority executor (a lane over it)."""
 
 import sys
@@ -11,7 +11,6 @@ from repro.util import concurrency
 from repro.util.concurrency import (
     DEFAULT_PRIORITY,
     MAX_PRIORITY,
-    CountDownLatch,
     PriorityExecutor,
     ResultFuture,
     WorkerThreads,
@@ -20,37 +19,6 @@ from repro.util.concurrency import (
     thread_priority,
 )
 from repro.util.errors import TimeoutError_
-
-
-class TestCountDownLatch:
-    def test_wait_returns_after_countdown(self):
-        latch = CountDownLatch(2)
-        latch.count_down()
-        assert not latch.wait(timeout=0.01)
-        latch.count_down()
-        assert latch.wait(timeout=0.01)
-
-    def test_zero_count_is_immediately_open(self):
-        assert CountDownLatch(0).wait(timeout=0.01)
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            CountDownLatch(-1)
-
-    def test_extra_countdowns_are_harmless(self):
-        latch = CountDownLatch(1)
-        latch.count_down()
-        latch.count_down()
-        assert latch.count == 0
-
-    def test_wait_from_other_thread(self):
-        latch = CountDownLatch(1)
-        result = []
-        thread = threading.Thread(target=lambda: result.append(latch.wait(2.0)))
-        thread.start()
-        latch.count_down()
-        thread.join(timeout=2.0)
-        assert result == [True]
 
 
 class TestResultFuture:

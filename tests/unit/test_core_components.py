@@ -14,8 +14,9 @@ from repro.core.server import CactusServer
 from repro.core.skeleton import CONTROL_OPERATION, CqosSkeleton
 from repro.core.stub import make_cqos_stub_class
 from repro.idl.compiler import compile_idl
+from repro.qos.extensions import LoadBalance
 from repro.serialization.registry import TypeRegistry
-from repro.util.errors import CommunicationError, ConfigurationError
+from repro.util.errors import BindError, CommunicationError, ConfigurationError
 
 IDL = """
 interface Echo {
@@ -150,6 +151,33 @@ class TestCactusClient:
         try:
             with pytest.raises(CommunicationError):
                 client.cactus_request(Request("obj", "poke", []))
+        finally:
+            client.shutdown()
+            client.runtime.shutdown()
+
+    def test_unwinding_handler_exception_fails_the_request(self):
+        """A ``BindError`` out of ``platform.bind()`` is neither a
+        communication nor an invocation error, so ``sync_invoker`` lets it
+        unwind the chain: the request must still be failed, or its release
+        hooks never run (``LoadBalance._outstanding`` grew for ever)."""
+
+        class UnboundPlatform(FakeClientPlatform):
+            def bind(self, server: int) -> None:
+                raise BindError(f"no naming entry for replica {server}")
+
+        balance = LoadBalance(seed=1)
+        client = CactusClient.with_base(UnboundPlatform(), [balance], request_timeout=5.0)
+        try:
+            request = Request("obj", "echo", ["x"])
+            fired = []
+            request.on_complete(fired.append)
+            with pytest.raises(BindError):
+                client.cactus_request(request)
+            assert fired == [request]
+            assert request.completed
+            with pytest.raises(BindError):
+                request.wait(0)
+            assert balance.outstanding() == {1: 0}
         finally:
             client.shutdown()
             client.runtime.shutdown()

@@ -5,12 +5,13 @@ Three families of coverage:
 
 - **differential testing**: randomized binding sets (orders, ties, halts,
   halt_alls, unbinds-from-inside-handlers, nested raises) executed through
-  the reference loop and the compiled chain must produce identical
-  handler sequences and causal-trace edges;
+  the reference loop and the compiled chain, raised by name and through
+  ``event.raise_blocking``, must produce identical handler sequences,
+  causal-trace edges and raise counts;
 - **snapshot consistency**: a raise in flight observes one point-in-time
   binding set on both executors, even while other threads bind/unbind;
-- **mechanics**: occurrence-freelist safety, and chain recompilation across
-  dynamic reconfiguration.
+- **mechanics**: a stashed occurrence stays truthful, and chain
+  recompilation across dynamic reconfiguration.
 """
 
 import random
@@ -47,11 +48,23 @@ def random_script(rng, size):
     ]
 
 
-def run_script(script, compiled):
-    """Execute a script; return (handler log, causal trace edges)."""
+def run_script(script, compiled, resolved=False):
+    """Execute a script; return (handler log, trace edges, raise counts).
+
+    ``resolved`` raises through ``event.raise_blocking(...)`` on events
+    looked up once, the way the base micro-protocols do; otherwise through
+    ``raise_event(name, ...)``.
+    """
     composite = make_composite(compiled)
     log = []
     bindings = []
+    if resolved:
+        events = {name: composite.event(name) for name in ("ev", "inner")}
+
+        def raise_(name, *args):
+            events[name].raise_blocking(*args)
+    else:
+        raise_ = composite.raise_event
 
     def make_handler(index, spec):
         def handler(occurrence):
@@ -66,9 +79,9 @@ def run_script(script, compiled):
             elif action == "unbind_other":
                 bindings[spec["target"]].unbind()
             elif action == "nested":
-                composite.raise_event("inner", occurrence.args[0])
+                raise_("inner", occurrence.args[0])
             elif action == "nested_self" and occurrence.args[0] < 2:
-                composite.raise_event("ev", occurrence.args[0] + 1)
+                raise_("ev", occurrence.args[0] + 1)
 
         return handler
 
@@ -79,8 +92,8 @@ def run_script(script, compiled):
     composite.bind("inner", lambda occ: log.append(("inner", occ.args[0])))
     composite.enable_tracing()
     try:
-        composite.raise_event("ev", 0)
-        return list(log), composite.trace_edges()
+        raise_("ev", 0)
+        return list(log), composite.trace_edges(), composite.event_stats()
     finally:
         composite.shutdown()
         composite.runtime.shutdown()
@@ -88,13 +101,15 @@ def run_script(script, compiled):
 
 @pytest.mark.parametrize("seed", range(60))
 def test_differential_random_binding_sets(seed):
-    """Compiled and reference executors agree on every randomized script."""
+    """Compiled and reference executors agree on every randomized script,
+    raised by name and through resolved events: same handler sequence,
+    same trace edges, same ``raise_count`` per event."""
     rng = random.Random(seed)
     script = random_script(rng, rng.randrange(1, 10))
-    compiled_log, compiled_edges = run_script(script, compiled=True)
-    reference_log, reference_edges = run_script(script, compiled=False)
-    assert compiled_log == reference_log
-    assert compiled_edges == reference_edges
+    reference = run_script(script, compiled=False)
+    assert run_script(script, compiled=True) == reference
+    assert run_script(script, compiled=True, resolved=True) == reference
+    assert run_script(script, compiled=False, resolved=True) == reference
 
 
 # -- snapshot consistency under concurrency ----------------------------------
@@ -185,47 +200,46 @@ def test_concurrent_bind_unbind_stress(compiled):
         composite.runtime.shutdown()
 
 
-# -- occurrence freelist -----------------------------------------------------
+# -- stashed occurrences -----------------------------------------------------
 
 
-class TestOccurrenceFreelist:
-    def test_blocking_raise_recycles_unreferenced_occurrence(self):
-        from repro.cactus.events import _occ_pool
+class TestStashedOccurrence:
+    """Every raise makes its own occurrence: one a handler keeps stays true."""
 
-        composite = make_composite(True)
-        try:
-            seen = []
-            composite.bind("ev", lambda occ: seen.append(id(occ)))
-            pool = _occ_pool()
-            pool.clear()
-            composite.raise_event("ev")
-            assert len(pool) == 1  # parked, with its references dropped
-            assert pool[0].event is None and pool[0].args == ()
-            # Keep only the id: holding the object itself would raise its
-            # refcount and (correctly) veto recycling it again.
-            parked_id = id(pool[0])
-            composite.raise_event("ev")
-            assert seen[1] == parked_id  # same slab object, reinitialized
-            assert [id(occ) for occ in pool] == [parked_id]  # re-parked
-        finally:
-            composite.runtime.shutdown()
-
-    def test_stashed_occurrence_is_never_recycled(self):
+    def test_kept_occurrence_survives_later_raises(self):
         composite = make_composite(True)
         try:
             stash = []
-            composite.bind("ev", stash.append)
-            composite.raise_event("ev", "payload")
-            composite.raise_event("ev", "other")
-            assert stash[0] is not stash[1]
-            # The stashed object keeps its state: nothing reset or reused it.
-            assert stash[0].args == ("payload",)
-            assert stash[0].event is composite.event("ev")
+
+            def keep_and_halt(occurrence):
+                stash.append(occurrence)
+                if occurrence.args[0] == "payload":
+                    occurrence.halt()
+
+            composite.bind("ev", keep_and_halt)
+            composite.bind("outer", lambda occ: composite.raise_event("ev", "payload"))
+            composite.raise_event("outer")
+            first = stash[0]
+
+            def unchanged():
+                return (
+                    first.args == ("payload",)
+                    and first.halted
+                    and not first.halted_all
+                    and first.parent_event == "outer"
+                    and first.event is composite.event("ev")
+                )
+
+            assert unchanged()  # after its own raise
+            composite.event("ev").raise_blocking("other")
+            assert unchanged()  # and after the next one
+            assert stash[1] is not first
             assert stash[1].args == ("other",)
+            assert not stash[1].halted and stash[1].parent_event is None
         finally:
             composite.runtime.shutdown()
 
-    def test_async_occurrences_are_not_recycled(self):
+    def test_async_raises_get_their_own_occurrence(self):
         composite = make_composite(True)
         try:
             composite.bind("ev", lambda occ: None)

@@ -1,6 +1,8 @@
 """Unit tests for the abstract Request and Reply."""
 
+import sys
 import threading
+import time
 
 import pytest
 
@@ -92,6 +94,94 @@ class TestCompletion:
         failed.complete_from_reply(Reply(server=1, failed=True))
         with pytest.raises(ReproError):
             failed.wait(0.1)
+
+
+class TestCompletionWithoutLatch:
+    """Waiter and mutex are made on first use; completion stays exactly-once."""
+
+    def test_wait_after_completion_allocates_no_waiter(self):
+        done = make_request()
+        done.complete("v")
+        assert done.wait(0) == "v"
+        assert done.wait() == "v"
+        failed = make_request()
+        failed.fail(ValueError("nope"))
+        with pytest.raises(ValueError):
+            failed.wait()
+        assert done._waiter is None and failed._waiter is None
+        assert done._mutex is None
+
+    def test_cross_thread_complete_releases_blocked_wait(self):
+        request = make_request()
+        result = []
+        thread = threading.Thread(target=lambda: result.append(request.wait(5.0)))
+        thread.start()
+        deadline = time.monotonic() + 5.0
+        while request._waiter is None and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert request._waiter is not None  # the thread is in (or entering) wait
+        assert request.complete("late")
+        thread.join(5.0)
+        assert not thread.is_alive()
+        assert result == ["late"]
+
+    def test_timeout_leaves_the_request_open(self):
+        request = make_request()
+        with pytest.raises(TimeoutError_):
+            request.wait(0.01)
+        assert not request.completed
+        assert request.complete("after")
+        assert request.wait(0) == "after"
+
+    def test_racing_completions_are_exactly_once(self):
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(25):
+                request = make_request()
+                early, late = [], []
+                request.on_complete(early.append)
+                start = threading.Barrier(16)
+                wins = []
+
+                def race(index):
+                    start.wait(5.0)
+                    if index % 2:
+                        wins.append(request.complete(index))
+                    else:
+                        wins.append(request.fail(RuntimeError(index)))
+                    request.on_complete(late.append)
+
+                threads = [threading.Thread(target=race, args=(i,)) for i in range(16)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(5.0)
+                    assert not thread.is_alive()
+                assert sorted(wins) == [False] * 15 + [True]
+                assert early == [request]
+                assert late == [request] * 16  # registered after the fact: run at once
+        finally:
+            sys.setswitchinterval(previous)
+
+    def test_mutex_is_one_reentrant_lock_for_every_thread(self):
+        request = make_request()
+        seen = []
+        start = threading.Barrier(2)
+
+        def grab():
+            start.wait(5.0)
+            seen.append(request.mutex)
+
+        threads = [threading.Thread(target=grab) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(5.0)
+        assert seen[0] is seen[1] is request.mutex
+        with request.mutex:
+            with request.mutex:  # re-entrant
+                pass
 
 
 class TestReplies:
