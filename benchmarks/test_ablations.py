@@ -3,9 +3,10 @@
 Not part of the paper's tables; they isolate *why* the tables look the way
 they do:
 
-- ``dii_vs_direct`` — the CORBA CQoS stub's DII conversion (NVList +
-  TypeCodes) vs a direct typed invocation on the same reference: the
-  component the paper blames for the larger CORBA-side overhead.
+- ``dii_vs_direct`` — the CORBA CQoS stub (abstract request, then the DII
+  conversion with its NVList and TypeCodes) vs ``ObjectRef.invoke_op`` on
+  the reference that stub is bound to: the client-side conversion the paper
+  blames for the larger CORBA-side overhead.
 - ``transport`` — identical CQoS deployment over the in-memory network vs
   real loopback TCP: how much of a call is transport substrate.
 - ``latency_sensitivity`` — the message-count-dominated configuration
@@ -16,7 +17,6 @@ they do:
 import pytest
 
 from repro.apps.bank import BankAccount, bank_compiled, bank_interface
-from repro.core.adapters.corba import CorbaClientPlatform
 from repro.core.service import CqosDeployment
 from repro.net.memory import InMemoryNetwork
 from repro.net.tcp import TcpNetwork
@@ -32,13 +32,18 @@ def test_ablation_dii_vs_direct(benchmark, mode):
     try:
         deployment.add_replicas("acct", BankAccount, bank_interface())
         stub = deployment.client_stub("acct", bank_interface())
-        platform: CorbaClientPlatform = stub._platform
-        platform._use_dii = mode == "dii"
+        stub.get_balance()  # binds replica 1
+        reference = stub._platform.directory.endpoint(1)
 
-        def pair():
+        def stub_pair():
             stub.set_balance(1.0)
             stub.get_balance()
 
+        def direct_pair():
+            reference.invoke_op("set_balance", [1.0])
+            reference.invoke_op("get_balance", [])
+
+        pair = stub_pair if mode == "dii" else direct_pair
         pair()
         benchmark.pedantic(pair, **BENCH_OPTIONS)
         benchmark.extra_info["ablation"] = f"dii_vs_direct:{mode}"

@@ -14,8 +14,8 @@ the CORBA codec surface:
   reference);
 - request conversion: each abstract request becomes a CORBA request with
   the **DII** — the conversion the paper identifies as the main CORBA-side
-  overhead (``use_dii=False`` selects the plain dynamic invocation for
-  comparison);
+  overhead: a request object, a NamedValue with a derived TypeCode per
+  argument, and a conformance check when the reference is typed;
 - the DSI :class:`CorbaCqosSkeletonServant` adapting the POA upcall
   calling convention onto the kernel's skeleton dispatch.
 """
@@ -125,12 +125,10 @@ class CorbaClientPlatform(_CorbaNamingMixin, BaseClientPlatform):
         self,
         orb: Orb,
         object_id: str,
-        use_dii: bool = True,
         observers=None,
         router=None,
     ):
         self._orb = orb
-        self._use_dii = use_dii
         self._naming = naming_client(orb)
         super().__init__(object_id, observers=observers, router=router)
 
@@ -141,26 +139,26 @@ class CorbaClientPlatform(_CorbaNamingMixin, BaseClientPlatform):
         return corba_replica_prefix(self.object_id)
 
     def _send(self, endpoint: ObjectRef, operation: str, params: list, piggyback) -> Any:
-        if self._use_dii:
-            # The paper's path: abstract request -> CORBA request (DII).
-            dii = endpoint._create_request(operation)
-            for param in params:
-                dii.add_arg(param)
-            dii.set_context(dict(piggyback or {}))
-            dii.invoke()
-            return dii.return_value()
-        return endpoint.invoke_op(operation, params, dict(piggyback or {}))
+        # The paper's path: abstract request -> CORBA request (DII).
+        # ``piggyback`` is already the kernel's per-send copy, and
+        # ``set_context`` makes the request's own.
+        dii = endpoint._create_request(operation)
+        for param in params:
+            dii.add_arg(param)
+        if piggyback:
+            dii.set_context(piggyback)
+        dii.invoke()
+        return dii.return_value()
 
     def _send_async(self, endpoint: ObjectRef, operation: str, params: list, piggyback):
-        if self._use_dii:
-            # Deferred-synchronous DII: same request construction and wire
-            # bytes as invoke(); only the wait moves to the ReplyFuture.
-            dii = endpoint._create_request(operation)
-            for param in params:
-                dii.add_arg(param)
-            dii.set_context(dict(piggyback or {}))
-            return dii.send_deferred()
-        return endpoint.invoke_op_async(operation, params, dict(piggyback or {}))
+        # Deferred-synchronous DII: same request construction and wire
+        # bytes as invoke(); only the wait moves to the ReplyFuture.
+        dii = endpoint._create_request(operation)
+        for param in params:
+            dii.add_arg(param)
+        if piggyback:
+            dii.set_context(piggyback)
+        return dii.send_deferred()
 
 
 def install_corba_replica(

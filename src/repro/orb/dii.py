@@ -4,18 +4,20 @@ The DII builds a request at run time instead of through a generated stub:
 create a request from an object reference, add arguments, ``invoke()``, read
 the return value.  This is the path the paper's CQoS stub uses to turn the
 abstract CQoS request into a CORBA request — and the reason Table 1's CQoS
-overhead is larger on CORBA than RMI: the dynamic path pays for request
-object construction and run-time conformance checks against interface
-metadata (the stand-in for real CORBA's interface-repository consultation),
-costs the static stub's compiled marshalling avoids.
+overhead is larger on CORBA than RMI: the dynamic path pays for a request
+object, a NamedValue with a derived TypeCode per argument, and a run-time
+conformance check against interface metadata when the reference's type id
+names an interface the ORB knows (the stand-in for real CORBA's
+interface-repository consultation; one lookup in the ORB's repository-id
+index) — costs the static stub's compiled marshalling avoids.  The argument
+values are collected once, for the check and the send alike.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
-from repro.orb.ior import repository_id
-from repro.orb.typecode import NamedValue
+from repro.orb.typecode import NamedValue, typecode_of
 from repro.util.errors import ReproError
 
 if TYPE_CHECKING:
@@ -40,10 +42,6 @@ class DiiRequest:
     def operation(self) -> str:
         return self._operation
 
-    @property
-    def _arguments(self) -> list:
-        return [nv.value for nv in self._nvlist]
-
     def add_arg(self, value: Any) -> "DiiRequest":
         """Append an argument (packaged as a NamedValue with its TypeCode).
 
@@ -51,7 +49,8 @@ class DiiRequest:
         pays that compiled static stubs do not — the source of the larger
         CORBA-side CQoS overhead the paper measures in Table 1.
         """
-        self._nvlist.append(NamedValue.wrap(len(self._nvlist), value))
+        nvlist = self._nvlist
+        nvlist.append(NamedValue(f"arg{len(nvlist)}", value, typecode_of(value)))
         return self
 
     def nvlist(self) -> list[NamedValue]:
@@ -66,27 +65,30 @@ class DiiRequest:
     def context(self) -> dict:
         return self._context
 
-    def _check_against_metadata(self) -> None:
-        """Run-time typing: consult interface metadata when it is known.
+    def _checked_arguments(self) -> list:
+        """The argument values, built once for the check and the send.
 
-        References to DSI servants carry the generic ``CORBA/Object`` type
-        id, for which no metadata exists — those requests go through
-        unchecked, exactly like real DII against an untyped reference.
+        Run-time typing: the ORB's interface metadata is consulted when the
+        reference's type id is one it knows.  References to DSI servants
+        carry the generic ``CORBA/Object`` type id, for which no metadata
+        exists — those requests go through unchecked, exactly like real DII
+        against an untyped reference.
         """
-        compiled = self._target._orb.compiled
-        for interface in compiled.interfaces.values():
-            if repository_id(interface.name) == self._target.ior.type_id:
-                operation = interface.operation(self._operation)
-                operation.check_args(tuple(self._arguments), compiled)
-                return
+        arguments = [nv.value for nv in self._nvlist]
+        target = self._target
+        orb = target._orb
+        interface = orb.interfaces_by_id.get(target.ior.type_id)
+        if interface is not None:
+            interface.operation(self._operation).check_args(arguments, orb.compiled)
+        return arguments
 
     def invoke(self) -> None:
         """Synchronously invoke; result or exception is stored, not raised."""
-        self._check_against_metadata()
-        orb = self._target._orb
+        arguments = self._checked_arguments()
+        target = self._target
         try:
-            self._result = orb.invoke(
-                self._target.ior, self._operation, list(self._arguments), self._context
+            self._result = target._orb.invoke(
+                target.ior, self._operation, arguments, self._context
             )
             self._exception = None
         except BaseException as exc:  # noqa: BLE001 - DII stores the outcome
@@ -100,10 +102,10 @@ class DiiRequest:
         :meth:`poll_response`/:meth:`get_response`).  The request leaves
         with the same wire bytes as :meth:`invoke`; only the wait moves.
         """
-        self._check_against_metadata()
-        orb = self._target._orb
-        self._deferred = orb.invoke_async(
-            self._target.ior, self._operation, list(self._arguments), self._context
+        arguments = self._checked_arguments()
+        target = self._target
+        self._deferred = target._orb.invoke_async(
+            target.ior, self._operation, arguments, self._context
         )
         return self._deferred
 
@@ -126,14 +128,10 @@ class DiiRequest:
 
     def send_oneway(self) -> None:
         """Fire-and-forget send; no reply is waited for."""
-        self._check_against_metadata()
-        orb = self._target._orb
-        orb.invoke(
-            self._target.ior,
-            self._operation,
-            list(self._arguments),
-            self._context,
-            response_expected=False,
+        arguments = self._checked_arguments()
+        target = self._target
+        target._orb.invoke(
+            target.ior, self._operation, arguments, self._context, response_expected=False
         )
         self._result = None
         self._exception = None

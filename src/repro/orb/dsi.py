@@ -22,7 +22,13 @@ from repro.util.errors import ReproError
 
 
 class ServerRequest:
-    """One in-flight dynamic invocation presented to a DSI servant."""
+    """One in-flight dynamic invocation presented to a DSI servant.
+
+    The accessors are the servant's interface; the ORB that made the request
+    reads the outcome from ``_result`` and ``_exception`` directly.
+    """
+
+    __slots__ = ("_operation", "_arguments", "_context", "_result", "_exception")
 
     _UNSET = object()
 
@@ -45,12 +51,12 @@ class ServerRequest:
         return self._context
 
     def set_result(self, value: Any) -> None:
-        if self.completed:
+        if self._result is not self._UNSET or self._exception is not None:
             raise ReproError("ServerRequest already completed")
         self._result = value
 
     def set_exception(self, exc: BaseException) -> None:
-        if self.completed:
+        if self._result is not self._UNSET or self._exception is not None:
             raise ReproError("ServerRequest already completed")
         self._exception = exc
 

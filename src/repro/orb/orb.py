@@ -19,6 +19,7 @@ execution — the CORBA ``oneway`` contract.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from typing import Any
 
@@ -28,7 +29,7 @@ from repro.net.transport import Connection, Network
 from repro.orb import giop
 from repro.orb.dii import DiiRequest
 from repro.orb.dsi import ServerRequest
-from repro.orb.ior import IOR, ior_to_string, string_to_ior
+from repro.orb.ior import IOR, ior_to_string, repository_id, string_to_ior
 from repro.orb.poa import Poa
 from repro.util.errors import (
     BindError,
@@ -37,7 +38,10 @@ from repro.util.errors import (
     ReproError,
     rehydrate_system_error,
 )
-from repro.util.ids import IdGenerator
+
+#: GIOP carries the request id as an unsigned long; the ORB's counter wraps
+#: to fit.  Replies are correlated by the transport's own 64-bit id.
+_REQUEST_ID_MASK = 0xFFFFFFFF
 
 
 class ObjectRef:
@@ -77,13 +81,19 @@ class Orb:
         self._network = network
         self.host_name = host_name
         self.compiled = compiled
+        #: Repository id -> interface metadata, for the DII's conformance
+        #: check: an index over ``compiled``, which does not change.
+        self.interfaces_by_id = {
+            repository_id(interface.name): interface
+            for interface in compiled.interfaces.values()
+        }
         self._service = service
         self._naming_host = naming_host
         self._host = network.host(host_name)
         self._listener = None
         self._poas: dict[str, Poa] = {}
         self._poa_lock = threading.Lock()
-        self._request_ids = IdGenerator(host_name)
+        self._request_ids = itertools.count(1)
         self._pool = ConnectionPool(self._host)
         self._started = False
 
@@ -120,8 +130,8 @@ class Orb:
             return poa
 
     def find_poa(self, name: str) -> Poa | None:
-        with self._poa_lock:
-            return self._poas.get(name)
+        # A dict read is atomic; only writers take the lock.
+        return self._poas.get(name)
 
     def _drop_poa(self, name: str) -> None:
         with self._poa_lock:
@@ -149,9 +159,6 @@ class Orb:
 
     # -- client side -----------------------------------------------------------
 
-    def _connection(self, address: str) -> Connection:
-        return self._pool.get(address)
-
     def drop_connection(self, address: str, connection: Connection | None = None) -> None:
         """Forget a pooled connection (e.g. after a peer crash).
 
@@ -177,17 +184,10 @@ class Orb:
         :class:`CommunicationError` subtypes for transport failures.
         """
         request = giop.RequestMessage(
-            request_id=self._request_ids.next_int(),
-            object_key=ior.object_key,
-            operation=operation,
-            arguments=arguments,
-            context=context,
-            response_expected=response_expected,
+            next(self._request_ids) & _REQUEST_ID_MASK,
+            ior.object_key, operation, arguments, context, response_expected,
         )
-        reply = self._exchange(ior, request, timeout)
-        if reply is None:
-            return None
-        return reply.body
+        return self._exchange(ior, request, timeout).body
 
     def invoke_async(
         self,
@@ -207,16 +207,12 @@ class Orb:
         failures settle the future.
         """
         request = giop.RequestMessage(
-            request_id=self._request_ids.next_int(),
-            object_key=ior.object_key,
-            operation=operation,
-            arguments=arguments,
-            context=context,
-            response_expected=response_expected,
+            next(self._request_ids) & _REQUEST_ID_MASK,
+            ior.object_key, operation, arguments, context, response_expected,
         )
         frame = giop.encode_request(request)
         try:
-            connection = self._connection(ior.address)
+            connection = self._pool.get(ior.address)
         except Exception as exc:  # noqa: BLE001 - delivered via the future
             from repro.net.transport import ReplyFuture
 
@@ -228,8 +224,7 @@ class Orb:
             raise exc
 
         def decode(reply_frame: bytes):
-            reply = self._decode_reply(reply_frame)
-            return None if reply is None else reply.body
+            return self._decode_reply(reply_frame).body
 
         return connection.call_async(frame, timeout=timeout).then(decode, on_error)
 
@@ -249,27 +244,21 @@ class Orb:
         from repro.orb.typed_marshal import marshal_arguments, unmarshal_result
 
         request = giop.RequestMessage(
-            request_id=self._request_ids.next_int(),
-            object_key=ior.object_key,
-            operation=operation_def.name,
-            arguments=[],
-            context={},
-            response_expected=response_expected,
-            typed_body=marshal_arguments(operation_def, arguments, self.compiled),
+            next(self._request_ids) & _REQUEST_ID_MASK,
+            ior.object_key, operation_def.name, [], {}, response_expected,
+            marshal_arguments(operation_def, arguments, self.compiled),
         )
         reply = self._exchange(ior, request, timeout)
-        if reply is None:
-            return None
         if reply.typed_body is not None:
             return unmarshal_result(operation_def, reply.typed_body, self.compiled)
         return reply.body
 
     def _exchange(
         self, ior: IOR, request: giop.RequestMessage, timeout: float | None
-    ) -> giop.ReplyMessage | None:
+    ) -> giop.ReplyMessage:
         """Send a request, decode the reply, map exception statuses."""
         frame = giop.encode_request(request)
-        connection = self._connection(ior.address)
+        connection = self._pool.get(ior.address)
         try:
             reply_frame = connection.call(frame, timeout=timeout)
         except CommunicationError:
@@ -280,7 +269,7 @@ class Orb:
     def _decode_reply(self, reply_frame: bytes) -> giop.ReplyMessage:
         """Decode a raw reply frame; map GIOP exception statuses."""
         reply = giop.decode_message(reply_frame)
-        if not isinstance(reply, giop.ReplyMessage):
+        if type(reply) is not giop.ReplyMessage:
             raise CommunicationError("expected a GIOP reply message")
         if reply.status == giop.REPLY_NO_EXCEPTION:
             return reply
@@ -298,12 +287,12 @@ class Orb:
     # Servant dispatch can block (request.wait, replica forwarding).
     def _handle_frame(self, frame: bytes) -> bytes:
         message = giop.decode_message(frame)
-        if not isinstance(message, giop.RequestMessage):
+        if type(message) is not giop.RequestMessage:
             return giop.encode_reply(
                 giop.ReplyMessage(
-                    request_id=0,
-                    status=giop.REPLY_SYSTEM_EXCEPTION,
-                    body={"type": "BadMessage", "message": "expected a request"},
+                    0,
+                    giop.REPLY_SYSTEM_EXCEPTION,
+                    {"type": "BadMessage", "message": "expected a request"},
                 )
             )
         if not message.response_expected:
@@ -312,9 +301,7 @@ class Orb:
                 target=self._dispatch, args=(message,), daemon=True, name="orb-oneway"
             ).start()
             return giop.encode_reply(
-                giop.ReplyMessage(
-                    request_id=message.request_id, status=giop.REPLY_NO_EXCEPTION
-                )
+                giop.ReplyMessage(message.request_id, giop.REPLY_NO_EXCEPTION)
             )
         return giop.encode_reply(self._dispatch(message))
 
@@ -322,23 +309,16 @@ class Orb:
         try:
             if message.typed_body is not None:
                 return self._dispatch_typed(message)
-            result = self._dispatch_to_servant(message)
             return giop.ReplyMessage(
-                request_id=message.request_id,
-                status=giop.REPLY_NO_EXCEPTION,
-                body=result,
+                message.request_id, giop.REPLY_NO_EXCEPTION, self._dispatch_to_servant(message)
             )
         except IdlRemoteException as exc:
-            return giop.ReplyMessage(
-                request_id=message.request_id,
-                status=giop.REPLY_USER_EXCEPTION,
-                body=exc,
-            )
+            return giop.ReplyMessage(message.request_id, giop.REPLY_USER_EXCEPTION, exc)
         except BaseException as exc:  # noqa: BLE001 - mapped to a system exception
             return giop.ReplyMessage(
-                request_id=message.request_id,
-                status=giop.REPLY_SYSTEM_EXCEPTION,
-                body={"type": type(exc).__name__, "message": str(exc)},
+                message.request_id,
+                giop.REPLY_SYSTEM_EXCEPTION,
+                {"type": type(exc).__name__, "message": str(exc)},
             )
 
     def _dispatch_typed(self, message: giop.RequestMessage) -> giop.ReplyMessage:
@@ -348,7 +328,7 @@ class Orb:
         from repro.orb.typed_marshal import marshal_result, unmarshal_arguments
 
         activation = self._find_activation(message.object_key)
-        if activation.is_dynamic:
+        if activation.skeleton is None:
             raise InvocationError(
                 "BadRequest", "typed request sent to a dynamic (DSI) servant"
             )
@@ -356,14 +336,15 @@ class Orb:
         arguments = unmarshal_arguments(operation, message.typed_body, self.compiled)
         result = activation.skeleton.dispatch(message.operation, arguments)
         return giop.ReplyMessage(
-            request_id=message.request_id,
-            status=giop.REPLY_NO_EXCEPTION,
-            typed_body=marshal_result(operation, result, self.compiled),
+            message.request_id,
+            giop.REPLY_NO_EXCEPTION,
+            None,
+            marshal_result(operation, result, self.compiled),
         )
 
     def _find_activation(self, object_key: str):
         poa_name, _, object_id = object_key.partition("|")
-        poa = self.find_poa(poa_name)
+        poa = self._poas.get(poa_name)
         if poa is None:
             raise BindError(f"no POA {poa_name!r} on host {self.host_name}")
         activation = poa.lookup(object_id)
@@ -373,17 +354,17 @@ class Orb:
 
     def _dispatch_to_servant(self, message: giop.RequestMessage) -> Any:
         activation = self._find_activation(message.object_key)
-        if activation.is_dynamic:
+        if activation.skeleton is None:
             server_request = ServerRequest(
                 message.operation, message.arguments, message.context
             )
             activation.servant.invoke(server_request)
-            if not server_request.completed:
+            if server_request._exception is not None:
+                raise server_request._exception
+            if server_request._result is ServerRequest._UNSET:
                 raise InvocationError(
                     "IncompleteRequest",
                     f"DSI servant did not complete {message.operation!r}",
                 )
-            if server_request.exception is not None:
-                raise server_request.exception
-            return server_request.result
+            return server_request._result
         return activation.skeleton.dispatch(message.operation, message.arguments)

@@ -38,10 +38,6 @@ class _Activation:
         self.skeleton = skeleton
         self.type_id = type_id
 
-    @property
-    def is_dynamic(self) -> bool:
-        return self.skeleton is None
-
 
 class Poa:
     """A named object adapter; create via :meth:`repro.orb.orb.Orb.create_poa`."""
@@ -101,8 +97,8 @@ class Poa:
         )
 
     def lookup(self, object_id: str) -> _Activation | None:
-        with self._lock:
-            return self._objects.get(object_id)
+        # A dict read is atomic; only writers take the lock.
+        return self._objects.get(object_id)
 
     def object_ids(self) -> list[str]:
         with self._lock:

@@ -22,6 +22,15 @@ _TC_STRING = BasicType("string")
 _TC_ANY = BasicType("any")
 _TC_VOID = BasicType("void")
 
+#: The primitives by exact type; a subclass of one takes the ladder below.
+_TC_OF_TYPE = {
+    type(None): _TC_VOID,
+    bool: _TC_BOOLEAN,
+    int: _TC_LONGLONG,
+    float: _TC_DOUBLE,
+    str: _TC_STRING,
+}
+
 
 def typecode_of(value: Any) -> IdlType:
     """Derive the IDL TypeCode of a run-time value.
@@ -30,10 +39,9 @@ def typecode_of(value: Any) -> IdlType:
     (which plain IDL cannot name) and unknown objects degrade to ``any``,
     matching how dynamic bridges treat DynAny payloads.
     """
-    if value is None:
-        return _TC_VOID
-    if value is True or value is False:
-        return _TC_BOOLEAN
+    exact = type(value)
+    if exact in _TC_OF_TYPE:
+        return _TC_OF_TYPE[exact]
     if isinstance(value, int):
         return _TC_LONGLONG
     if isinstance(value, float):

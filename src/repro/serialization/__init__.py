@@ -16,7 +16,6 @@ rather than silently pickling arbitrary objects.
 from repro.serialization.cdr import CdrInputStream, CdrOutputStream, cdr_dumps, cdr_loads
 from repro.serialization.jser import jser_dumps, jser_loads
 from repro.serialization.registry import TypeRegistry, global_registry, value_type
-from repro.serialization.streams import acquire_output_stream, release_output_stream
 
 __all__ = [
     "CdrInputStream",
@@ -28,6 +27,4 @@ __all__ = [
     "TypeRegistry",
     "global_registry",
     "value_type",
-    "acquire_output_stream",
-    "release_output_stream",
 ]

@@ -123,13 +123,6 @@ class CdrOutputStream:
     def getvalue(self) -> bytes:
         return bytes(self.buf)
 
-    def reset(self) -> None:
-        """Clear the stream for reuse, keeping the allocated buffer."""
-        self.buf.clear()
-
-    def __len__(self) -> int:
-        return len(self.buf)
-
 
 class CdrInputStream:
     """Read-side CDR stream over :attr:`data`, a cursor at :attr:`pos`.

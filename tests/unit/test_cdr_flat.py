@@ -302,6 +302,12 @@ class TestErrorContract:
         with pytest.raises(MarshalError):
             giop.decode_message(bytes(frame))
 
+    @pytest.mark.parametrize("context", ["notadict", ["k", "v"], None, 7])
+    def test_request_service_context_that_is_not_a_dict(self, context):
+        frame = giop.encode_request(giop.RequestMessage(1, "k", "op", [], context))
+        with pytest.raises(MarshalError, match="GIOP service context is not a dict"):
+            giop.decode_message(frame)
+
     @pytest.mark.parametrize(
         "header,message",
         [
