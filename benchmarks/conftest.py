@@ -403,14 +403,10 @@ def build_table3(platform: str, config: str, priority_class: str):
 
 def _install_table3_replicas(deployment, iface, replicas, server_factory):
     """Install replicas with per-replica micro-protocol configurations."""
-    from repro.core.adapters.corba import install_corba_replica
-    from repro.core.adapters.rmi import install_rmi_replica
     from repro.core.server import CactusServer
 
     skeletons = []
     for replica in range(1, replicas + 1):
-        host_name = deployment.replica_host_name("acct", replica)
-        deployment._replica_hosts[("acct", replica)] = host_name
         protocols = server_factory(replica)
 
         def factory(platform, protocols=protocols):
@@ -424,23 +420,12 @@ def _install_table3_replicas(deployment, iface, replicas, server_factory):
             deployment._track(server)
             return server
 
-        servant = BankAccount(work_loops=TABLE3_WORK_LOOPS)
-        if deployment.platform == "corba":
-            orb = deployment._new_orb(host_name).start()
-            skeletons.append(
-                install_corba_replica(
-                    orb, "acct", replica, servant, iface,
-                    cactus_server_factory=factory, total_replicas=replicas,
-                )
+        skeletons.append(
+            deployment._new_replica_host("acct", replica).install_replica(
+                "acct", replica, BankAccount(work_loops=TABLE3_WORK_LOOPS), iface,
+                cactus_server_factory=factory, total_replicas=replicas,
             )
-        else:
-            runtime = deployment._new_rmi(host_name).start()
-            skeletons.append(
-                install_rmi_replica(
-                    runtime, "acct", replica, servant, iface,
-                    cactus_server_factory=factory, total_replicas=replicas,
-                )
-            )
+        )
     return skeletons
 
 

@@ -3,7 +3,8 @@
 The architecture has two halves (paper Figure 1/2):
 
 - **Interceptors** (:mod:`~repro.core.stub`, :mod:`~repro.core.skeleton`,
-  :mod:`~repro.core.adapters`) — platform-specific: the *CQoS stub* replaces
+  :mod:`~repro.core.adapters`; everything a platform is lives in its one
+  adapter module) — platform-specific: the *CQoS stub* replaces
   the middleware-generated client stub; the *CQoS skeleton* registers as a
   proxy servant in place of the real server object.  Both convert platform
   requests to/from the platform-independent abstract
@@ -33,14 +34,10 @@ from repro.core.events import (
 )
 from repro.core.interfaces import ClientPlatform, ControlMessage, ServerPlatform
 from repro.core.platform import (
-    PIGGYBACK_CODEC,
     BaseClientPlatform,
     BaseServerPlatform,
     BaseSkeletonServant,
     InvocationObserver,
-    PiggybackCodec,
-    ReplicaDirectory,
-    fault_action,
 )
 from repro.core.client import CactusClient
 from repro.core.server import CactusServer
@@ -66,11 +63,7 @@ __all__ = [
     "BaseClientPlatform",
     "BaseServerPlatform",
     "BaseSkeletonServant",
-    "ReplicaDirectory",
     "InvocationObserver",
-    "PiggybackCodec",
-    "PIGGYBACK_CODEC",
-    "fault_action",
     "CactusClient",
     "CactusServer",
     "CqosStub",

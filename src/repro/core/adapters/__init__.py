@@ -1,11 +1,13 @@
-"""Platform adapters: the middleware-specific codecs for the kernel.
+"""Platform adapters: one module is everything one middleware platform is.
 
-Since the invocation-kernel refactor every adapter is a *thin codec* over
-:mod:`repro.core.platform` — the shared kernel owns the replica directory,
-lazy binding, liveness marks, control pings, fault taxonomy, and observer
-hooks; each adapter contributes only naming conventions, bootstrap-service
-lookup, and request conversion.  One module per supported platform (paper
-section 4):
+Every adapter is a *thin codec* over :mod:`repro.core.platform` — the
+shared kernel owns the replica directory, lazy binding, liveness marks,
+control pings, fault taxonomy, and observer hooks; each adapter contributes
+its naming conventions, bootstrap-service lookup, request conversion, and
+one **host class**, through which the deployment code above
+(:class:`~repro.core.service.CqosDeployment`,
+:class:`~repro.core.shardspace.ShardSpace`) does everything it does with a
+platform.  One module per supported platform (paper section 4):
 
 - :mod:`repro.core.adapters.corba` — DSI skeleton, DII stub path, the
   ``OID_agent_poa_i`` / ``OID_CQoS_Skeleton`` POA naming convention, and
@@ -16,53 +18,31 @@ section 4):
   ``OID/replica-i`` path-registry convention, piggyback on ``X-CQoS-*``
   headers.
 
-Each exposes a ``ClientPlatform`` and a ``ServerPlatform`` implementation
-plus an ``install_*_replica`` helper; the Cactus protocols above never see
-which one is in use.
+The host surface, identical on every platform (checked per entry of
+:data:`HOSTS` by ``tests/integration/test_platform_contract.py``):
+
+- ``Host(network, host_name, compiled)``, ``start()`` (server endpoint;
+  client-only hosts skip it), ``shutdown()``;
+- ``BOOTSTRAP_HOST`` and ``start_bootstrap()`` — where the platform's
+  bootstrap service lives, and starting it on that host;
+- ``install_replica(object_id, replica, servant, interface, ...)`` →
+  :class:`~repro.core.skeleton.CqosSkeleton`; ``unmount_replica`` and
+  ``unbind_replica``, its two halves backwards, and ``uninstall_replica``
+  for both;
+- ``deploy_plain`` / ``plain_stub`` — the platform's own skeleton and stub
+  under the replica's name (Table 1's "Original" rung);
+- ``client_platform(object_id, observers, router)`` → the client half of
+  the Cactus QoS interface.
+
+Adding a platform is one module here plus one line in :data:`HOSTS`; the
+Cactus protocols above never see which one is in use.
 """
 
-from repro.core.adapters.corba import (
-    CorbaClientPlatform,
-    CorbaCqosSkeletonServant,
-    CorbaServerPlatform,
-    corba_poa_name,
-    corba_replica_name,
-    corba_skeleton_object_id,
-    install_corba_replica,
-)
-from repro.core.adapters.http import (
-    HttpClientPlatform,
-    HttpCqosSkeletonServant,
-    HttpServerPlatform,
-    http_replica_name,
-    http_skeleton_object_id,
-    install_http_replica,
-)
-from repro.core.adapters.rmi import (
-    RmiClientPlatform,
-    RmiCqosSkeletonServant,
-    RmiServerPlatform,
-    install_rmi_replica,
-    rmi_skeleton_name,
-)
+from repro.core.adapters.corba import CorbaHost
+from repro.core.adapters.http import HttpHost
+from repro.core.adapters.rmi import RmiHost
 
-__all__ = [
-    "CorbaClientPlatform",
-    "CorbaServerPlatform",
-    "CorbaCqosSkeletonServant",
-    "install_corba_replica",
-    "corba_poa_name",
-    "corba_replica_name",
-    "corba_skeleton_object_id",
-    "RmiClientPlatform",
-    "RmiServerPlatform",
-    "RmiCqosSkeletonServant",
-    "install_rmi_replica",
-    "rmi_skeleton_name",
-    "HttpClientPlatform",
-    "HttpServerPlatform",
-    "HttpCqosSkeletonServant",
-    "install_http_replica",
-    "http_replica_name",
-    "http_skeleton_object_id",
-]
+#: Platform name → host class.
+HOSTS = {"corba": CorbaHost, "rmi": RmiHost, "http": HttpHost}
+
+__all__ = ["HOSTS", "CorbaHost", "RmiHost", "HttpHost"]

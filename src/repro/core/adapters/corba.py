@@ -1,9 +1,11 @@
-"""CQoS on CORBA (paper section 4.1) — the CORBA codec for the kernel.
+"""CQoS on CORBA (paper section 4.1) — everything the CORBA platform is.
 
 All request-lifecycle machinery (replica directory, lazy bind, liveness
 marks, control pings, fault taxonomy, observer hooks) lives in the shared
-invocation kernel (:mod:`repro.core.platform`); this module supplies only
-the CORBA codec surface:
+invocation kernel (:mod:`repro.core.platform`); this module supplies the
+CORBA codec surface and :class:`CorbaHost`, the one place that knows how
+a CORBA host is started, what its bootstrap service is, and how a replica
+is installed on it and removed again:
 
 - naming convention, verbatim from the paper: the POA for the i-th replica
   of object ``OID`` is named ``"OID_agent_poa_i"``, the skeleton activates
@@ -28,29 +30,36 @@ from repro.core.platform import (
     BaseClientPlatform,
     BaseServerPlatform,
     BaseSkeletonServant,
-    corba_poa_name,
-    corba_replica_name,
-    corba_replica_prefix,
-    corba_skeleton_object_id,
 )
-from repro.core.server import CactusServer
 from repro.core.skeleton import CqosSkeleton
-from repro.idl.compiler import InterfaceDef
+from repro.idl.compiler import CompiledIdl, InterfaceDef
+from repro.net.transport import Network
 from repro.orb.dsi import DynamicImplementation, ServerRequest
-from repro.orb.naming import NamingClient, naming_client
+from repro.orb.naming import (
+    NAMING_HOST,
+    NamingClient,
+    naming_client,
+    start_naming_service,
+)
 from repro.orb.orb import ObjectRef, Orb
-from repro.orb.stubs import StaticSkeleton
+from repro.orb.stubs import StaticSkeleton, make_static_stub_class
 
 __all__ = [
     "CorbaClientPlatform",
     "CorbaCqosSkeletonServant",
+    "CorbaHost",
     "CorbaServerPlatform",
-    "corba_poa_name",
-    "corba_replica_name",
-    "corba_replica_prefix",
-    "corba_skeleton_object_id",
-    "install_corba_replica",
 ]
+
+
+def _naming_entry(object_id: str, replica: int) -> str:
+    """The naming-service entry for one replica: ``"OID/replica-i"``."""
+    return f"{object_id}/replica-{replica}"
+
+
+def _poa_name(object_id: str, replica: int) -> str:
+    """The paper's POA naming convention: ``"OID_agent_poa_i"``."""
+    return f"{object_id}_agent_poa_{replica}"
 
 
 class CorbaCqosSkeletonServant(BaseSkeletonServant, DynamicImplementation):
@@ -109,7 +118,7 @@ class CorbaServerPlatform(_CorbaNamingMixin, BaseServerPlatform):
         )
 
     def _peer_name(self, replica: int) -> str:
-        return corba_replica_name(self.object_id, replica)
+        return _naming_entry(self.object_id, replica)
 
     def _send(self, endpoint: ObjectRef, operation: str, params: list, piggyback) -> Any:
         return endpoint.invoke_op(operation, params, dict(piggyback or {}))
@@ -133,10 +142,10 @@ class CorbaClientPlatform(_CorbaNamingMixin, BaseClientPlatform):
         super().__init__(object_id, observers=observers, router=router)
 
     def _replica_name(self, replica: int) -> str:
-        return corba_replica_name(self.object_id, replica)
+        return _naming_entry(self.object_id, replica)
 
     def _replica_prefix(self) -> str:
-        return corba_replica_prefix(self.object_id)
+        return f"{self.object_id}/replica-"
 
     def _send(self, endpoint: ObjectRef, operation: str, params: list, piggyback) -> Any:
         # The paper's path: abstract request -> CORBA request (DII).
@@ -161,48 +170,104 @@ class CorbaClientPlatform(_CorbaNamingMixin, BaseClientPlatform):
         return dii.send_deferred()
 
 
-def install_corba_replica(
-    orb: Orb,
-    object_id: str,
-    replica: int,
-    servant: Any,
-    interface: InterfaceDef,
-    cactus_server_factory=None,
-    total_replicas: int = 1,
-    observers=None,
-    router=None,
-) -> CqosSkeleton:
-    """Install the CQoS server side for one replica on an ORB.
+class CorbaHost:
+    """One CORBA host of a deployment: an ORB, and CQoS on it."""
 
-    Mirrors the modified ``startup`` file of the paper: creates the
-    convention-named POA, registers the DSI CQoS skeleton (holding a
-    pointer to the original servant) and rebinds the replica's name in the
-    naming service.  ``cactus_server_factory(platform) -> CactusServer``
-    configures the QoS component; ``None`` installs a pass-through skeleton
-    (Table 1's "+CQoS skeleton" rung).  ``observers`` attach
-    :class:`~repro.core.platform.InvocationObserver` hooks to both the
-    skeleton boundary and servant dispatch.
-    """
-    platform = CorbaServerPlatform(
-        orb,
-        object_id,
-        replica,
-        servant,
-        interface,
-        total_replicas=total_replicas,
-        observers=observers,
-        router=router,
-    )
-    cactus_server: CactusServer | None = None
-    if cactus_server_factory is not None:
-        cactus_server = cactus_server_factory(platform)
-    skeleton = CqosSkeleton(object_id, platform, cactus_server)
-    poa = orb.create_poa(corba_poa_name(object_id, replica))
-    ior = poa.activate_object(
-        corba_skeleton_object_id(object_id),
-        CorbaCqosSkeletonServant(skeleton, observers=observers),
-    )
-    naming_client(orb).rebind(
-        corba_replica_name(object_id, replica), orb.object_to_string(ior)
-    )
-    return skeleton
+    #: Where this platform's bootstrap service (the naming service) lives.
+    BOOTSTRAP_HOST = NAMING_HOST
+
+    def __init__(self, network: Network, host_name: str, compiled: CompiledIdl):
+        self._orb = Orb(network, host_name, compiled)
+        self._naming = naming_client(self._orb)
+
+    def start(self) -> "CorbaHost":
+        """Open the server endpoint.  Client-only hosts skip this."""
+        self._orb.start()
+        return self
+
+    def shutdown(self) -> None:
+        self._orb.shutdown()
+
+    def start_bootstrap(self) -> None:
+        start_naming_service(self._orb)
+
+    def install_replica(
+        self,
+        object_id: str,
+        replica: int,
+        servant: Any,
+        interface: InterfaceDef,
+        cactus_server_factory=None,
+        total_replicas: int = 1,
+        observers=None,
+        router=None,
+    ) -> CqosSkeleton:
+        """Install the CQoS server side for one replica on this host.
+
+        Mirrors the modified ``startup`` file of the paper: creates the
+        convention-named POA, registers the DSI CQoS skeleton (holding a
+        pointer to the original servant) under object id
+        ``"OID_CQoS_Skeleton"`` and rebinds the replica's name in the
+        naming service.  ``cactus_server_factory(platform) -> CactusServer``
+        configures the QoS component; ``None`` installs a pass-through
+        skeleton (Table 1's "+CQoS skeleton" rung).  ``observers`` attach
+        :class:`~repro.core.platform.InvocationObserver` hooks to both the
+        skeleton boundary and servant dispatch.
+        """
+        platform = CorbaServerPlatform(
+            self._orb,
+            object_id,
+            replica,
+            servant,
+            interface,
+            total_replicas=total_replicas,
+            observers=observers,
+            router=router,
+        )
+        cactus_server = cactus_server_factory(platform) if cactus_server_factory else None
+        skeleton = CqosSkeleton(object_id, platform, cactus_server)
+        poa = self._orb.create_poa(_poa_name(object_id, replica))
+        ior = poa.activate_object(
+            f"{object_id}_CQoS_Skeleton",
+            CorbaCqosSkeletonServant(skeleton, observers=observers),
+        )
+        self._naming.rebind(
+            _naming_entry(object_id, replica), self._orb.object_to_string(ior)
+        )
+        return skeleton
+
+    def unmount_replica(self, object_id: str, replica: int) -> None:
+        """Stop serving the replica's skeleton here (its name stays bound)."""
+        poa = self._orb.find_poa(_poa_name(object_id, replica))
+        if poa is not None:
+            poa.destroy()
+
+    def unbind_replica(self, object_id: str, replica: int) -> None:
+        """Remove the replica's bootstrap-service entry."""
+        self._naming.unbind(_naming_entry(object_id, replica))
+
+    def uninstall_replica(self, object_id: str, replica: int) -> None:
+        """:meth:`install_replica` backwards: no naming entry, no mount."""
+        self.unbind_replica(object_id, replica)
+        self.unmount_replica(object_id, replica)
+
+    def deploy_plain(
+        self, object_id: str, replica: int, servant: Any, interface: InterfaceDef
+    ) -> None:
+        """Serve ``servant`` through the ORB's own static skeleton, published
+        under the replica's name so CQoS stubs can still find it."""
+        poa = self._orb.create_poa(f"{object_id}_plain_poa_{replica}")
+        ior = poa.activate_object(object_id, servant, interface=interface)
+        self._naming.rebind(
+            _naming_entry(object_id, replica), self._orb.object_to_string(ior)
+        )
+
+    def plain_stub(self, object_id: str, replica: int, interface: InterfaceDef):
+        """The ORB-generated static stub for the replica (no CQoS)."""
+        ref = self._orb.string_to_object(
+            self._naming.resolve(_naming_entry(object_id, replica))
+        )
+        return make_static_stub_class(interface)(self._orb, ref.ior)
+
+    def client_platform(self, object_id: str, observers=None, router=None):
+        return CorbaClientPlatform(self._orb, object_id, observers=observers, router=router)

@@ -30,13 +30,27 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable
 
+from repro.core.fanout import threaded_reply_future
 from repro.core.request import Request
+from repro.net.transport import ReplyFuture
 
 
 class ClientPlatform(ABC):
-    """Client-side platform abstraction (replicas are numbers 1..N)."""
+    """Client-side platform abstraction (replicas are numbers 1..N).
+
+    The paper's four operations are abstract; the rest of the surface the
+    QoS layer calls is written once over them here, and
+    :class:`~repro.core.platform.BaseClientPlatform` overrides it with the
+    directory view's sparse ids, a control ping, latency ranking and the
+    substrate's pipelined send.
+    """
+
+    #: The target object, and the client's
+    #: :class:`~repro.core.routing.ShardRouter` (None: no routing layer).
+    object_id: str = ""
+    router: Any = None
 
     @abstractmethod
     def num_servers(self) -> int:
@@ -65,8 +79,33 @@ class ClientPlatform(ABC):
         """
 
 
+    def server_ids(self) -> tuple[int, ...]:
+        """The logical replica numbers, in preference order.
+
+        Sharded directory views produce legitimately sparse id spaces, so
+        QoS protocols iterate this instead of assuming ``range(1, N+1)``.
+        """
+        return tuple(range(1, self.num_servers() + 1))
+
+    def rank_servers(self, candidates: Iterable[int]) -> tuple[int, ...]:
+        """``candidates`` reordered most-promising first."""
+        return tuple(candidates)
+
+    def probe(self, server: int) -> bool:
+        """Actively check replica ``server``; True when it answered."""
+        return self.server_status(server)
+
+    def invoke_server_async(self, server: int, request: Request) -> ReplyFuture:
+        """Non-blocking :meth:`invoke_server`: the outcome settles the future."""
+        return threaded_reply_future(lambda: self.invoke_server(server, request))
+
+
 class ServerPlatform(ABC):
     """Server-side platform abstraction for one replica's Cactus server."""
+
+    #: The authoritative :class:`~repro.core.routing.ShardRouter` of a
+    #: sharded deployment (None when unsharded).
+    router: Any = None
 
     @abstractmethod
     def invoke_servant(self, request: Request) -> Any:
@@ -91,6 +130,18 @@ class ServerPlatform(ABC):
     @abstractmethod
     def peer_status(self, replica: int) -> bool:
         """True when the peer replica is believed to be running."""
+
+    def replica_ids(self) -> tuple[int, ...]:
+        """Logical ids of this object's replica group (sparse when sharded).
+
+        Replication protocols multicast to this instead of assuming a dense
+        ``range(1, num_replicas()+1)``.
+        """
+        return tuple(range(1, self.num_replicas() + 1))
+
+    def peer_invoke_async(self, replica: int, kind: str, payload: dict) -> ReplyFuture:
+        """Non-blocking :meth:`peer_invoke`: the outcome settles the future."""
+        return threaded_reply_future(lambda: self.peer_invoke(replica, kind, payload))
 
 
 @dataclass

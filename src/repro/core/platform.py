@@ -1,81 +1,43 @@
 """The invocation kernel: one platform-agnostic request pipeline.
 
 The paper's portability claim is that the QoS layer sees only the abstract
-request and the Cactus QoS interface.  Historically each platform adapter
-(:mod:`repro.core.adapters.corba` / ``rmi`` / ``http``) privately
-reimplemented replica directories, lazy binding, failure tracking, control
-pings, skeleton dispatch, and piggyback encode/decode.  This module hoists
-all of that shared request-lifecycle machinery into one place; the adapters
-shrink to thin codecs (abstract request ↔ platform request, plus their
-paper-verbatim naming conventions).
+request and the Cactus QoS interface.  This module owns the request
+lifecycle every platform shares, so that the adapters
+(:mod:`repro.core.adapters`) are thin codecs (abstract request ↔ platform
+request, plus their paper-verbatim naming conventions):
 
-Kernel pieces:
-
-- :class:`ReplicaDirectory` — naming-convention strategy + lazy bind +
-  lock-guarded liveness marks, shared by client platforms and the replica
-  control plane.  The class now lives in :mod:`repro.core.routing`
-  (re-exported here): replica discovery consults a
-  :class:`~repro.core.routing.ShardRouter` view when one is attached and
-  falls back to the historical prefix enumeration otherwise;
 - :class:`BaseClientPlatform` / :class:`BaseServerPlatform` /
-  :class:`BaseSkeletonServant` — own the request lifecycle on each side;
-  subclasses supply only name formatting, name resolution, and the wire
-  send (``_send``);
-- :class:`PiggybackCodec` — the registry of well-known piggyback keys and
-  the one textual header encoding used by header-based transports (the
-  HTTP adapter's ``X-CQoS-*`` headers), so a new piggyback key is declared
-  once instead of hand-threaded through three adapters;
-- :func:`fault_action` — the single platform-fault →
-  :class:`~repro.util.errors.CommunicationError`-taxonomy mapping, kept
-  consistent with :func:`repro.util.errors.is_retryable`;
+  :class:`BaseSkeletonServant` — own the request lifecycle on each side
+  (lazy binding through a :class:`~repro.core.routing.ReplicaDirectory`,
+  liveness marks, control pings, view leases, the fault taxonomy of
+  :func:`repro.util.errors.fault_action`); subclasses supply only name
+  formatting, name resolution, and the wire send (``_send`` /
+  ``_send_async``);
 - :class:`InvocationObserver` — explicit pre/post interception hook points
   threaded through stub → client platform → wire → skeleton → servant, so
   tracing/metrics attach without touching adapters.
 
-This module must stay platform-agnostic: importing :mod:`repro.orb`,
-:mod:`repro.rmi`, or :mod:`repro.http` here is a layering violation
-(machine-checked by ``tools/check_layering.py``).
+Its neighbours: :mod:`repro.core.fanout` (scatter-gather),
+:mod:`repro.core.piggyback` (header codec, reply envelope).  All three must
+stay platform-agnostic: importing :mod:`repro.orb`, :mod:`repro.rmi`, or
+:mod:`repro.http` here is a layering violation (machine-checked by
+``tools/check_layering.py``).
 """
 
 from __future__ import annotations
 
-import concurrent.futures
-import queue
-import re
 import threading
 import time
 from abc import abstractmethod
 from typing import Any, Callable, Iterable
 
 from repro.core.interfaces import ClientPlatform, ServerPlatform
-from repro.core.request import (
-    PB_ATTEMPT,
-    PB_CACHE_EPOCH,
-    PB_CACHE_INVALIDATE,
-    PB_CLIENT_ID,
-    PB_DEADLINE,
-    PB_ENCRYPTED,
-    PB_FORWARDED,
-    PB_PRIORITY,
-    PB_REQUEST_ID,
-    PB_SIGNATURE,
-    PB_VIEW_DELTA,
-    PB_VIEW_VERSION,
-    Request,
-)
+from repro.core.piggyback import unwrap_reply_value
+from repro.core.request import PB_VIEW_DELTA, PB_VIEW_VERSION, Request
 from repro.core.routing import ReplicaDirectory, ShardRouter
 from repro.net.transport import ReplyFuture
-from repro.serialization.jser import jser_dumps, jser_loads
-from repro.util.errors import (
-    AdmissionRejectedError,
-    BindError,
-    CommunicationError,
-    ConfigurationError,
-    ServerFailedError,
-    ShardMovedError,
-    TimeoutError_,
-    is_retryable,
-)
+from repro.util.errors import BindError, CommunicationError, ShardMovedError
+
 
 #: The reserved operation name of the replica control plane.  Requests with
 #: this operation carry ``[kind, sender_replica, payload]`` and are routed to
@@ -140,222 +102,6 @@ def notify_observers(observers: Iterable[InvocationObserver], hook: str, *args: 
             pass
 
 
-# -- piggyback codec ----------------------------------------------------------
-
-
-class PiggybackCodec:
-    """Registry of piggyback keys + the shared textual header encoding.
-
-    The CORBA and RMI substrates ship the piggyback dict natively (GIOP
-    service context / JRMP call context), so only header-based transports
-    need an encoding: each entry becomes one ``x-cqos-<key>`` header whose
-    value is the hex of the key's jser-encoded value, so *any*
-    marshallable value (non-string, non-ASCII, nested, binary) survives
-    header transport losslessly.
-
-    Header names are case-folded and latin-1-constrained by HTTP, so keys
-    that are not safe lower-case tokens are escaped as ``x-cqos-!<hex of
-    jser(key)>`` — ``!`` cannot appear in a safe token, making the escape
-    unambiguous, and safe keys (every well-known ``cqos_*`` key) keep
-    their historical byte-identical wire form.
-
-    ``declare()`` records a well-known key with documentation; adapters
-    never enumerate keys, so declaring a new one here is the *only* step
-    needed to introduce it.
-    """
-
-    PREFIX = "x-cqos-"
-    _ESCAPE = "!"
-    _SAFE_KEY = re.compile(r"[a-z0-9_.\-]+\Z")
-
-    def __init__(self) -> None:
-        self._declared: dict[str, str] = {}
-        self._lock = threading.Lock()
-
-    # -- key registry -------------------------------------------------------
-
-    def declare(self, key: str, doc: str = "") -> str:
-        """Register a well-known piggyback key; returns the key."""
-        with self._lock:
-            self._declared[key] = doc
-        return key
-
-    def declared_keys(self) -> dict[str, str]:
-        """The registered well-known keys and their documentation."""
-        with self._lock:
-            return dict(self._declared)
-
-    # -- header encoding ----------------------------------------------------
-
-    def encode_headers(self, piggyback: dict | None) -> dict[str, str]:
-        """Encode a piggyback dict as transport-safe ``x-cqos-*`` headers."""
-        headers: dict[str, str] = {}
-        for key, value in (piggyback or {}).items():
-            if isinstance(key, str) and self._SAFE_KEY.match(key):
-                name = f"{self.PREFIX}{key}"
-            else:
-                name = f"{self.PREFIX}{self._ESCAPE}{jser_dumps(key).hex()}"
-            headers[name] = jser_dumps(value).hex()
-        return headers
-
-    def decode_headers(self, headers: dict[str, str]) -> dict:
-        """Decode ``x-cqos-*`` headers back into the piggyback dict."""
-        piggyback: dict = {}
-        for name, value in headers.items():
-            if not name.startswith(self.PREFIX):
-                continue
-            raw_key = name[len(self.PREFIX):]
-            if raw_key.startswith(self._ESCAPE):
-                key = jser_loads(bytes.fromhex(raw_key[len(self._ESCAPE):]))
-            else:
-                key = raw_key
-            piggyback[key] = jser_loads(bytes.fromhex(value))
-        return piggyback
-
-
-#: The process-wide codec instance, with every well-known key declared once.
-PIGGYBACK_CODEC = PiggybackCodec()
-PIGGYBACK_CODEC.declare(PB_REQUEST_ID, "client-assigned request identity (replica correlation)")
-PIGGYBACK_CODEC.declare(PB_CLIENT_ID, "originating client identity")
-PIGGYBACK_CODEC.declare(PB_PRIORITY, "scheduling priority (timeliness protocols)")
-PIGGYBACK_CODEC.declare(PB_ENCRYPTED, "parameters are DES-encrypted (privacy protocols)")
-PIGGYBACK_CODEC.declare(PB_SIGNATURE, "request MAC (integrity protocols)")
-PIGGYBACK_CODEC.declare(PB_FORWARDED, "replica-forwarded duplicate (passive replication)")
-PIGGYBACK_CODEC.declare(PB_DEADLINE, "absolute deadline on the shared monotonic clock")
-PIGGYBACK_CODEC.declare(PB_ATTEMPT, "send-attempt number stamped by retry protocols")
-PIGGYBACK_CODEC.declare(PB_CACHE_EPOCH, "last cache-invalidation epoch seen by the client")
-PIGGYBACK_CODEC.declare(PB_CACHE_INVALIDATE, "reply-direction invalidation delta (epoch, ops)")
-PIGGYBACK_CODEC.declare(PB_VIEW_VERSION, "directory-view version the client routed with")
-PIGGYBACK_CODEC.declare(PB_VIEW_DELTA, "reply-direction directory-view delta (piggyback pull)")
-
-
-# -- reply-direction piggyback envelope ---------------------------------------
-#
-# None of the three substrates carries context on the *reply* leg (the GIOP
-# ReplyMessage has no service context; JRMP/HTTP replies are bare values), so
-# reply-direction piggyback rides inside the reply value itself: when a server
-# micro-protocol staged entries in ``Request.reply_piggyback``, the Cactus
-# server wraps the return value in a reserved-key envelope that the client
-# platform strips before completing the request.  Zero cost (no wrapping) for
-# requests with nothing staged, and no wire-format change on any platform.
-
-#: Reserved marker key of the reply envelope (never a legitimate app value).
-REPLY_ENVELOPE_KEY = "__cqos_reply__"
-_REPLY_ENVELOPE_VALUE = "v"
-
-
-def wrap_reply_value(value: Any, reply_piggyback: dict) -> Any:
-    """Envelope ``value`` with reply-direction piggyback (no-op when empty)."""
-    if not reply_piggyback:
-        return value
-    return {REPLY_ENVELOPE_KEY: dict(reply_piggyback), _REPLY_ENVELOPE_VALUE: value}
-
-
-def unwrap_reply_value(value: Any) -> tuple[Any, dict | None]:
-    """Split a reply into ``(value, reply_piggyback | None)``."""
-    if (
-        isinstance(value, dict)
-        and len(value) == 2
-        and REPLY_ENVELOPE_KEY in value
-        and _REPLY_ENVELOPE_VALUE in value
-    ):
-        return value[_REPLY_ENVELOPE_VALUE], dict(value[REPLY_ENVELOPE_KEY])
-    return value, None
-
-
-# -- fault taxonomy -----------------------------------------------------------
-#
-# One shared answer to "what should the binding layer do about this platform
-# fault?", the counterpart of repro.util.errors.is_retryable's "is this worth
-# retrying?".  The two stay consistent by construction:
-#
-# - ServerFailedError (host crashed, not retryable) => MARK_FAILED: remember
-#   the replica as down so server_status() reports it; failover is the right
-#   reaction and bind() is the explicit recovery path;
-# - every other CommunicationError (transient: loss, reset, partition flap,
-#   timeout — exactly the retryable class plus spent deadlines / open
-#   breakers, which never held a binding worth keeping) => DROP_BINDING:
-#   forget the cached endpoint so the next attempt reconnects, but do NOT
-#   mark the replica failed;
-# - everything else (application outcomes, marshalling) => KEEP: the binding
-#   is healthy, the request simply has a non-transport outcome.
-
-ACTION_MARK_FAILED = "mark_failed"
-ACTION_DROP_BINDING = "drop_binding"
-ACTION_KEEP = "keep"
-
-
-def fault_action(error: BaseException | None) -> str:
-    """Classify a platform fault into the binding-layer reaction."""
-    if isinstance(error, ServerFailedError):
-        return ACTION_MARK_FAILED
-    if isinstance(error, AdmissionRejectedError):
-        # The server actively answered (it is alive and the binding works);
-        # it just refused the work.  Keeping the binding lets the client
-        # retry after the hinted delay without a reconnect.
-        return ACTION_KEEP
-    if isinstance(error, CommunicationError):
-        # Exactly the is_retryable() class plus the non-retryable local
-        # rejections (deadline spent, breaker open); none of them indicate
-        # a crashed replica, so the binding is dropped but the replica is
-        # not marked failed.
-        return ACTION_DROP_BINDING
-    return ACTION_KEEP
-
-
-# -- scatter-gather fan-out ---------------------------------------------------
-#
-# The fan-out primitive of the replication protocols: submit every replica
-# request in one non-blocking pass (the TCP mux pipelines them on each
-# replica's socket), then gather completions in arrival order under a policy.
-# Policies:
-#
-# - "all"       — every branch is gathered (the historical semantics: active
-#                 replication collects all replies, passive forwarding joins
-#                 every backup);
-# - "first"     — the first *successful* reply wins; the remaining branches
-#                 are abandoned (correlation ids reclaimed, no waiter leak);
-# - "quorum:k"  — the k-th successful reply wins; no straggler wait.
-#
-# Abandoning a branch never cancels the remote execution — the request was
-# already sent — it only stops waiting locally, which is exactly-once safe
-# for the protocols that use it (active replication sends to every replica
-# regardless; the reply value is what is being raced).
-
-#: Valid gather-policy modes.
-GATHER_ALL = "all"
-GATHER_FIRST = "first"
-GATHER_QUORUM = "quorum"
-
-
-def parse_gather_policy(spec: str | None) -> tuple[str, int]:
-    """Parse a gather-policy spec into ``(mode, quorum_k)``.
-
-    Accepts ``"all"`` (default for ``None``/empty), ``"first"``, and
-    ``"quorum:k"`` with integer ``k >= 1`` (``"quorum"`` alone means
-    ``k=2``).  Raises :class:`~repro.util.errors.ConfigurationError` on
-    anything else — a silently ignored policy knob would be worse than a
-    loud one.
-    """
-    if spec is None or not spec.strip():
-        return (GATHER_ALL, 0)
-    text = spec.strip().lower()
-    if text in (GATHER_ALL, GATHER_FIRST):
-        return (text, 0)
-    if text == GATHER_QUORUM or text.startswith(GATHER_QUORUM + ":"):
-        _, _, raw_k = text.partition(":")
-        try:
-            quorum_k = int(raw_k) if raw_k else 2
-        except ValueError:
-            raise ConfigurationError(f"malformed quorum size in gather policy {spec!r}") from None
-        if quorum_k < 1:
-            raise ConfigurationError(f"quorum size must be >= 1, got {quorum_k}")
-        return (GATHER_QUORUM, quorum_k)
-    raise ConfigurationError(
-        f"unknown gather policy {spec!r}; expected 'all', 'first', or 'quorum:k'"
-    )
-
-
 def _once(fn: Callable[[], None]) -> Callable[[], None]:
     """Wrap ``fn`` so concurrent/repeated invocations run it exactly once."""
     lock = threading.Lock()
@@ -369,161 +115,6 @@ def _once(fn: Callable[[], None]) -> Callable[[], None]:
         fn()
 
     return run
-
-
-def threaded_reply_future(call: Callable[[], Any], name: str = "cqos-send-async") -> ReplyFuture:
-    """Run a blocking ``call()`` on a daemon thread; settle a ReplyFuture.
-
-    The fallback ``_send_async`` implementation for platforms that only
-    define a blocking ``_send`` (test fakes, decorated stacks): semantically
-    identical to the historical thread-per-replica fan-out.
-    """
-    future: concurrent.futures.Future = concurrent.futures.Future()
-
-    def run() -> None:
-        try:
-            result = call()
-        except BaseException as exc:  # noqa: BLE001 - delivered via the future
-            future.set_exception(exc)
-        else:
-            future.set_result(result)
-
-    threading.Thread(target=run, name=name, daemon=True).start()
-    return ReplyFuture(future)
-
-
-class BranchOutcome:
-    """The settled result of one scatter branch: ``value`` XOR ``error``."""
-
-    __slots__ = ("key", "value", "error")
-
-    def __init__(self, key: Any, value: Any, error: BaseException | None):
-        self.key = key
-        self.value = value
-        self.error = error
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
-
-    def __repr__(self) -> str:
-        outcome = repr(self.value) if self.ok else f"error={self.error!r}"
-        return f"BranchOutcome({self.key}, {outcome})"
-
-
-class ScatterGather:
-    """One multicast fan-out: submit N branches, gather in completion order.
-
-    ``submit(key, fn)`` calls ``fn() -> ReplyFuture`` and registers the
-    branch; a submit-time raise is recorded as that branch's (immediate)
-    failure outcome rather than propagating, so one dead replica never
-    aborts the scatter pass.  Completion signals are queued at *wire*
-    settle time (done callbacks push the key only — no decode on transport
-    threads); ``next_outcome()`` resolves the branch on the gather thread,
-    where the substrate's lazy decode and fault bookkeeping run.
-
-    The scatter and gather sides may be different threads, but submissions
-    must happen-before the first ``next_outcome`` for the count to be
-    meaningful (all protocol users submit the full pass first).
-    """
-
-    def __init__(self) -> None:
-        self._signals: queue.SimpleQueue = queue.SimpleQueue()
-        self._branches: dict[Any, ReplyFuture] = {}
-        self._immediate: dict[Any, BranchOutcome] = {}
-        self._lock = threading.Lock()
-        self._submitted = 0
-        self._gathered = 0
-
-    def submit(self, key: Any, submit_fn: Callable[[], ReplyFuture]) -> None:
-        """Start one branch; its completion will surface via the queue."""
-        try:
-            reply = submit_fn()
-        except BaseException as exc:  # noqa: BLE001 - recorded as the outcome
-            with self._lock:
-                self._immediate[key] = BranchOutcome(key, None, exc)
-                self._submitted += 1
-            self._signals.put(key)
-            return
-        with self._lock:
-            self._branches[key] = reply
-            self._submitted += 1
-        reply.add_done_callback(lambda _reply, key=key: self._signals.put(key))
-
-    @property
-    def submitted(self) -> int:
-        return self._submitted
-
-    def remaining(self) -> int:
-        """Branches submitted but not yet gathered (nor abandoned)."""
-        with self._lock:
-            return self._submitted - self._gathered
-
-    def next_outcome(self, timeout: float | None = None) -> BranchOutcome | None:
-        """The next settled branch in completion order; None when drained.
-
-        Raises :class:`~repro.util.errors.TimeoutError_` if no branch
-        settles within ``timeout``.  Substrate decode (and its fault
-        side effects) run here, on the gather thread.
-        """
-        with self._lock:
-            if self._gathered >= self._submitted:
-                return None
-        try:
-            key = self._signals.get(timeout=timeout)
-        except queue.Empty:
-            raise TimeoutError_("scatter-gather: no branch completed within deadline") from None
-        with self._lock:
-            self._gathered += 1
-            immediate = self._immediate.pop(key, None)
-            reply = self._branches.pop(key, None)
-        if immediate is not None:
-            return immediate
-        if reply is None:  # abandoned concurrently; treat as drained signal
-            return BranchOutcome(key, None, TimeoutError_("exchange abandoned"))
-        try:
-            value = reply.result(timeout=0)
-        except BaseException as exc:  # noqa: BLE001 - per-branch outcome
-            return BranchOutcome(key, None, exc)
-        return BranchOutcome(key, value, None)
-
-    def gather_all(self, timeout: float | None = None) -> list[BranchOutcome]:
-        """Gather every remaining branch (per-branch errors inside outcomes).
-
-        ``timeout`` bounds the *whole* gather, not each branch.  Protocols
-        that fire-and-forget a multicast call this from a single pool task
-        so the substrates' lazy decode — and its binding-hygiene side
-        effects — still run, just off the submitting thread.
-        """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        outcomes: list[BranchOutcome] = []
-        while True:
-            wait = None if deadline is None else max(0.0, deadline - time.monotonic())
-            outcome = self.next_outcome(timeout=wait)
-            if outcome is None:
-                return outcomes
-            outcomes.append(outcome)
-
-    def abandon_rest(self) -> None:
-        """Abandon every ungathered branch: reclaim transport waiter state.
-
-        After this, ``next_outcome`` reports the scatter as drained.  Safe
-        against late completion signals (their keys are simply ignored).
-        """
-        with self._lock:
-            branches = list(self._branches.values())
-            self._branches.clear()
-            self._immediate.clear()
-            self._gathered = self._submitted
-        for reply in branches:
-            reply.abandon()
-
-
-# -- replica directory --------------------------------------------------------
-#
-# ReplicaDirectory moved to repro.core.routing.directory (the routing layer
-# owns replica discovery now); imported above and re-exported here, its
-# historical home, so existing imports keep working.
 
 
 # -- client platform base ------------------------------------------------------
@@ -542,8 +133,9 @@ class BaseClientPlatform(ClientPlatform):
     - ``_resolve(name)`` — bootstrap-service lookup, returning an opaque
       endpoint;
     - ``_list_names(prefix)`` — bootstrap-service enumeration;
-    - ``_send(endpoint, operation, params, piggyback)`` — convert the
-      abstract request into one platform request and invoke it.
+    - ``_send(endpoint, operation, params, piggyback)`` / ``_send_async``
+      — convert the abstract request into one platform request and invoke
+      it, blocking or returning a :class:`~repro.net.transport.ReplyFuture`.
 
     ``router`` attaches a :class:`~repro.core.routing.ShardRouter`: replica
     counts/ids then come from its directory view (consulted on every
@@ -601,18 +193,12 @@ class BaseClientPlatform(ClientPlatform):
     def _send(self, endpoint: Any, operation: str, params: list, piggyback: dict | None) -> Any:
         """Convert to a platform request, invoke it, return the reply value."""
 
+    @abstractmethod
     def _send_async(
         self, endpoint: Any, operation: str, params: list, piggyback: dict | None
     ) -> ReplyFuture:
-        """Non-blocking ``_send``; delivery failures settle the future.
-
-        Default: one daemon thread around the blocking codec, so subclasses
-        that only define ``_send`` (test fakes, wrappers) work unchanged.
-        The real adapters override this with their substrate's native
-        pipelined submit (eager encode, lazy decode — wire bytes identical
-        to the blocking path).
-        """
-        return threaded_reply_future(lambda: self._send(endpoint, operation, params, piggyback))
+        """Non-blocking ``_send``: the substrate's native pipelined submit
+        (eager encode, lazy decode — wire bytes identical to ``_send``)."""
 
     # -- Cactus QoS interface (shared lifecycle) ----------------------------
 
@@ -688,12 +274,7 @@ class BaseClientPlatform(ClientPlatform):
                 endpoint, request.operation, request.get_params(), dict(request.piggyback)
             )
         except BaseException as exc:
-            # ServerFailedError marks the replica down (server_status sees
-            # it); transient CommunicationErrors only drop the binding so
-            # the next attempt reconnects.
-            self.directory.apply_fault(server, exc)
-            if observers is not None:
-                notify_observers(observers, "on_wire_failure", request, server, exc)
+            self._wire_failed(server, request, observers, exc)
             raise
         finally:
             if lease is not None:
@@ -711,13 +292,29 @@ class BaseClientPlatform(ClientPlatform):
             notify_observers(observers, "on_wire_reply", request, server, value)
         return value
 
+    def _wire_failed(
+        self, server: int, request: Request, observers: list | None, exc: BaseException
+    ) -> None:
+        """One send attempt failed: fault taxonomy, then ``on_wire_failure``.
+
+        ServerFailedError marks the replica down (server_status sees it);
+        transient CommunicationErrors only drop the binding so the next
+        attempt reconnects.
+        """
+        self.directory.apply_fault(server, exc)
+        if observers is not None:
+            notify_observers(observers, "on_wire_failure", request, server, exc)
+
     def invoke_server_async(self, server: int, request: Request) -> ReplyFuture:
         """Non-blocking :meth:`invoke_server`: submit now, settle later.
 
         Submit-time work (bind, endpoint resolution, view-lease pinning,
-        ``on_wire_send``) runs on the caller's thread and may raise
-        :class:`~repro.util.errors.BindError` — :class:`ScatterGather`
-        records such raises as immediate branch failures.  Everything after
+        ``on_wire_send``, the substrate's encode) runs on the caller's
+        thread and may raise :class:`~repro.util.errors.BindError` or what
+        the encode raises — :class:`~repro.core.fanout.ScatterGather`
+        records such raises as immediate branch failures, and a send that
+        raised has released its lease and had its ``on_wire_failure`` like
+        any other failed attempt.  Everything after
         the wire settles runs lazily at ``result()`` on the consumer's
         thread: reply unwrap, view-delta pull, fault taxonomy, observers.
         A :class:`~repro.util.errors.ShardMovedError` outcome falls back to
@@ -735,9 +332,15 @@ class BaseClientPlatform(ClientPlatform):
         if observers is not None:
             notify_observers(observers, "on_wire_send", request, server)
         started = time.monotonic()
-        reply = self._send_async(
-            endpoint, request.operation, request.get_params(), dict(request.piggyback)
-        )
+        try:
+            reply = self._send_async(
+                endpoint, request.operation, request.get_params(), dict(request.piggyback)
+            )
+        except BaseException as exc:
+            if lease is not None:
+                lease.release()
+            self._wire_failed(server, request, observers, exc)
+            raise
         if lease is not None:
             release = _once(lease.release)
             reply.add_done_callback(lambda _reply: release())
@@ -756,9 +359,7 @@ class BaseClientPlatform(ClientPlatform):
             return value
 
         def on_error(exc: BaseException) -> Any:
-            self.directory.apply_fault(server, exc)
-            if observers is not None:
-                notify_observers(observers, "on_wire_failure", request, server, exc)
+            self._wire_failed(server, request, observers, exc)
             if isinstance(exc, ShardMovedError):
                 return self.invoke_server(server, request)
             raise exc
@@ -812,8 +413,8 @@ class BaseServerPlatform(ServerPlatform):
     (``peer_invoke`` / ``peer_status``) on top of a peer
     :class:`ReplicaDirectory` — "identical techniques to establish
     connections between server object replicas".  A concrete adapter
-    supplies ``_peer_name``, ``_resolve`` and ``_send`` (same codec surface
-    as the client side) plus a ``dispatch`` object implementing
+    supplies ``_peer_name``, ``_resolve``, ``_send`` and ``_send_async``
+    (same codec surface as the client side) plus a ``dispatch`` object implementing
     ``dispatch(operation, params)`` for the native call into the servant.
     """
 
@@ -853,6 +454,12 @@ class BaseServerPlatform(ServerPlatform):
     def _send(self, endpoint: Any, operation: str, params: list, piggyback: dict | None) -> Any:
         """Send one platform request to a peer endpoint."""
 
+    @abstractmethod
+    def _send_async(
+        self, endpoint: Any, operation: str, params: list, piggyback: dict | None
+    ) -> ReplyFuture:
+        """Non-blocking ``_send`` (as on the client side)."""
+
     # -- Cactus QoS interface (shared lifecycle) ----------------------------
 
     def invoke_servant(self, request: Request) -> Any:
@@ -885,12 +492,6 @@ class BaseServerPlatform(ServerPlatform):
                 return tuple(ids)
         return tuple(range(1, self._total + 1))
 
-    def _send_async(
-        self, endpoint: Any, operation: str, params: list, piggyback: dict | None
-    ) -> ReplyFuture:
-        """Non-blocking ``_send`` (same default/override split as the client)."""
-        return threaded_reply_future(lambda: self._send(endpoint, operation, params, piggyback))
-
     def peer_invoke(self, replica: int, kind: str, payload: dict) -> Any:
         endpoint = self.peers.endpoint(replica)
         try:
@@ -905,7 +506,8 @@ class BaseServerPlatform(ServerPlatform):
         """Non-blocking :meth:`peer_invoke`; same taxonomy at ``result()``.
 
         May raise :class:`~repro.util.errors.BindError` at submit time (no
-        such peer) — :class:`ScatterGather` records that as the branch
+        such peer) — :class:`~repro.core.fanout.ScatterGather` records that
+        as the branch
         outcome.  A ``CommunicationError`` outcome drops the peer binding
         when the result is consumed; multicast protocols drain their
         scatter from one pool task precisely so this binding hygiene still
@@ -974,53 +576,3 @@ class BaseSkeletonServant:
         """The generic-invoke entry point (RMI export / HTTP mount)."""
         return self.dispatch_invocation(method, arguments, context)
 
-
-# -- naming conventions --------------------------------------------------------
-#
-# The paper's platform naming conventions, verbatim.  They are *used* by the
-# adapters (they are part of each platform's codec surface) but live here so
-# deployment code and tests can format replica names without importing a
-# platform module, and so the historical adapter-level helper names keep
-# working as re-exports.
-
-
-def corba_poa_name(object_id: str, replica: int) -> str:
-    """The paper's POA naming convention: ``"OID_agent_poa_i"``."""
-    return f"{object_id}_agent_poa_{replica}"
-
-
-def corba_skeleton_object_id(object_id: str) -> str:
-    """The shared CORBA skeleton object id: ``"OID_CQoS_Skeleton"``."""
-    return f"{object_id}_CQoS_Skeleton"
-
-
-def corba_replica_name(object_id: str, replica: int) -> str:
-    """The naming-service entry for one CORBA replica: ``"OID/replica-i"``."""
-    return f"{object_id}/replica-{replica}"
-
-
-def corba_replica_prefix(object_id: str) -> str:
-    return f"{object_id}/replica-"
-
-
-def rmi_skeleton_name(object_id: str, replica: int) -> str:
-    """The paper's registry naming convention: ``"OID_CQoS_Skeleton_i"``."""
-    return f"{object_id}_CQoS_Skeleton_{replica}"
-
-
-def rmi_skeleton_prefix(object_id: str) -> str:
-    return f"{object_id}_CQoS_Skeleton_"
-
-
-def http_replica_name(object_id: str, replica: int) -> str:
-    """Path-registry naming convention for HTTP replicas: ``"OID/replica-i"``."""
-    return f"{object_id}/replica-{replica}"
-
-
-def http_replica_prefix(object_id: str) -> str:
-    return f"{object_id}/replica-"
-
-
-def http_skeleton_object_id(object_id: str) -> str:
-    """The mounted CQoS skeleton's HTTP object id: ``"OID_CQoS_Skeleton"``."""
-    return f"{object_id}_CQoS_Skeleton"

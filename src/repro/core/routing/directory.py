@@ -1,14 +1,11 @@
 """Replica-number → endpoint directory (router-aware).
 
-Historically this class lived in :mod:`repro.core.platform` and counted an
-object's replicas by bootstrap prefix enumeration — one ``list_names``
-round-trip per object, with cost proportional to the whole name table.
-It now belongs to the routing layer: when a :class:`ShardRouter` is
-attached, replica counts and ids come straight from the current
+When a :class:`ShardRouter` with a sharded view is attached, replica counts
+and ids come straight from the current
 :class:`~repro.core.routing.view.DirectoryView` (one shared view answers
-for thousands of objects), and the prefix scan survives only as the
-bootstrap fallback for unsharded deployments, whose naming entries and
-observable behaviour stay exactly as before.
+for thousands of objects); an unsharded deployment counts an object's
+replicas by bootstrap prefix enumeration, the paper's naming-convention
+bootstrap — one ``list_names`` round-trip per object, cached.
 
 The directory consults the router on every bind/rebind/endpoint/count: a
 view-version change invalidates cached endpoints, failure marks, and the
@@ -22,15 +19,13 @@ from __future__ import annotations
 import threading
 from typing import Any, Callable
 
-from repro.util.errors import BindError, CommunicationError, ServerFailedError
-
-
-def _fault_action(error: BaseException | None) -> str:
-    # Imported lazily to keep directory ↔ platform import order acyclic;
-    # repro.core.platform re-exports this class for its historical home.
-    from repro.core.platform import fault_action
-
-    return fault_action(error)
+from repro.util.errors import (
+    ACTION_DROP_BINDING,
+    ACTION_MARK_FAILED,
+    BindError,
+    CommunicationError,
+    fault_action,
+)
 
 
 class ReplicaDirectory:
@@ -194,10 +189,10 @@ class ReplicaDirectory:
 
     def apply_fault(self, replica: int, error: BaseException) -> str:
         """React to a platform fault per the shared taxonomy; returns the action."""
-        action = _fault_action(error)
-        if action == "mark_failed":
+        action = fault_action(error)
+        if action == ACTION_MARK_FAILED:
             self.mark_failed(replica)
-        elif action == "drop_binding":
+        elif action == ACTION_DROP_BINDING:
             self.drop(replica)
         return action
 

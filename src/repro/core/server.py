@@ -22,7 +22,7 @@ from repro.cactus.composite import CompositeProtocol, MicroProtocol
 from repro.cactus.runtime import CactusRuntime
 from repro.core.events import CONTROL_EVENT_PREFIX, EV_NEW_SERVER_REQUEST
 from repro.core.interfaces import ControlMessage, ServerPlatform
-from repro.core.platform import wrap_reply_value
+from repro.core.piggyback import wrap_reply_value
 from repro.core.request import Request
 from repro.util.errors import ConfigurationError
 
@@ -76,7 +76,7 @@ class CactusServer(CompositeProtocol):
         (admission slots, in-flight counters) always fire exactly once.
         When server micro-protocols staged reply-direction piggyback, the
         result travels inside the reserved reply envelope (see
-        :func:`repro.core.platform.wrap_reply_value`).
+        :func:`repro.core.piggyback.wrap_reply_value`).
         """
         try:
             self._new_server_request.raise_blocking(request)

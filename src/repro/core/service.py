@@ -1,8 +1,10 @@
 """Deployment façade: assemble complete CQoS systems in a few calls.
 
 :class:`CqosDeployment` owns one network, one middleware platform choice
-("corba" or "rmi"), its bootstrap service (naming service / RMI registry),
-and the hosts it creates.  Typical use::
+(a key of :data:`repro.core.adapters.HOSTS`), its bootstrap service (naming
+service / RMI registry / path registry), and the hosts it creates.  What a
+platform *is* stays behind its adapter's host class; nothing here names
+one.  Typical use::
 
     network = InMemoryNetwork()
     dep = CqosDeployment(network, platform="corba", compiled=compiled)
@@ -33,40 +35,14 @@ from typing import Any, Callable, Sequence
 from repro.cactus.composite import MicroProtocol
 from repro.cactus.config import MicroProtocolSpec, build_micro_protocols
 from repro.cactus.runtime import CactusRuntime
+from repro.core.adapters import HOSTS
 from repro.core.client import CactusClient
 from repro.core.request import Request
 from repro.core.server import CactusServer
 from repro.core.skeleton import CqosSkeleton
 from repro.core.stub import CqosStub, make_cqos_stub_class
-from repro.core.adapters.corba import (
-    CorbaClientPlatform,
-    corba_replica_name,
-    install_corba_replica,
-)
-from repro.core.adapters.rmi import (
-    RmiClientPlatform,
-    install_rmi_replica,
-    rmi_skeleton_name,
-)
-from repro.core.adapters.http import (
-    HttpClientPlatform,
-    http_replica_name,
-    install_http_replica,
-)
-from repro.http.client import HttpClient, make_http_stub_class
-from repro.http.registry import (
-    REGISTRY_HOST as HTTP_REGISTRY_HOST,
-    HttpRegistryClient,
-    start_http_registry,
-)
-from repro.http.server import HttpObjectServer
 from repro.idl.compiler import CompiledIdl, InterfaceDef
 from repro.net.transport import Network
-from repro.orb.naming import NAMING_HOST, naming_client, start_naming_service
-from repro.orb.orb import Orb
-from repro.orb.stubs import make_static_stub_class
-from repro.rmi.registry import REGISTRY_HOST, registry_client, start_registry
-from repro.rmi.runtime import RmiRuntime, make_rmi_stub_class
 from repro.util.concurrency import WorkerThreads
 from repro.util.errors import ConfigurationError
 from repro.util.ids import IdGenerator
@@ -96,7 +72,7 @@ def _instantiate(config: MpConfig | str) -> list[MicroProtocol]:
 class CqosDeployment:
     """One network + one platform + the CQoS objects deployed on it."""
 
-    PLATFORMS = ("corba", "rmi", "http")
+    PLATFORMS = tuple(HOSTS)
 
     def __init__(
         self,
@@ -105,7 +81,7 @@ class CqosDeployment:
         compiled: CompiledIdl,
         request_timeout: float | None = 30.0,
     ):
-        if platform not in self.PLATFORMS:
+        if platform not in HOSTS:
             raise ConfigurationError(
                 f"platform must be one of {self.PLATFORMS}, not {platform!r}"
             )
@@ -115,56 +91,25 @@ class CqosDeployment:
         self.request_timeout = request_timeout
         self._ids = IdGenerator("dep")
         self._lock = threading.Lock()
-        self._orbs: list[Orb] = []
-        self._runtimes: list[RmiRuntime] = []
-        self._http_servers: list[HttpObjectServer] = []
-        self._http_clients: list[HttpClient] = []
+        self._hosts: list = []
         self._cactus: list[CactusServer | CactusClient] = []
         # Every composite's lane borrows its threads from this one set.
         self._threads = WorkerThreads("cactus-worker")
         self._replica_hosts: dict[tuple[str, int], str] = {}
-        self._bootstrap()
+        self._new_host(HOSTS[platform].BOOTSTRAP_HOST).start().start_bootstrap()
 
-    # -- bootstrap -------------------------------------------------------
-
-    def _bootstrap(self) -> None:
-        if self.platform == "corba":
-            self._naming_orb = self._new_orb(NAMING_HOST).start()
-            self.naming = start_naming_service(self._naming_orb)
-        elif self.platform == "rmi":
-            self._registry_runtime = self._new_rmi(REGISTRY_HOST).start()
-            self.registry = start_registry(self._registry_runtime)
-        else:
-            self._registry_http = self._new_http_server(HTTP_REGISTRY_HOST).start()
-            self.registry = start_http_registry(self._registry_http)
-
-    def _new_orb(self, host_name: str) -> Orb:
-        orb = Orb(self.network, host_name, self.compiled)
+    def _new_host(self, host_name: str):
+        """One more host of this deployment's platform, shut down by ``close``."""
+        host = HOSTS[self.platform](self.network, host_name, self.compiled)
         with self._lock:
-            self._orbs.append(orb)
-        return orb
+            self._hosts.append(host)
+        return host
 
-    def _new_rmi(self, host_name: str) -> RmiRuntime:
-        runtime = RmiRuntime(self.network, host_name, self.compiled)
-        with self._lock:
-            self._runtimes.append(runtime)
-        return runtime
-
-    def _new_http_server(self, host_name: str) -> HttpObjectServer:
-        server = HttpObjectServer(self.network, host_name, self.compiled)
-        with self._lock:
-            self._http_servers.append(server)
-        return server
-
-    def _new_http_client(self, host_name: str) -> HttpClient:
-        client = HttpClient(self.network, host_name)
-        with self._lock:
-            self._http_clients.append(client)
-        return client
-
-    def _http_registry_client(self, host_name: str) -> tuple[HttpClient, HttpRegistryClient]:
-        client = self._new_http_client(host_name)
-        return client, HttpRegistryClient(client)
+    def _new_replica_host(self, object_id: str, replica: int):
+        """A started host under the replica's conventional host name."""
+        host_name = self.replica_host_name(object_id, replica)
+        self._replica_hosts[(object_id, replica)] = host_name
+        return self._new_host(host_name).start()
 
     def _track(self, composite: CactusServer | CactusClient) -> None:
         with self._lock:
@@ -200,52 +145,21 @@ class CqosDeployment:
         """
         skeletons: list[CqosSkeleton] = []
         for replica in range(1, replicas + 1):
-            host_name = self.replica_host_name(object_id, replica)
-            self._replica_hosts[(object_id, replica)] = host_name
+            host = self._new_replica_host(object_id, replica)
             factory = self._server_factory(
                 object_id, replica, server_micro_protocols, priority_policy
             )
-            servant = servant_factory()
-            if self.platform == "corba":
-                orb = self._new_orb(host_name).start()
-                skeleton = install_corba_replica(
-                    orb,
+            skeletons.append(
+                host.install_replica(
                     object_id,
                     replica,
-                    servant,
+                    servant_factory(),
                     interface,
                     cactus_server_factory=factory,
                     total_replicas=replicas,
                     observers=observers,
                 )
-            elif self.platform == "rmi":
-                runtime = self._new_rmi(host_name).start()
-                skeleton = install_rmi_replica(
-                    runtime,
-                    object_id,
-                    replica,
-                    servant,
-                    interface,
-                    cactus_server_factory=factory,
-                    total_replicas=replicas,
-                    observers=observers,
-                )
-            else:
-                http_server = self._new_http_server(host_name).start()
-                http_client, registry = self._http_registry_client(host_name)
-                skeleton = install_http_replica(
-                    http_server,
-                    http_client,
-                    registry,
-                    object_id,
-                    replica,
-                    servant,
-                    interface,
-                    cactus_server_factory=factory,
-                    total_replicas=replicas,
-                    observers=observers,
-                )
-            skeletons.append(skeleton)
+            )
         return skeletons
 
     def _server_factory(
@@ -287,28 +201,9 @@ class CqosDeployment:
         published under the CQoS replica naming convention so CQoS stubs
         can still find it.
         """
-        host_name = self.replica_host_name(object_id, replica)
-        self._replica_hosts[(object_id, replica)] = host_name
-        if self.platform == "corba":
-            orb = self._new_orb(host_name).start()
-            poa = orb.create_poa(f"{object_id}_plain_poa_{replica}")
-            ior = poa.activate_object(object_id, servant, interface=interface)
-            naming_client(orb).rebind(
-                corba_replica_name(object_id, replica), orb.object_to_string(ior)
-            )
-        elif self.platform == "rmi":
-            runtime = self._new_rmi(host_name).start()
-            ref = runtime.export(servant, interface, object_id=object_id)
-            registry_client(runtime).rebind(rmi_skeleton_name(object_id, replica), ref)
-        else:
-            http_server = self._new_http_server(host_name).start()
-            http_server.mount(object_id, servant, interface)
-            _, registry = self._http_registry_client(host_name)
-            registry.rebind(
-                http_replica_name(object_id, replica),
-                http_server.endpoint_address,
-                object_id,
-            )
+        self._new_replica_host(object_id, replica).deploy_plain(
+            object_id, replica, servant, interface
+        )
 
     # -- client side --------------------------------------------------------
 
@@ -338,21 +233,9 @@ class CqosDeployment:
         :class:`~repro.core.shardspace.ShardSpace`).
         """
         host = host_name or f"client-{self._ids.next_int()}"
-        if self.platform == "corba":
-            orb = self._new_orb(host)
-            platform = CorbaClientPlatform(
-                orb, object_id, observers=observers, router=router
-            )
-        elif self.platform == "rmi":
-            runtime = self._new_rmi(host)
-            platform = RmiClientPlatform(
-                runtime, object_id, observers=observers, router=router
-            )
-        else:
-            http_client, registry = self._http_registry_client(host)
-            platform = HttpClientPlatform(
-                http_client, registry, object_id, observers=observers, router=router
-            )
+        platform = self._new_host(host).client_platform(
+            object_id, observers=observers, router=router
+        )
         cactus_client: CactusClient | None = None
         if with_cactus_client:
             # Replication against gated replicas parks invocation legs on
@@ -401,21 +284,7 @@ class CqosDeployment:
         Targets a replica deployed with :meth:`deploy_plain_replica`.
         """
         host = host_name or f"client-{self._ids.next_int()}"
-        if self.platform == "corba":
-            orb = self._new_orb(host)
-            ior_text = naming_client(orb).resolve(corba_replica_name(object_id, replica))
-            ref = orb.string_to_object(ior_text)
-            stub_class = make_static_stub_class(interface)
-            return stub_class(orb, ref.ior)
-        if self.platform == "rmi":
-            runtime = self._new_rmi(host)
-            ref = registry_client(runtime).lookup(rmi_skeleton_name(object_id, replica))
-            stub_class = make_rmi_stub_class(interface)
-            return stub_class(runtime, ref)
-        http_client, registry = self._http_registry_client(host)
-        address, oid = registry.lookup(http_replica_name(object_id, replica))
-        stub_class = make_http_stub_class(interface)
-        return stub_class(http_client, address, oid)
+        return self._new_host(host).plain_stub(object_id, replica, interface)
 
     # -- fault injection convenience -------------------------------------------
 
@@ -436,27 +305,15 @@ class CqosDeployment:
     def close(self) -> None:
         with self._lock:
             composites = list(self._cactus)
-            orbs = list(self._orbs)
-            runtimes = list(self._runtimes)
-            http_servers = list(self._http_servers)
-            http_clients = list(self._http_clients)
+            hosts = list(self._hosts)
             self._cactus.clear()
-            self._orbs.clear()
-            self._runtimes.clear()
-            self._http_servers.clear()
-            self._http_clients.clear()
+            self._hosts.clear()
         for composite in composites:
             composite.shutdown()
             composite.runtime.shutdown()  # its lane and timers; no thread is its own
         self._threads.close()
-        for orb in orbs:
-            orb.shutdown()
-        for runtime in runtimes:
-            runtime.shutdown()
-        for server in http_servers:
-            server.shutdown()
-        for client in http_clients:
-            client.close()
+        for host in hosts:
+            host.shutdown()
         self.network.close()
 
     def __enter__(self) -> "CqosDeployment":

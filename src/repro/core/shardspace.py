@@ -33,17 +33,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
 
-from repro.core.adapters.corba import install_corba_replica
-from repro.core.adapters.http import install_http_replica
-from repro.core.adapters.rmi import install_rmi_replica
-from repro.core.platform import (
-    InvocationObserver,
-    corba_poa_name,
-    corba_replica_name,
-    http_replica_name,
-    http_skeleton_object_id,
-    rmi_skeleton_name,
-)
+from repro.core.platform import InvocationObserver
 from repro.core.routing import (
     DirectoryView,
     Placement,
@@ -53,9 +43,6 @@ from repro.core.routing import (
 from repro.core.service import CqosDeployment, MpConfig
 from repro.core.skeleton import CqosSkeleton
 from repro.idl.compiler import InterfaceDef
-from repro.orb.naming import naming_client
-from repro.rmi.registry import registry_client
-from repro.rmi.runtime import GENERIC_INTERFACE, RemoteRef
 from repro.util.errors import ConfigurationError
 
 
@@ -93,15 +80,13 @@ class _InflightObserver(InvocationObserver):
 
 @dataclass
 class _Mount:
-    """One installed replica mount: skeleton + drain counter + teardown."""
+    """One installed replica mount: skeleton + drain counter."""
 
     object_id: str
     logical: int
     member: int
     skeleton: CqosSkeleton
     observer: _InflightObserver
-    teardown: Callable[[], None]
-    unbind: Callable[[], None]
 
 
 @dataclass
@@ -131,7 +116,7 @@ class ShardSpace:
         self.drain_timeout = drain_timeout
         self._lock = threading.RLock()
         self._members: dict[int, str] = {}  # member id -> host name
-        self._infra: dict[int, dict] = {}  # member id -> platform objects
+        self._hosts: dict[int, Any] = {}  # member id -> its started adapter host
         self._next_member = 1
         server_groups = tuple(
             self._allocate_group(name, count) for name, count in groups.items()
@@ -225,32 +210,23 @@ class ShardSpace:
             self._servants[key] = servant
         return servant
 
-    def _member_infra(self, member: int) -> dict:
-        infra = self._infra.get(member)
-        if infra is not None:
-            return infra
-        host = self.member_host(member)
-        dep = self.deployment
-        if dep.platform == "corba":
-            infra = {"orb": dep._new_orb(host).start()}
-        elif dep.platform == "rmi":
-            infra = {"runtime": dep._new_rmi(host).start()}
-        else:
-            server = dep._new_http_server(host).start()
-            client, registry = dep._http_registry_client(host)
-            infra = {"server": server, "client": client, "registry": registry}
-        self._infra[member] = infra
-        return infra
+    def _host(self, member: int) -> Any:
+        host = self._hosts.get(member)
+        if host is None:
+            host = self.deployment._new_host(self.member_host(member)).start()
+            self._hosts[member] = host
+        return host
 
     def _install(
         self, object_id: str, logical: int, member: int, total: int
     ) -> _Mount:
+        host = self._host(member)
         # A member about to re-host a replica must first free the mount id
         # its *retired* incarnation of that replica still holds.
         for mount in list(self._retired.get(member, ())):
             if mount.object_id == object_id and mount.logical == logical:
                 self._retired[member].remove(mount)
-                self._safely(mount.teardown)
+                self._safely(host.unmount_replica, object_id, logical)
         spec = self._objects[object_id]
         servant = self._servant(object_id, logical)
         observer = _InflightObserver()
@@ -258,86 +234,17 @@ class ShardSpace:
         factory = self.deployment._server_factory(
             object_id, logical, spec.micro_protocols, None
         )
-        infra = self._member_infra(member)
-        dep = self.deployment
-        if dep.platform == "corba":
-            orb = infra["orb"]
-            skeleton = install_corba_replica(
-                orb,
-                object_id,
-                logical,
-                servant,
-                spec.interface,
-                cactus_server_factory=factory,
-                total_replicas=total,
-                observers=observers,
-                router=self.router,
-            )
-
-            def teardown(orb=orb) -> None:
-                poa = orb.find_poa(corba_poa_name(object_id, logical))
-                if poa is not None:
-                    poa.destroy()
-
-            def unbind(orb=orb) -> None:
-                naming_client(orb).unbind(corba_replica_name(object_id, logical))
-
-        elif dep.platform == "rmi":
-            runtime = infra["runtime"]
-            skeleton = install_rmi_replica(
-                runtime,
-                object_id,
-                logical,
-                servant,
-                spec.interface,
-                cactus_server_factory=factory,
-                total_replicas=total,
-                observers=observers,
-                router=self.router,
-            )
-            ref = RemoteRef(
-                interface_name=GENERIC_INTERFACE,
-                address=runtime.endpoint_address,
-                object_id=rmi_skeleton_name(object_id, logical),
-            )
-
-            def teardown(runtime=runtime, ref=ref) -> None:
-                runtime.unexport(ref)
-
-            def unbind(runtime=runtime) -> None:
-                registry_client(runtime).unbind(rmi_skeleton_name(object_id, logical))
-
-        else:
-            server, client, registry = (
-                infra["server"],
-                infra["client"],
-                infra["registry"],
-            )
-            # Per-logical mount ids: one member may host several logical
-            # replicas of one object across a handoff window.
-            mount_id = f"{http_skeleton_object_id(object_id)}_{logical}"
-            skeleton = install_http_replica(
-                server,
-                client,
-                registry,
-                object_id,
-                logical,
-                servant,
-                spec.interface,
-                cactus_server_factory=factory,
-                total_replicas=total,
-                observers=observers,
-                router=self.router,
-                skeleton_id=mount_id,
-            )
-
-            def teardown(server=server, mount_id=mount_id) -> None:
-                server.unmount(mount_id)
-
-            def unbind(registry=registry) -> None:
-                registry.unbind(http_replica_name(object_id, logical))
-
-        return _Mount(object_id, logical, member, skeleton, observer, teardown, unbind)
+        skeleton = host.install_replica(
+            object_id,
+            logical,
+            servant,
+            spec.interface,
+            cactus_server_factory=factory,
+            total_replicas=total,
+            observers=observers,
+            router=self.router,
+        )
+        return _Mount(object_id, logical, member, skeleton, observer)
 
     # -- rebalancing -----------------------------------------------------------
 
@@ -401,7 +308,9 @@ class ShardSpace:
         # A dropped logical replica has no successor registration: remove
         # its naming entry so prefix enumeration stops finding it.
         for mount in dropped:
-            self._safely(mount.unbind)
+            self._safely(
+                self._host(mount.member).unbind_replica, mount.object_id, mount.logical
+            )
 
     def _drain(self, mount: _Mount) -> None:
         """Wait for the old mount's in-flight requests to complete."""
@@ -410,9 +319,9 @@ class ShardSpace:
             time.sleep(0.001)
 
     @staticmethod
-    def _safely(action: Callable[[], None]) -> None:
+    def _safely(action: Callable[..., None], object_id: str, logical: int) -> None:
         try:
-            action()
+            action(object_id, logical)
         except Exception:  # noqa: BLE001 - cleanup on a crashed member is moot
             pass
 

@@ -11,7 +11,8 @@ a DSI :class:`~repro.orb.dsi.DynamicImplementation` and the RMI adapter in
 a generic-invoke remote object.  Both feed :meth:`handle_invocation`.
 
 Besides application operations, the skeleton serves the replica **control
-plane**: requests whose operation is :data:`CONTROL_OPERATION` carry
+plane**: requests whose operation is
+:data:`~repro.core.platform.CONTROL_OPERATION` carry
 ``[kind, sender_replica, payload]`` and are routed to the Cactus server's
 ``control:<kind>`` event (``ping`` is answered directly, enabling
 ``server_status()`` probes even for pass-through skeletons).
@@ -33,13 +34,11 @@ from __future__ import annotations
 from typing import Any
 
 from repro.core.interfaces import ServerPlatform
-
-# Canonical home of the control-plane constants is the invocation kernel;
-# re-exported here for backwards compatibility with pre-kernel imports.
-from repro.core.platform import CONTROL_OPERATION, CONTROL_PING, wrap_reply_value
+from repro.core.piggyback import wrap_reply_value
+from repro.core.platform import CONTROL_OPERATION, CONTROL_PING
 from repro.core.request import PB_REQUEST_ID, PB_VIEW_DELTA, PB_VIEW_VERSION, Request
 from repro.core.server import CactusServer
-from repro.util.errors import ShardMovedError
+from repro.util.errors import ConfigurationError, ShardMovedError
 
 
 class CqosSkeleton:
@@ -114,7 +113,7 @@ class CqosSkeleton:
         stamped its view version (unsharded clients never stamp, keeping
         their wire traffic byte-identical to pre-routing builds).
         """
-        router = getattr(self._platform, "router", None)
+        router = self._platform.router
         if router is None or not router.sharded:
             return
         client_version = request.piggyback.get(PB_VIEW_VERSION)
@@ -128,8 +127,6 @@ class CqosSkeleton:
         if kind == CONTROL_PING:
             return True
         if self._cactus_server is None:
-            from repro.util.errors import ConfigurationError
-
             raise ConfigurationError(
                 f"control message {kind!r} received but no Cactus server is attached"
             )

@@ -80,14 +80,14 @@ class HttpClient:
         the consumer's thread.  Never raises — submit-time failures settle
         the future.
         """
-        request = HttpRequest(
-            method="POST",
-            path=f"/objects/{object_id}/{operation}",
-            headers=piggyback_headers(piggyback or {}),
-            body=jser_dumps(arguments),
-        )
-        frame = format_request(request)
         try:
+            request = HttpRequest(
+                method="POST",
+                path=f"/objects/{object_id}/{operation}",
+                headers=piggyback_headers(piggyback or {}),
+                body=jser_dumps(arguments),
+            )
+            frame = format_request(request)
             connection = self._connection(address)
         except Exception as exc:  # noqa: BLE001 - delivered via the future
             from repro.net.transport import ReplyFuture

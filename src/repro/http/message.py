@@ -4,8 +4,8 @@ One request and one response per transport frame (the framing the
 underlying transport already provides plays the role of Content-Length
 enforcement on a raw socket; Content-Length is still emitted and checked
 for fidelity).  Bodies are binary (the jser codec's output); CQoS piggyback
-entries travel as ``X-CQoS-<key>`` headers encoded by the invocation
-kernel's shared :class:`~repro.core.platform.PiggybackCodec` (hex-encoded
+entries travel as ``X-CQoS-<key>`` headers encoded by the shared
+:class:`~repro.core.piggyback.PiggybackCodec` (hex-encoded
 jser values; non-token keys escaped the same way), so arbitrary piggyback
 keys *and* values survive header transport losslessly.
 """
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.platform import PIGGYBACK_CODEC
+from repro.core.piggyback import PIGGYBACK_CODEC
 from repro.util.errors import MarshalError
 
 _CRLF = b"\r\n"

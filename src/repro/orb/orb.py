@@ -210,8 +210,8 @@ class Orb:
             next(self._request_ids) & _REQUEST_ID_MASK,
             ior.object_key, operation, arguments, context, response_expected,
         )
-        frame = giop.encode_request(request)
         try:
+            frame = giop.encode_request(request)
             connection = self._pool.get(ior.address)
         except Exception as exc:  # noqa: BLE001 - delivered via the future
             from repro.net.transport import ReplyFuture

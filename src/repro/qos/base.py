@@ -54,31 +54,6 @@ from repro.util.errors import CommunicationError, InvocationError, ServerFailedE
 ATTR_SERVANT_EXCEPTION = "servant_exception"
 
 
-def replica_ids(platform: ClientPlatform) -> tuple[int, ...]:
-    """The platform's logical replica ids, in preference order.
-
-    Sharded directory views produce legitimately sparse id spaces, so QoS
-    protocols iterate this instead of assuming ``range(1, N+1)``; platforms
-    without the richer surface keep the historical contiguous ids.
-    """
-    server_ids = getattr(platform, "server_ids", None)
-    if server_ids is not None:
-        return server_ids()
-    return tuple(range(1, platform.num_servers() + 1))
-
-
-def server_replica_ids(platform: ServerPlatform) -> tuple[int, ...]:
-    """The server-side replica group's logical ids (client counterpart above).
-
-    Replication protocols multicast to this instead of assuming a dense
-    ``range(1, num_replicas()+1)`` — under sharding the group is sparse.
-    """
-    ids = getattr(platform, "replica_ids", None)
-    if ids is not None:
-        return ids()
-    return tuple(range(1, platform.num_replicas() + 1))
-
-
 @register_micro_protocol("ClientBase")
 class ClientBase(MicroProtocol):
     """The default client-side pipeline (see module docstring)."""
@@ -114,7 +89,7 @@ class ClientBase(MicroProtocol):
         request: Request = occurrence.args[0]
         platform = self._platform
         failed = self._failed
-        candidates = replica_ids(platform)
+        candidates = platform.server_ids()
         server = candidates[0] if candidates else 1
         for candidate in candidates:
             if candidate not in failed and platform.server_status(candidate):

@@ -20,54 +20,12 @@ dynamic path, or as the text config-file format.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.cactus.config import MicroProtocolSpec, build_micro_protocols
 from repro.qos.combinations import validate_configuration
 from repro.util.errors import ConfigurationError
-
-
-def _freeze(value: Any) -> Any:
-    """Recursively hashable view of a spec parameter value."""
-    if isinstance(value, dict):
-        return tuple(sorted((k, _freeze(v)) for k, v in value.items()))
-    if isinstance(value, (list, tuple)):
-        return tuple(_freeze(v) for v in value)
-    if isinstance(value, set):
-        return tuple(sorted(_freeze(v) for v in value))
-    return value
-
-
-def spec_fingerprint(specs: list[MicroProtocolSpec] | tuple[MicroProtocolSpec, ...]) -> tuple:
-    """Order-sensitive identity of a micro-protocol configuration."""
-    return tuple((spec.name, _freeze(spec.params)) for spec in specs)
-
-
-# Sealed dispatch plans, one per distinct QoS combination ever built.
-# Repeated deployments of the same combination (the common case: every
-# replica and every client of a service shares one configuration) reuse the
-# validated spec layout instead of re-assembling and re-validating it; the
-# per-event compiled handler chains then compile once per composite from
-# that layout (chains hold bound methods of per-instance micro-protocols,
-# so the chain itself cannot cross composites — the plan is what can).
-_plan_lock = threading.Lock()
-_plan_cache: dict[tuple, "QosSpec"] = {}
-_plan_stats = {"hits": 0, "misses": 0}
-
-
-def dispatch_plan_cache_stats() -> dict[str, int]:
-    """Hit/miss counters of the sealed-plan cache (for tests/benchmarks)."""
-    with _plan_lock:
-        return dict(_plan_stats, size=len(_plan_cache))
-
-
-def clear_dispatch_plan_cache() -> None:
-    with _plan_lock:
-        _plan_cache.clear()
-        _plan_stats["hits"] = 0
-        _plan_stats["misses"] = 0
 
 _FT_CHOICES = ("none", "active", "passive")
 _ACCEPTANCE_CHOICES = (None, "first", "success", "vote")
@@ -77,12 +35,7 @@ _SHED_POLICIES = (None, "low-priority-first", "deadline", "fair")
 
 @dataclass
 class QosSpec:
-    """A validated pair of client/server configurations.
-
-    Instances returned by :meth:`QosBuilder.build` are *sealed* (cached and
-    shared across deployments keyed by :meth:`fingerprint`); treat the spec
-    lists as read-only and build a fresh spec for a different combination.
-    """
+    """A validated pair of client/server configurations."""
 
     client_specs: list[MicroProtocolSpec] = field(default_factory=list)
     server_specs: list[MicroProtocolSpec] = field(default_factory=list)
@@ -91,14 +44,6 @@ class QosSpec:
     #: *where* an object's replicas live is part of its service contract
     #: (RAFDA-style: policy is declared, never coded into the servant).
     placement: Any = None
-
-    def fingerprint(self) -> tuple:
-        """Stable identity of this combination (the plan-cache key)."""
-        return (
-            spec_fingerprint(self.client_specs),
-            spec_fingerprint(self.server_specs),
-            _freeze(self.placement.to_wire()) if self.placement is not None else None,
-        )
 
     def client_factory(self):
         """Zero-arg factory for ``CqosDeployment.client_stub``."""
@@ -312,49 +257,8 @@ class QosBuilder:
 
     # -- assembly ---------------------------------------------------------------------
 
-    def build(self, use_cache: bool = True) -> QosSpec:
-        """Assemble and validate the configuration pair.
-
-        With ``use_cache`` (default), identical combinations return the one
-        sealed :class:`QosSpec` from the process-wide dispatch-plan cache,
-        so repeated deployments skip re-assembly and matrix re-validation.
-        """
-        if not use_cache:
-            return self._assemble()
-        key = self._choice_key()
-        with _plan_lock:
-            cached = _plan_cache.get(key)
-            if cached is not None:
-                _plan_stats["hits"] += 1
-                return cached
-        spec = self._assemble()
-        with _plan_lock:
-            _plan_stats["misses"] += 1
-            _plan_cache.setdefault(key, spec)
-            spec = _plan_cache[key]
-        return spec
-
-    def _choice_key(self) -> tuple:
-        """Hashable identity of every attribute-level choice made so far."""
-        return (
-            self._ft,
-            self._acceptance,
-            self._total_order,
-            _freeze(self._total_order_params),
-            _freeze(self._privacy),
-            _freeze(self._integrity),
-            _freeze(self._access),
-            self._timeliness,
-            _freeze(self._timeliness_params),
-            _freeze(self._slo),
-            _freeze(self._caching),
-            _freeze(self._balance),
-            _freeze(self._placement.to_wire()) if self._placement is not None else None,
-            spec_fingerprint(self._extras_client),
-            spec_fingerprint(self._extras_server),
-        )
-
-    def _assemble(self) -> QosSpec:
+    def build(self) -> QosSpec:
+        """Assemble and validate the configuration pair."""
         client: list[MicroProtocolSpec] = []
         server: list[MicroProtocolSpec] = []
 

@@ -41,6 +41,7 @@ from repro.core.events import (
     EV_READY_TO_SEND,
 )
 from repro.core.interfaces import ClientPlatform, ControlMessage
+from repro.core.platform import CONTROL_OPERATION
 from repro.core.request import Request
 from repro.util.errors import BindError, CommunicationError, ServerFailedError
 from repro.util.log import get_logger
@@ -136,10 +137,7 @@ class LoadBalance(MicroProtocol):
         propagates.  A failed probe never marks the replica failed: that
         verdict belongs to the binding layer's fault taxonomy alone.
         """
-        from repro.core.skeleton import CONTROL_OPERATION
-        from repro.qos.base import replica_ids
-
-        for server in replica_ids(platform):
+        for server in platform.server_ids():
             probe = Request("lb", CONTROL_OPERATION, [CONTROL_LOAD, 0, {}])
             try:
                 platform.bind(server)
@@ -248,21 +246,17 @@ class LoadBalance(MicroProtocol):
         request: Request = occurrence.args[0]
         platform: ClientPlatform = self.shared.get(SHARED_PLATFORM)
         failed: set = self.shared.get(SHARED_FAILED_SERVERS)
-        from repro.qos.base import replica_ids
-
         candidates = [
-            server for server in replica_ids(platform) if server not in failed
+            server for server in platform.server_ids() if server not in failed
         ]
         if not candidates:
             request.fail(ServerFailedError("no live replica for load balancing"))
             occurrence.halt()
             return
-        rank = getattr(platform, "rank_servers", None)
-        if rank is not None:
-            # Kernel latency EWMAs (fed by every successful send on this
-            # platform, not just this protocol's) order the cold-start
-            # exploration; warm selection below is unaffected.
-            candidates = list(rank(candidates))
+        # Kernel latency EWMAs (fed by every successful send on this
+        # platform, not just this protocol's) order the cold-start
+        # exploration; warm selection below is unaffected.
+        candidates = list(platform.rank_servers(candidates))
         with self._lock:
             any_cold = any(s not in self._ewma for s in candidates)
         if any_cold:

@@ -48,14 +48,13 @@ from repro.core.events import (
     EV_READY_TO_SEND,
 )
 from repro.core.interfaces import ClientPlatform
-from repro.core.platform import (
+from repro.core.fanout import (
     GATHER_ALL,
     GATHER_FIRST,
     GATHER_QUORUM,
     BranchOutcome,
     ScatterGather,
     parse_gather_policy,
-    threaded_reply_future,
 )
 from repro.core.request import Reply, Request
 from repro.idl.compiler import IdlRemoteException
@@ -170,21 +169,16 @@ class ActiveRep(MicroProtocol):
         sharded group keeps its real ids); if discovery comes up shorter
         than the explicit override, the historical dense enumeration wins.
         """
-        from repro.qos.base import replica_ids
-
-        ids = replica_ids(platform)
+        ids = platform.server_ids()
         if self._num_servers is not None:
             if len(ids) >= self._num_servers:
                 ids = tuple(ids[: self._num_servers])
             else:
                 ids = tuple(range(1, self._num_servers + 1))
-        rank = getattr(platform, "rank_servers", None)
-        if rank is not None:
-            # Latency-EWMA order: known-fast replicas are submitted (and
-            # typically answer) first, so first/quorum gathers finish
-            # without waiting on the habitual straggler.
-            ids = rank(ids)
-        return tuple(ids)
+        # Latency-EWMA order: known-fast replicas are submitted (and
+        # typically answer) first, so first/quorum gathers finish without
+        # waiting on the habitual straggler.
+        return platform.rank_servers(ids)
 
     # -- handlers ------------------------------------------------------------
 
@@ -226,12 +220,7 @@ class ActiveRep(MicroProtocol):
         if not platform.server_status(server):
             raise ServerFailedError(f"server {server} is not running")
         platform.bind(server)
-        invoke_async = getattr(platform, "invoke_server_async", None)
-        if invoke_async is not None:
-            return invoke_async(server, request)
-        # Platforms exposing only the blocking surface (test fakes) fan out
-        # on daemon threads — the historical thread-per-replica shape.
-        return threaded_reply_future(lambda: platform.invoke_server(server, request))
+        return platform.invoke_server_async(server, request)
 
     def accept_gate(self, occurrence: Occurrence) -> None:
         """Policy acceptance (first/quorum): halt the base returner until met.

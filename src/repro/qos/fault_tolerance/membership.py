@@ -52,16 +52,8 @@ class FailureDetector(MicroProtocol):
         # The directory view owns the replica id space: sharded placements
         # produce legitimately sparse logical ids, so probing must iterate
         # the view's ids, never assume a contiguous range(1, N+1).
-        server_ids = getattr(platform, "server_ids", None)
-        replicas = (
-            server_ids()
-            if server_ids is not None
-            else tuple(range(1, platform.num_servers() + 1))
-        )
-        for server in replicas:
-            probe = getattr(platform, "probe", None)
-            alive = probe(server) if probe is not None else platform.server_status(server)
-            if not alive:
+        for server in platform.server_ids():
+            if not platform.probe(server):
                 new_failed.add(server)
         with self.shared.lock:
             old = set(failed)
@@ -73,11 +65,9 @@ class FailureDetector(MicroProtocol):
             # drives membershipChange visibility through the routing layer.
             # The view tracks *physical members*, so the probed logical
             # replica ids are translated through the current assignments.
-            router = getattr(platform, "router", None)
+            router = platform.router
             if router is not None and router.sharded:
-                member_of = dict(
-                    router.view().assignments(getattr(platform, "object_id", ""))
-                )
+                member_of = dict(router.view().assignments(platform.object_id))
                 router.apply_membership_change(
                     member_of[r] for r in new_failed if r in member_of
                 )

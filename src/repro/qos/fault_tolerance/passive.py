@@ -39,10 +39,10 @@ from repro.core.events import (
     EV_READY_TO_SEND,
 )
 from repro.core.interfaces import ClientPlatform, ControlMessage, ServerPlatform
-from repro.core.platform import ScatterGather, threaded_reply_future
+from repro.core.fanout import ScatterGather
 from repro.core.request import PB_FORWARDED, Request
 from repro.core.server import SHARED_PLATFORM as SHARED_SERVER_PLATFORM
-from repro.qos.base import ATTR_SERVANT_EXCEPTION, server_replica_ids
+from repro.qos.base import ATTR_SERVANT_EXCEPTION
 from repro.util.errors import CommunicationError, ServerFailedError
 from repro.util.log import get_logger
 
@@ -67,9 +67,7 @@ class PassiveRep(MicroProtocol):
     def _pick_primary(self) -> int | None:
         platform: ClientPlatform = self.shared.get(SHARED_PLATFORM)
         failed: set = self.shared.get(SHARED_FAILED_SERVERS)
-        from repro.qos.base import replica_ids
-
-        for server in replica_ids(platform):
+        for server in platform.server_ids():
             if server not in failed:
                 return server
         return None
@@ -152,7 +150,7 @@ class PassiveRepServer(MicroProtocol):
         lose the update.  A backup that is down is skipped — its branch
         outcome is a CommunicationError, repaired by recovery (see
         logging_recovery), not by the primary.  The group comes from
-        :func:`~repro.qos.base.server_replica_ids` (sparse-id safe).
+        ``platform.replica_ids()`` (sparse-id safe).
         """
         request: Request = occurrence.args[0]
         if request.piggyback.get(PB_FORWARDED):
@@ -162,27 +160,20 @@ class PassiveRepServer(MicroProtocol):
         wire = request.to_wire()
         wire["piggyback"][PB_FORWARDED] = True
         scatter = ScatterGather()
-        for replica in server_replica_ids(platform):
+        for replica in platform.replica_ids():
             if replica == me:
                 continue
             scatter.submit(
                 replica,
-                lambda replica=replica: self._forward_one(platform, replica, wire),
+                lambda replica=replica: platform.peer_invoke_async(
+                    replica, CONTROL_FORWARD, wire
+                ),
             )
         for outcome in scatter.gather_all(timeout=30.0):
             if outcome.error is not None and not isinstance(
                 outcome.error, CommunicationError
             ):
                 raise outcome.error
-
-    @staticmethod
-    def _forward_one(platform: ServerPlatform, replica: int, wire: dict):
-        invoke_async = getattr(platform, "peer_invoke_async", None)
-        if invoke_async is not None:
-            return invoke_async(replica, CONTROL_FORWARD, wire)
-        return threaded_reply_future(
-            lambda: platform.peer_invoke(replica, CONTROL_FORWARD, wire)
-        )
 
     def on_forward(self, occurrence: Occurrence) -> None:
         """Backup side: execute the forwarded request through the pipeline."""

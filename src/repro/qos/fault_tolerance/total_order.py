@@ -44,10 +44,9 @@ from repro.core.events import (
     EV_READY_TO_INVOKE,
 )
 from repro.core.interfaces import ControlMessage, ServerPlatform
-from repro.core.platform import ScatterGather, threaded_reply_future
+from repro.core.fanout import ScatterGather
 from repro.core.request import Request
 from repro.core.server import SHARED_PLATFORM
-from repro.qos.base import server_replica_ids
 from repro.util.log import get_logger
 
 logger = get_logger("qos.total_order")
@@ -123,30 +122,23 @@ class TotalOrder(MicroProtocol):
         CommunicationError is its branch outcome (ignored: it will not
         execute anything anyway), and consuming each branch runs the
         substrate's binding hygiene off the sequencing thread.  The group
-        comes from :func:`~repro.qos.base.server_replica_ids`, so sparse
-        sharded id spaces are announced to correctly.
+        comes from ``platform.replica_ids()``, so sparse sharded id spaces
+        are announced to correctly.
         """
         platform = self._platform()
         me = platform.my_replica()
         payload = {"request_id": request_id, "seq": seq}
         scatter = ScatterGather()
-        for replica in server_replica_ids(platform):
+        for replica in platform.replica_ids():
             if replica != me:
                 scatter.submit(
                     replica,
-                    lambda replica=replica: self._announce_one(platform, replica, payload),
+                    lambda replica=replica: platform.peer_invoke_async(
+                        replica, CONTROL_ORDER, payload
+                    ),
                 )
         if scatter.submitted:
             self.composite.runtime.submit(self._drain_announcements, scatter)
-
-    @staticmethod
-    def _announce_one(platform: ServerPlatform, replica: int, payload: dict):
-        invoke_async = getattr(platform, "peer_invoke_async", None)
-        if invoke_async is not None:
-            return invoke_async(replica, CONTROL_ORDER, payload)
-        return threaded_reply_future(
-            lambda: platform.peer_invoke(replica, CONTROL_ORDER, payload)
-        )
 
     @staticmethod
     def _drain_announcements(scatter: ScatterGather) -> None:
@@ -235,7 +227,7 @@ class TotalOrder(MicroProtocol):
         me = platform.my_replica()
         new_sequencer = me
         # Lowest-numbered live replica wins; the id space may be sparse.
-        for replica in sorted(server_replica_ids(platform)):
+        for replica in sorted(platform.replica_ids()):
             if replica == me:
                 new_sequencer = min(new_sequencer, replica)
                 break

@@ -202,16 +202,16 @@ class RmiRuntime:
         blocking path); JRMP decode runs lazily on the consumer's thread.
         Never raises — submit-time failures settle the future.
         """
-        frame = jrmp.encode_call(
-            jrmp.CallMessage(
-                object_id=ref.object_id,
-                method=method,
-                arguments=arguments,
-                context=context or {},
-                oneway=False,
-            )
-        )
         try:
+            frame = jrmp.encode_call(
+                jrmp.CallMessage(
+                    object_id=ref.object_id,
+                    method=method,
+                    arguments=arguments,
+                    context=context or {},
+                    oneway=False,
+                )
+            )
             connection = self._connection(ref.address)
         except Exception as exc:  # noqa: BLE001 - delivered via the future
             from repro.net.transport import ReplyFuture

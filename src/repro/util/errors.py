@@ -189,6 +189,38 @@ def classify_error(exception: BaseException | None) -> str:
     return "application"
 
 
+# One shared answer to "what should the binding layer do about this platform
+# fault?", the counterpart of is_retryable's "is this worth retrying?":
+#
+# - ServerFailedError (host crashed, not retryable) => MARK_FAILED: remember
+#   the replica as down so server_status() reports it; failover is the right
+#   reaction and bind() is the explicit recovery path;
+# - AdmissionRejectedError => KEEP: the server actively answered (it is alive
+#   and the binding works); it just refused the work, and keeping the binding
+#   lets the client retry after the hinted delay without a reconnect;
+# - every other CommunicationError (the retryable class plus spent deadlines
+#   and open breakers, none of which indicate a crashed replica) =>
+#   DROP_BINDING: forget the cached endpoint so the next attempt reconnects,
+#   but do NOT mark the replica failed;
+# - everything else (application outcomes, marshalling) => KEEP: the binding
+#   is healthy, the request simply has a non-transport outcome.
+
+ACTION_MARK_FAILED = "mark_failed"
+ACTION_DROP_BINDING = "drop_binding"
+ACTION_KEEP = "keep"
+
+
+def fault_action(error: BaseException | None) -> str:
+    """Classify a platform fault into the binding-layer reaction."""
+    if isinstance(error, ServerFailedError):
+        return ACTION_MARK_FAILED
+    if isinstance(error, AdmissionRejectedError):
+        return ACTION_KEEP
+    if isinstance(error, CommunicationError):
+        return ACTION_DROP_BINDING
+    return ACTION_KEEP
+
+
 # -- wire-safe system errors --------------------------------------------------
 #
 # The three platforms marshal non-IDL server exceptions as a {type, message}

@@ -6,7 +6,9 @@ bind/rebind semantics, ``server_status`` transitions, piggyback round-trip
 fidelity (including non-ASCII keys and non-string values), the control
 ping, and the shared fault taxonomy.  Any behavioral divergence between
 adapters is a kernel regression — the paper's portability claim, made
-executable.
+executable.  The last section holds every entry of the adapter table
+(:data:`repro.core.adapters.HOSTS`) to the host surface the deployment code
+is written against.
 """
 
 from __future__ import annotations
@@ -17,17 +19,16 @@ import pytest
 
 from repro.apps.bank import BankAccount
 from repro.cactus.composite import SharedData
-from repro.core.platform import (
+from repro.core.adapters import HOSTS
+from repro.core.platform import InvocationObserver, notify_observers
+from repro.core.request import PB_REQUEST_ID, Request
+from repro.core.routing import ShardRouter
+from repro.core.routing.directory import ReplicaDirectory
+from repro.qos import ActiveRep
+from repro.util.errors import (
     ACTION_DROP_BINDING,
     ACTION_KEEP,
     ACTION_MARK_FAILED,
-    InvocationObserver,
-    fault_action,
-    notify_observers,
-)
-from repro.core.request import PB_REQUEST_ID, Request
-from repro.core.routing.directory import ReplicaDirectory
-from repro.util.errors import (
     BindError,
     CircuitOpenError,
     CommunicationError,
@@ -36,6 +37,7 @@ from repro.util.errors import (
     MarshalError,
     ServerFailedError,
     TimeoutError_,
+    fault_action,
     is_retryable,
 )
 from tests.conftest import make_account
@@ -324,3 +326,125 @@ def test_idle_hooks_and_lookups_cost_no_call(deployment, bank_iface):
     assert seen == {
         "notify_observers": 0, "SharedData.get": 0, "_sync_view": 0, "servant": 4,
     }
+
+
+# -- a failed send is a whole failed attempt ----------------------------------
+
+
+def test_failed_async_submit_releases_its_lease_and_reports(deployment, bank_iface):
+    """A scatter branch whose send raises at submit (here: an argument no
+    codec can marshal) is a failed attempt like any other — inside the
+    taxonomy, its view lease released, its ``on_wire_send`` paired with an
+    ``on_wire_failure`` — so a later rebalance still drains the view."""
+    observer = RecordingObserver()
+    space = deployment.shard_space({"a": 1})
+    space.add_object("acct", BankAccount, bank_iface)
+    stub = space.client_stub(
+        "acct", bank_iface, client_micro_protocols=lambda: [ActiveRep()], observers=[observer]
+    )
+    stub.set_balance(1.0)
+    router = stub._platform.router
+    observer.events.clear()
+    with pytest.raises(MarshalError):
+        stub.set_balance(object())
+    assert router.inflight(router.view().version) == 0
+    wire = [name for name, *_ in observer.events if name.startswith("on_wire")]
+    assert wire == ["on_wire_send", "on_wire_failure"]
+    assert stub._platform.server_status(1)  # a marshalling fault keeps the binding
+    assert stub.get_balance() == 1.0
+
+
+def test_raising_send_async_is_handled_by_the_kernel(deployment, bank_iface):
+    """The same guarantee whatever the codec raises before it has a future
+    to settle (a DII conformance check, a fake): the kernel owns the lease."""
+    observer = RecordingObserver()
+    space = deployment.shard_space({"a": 1})
+    space.add_object("acct", BankAccount, bank_iface)
+    stub = space.client_stub("acct", bank_iface, observers=[observer])
+    platform = stub._platform
+
+    def refuse(*args):
+        raise CommunicationError("codec refused before submit")
+
+    platform._send_async = refuse
+    observer.events.clear()
+    with pytest.raises(CommunicationError):
+        platform.invoke_server_async(1, make_request("get_balance", []))
+    assert platform.router.inflight(platform.router.view().version) == 0
+    assert [name for name, *_ in observer.events] == ["on_wire_send", "on_wire_failure"]
+
+
+# -- the adapter host seam ----------------------------------------------------
+
+
+@pytest.fixture(params=list(HOSTS))
+def hosts(request, network, compiled_bank):
+    """One platform's bootstrap service, a started server host, a client host."""
+    host_class = HOSTS[request.param]
+    bootstrap, server, client = (
+        host_class(network, name, compiled_bank)
+        for name in (host_class.BOOTSTRAP_HOST, "srv", "cli")
+    )
+    bootstrap.start().start_bootstrap()
+    server.start()
+    yield server, client
+    for host in (client, server, bootstrap):
+        host.shutdown()
+
+
+@pytest.mark.parametrize("routed", [False, True], ids=["unsharded", "sharded"])
+def test_uninstall_replica_undoes_install(hosts, bank_iface, routed):
+    """install → resolve → uninstall leaves no bootstrap entry and no mount,
+    and the same (object, replica) installs again on the same host — what
+    ShardSpace's re-hosting after a handoff relies on."""
+    server, client = hosts
+    router = ShardRouter() if routed else None
+    server.install_replica("acct", 1, BankAccount(), bank_iface, router=router)
+    bound = client.client_platform("acct")
+    bound.invoke_server(1, make_request("set_balance", [7.0]))
+
+    server.uninstall_replica("acct", 1)
+    fresh = client.client_platform("acct")
+    assert fresh._list_names(fresh._replica_prefix()) == []
+    with pytest.raises(BindError):
+        fresh.bind(1)
+    # The endpoint resolved before the uninstall now serves nothing.
+    with pytest.raises(InvocationError):
+        bound.invoke_server(1, make_request("get_balance", []))
+
+    server.install_replica("acct", 1, BankAccount(), bank_iface, router=router)
+    assert fresh.invoke_server(1, make_request("get_balance", [])) == 0.0
+
+
+def test_unmount_and_unbind_are_independent_halves(hosts, bank_iface):
+    """A moved replica is unmounted from its old host while its name (now
+    the new owner's) stays; a dropped one loses its name while the retired
+    mount keeps answering stale clients."""
+    server, client = hosts
+    router = ShardRouter()  # one host serving two replicas: a shard member
+    server.install_replica("acct", 1, BankAccount(), bank_iface, router=router)
+    server.install_replica("acct", 2, BankAccount(), bank_iface, router=router)
+    platform = client.client_platform("acct")
+    assert platform.num_servers() == 2
+
+    server.unmount_replica("acct", 1)
+    platform.bind(1)  # still resolvable
+    with pytest.raises(InvocationError):
+        platform.invoke_server(1, make_request("get_balance", []))
+
+    platform.bind(2)
+    server.unbind_replica("acct", 2)
+    assert platform.invoke_server(2, make_request("get_balance", [])) == 0.0
+    platform.refresh()
+    assert platform.num_servers() == 1
+
+
+def test_plain_rung_through_the_host(hosts, bank_iface):
+    """Table 1's "Original" rung: the platform's own skeleton and stub,
+    published under the replica name a CQoS stub would look for."""
+    server, client = hosts
+    server.deploy_plain("acct", 1, BankAccount(), bank_iface)
+    stub = client.plain_stub("acct", 1, bank_iface)
+    stub.set_balance(3.0)
+    assert stub.get_balance() == 3.0
+    assert client.client_platform("acct").num_servers() == 1

@@ -16,7 +16,7 @@ import pytest
 
 from repro.apps.bank import BankAccount, bank_interface
 from repro.core.routing import Placement
-from repro.core.skeleton import CONTROL_OPERATION
+from repro.core.platform import CONTROL_OPERATION
 from repro.util.errors import ShardMovedError
 
 

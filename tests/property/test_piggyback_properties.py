@@ -3,7 +3,7 @@
 The HTTP adapter ships piggyback entries as ``X-CQoS-*`` headers.  Headers
 are case-folded and latin-1-constrained, which historically lost key case,
 crashed on non-latin-1 keys, and stringified non-string keys.  The kernel's
-:class:`~repro.core.platform.PiggybackCodec` must round-trip *any*
+:class:`~repro.core.piggyback.PiggybackCodec` must round-trip *any*
 jser-marshallable key and value losslessly — through the codec alone and
 through a real formatted-and-parsed HTTP request frame.
 """
@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.platform import PIGGYBACK_CODEC
+from repro.core import request
+from repro.core.piggyback import PIGGYBACK_CODEC
 from repro.http.message import HttpRequest, format_request, parse_request
 
 # Finite floats only: NaN breaks equality (as in the codec suites).
@@ -79,8 +80,11 @@ def test_headers_are_latin1_and_casefold_safe(piggyback):
 
 
 def test_wellknown_keys_keep_historical_wire_form():
-    """Declared cqos_* keys stay in the pre-kernel byte-identical header
-    form (no escaping) — wire compatibility with recorded chaos runs."""
-    for key in PIGGYBACK_CODEC.declared_keys():
+    """The well-known cqos_* keys (the ``PB_*`` constants) stay in the
+    pre-kernel byte-identical header form (no escaping) — wire
+    compatibility with recorded chaos runs."""
+    keys = [value for name, value in vars(request).items() if name.startswith("PB_")]
+    assert len(keys) >= 12
+    for key in keys:
         headers = PIGGYBACK_CODEC.encode_headers({key: 1})
         assert list(headers) == [f"x-cqos-{key}"]

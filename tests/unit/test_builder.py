@@ -126,56 +126,6 @@ class TestBuilderEndToEnd:
             deployment.close()
 
 
-class TestDispatchPlanCache:
-    def setup_method(self):
-        from repro.qos.builder import clear_dispatch_plan_cache
-
-        clear_dispatch_plan_cache()
-
-    def test_identical_combinations_share_one_sealed_spec(self):
-        from repro.qos.builder import dispatch_plan_cache_stats
-
-        first = QosBuilder().fault_tolerance("active", acceptance="vote").build()
-        second = QosBuilder().fault_tolerance("active", acceptance="vote").build()
-        assert first is second
-        stats = dispatch_plan_cache_stats()
-        assert stats["misses"] == 1 and stats["hits"] == 1 and stats["size"] == 1
-
-    def test_different_combinations_get_different_plans(self):
-        active = QosBuilder().fault_tolerance("active").build()
-        passive = QosBuilder().fault_tolerance("passive").build()
-        assert active is not passive
-        assert active.fingerprint() != passive.fingerprint()
-
-    def test_cached_spec_still_yields_fresh_instances(self):
-        spec = QosBuilder().fault_tolerance("active", acceptance="vote").build()
-        again = QosBuilder().fault_tolerance("active", acceptance="vote").build()
-        assert spec is again
-        first = spec.client_factory()()
-        second = spec.client_factory()()
-        assert [type(p) for p in first] == [type(p) for p in second]
-        assert all(a is not b for a, b in zip(first, second))
-
-    def test_cache_can_be_bypassed(self):
-        cached = QosBuilder().fault_tolerance("passive").build()
-        fresh = QosBuilder().fault_tolerance("passive").build(use_cache=False)
-        assert fresh is not cached
-        assert fresh.fingerprint() == cached.fingerprint()
-
-    def test_unhashable_params_are_fingerprintable(self):
-        spec = (
-            QosBuilder()
-            .access_control(acl={"set_balance": ["boss"]}, default_allow=False)
-            .build()
-        )
-        again = (
-            QosBuilder()
-            .access_control(acl={"set_balance": ["boss"]}, default_allow=False)
-            .build()
-        )
-        assert spec is again
-
-
 class TestOverloadDeclarations:
     """The builder's SLO surface (overload-protection stack)."""
 
@@ -215,13 +165,6 @@ class TestOverloadDeclarations:
             "CacheInvalidator",
             "LoadReporter",
         ]
-
-    def test_slo_choices_are_part_of_the_plan_fingerprint(self):
-        plain = QosBuilder().build()
-        with_slo = QosBuilder().slo(max_inflight=8).build()
-        assert plain.fingerprint() != with_slo.fingerprint()
-        again = QosBuilder().slo(max_inflight=8).build()
-        assert with_slo is again  # sealed plan shared through the cache
 
     def test_unknown_shed_policy_rejected(self):
         with pytest.raises(ConfigurationError, match="shed_policy"):
@@ -286,20 +229,6 @@ class TestPlacementDeclarations:
         assert spec.placement is not None
         assert spec.placement.replication_factor == 3
         assert spec.placement.policy == "spread"
-
-    def test_placement_joins_the_plan_fingerprint(self):
-        plain = QosBuilder().build()
-        spread = QosBuilder().placement(replication_factor=3, policy="spread").build()
-        ring = QosBuilder().placement(replication_factor=3, policy="ring").build()
-        assert plain.fingerprint() != spread.fingerprint()
-        assert spread.fingerprint() != ring.fingerprint()
-
-    def test_placement_joins_the_sealed_plan_cache_key(self):
-        a = QosBuilder().placement(replication_factor=2).build()
-        b = QosBuilder().placement(replication_factor=2).build()
-        c = QosBuilder().placement(replication_factor=3).build()
-        assert a is b  # identical choices share one sealed spec
-        assert a is not c
 
     def test_sparse_logical_ids_travel_through(self):
         spec = (

@@ -11,7 +11,8 @@ from repro.core.client import CactusClient
 from repro.core.interfaces import ClientPlatform, ServerPlatform
 from repro.core.request import PB_CLIENT_ID, PB_PRIORITY, PB_REQUEST_ID, Request
 from repro.core.server import CactusServer
-from repro.core.skeleton import CONTROL_OPERATION, CqosSkeleton
+from repro.core.platform import CONTROL_OPERATION
+from repro.core.skeleton import CqosSkeleton
 from repro.core.stub import make_cqos_stub_class
 from repro.idl.compiler import compile_idl
 from repro.qos.extensions import LoadBalance

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from repro.core.platform import ScatterGather
+from repro.core.fanout import ScatterGather
 from repro.net.chaos import ChaosNetwork, FaultPlan
 from repro.net.tcp import TcpNetwork
 from repro.util.errors import CommunicationError, ReproError, TimeoutError_

@@ -14,6 +14,8 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 sys.path.insert(0, str(REPO_ROOT / "tools"))
 
@@ -84,6 +86,50 @@ def test_checker_flags_platform_import_in_routing(tmp_path):
     violations = check_layering.check(tmp_path)
     assert len(violations) == 1
     assert "repro.core.routing.bad" in violations[0]
+
+
+def _plant(tmp_path, module: str, source: str) -> list[str]:
+    """Violations of a tree holding one ``repro.core`` module with ``source``."""
+    pkg = tmp_path / "repro" / "core"
+    pkg.mkdir(parents=True)
+    (tmp_path / "repro" / "__init__.py").write_text("")
+    (pkg / "__init__.py").write_text("")
+    (pkg / f"{module}.py").write_text(textwrap.dedent(source))
+    return check_layering.check(tmp_path)
+
+
+@pytest.mark.parametrize("module", ["service", "shardspace"])
+def test_deployment_code_reaches_platforms_only_through_adapters(tmp_path, module):
+    """The façade and the shard space may import the adapter table, and
+    nothing of a substrate: no ladder can come back without tripping this."""
+    violations = _plant(
+        tmp_path,
+        module,
+        """
+        from repro.core.adapters import HOSTS
+        from repro.orb.naming import naming_client
+        from repro.rmi.runtime import RemoteRef
+        import repro.http.server
+        """,
+    )
+    assert len(violations) == 3
+    assert all(f"repro.core.{module}" in v for v in violations)
+    assert not any("repro.core.adapters" in v.split("imports")[1] for v in violations)
+
+
+@pytest.mark.parametrize("module", ["fanout", "piggyback"])
+def test_kernel_neighbours_are_platform_free(tmp_path, module):
+    """Scatter-gather and the piggyback codec sit below every adapter."""
+    violations = _plant(
+        tmp_path,
+        module,
+        """
+        from repro.core.adapters import HOSTS
+        from repro.http.message import HttpRequest
+        """,
+    )
+    assert len(violations) == 2
+    assert all(f"repro.core.{module}" in v for v in violations)
 
 
 def test_checker_flags_an_environment_switch(tmp_path):

@@ -15,7 +15,7 @@ import concurrent.futures
 
 import pytest
 
-from repro.core.platform import (
+from repro.core.fanout import (
     GATHER_ALL,
     GATHER_FIRST,
     GATHER_QUORUM,

@@ -8,10 +8,14 @@ This script AST-scans ``src/repro`` and fails (exit 1) on violations of:
 - ``repro.qos`` and ``repro.cactus`` (the generic service components) must
   not import ``repro.orb``, ``repro.rmi``, ``repro.http``, or
   ``repro.core.adapters``;
-- the invocation kernel (``repro.core.platform``) and the other
-  platform-independent core modules (request/interfaces/stub/skeleton/
-  client/server/events) must not import platform packages either — only
-  the adapters and the deployment façade may;
+- the invocation kernel (``repro.core.platform``, ``repro.core.fanout``,
+  ``repro.core.piggyback``) and the other platform-independent core
+  modules (request/interfaces/stub/skeleton/client/server/events) must not
+  import platform packages either;
+- the deployment code (``repro.core.service``, ``repro.core.shardspace``)
+  reaches a platform only through ``repro.core.adapters`` — what a
+  platform *is* stays behind its adapter's host class, so it must not
+  import ``repro.orb``, ``repro.rmi`` or ``repro.http`` itself;
 - the routing layer (``repro.core.routing``) is below every adapter: it
   must not import platform packages, so the same consistent-hash views
   serve CORBA, RMI, and HTTP without wire or naming changes;
@@ -34,18 +38,18 @@ import re
 import sys
 from pathlib import Path
 
-PLATFORM_PACKAGES = (
-    "repro.orb",
-    "repro.rmi",
-    "repro.http",
-    "repro.core.adapters",
-)
+SUBSTRATE_PACKAGES = ("repro.orb", "repro.rmi", "repro.http")
+PLATFORM_PACKAGES = SUBSTRATE_PACKAGES + ("repro.core.adapters",)
 
 # module-prefix -> packages it must never import
 CONTRACTS: dict[str, tuple[str, ...]] = {
     "repro.qos": PLATFORM_PACKAGES,
     "repro.cactus": PLATFORM_PACKAGES,
     "repro.core.platform": PLATFORM_PACKAGES,
+    "repro.core.fanout": PLATFORM_PACKAGES,
+    "repro.core.piggyback": PLATFORM_PACKAGES,
+    "repro.core.service": SUBSTRATE_PACKAGES,
+    "repro.core.shardspace": SUBSTRATE_PACKAGES,
     "repro.core.request": PLATFORM_PACKAGES,
     "repro.core.interfaces": PLATFORM_PACKAGES,
     "repro.core.events": PLATFORM_PACKAGES,
