@@ -12,9 +12,7 @@ clock for delayed raises.  The two section-3.4 runtime changes live here:
 
 from __future__ import annotations
 
-import heapq
 import os
-import threading
 from typing import Callable
 
 from repro.util.clock import Clock, RealClock
@@ -24,72 +22,6 @@ from repro.util.concurrency import (
     WorkerThreads,
     current_thread_priority,
 )
-
-
-class _TimerWheel:
-    """One shared daemon thread serving all of a runtime's delayed raises.
-
-    Armed timers sit in a deadline heap; the thread does a condition timed
-    wait until the earliest deadline, fires that action, and re-waits.  A
-    composite with hundreds of armed failover timers therefore costs one
-    thread, not one per raise.  Only used with :class:`RealClock` — a
-    virtual clock's time advances by explicit calls, so its timers must
-    park inside ``clock.sleep`` where the test driver can see them.
-    """
-
-    def __init__(self, clock: Clock, name: str):
-        self._clock = clock
-        self._name = name
-        self._cond = threading.Condition()
-        self._heap: list[tuple[float, int, Callable[[], None]]] = []
-        self._seq = 0
-        self._thread: threading.Thread | None = None
-        self._closed = False
-
-    def schedule(self, delay: float, action: Callable[[], None]) -> None:
-        with self._cond:
-            if self._closed:
-                raise RuntimeError("timer wheel is closed")
-            deadline = self._clock.now() + max(delay, 0.0)
-            self._seq += 1
-            heapq.heappush(self._heap, (deadline, self._seq, action))
-            if self._thread is None:
-                self._thread = threading.Thread(
-                    target=self._run, daemon=True, name=f"{self._name}-timer"
-                )
-                self._thread.start()
-            elif self._heap[0][2] is action:
-                # New earliest deadline: re-arm the wait.
-                self._cond.notify()
-
-    def close(self) -> None:
-        """Stop the thread and fire remaining actions immediately.
-
-        Each action re-checks runtime state, so firing after shutdown
-        resolves its future to None rather than running the callable."""
-        with self._cond:
-            self._closed = True
-            drained = [action for _, _, action in self._heap]
-            self._heap.clear()
-            self._cond.notify()
-        for action in drained:
-            action()
-
-    def _run(self) -> None:
-        while True:
-            with self._cond:
-                while not self._closed:
-                    if not self._heap:
-                        self._cond.wait()
-                        continue
-                    remaining = self._heap[0][0] - self._clock.now()
-                    if remaining <= 0:
-                        break
-                    self._cond.wait(remaining)
-                if self._closed:
-                    return
-                _, _, action = heapq.heappop(self._heap)
-            action()
 
 
 def default_worker_count() -> int:
@@ -117,14 +49,10 @@ class CactusRuntime:
         self.clock = clock or RealClock()
         if workers is None:
             workers = default_worker_count()
-        self._executor = PriorityExecutor(workers=workers, name=name, threads=threads)
+        self._owns_threads = threads is None
+        self._threads = threads or WorkerThreads(name)
+        self._executor = PriorityExecutor(workers=workers, name=name, threads=self._threads)
         self._closed = False
-        # Delayed raises share one heap-driven timer thread under a real
-        # clock; virtual clocks keep a dedicated sleeper per raise so the
-        # deterministic-test driver can observe and release it.
-        self._timers = (
-            _TimerWheel(self.clock, name) if isinstance(self.clock, RealClock) else None
-        )
 
     def submit(
         self, fn: Callable[..., None], *args, priority: int | None = None
@@ -145,12 +73,13 @@ class CactusRuntime:
         The delay is never served by a pool worker, since a sleeping worker
         would starve the pool (a composite with many armed timers, e.g.
         TotalOrder failover checks, must still execute events).  Under a
-        real clock all delays share the runtime's single heap-driven timer
-        thread; under a virtual clock each raise parks its own sleeper in
-        ``clock.sleep`` so test drivers can observe and release it.  After
-        the delay the callable runs on the pool at the requested priority.
-        ``cancelled`` is consulted when the delay elapses; a true result
-        skips the call.
+        real clock the delay is armed on the timer wheel of the set, one
+        thread for every runtime sharing it; under a virtual clock each
+        raise parks its own sleeper in ``clock.sleep`` so test drivers can
+        observe and release it.  After the delay the callable runs on the
+        pool at the requested priority.  ``cancelled`` is consulted when the
+        delay elapses; a true result skips the call, and a raise from it
+        settles the future.
         """
         future = ResultFuture()
         if priority is None:
@@ -163,28 +92,32 @@ class CactusRuntime:
                 future.set_exception(exc)
 
         def fire() -> None:
-            if self._closed or (cancelled is not None and cancelled()):
-                future.set_result(None)
-                return
             try:
-                self._executor.submit(execute, priority=priority)
+                if self._closed or (cancelled is not None and cancelled()):
+                    future.set_result(None)
+                else:
+                    self._executor.submit(execute, priority=priority)
             except RuntimeError:
                 future.set_result(None)  # runtime shut down meanwhile
+            except Exception as exc:  # noqa: BLE001 - ferried to the future
+                future.set_exception(exc)
 
-        if self._timers is not None:
-            self._timers.schedule(delay, fire)
+        if isinstance(self.clock, RealClock):
+            self._threads.call_later(delay, fire)
             return future
 
         def timer() -> None:
             self.clock.sleep(delay)
             fire()
 
-        threading.Thread(target=timer, daemon=True, name="cactus-timer").start()
+        self._threads.spawn(timer)
         return future
 
     def shutdown(self) -> None:
+        """Close the lane; an armed delayed raise of this runtime does
+        nothing when its delay elapses.  Only a private set is closed."""
         if not self._closed:
             self._closed = True
-            if self._timers is not None:
-                self._timers.close()
             self._executor.shutdown(wait=False)
+            if self._owns_threads:
+                self._threads.close()

@@ -19,7 +19,6 @@ regardless; the reply value is what is being raced).
 
 from __future__ import annotations
 
-import concurrent.futures
 import queue
 import threading
 import time
@@ -60,27 +59,6 @@ def parse_gather_policy(spec: str | None) -> tuple[str, int]:
     raise ConfigurationError(
         f"unknown gather policy {spec!r}; expected 'all', 'first', or 'quorum:k'"
     )
-
-
-def threaded_reply_future(call: Callable[[], Any], name: str = "cqos-send-async") -> ReplyFuture:
-    """Run a blocking ``call()`` on a daemon thread; settle a ReplyFuture.
-
-    What the Cactus QoS interface's ``invoke_server_async`` /
-    ``peer_invoke_async`` defaults do for a platform that only defines the
-    blocking call (test fakes, decorated stacks): one thread per branch.
-    """
-    future: concurrent.futures.Future = concurrent.futures.Future()
-
-    def run() -> None:
-        try:
-            result = call()
-        except BaseException as exc:  # noqa: BLE001 - delivered via the future
-            future.set_exception(exc)
-        else:
-            future.set_result(result)
-
-    threading.Thread(target=run, name=name, daemon=True).start()
-    return ReplyFuture(future)
 
 
 class BranchOutcome:

@@ -32,9 +32,16 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-from repro.core.fanout import threaded_reply_future
 from repro.core.request import Request
-from repro.net.transport import ReplyFuture
+from repro.net.transport import ReplyFuture, threaded_reply_future
+from repro.util.concurrency import WorkerThreads
+
+# What the ``*_async`` defaults below run on: they serve a platform that
+# defines only the blocking call and belongs to no deployment (test fakes,
+# decorated stacks).  A closed set: each spawn is a thread that ends with
+# its call, so nothing is parked for a process's lifetime.
+_DETACHED = WorkerThreads("cqos-send-async")
+_DETACHED.close()
 
 
 class ClientPlatform(ABC):
@@ -97,7 +104,7 @@ class ClientPlatform(ABC):
 
     def invoke_server_async(self, server: int, request: Request) -> ReplyFuture:
         """Non-blocking :meth:`invoke_server`: the outcome settles the future."""
-        return threaded_reply_future(lambda: self.invoke_server(server, request))
+        return threaded_reply_future(_DETACHED, lambda: self.invoke_server(server, request))
 
 
 class ServerPlatform(ABC):
@@ -141,7 +148,9 @@ class ServerPlatform(ABC):
 
     def peer_invoke_async(self, replica: int, kind: str, payload: dict) -> ReplyFuture:
         """Non-blocking :meth:`peer_invoke`: the outcome settles the future."""
-        return threaded_reply_future(lambda: self.peer_invoke(replica, kind, payload))
+        return threaded_reply_future(
+            _DETACHED, lambda: self.peer_invoke(replica, kind, payload)
+        )
 
 
 @dataclass

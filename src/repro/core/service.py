@@ -43,7 +43,6 @@ from repro.core.skeleton import CqosSkeleton
 from repro.core.stub import CqosStub, make_cqos_stub_class
 from repro.idl.compiler import CompiledIdl, InterfaceDef
 from repro.net.transport import Network
-from repro.util.concurrency import WorkerThreads
 from repro.util.errors import ConfigurationError
 from repro.util.ids import IdGenerator
 
@@ -93,8 +92,9 @@ class CqosDeployment:
         self._lock = threading.Lock()
         self._hosts: list = []
         self._cactus: list[CactusServer | CactusClient] = []
-        # Every composite's lane borrows its threads from this one set.
-        self._threads = WorkerThreads("cactus-worker")
+        # Every composite's lane and timers run on the network's one set,
+        # beside the transport's own loops.
+        self._threads = network.threads
         self._replica_hosts: dict[tuple[str, int], str] = {}
         self._new_host(HOSTS[platform].BOOTSTRAP_HOST).start().start_bootstrap()
 
@@ -311,10 +311,12 @@ class CqosDeployment:
         for composite in composites:
             composite.shutdown()
             composite.runtime.shutdown()  # its lane and timers; no thread is its own
-        self._threads.close()
         for host in hosts:
             host.shutdown()
         self.network.close()
+        # The set went with the network, unless the network is a wrapper that
+        # closes only what it wraps and so has a set of its own.
+        self._threads.close()
 
     def __enter__(self) -> "CqosDeployment":
         return self

@@ -11,7 +11,7 @@ from repro.http.message import (
     piggyback_headers,
 )
 from repro.net.pool import ConnectionPool
-from repro.net.transport import Connection, Network
+from repro.net.transport import Connection, Network, ReplyFuture
 from repro.serialization.jser import jser_dumps, jser_loads
 from repro.util.errors import CommunicationError, InvocationError, rehydrate_system_error
 
@@ -90,8 +90,6 @@ class HttpClient:
             frame = format_request(request)
             connection = self._connection(address)
         except Exception as exc:  # noqa: BLE001 - delivered via the future
-            from repro.net.transport import ReplyFuture
-
             return ReplyFuture.failed(exc)
 
         def on_error(exc: BaseException):

@@ -359,6 +359,10 @@ class ChaosNetwork(Network):
 
     # -- Network interface -------------------------------------------------
 
+    @property
+    def threads(self):
+        return self.inner.threads
+
     def host(self, name: str) -> Host:
         with self._lock:
             existing = self._hosts.get(name)

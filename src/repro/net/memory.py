@@ -26,8 +26,7 @@ from __future__ import annotations
 
 import random
 import threading
-
-import concurrent.futures
+import time
 
 from repro.net.transport import (
     Connection,
@@ -78,27 +77,12 @@ class _MemoryConnection(Connection):
         The in-memory network executes the server handler synchronously on
         whatever thread delivers the request, so one dispatch thread per
         in-flight call *is* this transport's native concurrency unit (it is
-        what the listener side of real TCP does too).  Threads are never
-        pooled here: a bounded pool could deadlock when a handler blocks on
-        nested async calls (replica forwarding chains), and the unbounded
-        case is exactly a thread per call anyway.
+        what the listener side of real TCP does too): the inherited
+        submit, which never fails at submit time for a live connection.
         """
         if self._closed:
             return ReplyFuture.failed(CommunicationError("connection is closed"))
-        future = concurrent.futures.Future()
-
-        def run() -> None:
-            try:
-                reply = self.call(data, timeout=timeout)
-            except BaseException as exc:  # noqa: BLE001 - delivered via future
-                future.set_exception(exc)
-            else:
-                future.set_result(reply)
-
-        threading.Thread(
-            target=run, name=f"mem-async-{self._address}", daemon=True
-        ).start()
-        return ReplyFuture(future)
+        return super().call_async(data, timeout)
 
     def close(self) -> None:
         self._closed = True
@@ -217,6 +201,7 @@ class InMemoryNetwork(Network):
         with self._lock:
             self._handlers.clear()
             self._hosts.clear()
+        self.threads.close()
 
     # -- Delivery --------------------------------------------------------
 
@@ -247,8 +232,6 @@ class InMemoryNetwork(Network):
                 delay += self._rng.uniform(0.0, self.jitter)
         if delay > 0.0:
             if self.spin:
-                import time
-
                 deadline = time.perf_counter() + delay
                 while time.perf_counter() < deadline:
                     pass

@@ -14,8 +14,9 @@ single-client workload reads its own reply on its own thread (no
 background thread, no handoff latency) while concurrent callers pipeline.
 The server side reads frames on one thread per connection and dispatches
 handlers inline when the socket has no further pipelined data, or onto a
-small per-connection worker pool when it does — again keeping the serial
-fast path allocation-free.
+per-connection lane of at most ``_SERVER_WORKERS`` when it does — again
+keeping the serial fast path allocation-free.  Every thread here (accept,
+serve, lane, demultiplexer) is borrowed from the network's one set.
 
 Crash injection closes the host's server sockets and refuses new accepts
 until :meth:`TcpNetwork.recover`, at which point the same listeners re-open
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 import os
-import queue
 import select
 import socket
 import struct
@@ -47,6 +47,7 @@ from repro.net.transport import (
     ReplyFuture,
     split_address,
 )
+from repro.util.concurrency import PriorityExecutor
 from repro.util.errors import (
     CommunicationError,
     FrameTooLargeError,
@@ -57,11 +58,11 @@ from repro.util.log import get_logger
 
 logger = get_logger("net.tcp")
 
-#: Per-connection server worker pool size for multiplexed dispatch.
+#: How many pipelined requests of one connection may execute at once.
 _SERVER_WORKERS = max(4, min(16, 2 * (os.cpu_count() or 1)))
 
 #: Inline handler duration (seconds) beyond which a connection's pipelined
-#: requests are dispatched to the worker pool instead of run inline.
+#: requests are dispatched to the connection's lane instead of run inline.
 _SLOW_HANDLER = 0.0002
 
 
@@ -131,48 +132,13 @@ def _has_pending_data(sock: socket.socket) -> bool:
 
     Drives the server's hybrid dispatch: an empty buffer means the client is
     waiting for this reply (serial workload — run the handler inline); a
-    non-empty buffer means requests are pipelined (dispatch to the pool so
+    non-empty buffer means requests are pipelined (dispatch to the lane so
     they execute concurrently)."""
     try:
         readable, _, _ = select.select([sock], [], [], 0)
     except (OSError, ValueError):
         return False
     return bool(readable)
-
-
-class _MuxServerPool:
-    """Small lazily-started worker pool serving one accepted connection."""
-
-    def __init__(self, name: str):
-        self._name = name
-        self._queue: queue.SimpleQueue = queue.SimpleQueue()
-        self._lock = threading.Lock()
-        self._started = 0
-
-    def dispatch(self, task) -> None:
-        with self._lock:
-            if self._started < _SERVER_WORKERS:
-                self._started += 1
-                threading.Thread(
-                    target=self._worker,
-                    daemon=True,
-                    name=f"{self._name}-w{self._started}",
-                ).start()
-        self._queue.put(task)
-
-    def _worker(self) -> None:
-        while True:
-            task = self._queue.get()
-            if task is None:
-                return
-            task()
-
-    def shutdown(self) -> None:
-        with self._lock:
-            started = self._started
-            self._started = _SERVER_WORKERS  # refuse new workers
-        for _ in range(started):
-            self._queue.put(None)
 
 
 class _TcpListener(Listener):
@@ -210,9 +176,7 @@ class _TcpListener(Listener):
             self._server_sock = sock
             self._suspended = False
             self._network._publish(self.address, port)
-        threading.Thread(
-            target=self._accept_loop, args=(sock,), daemon=True, name=f"tcp-accept-{self.address}"
-        ).start()
+        self._network.threads.spawn(lambda: self._accept_loop(sock))
 
     def _accept_loop(self, server_sock: socket.socket) -> None:
         while True:
@@ -231,20 +195,20 @@ class _TcpListener(Listener):
             if stale:
                 _reset_connection(conn)
                 continue
-            threading.Thread(
-                target=self._serve_mux, args=(conn,), daemon=True, name=f"tcp-serve-{self.address}"
-            ).start()
+            self._network.threads.spawn(lambda conn=conn: self._serve_mux(conn))
 
     # -- serving: correlation-id multiplexing ------------------------------
 
     def _serve_mux(self, conn: socket.socket) -> None:
-        pool = _MuxServerPool(f"tcp-mux-{self.address}")
+        lane = PriorityExecutor(
+            _SERVER_WORKERS, f"tcp-mux-{self.address}", self._network.threads
+        )
         write_lock = threading.Lock()
         # Concurrency only pays when the handler blocks or computes for a
-        # while; for sub-_SLOW_HANDLER handlers the pool handoff would cost
+        # while; for sub-_SLOW_HANDLER handlers the lane handoff would cost
         # more than it buys.  The flag is sticky per connection: the first
         # observed slow inline execution routes all further pipelined
-        # requests to the pool.
+        # requests to the lane.
         handler_is_slow = False
         try:
             with conn:
@@ -268,14 +232,10 @@ class _TcpListener(Listener):
                         return
                     if handler_is_slow and _has_pending_data(conn):
                         # Pipelined requests behind this one and a handler
-                        # worth overlapping: run it on the pool so the
+                        # worth overlapping: run it on the lane so the
                         # reader keeps draining the socket and in-flight
                         # requests execute concurrently.
-                        pool.dispatch(
-                            lambda rid=request_id, req=request: self._serve_one(
-                                conn, write_lock, rid, req
-                            )
-                        )
+                        lane.submit(self._serve_one, conn, write_lock, request_id, request)
                     else:
                         # Fast or serial workload: inline execution, no
                         # handoff.
@@ -285,7 +245,7 @@ class _TcpListener(Listener):
                         if time.monotonic() - started >= _SLOW_HANDLER:
                             handler_is_slow = True
         finally:
-            pool.shutdown()
+            lane.shutdown(wait=False)
             with self._lock:
                 self._accepted.discard(conn)
 
@@ -320,6 +280,11 @@ class _TcpListener(Listener):
         with self._lock:
             self._suspended = True
             if self._server_sock is not None:
+                try:
+                    # close() alone leaves a thread blocked in accept().
+                    self._server_sock.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
                 try:
                     self._server_sock.close()
                 finally:
@@ -595,11 +560,7 @@ class _TcpMuxConnection(Connection):
             self._pending[request_id] = slot
             if not self._demux_started:
                 self._demux_started = True
-                threading.Thread(
-                    target=self._demux_loop,
-                    name=f"tcp-demux-{self._address}",
-                    daemon=True,
-                ).start()
+                self._network.threads.spawn(self._demux_loop)
         reply = ReplyFuture(future, abandon=lambda: self._abandon(request_id))
         try:
             with self._write_lock:
@@ -812,3 +773,4 @@ class TcpNetwork(Network):
             self._claimed.clear()
         for listener in all_listeners:
             listener.close()
+        self.threads.close()

@@ -14,12 +14,16 @@ from __future__ import annotations
 import concurrent.futures
 import threading
 from abc import ABC, abstractmethod
-from typing import Callable
+from typing import Any, Callable
 
+from repro.util.concurrency import WorkerThreads
 from repro.util.errors import TimeoutError_
 
 # A request handler consumes a request frame and produces a reply frame.
 FrameHandler = Callable[[bytes], bytes]
+
+# Held while a network makes its thread set (see ``Network.threads``).
+_FIRST_USE = threading.Lock()
 
 
 class ReplyFuture:
@@ -159,8 +163,45 @@ class ReplyFuture:
         self._abandon_hook = hook
 
 
+def threaded_reply_future(threads: WorkerThreads, call: Callable[[], Any]) -> ReplyFuture:
+    """Run a blocking ``call()`` on a thread of ``threads``; its outcome
+    settles the returned future.
+
+    The non-blocking form of anything that only has a blocking one: a
+    transport whose handler runs on the delivering thread, a decorating
+    connection, a platform that defines only ``invoke_server``.  Never
+    queued (:meth:`WorkerThreads.spawn`), so a call whose handler blocks on
+    nested async calls (replica forwarding chains) cannot deadlock.
+
+    Returns once the call is under way on its thread, parked or new, as
+    ``Thread.start()`` does: calls submitted one after another leave in
+    that order, the in-memory counterpart of a TCP submit returning with
+    the frame written.  A courtesy to sequential callers, not a guarantee.
+    """
+    future: concurrent.futures.Future = concurrent.futures.Future()
+    under_way = threading.Lock()
+    under_way.acquire()
+
+    def run() -> None:
+        under_way.release()
+        try:
+            result = call()
+        except BaseException as exc:  # noqa: BLE001 - delivered via the future
+            future.set_exception(exc)
+        else:
+            future.set_result(result)
+
+    threads.spawn(run)
+    under_way.acquire()
+    return ReplyFuture(future)
+
+
 class Connection(ABC):
     """A client-side handle for blocking request/reply exchanges."""
+
+    #: The network that made this connection; the default
+    #: :meth:`call_async` borrows its threads.
+    _network: "Network"
 
     @abstractmethod
     def call(self, data: bytes, timeout: float | None = None) -> bytes:
@@ -178,26 +219,15 @@ class Connection(ABC):
     def call_async(self, data: bytes, timeout: float | None = None) -> ReplyFuture:
         """Send ``data`` without blocking; the reply settles the future.
 
-        Default implementation: one daemon thread per call wrapping the
-        blocking :meth:`call` — semantically identical to the historical
-        thread-per-replica fan-out, so decorating transports (chaos) keep
-        their per-call fault model without knowing about futures.  The
-        multiplexed transports override this with a native non-blocking
-        submit (one registered correlation id, no thread per call).
+        Default implementation: the blocking :meth:`call` on a thread of
+        the network's set, so decorating transports (chaos) keep their
+        per-call fault model without knowing about futures.  The TCP
+        transport overrides this with a native non-blocking submit (one
+        registered correlation id, no thread per call).
         """
-        future = concurrent.futures.Future()
-
-        def run() -> None:
-            try:
-                result = self.call(data, timeout=timeout)
-            except BaseException as exc:  # noqa: BLE001 - delivered via future
-                future.set_exception(exc)
-            else:
-                future.set_result(result)
-
-        thread = threading.Thread(target=run, name="cqos-call-async", daemon=True)
-        thread.start()
-        return ReplyFuture(future)
+        return threaded_reply_future(
+            self._network.threads, lambda: self.call(data, timeout=timeout)
+        )
 
     @abstractmethod
     def close(self) -> None:
@@ -235,6 +265,23 @@ class Host(ABC):
 class Network(ABC):
     """A collection of hosts plus fault-injection controls."""
 
+    @property
+    def threads(self) -> WorkerThreads:
+        """The one set every thread of a deployment on this network comes
+        from: the transport's accept, serve and dispatch loops and, borrowed
+        by :class:`~repro.core.service.CqosDeployment`, the Cactus lanes and
+        timers.  Made on first use (a subclass need not run an initialiser
+        here); :meth:`close` releases it."""
+        try:
+            return self._threads
+        except AttributeError:
+            # Not through ``__dict__``: reading that slows every later
+            # attribute load of a network that is on the invocation path.
+            with _FIRST_USE:
+                if not hasattr(self, "_threads"):
+                    self._threads = WorkerThreads("cqos")
+                return self._threads
+
     @abstractmethod
     def host(self, name: str) -> Host:
         """Return (creating if necessary) the host named ``name``."""
@@ -249,7 +296,7 @@ class Network(ABC):
 
     @abstractmethod
     def close(self) -> None:
-        """Tear down every host and listener."""
+        """Tear down every host and listener and close :attr:`threads`."""
 
 
 def split_address(address: str) -> tuple[str, str]:

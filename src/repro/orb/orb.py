@@ -25,12 +25,18 @@ from typing import Any
 
 from repro.idl.compiler import CompiledIdl, IdlRemoteException
 from repro.net.pool import ConnectionPool
-from repro.net.transport import Connection, Network
+from repro.net.transport import Connection, Network, ReplyFuture
 from repro.orb import giop
 from repro.orb.dii import DiiRequest
 from repro.orb.dsi import ServerRequest
 from repro.orb.ior import IOR, ior_to_string, repository_id, string_to_ior
 from repro.orb.poa import Poa
+from repro.orb.typed_marshal import (
+    marshal_arguments,
+    marshal_result,
+    unmarshal_arguments,
+    unmarshal_result,
+)
 from repro.util.errors import (
     BindError,
     CommunicationError,
@@ -214,8 +220,6 @@ class Orb:
             frame = giop.encode_request(request)
             connection = self._pool.get(ior.address)
         except Exception as exc:  # noqa: BLE001 - delivered via the future
-            from repro.net.transport import ReplyFuture
-
             return ReplyFuture.failed(exc)
 
         def on_error(exc: BaseException):
@@ -241,8 +245,6 @@ class Orb:
         ``operation_def`` is the :class:`~repro.idl.compiler.OperationDef`
         the stub was generated from; both ends marshal against it.
         """
-        from repro.orb.typed_marshal import marshal_arguments, unmarshal_result
-
         request = giop.RequestMessage(
             next(self._request_ids) & _REQUEST_ID_MASK,
             ior.object_key, operation_def.name, [], {}, response_expected,
@@ -297,9 +299,7 @@ class Orb:
             )
         if not message.response_expected:
             # Oneway: acknowledge at transport level, dispatch detached.
-            threading.Thread(
-                target=self._dispatch, args=(message,), daemon=True, name="orb-oneway"
-            ).start()
+            self._network.threads.spawn(lambda: self._dispatch(message))
             return giop.encode_reply(
                 giop.ReplyMessage(message.request_id, giop.REPLY_NO_EXCEPTION)
             )
@@ -325,8 +325,6 @@ class Orb:
         """Compiled-skeleton dispatch: typed bodies need interface metadata,
         so only static activations accept them (DSI servants cannot know the
         types — exactly real CORBA's constraint)."""
-        from repro.orb.typed_marshal import marshal_result, unmarshal_arguments
-
         activation = self._find_activation(message.object_key)
         if activation.skeleton is None:
             raise InvocationError(

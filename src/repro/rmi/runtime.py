@@ -22,7 +22,7 @@ from typing import Any, Protocol, runtime_checkable
 
 from repro.idl.compiler import CompiledIdl, IdlRemoteException, InterfaceDef
 from repro.net.pool import ConnectionPool
-from repro.net.transport import Connection, Network
+from repro.net.transport import Connection, Network, ReplyFuture
 from repro.rmi import jrmp
 from repro.serialization.registry import global_registry
 from repro.util.errors import (
@@ -214,8 +214,6 @@ class RmiRuntime:
             )
             connection = self._connection(ref.address)
         except Exception as exc:  # noqa: BLE001 - delivered via the future
-            from repro.net.transport import ReplyFuture
-
             return ReplyFuture.failed(exc)
 
         def on_error(exc: BaseException):
@@ -253,9 +251,7 @@ class RmiRuntime:
                 )
             )
         if message.oneway:
-            threading.Thread(
-                target=self._dispatch, args=(message,), daemon=True, name="rmi-oneway"
-            ).start()
+            self._network.threads.spawn(lambda: self._dispatch(message))
             return jrmp.encode_return(jrmp.ReturnMessage(value=None))
         return jrmp.encode_return(self._dispatch(message))
 

@@ -21,9 +21,11 @@ import heapq
 import itertools
 import queue
 import threading
+import time
 from typing import Any, Callable, Iterator
 from contextlib import contextmanager
 
+from repro.util.errors import TimeoutError_
 from repro.util.log import get_logger
 
 DEFAULT_PRIORITY = 5
@@ -107,8 +109,6 @@ class ResultFuture:
         """Wait for completion and return the value (or raise the exception)."""
         with self._cond:
             if not self._cond.wait_for(lambda: self._done, timeout):
-                from repro.util.errors import TimeoutError_
-
                 raise TimeoutError_("future did not complete in time")
             if self._exception is not None:
                 raise self._exception
@@ -116,12 +116,15 @@ class ResultFuture:
 
 
 class WorkerThreads:
-    """Daemon threads started on demand and parked briefly between jobs.
+    """A deployment's scheduler: the one place that starts a thread.
 
+    Daemon threads are started on demand and parked briefly between jobs.
     :meth:`spawn` never queues, so a job waiting for another job of the same
     set cannot deadlock it; limits belong to the lanes sharing the set.  A
     thread parks for ``KEEP_ALIVE_S`` after its job and then exits, so the
-    set holds as many threads as jobs ran lately.
+    set holds as many threads as jobs ran lately.  :meth:`call_later` arms
+    the set's one timer wheel, itself a job on a thread of the set while
+    anything is armed.
     """
 
     def __init__(self, name: str = "cactus"):
@@ -131,6 +134,10 @@ class WorkerThreads:
         self._parked: list[queue.SimpleQueue] = []
         self._seq = itertools.count()
         self._closed = False
+        # The timer wheel: (deadline, seq, action), earliest first.
+        self._timer_cond = threading.Condition()
+        self._timers: list[tuple[float, int, Callable[[], None]]] = []
+        self._timing = False  # a thread is in _run_timers
 
     def spawn(self, job: Callable[[], None]) -> None:
         """Run ``job()`` now, on a parked thread or else on a new one (also
@@ -163,13 +170,55 @@ class WorkerThreads:
                         return
                 job = inbox.get()  # claimed just as the keep-alive ran out
 
+    def call_later(self, delay: float, action: Callable[[], None]) -> None:
+        """Run ``action()`` on the wheel's thread ``delay`` seconds from now.
+
+        Armed timers sit in a deadline heap; one thread waits for the
+        earliest deadline, runs that action and waits again, so hundreds of
+        armed timers cost one thread.  An action must not block (a delayed
+        raise hands its handlers to a lane) and is never run early: what is
+        still armed at :meth:`close` is dropped.  The set outlives the
+        runtimes that share it, so an action that must not run after its
+        owner shut down checks its owner's state itself.
+        """
+        with self._timer_cond:
+            deadline = time.monotonic() + max(delay, 0.0)
+            heapq.heappush(self._timers, (deadline, next(self._seq), action))
+            if not self._timing:
+                self._timing = True
+                self.spawn(self._run_timers)
+            elif self._timers[0][2] is action:
+                self._timer_cond.notify()  # new earliest deadline: re-arm the wait
+
+    def _run_timers(self) -> None:
+        while True:
+            with self._timer_cond:
+                while True:
+                    if self._closed or not self._timers:
+                        # Under the lock call_later arms with: no lost timer.
+                        self._timers.clear()
+                        self._timing = False
+                        return
+                    remaining = self._timers[0][0] - time.monotonic()
+                    if remaining <= 0:
+                        break
+                    self._timer_cond.wait(remaining)
+                action = heapq.heappop(self._timers)[2]
+            try:
+                action()
+            except Exception:  # noqa: BLE001 - the wheel outlives its actions
+                logger.exception("timer action on %s failed", self._name)
+
     def close(self) -> None:
-        """Release parked threads at once; busy ones exit after their job."""
+        """Release parked threads and the timer wheel at once; busy threads
+        exit after their job."""
         with self._lock:
             self._closed = True
             parked, self._parked = self._parked, []
         for inbox in parked:
             inbox.put(None)
+        with self._timer_cond:
+            self._timer_cond.notify()
 
 
 class PriorityExecutor:

@@ -62,32 +62,7 @@ class TestPartitionsOverChaosTcp(_failure_injection.TestPartitions):
 
 
 class TestActiveRepOverChaosTcp(_fault_tolerance.TestActiveRep):
-    def test_all_replicas_execute(self, deployment):
-        """Re-written with a bounded wait: the first reply completes the
-        request while the other replicas' invocations are still crossing the
-        real TCP wire, so the all-replicas-applied check must poll."""
-        import time
-
-        skeletons = deployment.add_replicas(
-            "acct", BankAccount, bank_interface(), replicas=3
-        )
-        stub = deployment.client_stub(
-            "acct",
-            bank_interface(),
-            client_micro_protocols=lambda: [_fault_tolerance.ActiveRep()],
-        )
-        stub.set_balance(50.0)
-        deadline = time.monotonic() + 5.0
-        probe = _fault_tolerance._probe_request
-        while True:
-            balances = [
-                skeleton._platform.invoke_servant(probe("get_balance"))
-                for skeleton in skeletons
-            ]
-            if all(balance == 50.0 for balance in balances):
-                break
-            assert time.monotonic() < deadline, f"replicas diverged: {balances}"
-            time.sleep(0.01)
+    pass
 
 
 class TestAcceptanceOverChaosTcp(_fault_tolerance.TestAcceptance):

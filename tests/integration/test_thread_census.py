@@ -1,20 +1,27 @@
 """Thread census of a deployment: threads follow running tasks, not objects.
 
-Every composite's lane borrows from the deployment's one
+Every thread of a deployment — the transport's loops, every composite's
+lane, the timer wheel — is borrowed from the network's one
 :class:`~repro.util.concurrency.WorkerThreads`, so a space of many idle
-objects holds no thread for them, a rebalance parks none, and ``close()``
-leaves none behind.
+objects holds no thread for them, a rebalance parks none, sixteen ticking
+objects share one timer thread, a fan-out reuses the threads of the one
+before it, and ``close()`` leaves none behind.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
 
 from repro.apps.bank import BankAccount, bank_compiled, bank_interface
+from repro.core.request import Request
 from repro.core.service import CqosDeployment
 from repro.net.memory import InMemoryNetwork
+from repro.net.tcp import TcpNetwork
+from repro.net.transport import Network
+from repro.qos import ActiveRep, TimedSched
 from repro.util import concurrency
 from tests.unit.test_concurrency import alive_threads, poll
 
@@ -82,3 +89,110 @@ def test_burst_falls_back_and_close_leaves_nothing(sharded, monkeypatch):
     assert poll(lambda: not _workers(), timeout=GRACE_S)
     assert started() <= HANDFUL
     dep.close()  # safe to call twice
+
+
+# -- one scheduler per deployment, over both networks ---------------------------
+
+class _Wrapped(Network):
+    """A decorator from outside ``src/`` (cqosbench's ``CountingNetwork`` is
+    one): no base initialiser run, no ``threads`` forwarded, ``close()`` only
+    closes what it wraps.  It has a set of its own, which the deployment that
+    borrowed it closes."""
+
+    def __init__(self):
+        self._inner = InMemoryNetwork()
+
+    def host(self, name):
+        return self._inner.host(name)
+
+    def crash(self, host_name):
+        self._inner.crash(host_name)
+
+    def recover(self, host_name):
+        self._inner.recover(host_name)
+
+    def close(self):
+        self._inner.close()
+
+
+NETWORKS = {
+    "memory": (InMemoryNetwork, "rmi"),
+    "tcp": (TcpNetwork, "corba"),
+    "wrapped": (_Wrapped, "http"),
+}
+
+
+@pytest.fixture(params=sorted(NETWORKS))
+def deployed(request):
+    """A deployment and the threads alive since just before it was made."""
+    network, platform = NETWORKS[request.param]
+    before = set(threading.enumerate())
+    dep = CqosDeployment(
+        network(), platform=platform, compiled=bank_compiled(), request_timeout=10.0
+    )
+    yield dep, lambda: set(threading.enumerate()) - before
+    dep.close()
+
+
+def _timer_threads():
+    """Threads now inside a timer loop, whichever class it belongs to."""
+
+    def in_timer_loop(frame):
+        while frame is not None:
+            if "timer" in frame.f_code.co_qualname.lower():
+                return True
+            frame = frame.f_back
+        return False
+
+    return [ident for ident, frame in sys._current_frames().items() if in_timer_loop(frame)]
+
+
+def test_ticking_objects_share_one_timer_thread(deployed):
+    dep, _ = deployed
+    before = len(_timer_threads())
+    for k in range(16):
+        dep.add_replicas(
+            f"acct-{k}", BankAccount, bank_interface(),
+            server_micro_protocols=lambda: [TimedSched()],
+        )
+    stubs = [dep.client_stub(f"acct-{k}", bank_interface()) for k in range(16)]
+    for k, stub in enumerate(stubs):
+        stub.set_balance(float(k))
+    assert poll(lambda: len(_timer_threads()) - before == 1, timeout=1.0)
+    assert stubs[3].get_balance() == 3.0
+
+
+def test_fanout_reuses_parked_threads(deployed, monkeypatch):
+    dep, _ = deployed
+    calls = 200 if isinstance(dep.network, TcpNetwork) else 2000  # real sockets: keep it quick
+    dep.add_replicas("acct", BankAccount, bank_interface(), replicas=3)
+    stub = dep.client_stub("acct", bank_interface(), client_micro_protocols=lambda: [ActiveRep()])
+    for warm in range(100):  # the threads a fan-out needs are parked by now
+        stub.set_balance(float(warm))
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(
+        threading.Thread, "start", lambda thread: (started.append(thread.name), start(thread))[1]
+    )
+    for call in range(calls):
+        stub.set_balance(float(call))
+    assert len(started) <= 8, started[:20]
+
+
+def test_close_leaves_no_thread_of_the_set(deployed, monkeypatch):
+    dep, leftover = deployed
+    monkeypatch.setattr(concurrency, "KEEP_ALIVE_S", 60.0)
+    skeletons = dep.add_replicas(
+        "acct", BankAccount, bank_interface(), replicas=3,
+        server_micro_protocols=lambda: [TimedSched()],
+    )
+    stub = dep.client_stub("acct", bank_interface(), client_micro_protocols=lambda: [ActiveRep()])
+    for call in range(20):
+        stub.set_balance(float(call))
+    # No request in flight at close: one that TimedSched still gates would
+    # wait out its request_timeout on its serving thread, as it always has.
+    probe = Request("acct", "get_balance", [])
+    assert poll(lambda: all(s._platform.invoke_servant(probe) == 19.0 for s in skeletons))
+    assert leftover()  # parked for a minute, loops waiting: were it not for close()
+    dep.close()
+    assert poll(lambda: not leftover(), timeout=GRACE_S), sorted(t.name for t in leftover())

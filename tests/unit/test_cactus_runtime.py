@@ -66,17 +66,42 @@ class TestSubmitDelayed:
             rt.shutdown()
 
     def test_shares_one_timer_thread(self):
-        """Armed delays multiplex onto one heap-driven timer thread."""
-        rt = CactusRuntime(workers=2, name="wheel-rt")
+        """Armed delays of every runtime on a set multiplex onto the set's
+        one heap-driven timer thread."""
+        threads = WorkerThreads("wheel")
+        runtimes = [
+            CactusRuntime(workers=2, name=f"wheel-rt{i}", threads=threads) for i in range(3)
+        ]
         try:
-            for _ in range(25):
-                rt.submit_delayed(5.0, lambda: None)
-            timers = [
-                t for t in threading.enumerate() if t.name == "wheel-rt-timer"
-            ]
-            assert len(timers) == 1
+            for rt in runtimes:
+                for _ in range(25):
+                    rt.submit_delayed(5.0, lambda: None)
+            assert len(alive_threads("wheel")) == 1  # no lane ran: the wheel's
+            assert runtimes[0].submit_delayed(0.01, lambda: "early").result(2.0) == "early"
         finally:
-            rt.shutdown()
+            for rt in runtimes:
+                rt.shutdown()
+            threads.close()
+        assert poll(lambda: not alive_threads("wheel"), timeout=2.0)
+
+    def test_raising_timer_action_spares_later_timers(self):
+        """Regression: a raise in the timer thread once ended it, and with
+        it every later delayed raise of the composite."""
+        threads = WorkerThreads("sturdy")
+        first = CactusRuntime(workers=2, name="sturdy-a", threads=threads)
+        second = CactusRuntime(workers=2, name="sturdy-b", threads=threads)
+        try:
+            failing = first.submit_delayed(0.01, lambda: "unreached", cancelled=lambda: 1 / 0)
+            with pytest.raises(ZeroDivisionError):
+                failing.result(2.0)
+            threads.call_later(0.0, lambda: 1 / 0)  # and a raise nothing ferries
+            start = time.monotonic()
+            assert second.submit_delayed(0.05, lambda: 42).result(1.0) == 42
+            assert 0.04 <= time.monotonic() - start < 0.5
+        finally:
+            first.shutdown()
+            second.shutdown()
+            threads.close()
 
     def test_cancellation(self, runtime):
         fired = threading.Event()

@@ -261,6 +261,57 @@ class TestWorkerThreads:
         assert self._run(threads, lambda: "again") == "again"
 
 
+class TestTimerWheel:
+    """``call_later``: one thread while anything is armed, none otherwise."""
+
+    @pytest.fixture
+    def threads(self):
+        pool = WorkerThreads("wheel")
+        yield pool
+        pool.close()
+
+    def test_fires_in_deadline_order_on_one_thread(self, threads):
+        fired = []
+        done = threading.Event()
+        threads.call_later(0.06, lambda: (fired.append("late"), done.set()))
+        threads.call_later(0.02, lambda: fired.append("early"))  # re-arms the wait
+        assert len(alive_threads("wheel")) == 1
+        assert done.wait(2.0) and fired == ["early", "late"]
+
+    def test_close_drops_what_is_armed(self, threads):
+        fired = threading.Event()
+        threads.call_later(0.05, fired.set)
+        threads.close()
+        assert poll(lambda: not alive_threads("wheel"), timeout=1.0)
+        assert not fired.wait(0.15)
+
+    def test_timers_armed_from_many_threads_all_fire_once(self, threads):
+        """The wheel returns its thread whenever the heap runs empty: an
+        arm racing that return must neither be lost nor start a second wheel."""
+        fired = []
+
+        def arm(k):
+            for n in range(200):
+                threads.call_later(0.0005 * (n % 3), lambda key=(k, n): fired.append(key))
+                if n % 20 == 0:
+                    time.sleep(0.002)  # let the heap run empty now and then
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            armers = [threading.Thread(target=arm, args=(k,)) for k in range(8)]
+            for t in armers:
+                t.start()
+            for t in armers:
+                t.join(10.0)
+                assert not t.is_alive()
+            assert poll(lambda: len(fired) == 1600, timeout=10.0)
+        finally:
+            sys.setswitchinterval(previous)
+        assert len(set(fired)) == 1600
+        assert poll(lambda: not threads._timing and not threads._timers, timeout=1.0)
+
+
 class TestLanes:
     """Several executors over one thread set: own limits, shared threads."""
 

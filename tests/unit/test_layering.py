@@ -155,3 +155,32 @@ def test_checker_flags_an_environment_switch(tmp_path):
     assert len(violations) == 2
     assert all("repro.net.knob" in v for v in violations)
     assert "CQOS_FAST" in violations[0] and "CQOS_LINGER" in violations[1]
+
+
+def test_checker_flags_a_thread_started_outside_the_set(tmp_path):
+    """``threading.Thread`` (and ``Timer``, ``ThreadPoolExecutor``) may be
+    named only by ``repro.util.concurrency``; locks and events are free."""
+    source = """
+        import threading
+        import concurrent.futures
+        from threading import Thread, Lock
+        from concurrent.futures import Future, ThreadPoolExecutor
+
+        lock = threading.Lock()
+        threading.Thread(target=print, daemon=True).start()
+        threading.Timer(1.0, print).start()
+        pool = concurrent.futures.ThreadPoolExecutor(2)
+        """
+    for package in ("net", "util"):
+        pkg = tmp_path / "repro" / package
+        pkg.mkdir(parents=True)
+        (pkg / "__init__.py").write_text("")
+    (tmp_path / "repro" / "__init__.py").write_text("")
+    (tmp_path / "repro" / "net" / "rogue.py").write_text(textwrap.dedent(source))
+    (tmp_path / "repro" / "util" / "concurrency.py").write_text(textwrap.dedent(source))
+    violations = check_layering.check(tmp_path)
+    assert len(violations) == 5
+    assert all("repro.net.rogue" in v for v in violations)
+    assert sorted(v.split(" names ")[1].split()[0] for v in violations) == [
+        "Thread", "Thread", "ThreadPoolExecutor", "ThreadPoolExecutor", "Timer",
+    ]

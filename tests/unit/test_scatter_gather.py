@@ -22,9 +22,9 @@ from repro.core.fanout import (
     BranchOutcome,
     ScatterGather,
     parse_gather_policy,
-    threaded_reply_future,
 )
-from repro.net.transport import ReplyFuture
+from repro.net.transport import ReplyFuture, threaded_reply_future
+from repro.util.concurrency import WorkerThreads
 from repro.util.errors import CommunicationError, ConfigurationError, TimeoutError_
 
 
@@ -144,32 +144,40 @@ class TestScatterGather:
     def test_concurrent_settles_all_surface(self):
         scatter = ScatterGather()
         barrier = threading.Barrier(8 + 1)
+        threads = WorkerThreads("settles")
 
         def branch(i: int):
             def run():
                 barrier.wait(timeout=5.0)
                 return i
 
-            return threaded_reply_future(run)
+            return threaded_reply_future(threads, run)
 
         for i in range(8):
             scatter.submit(i, lambda i=i: branch(i))
         barrier.wait(timeout=5.0)
         outcomes = scatter.gather_all(timeout=5.0)
+        threads.close()
         assert sorted(o.value for o in outcomes) == list(range(8))
         assert all(o.ok for o in outcomes)
 
 
 class TestThreadedReplyFuture:
-    def test_success(self):
-        assert threaded_reply_future(lambda: 41 + 1).result(timeout=2.0) == 42
+    @pytest.fixture
+    def threads(self):
+        threads = WorkerThreads("reply")
+        yield threads
+        threads.close()
 
-    def test_error(self):
+    def test_success(self, threads):
+        assert threaded_reply_future(threads, lambda: 41 + 1).result(timeout=2.0) == 42
+
+    def test_error(self, threads):
         def fail():
             raise CommunicationError("nope")
 
         with pytest.raises(CommunicationError):
-            threaded_reply_future(fail).result(timeout=2.0)
+            threaded_reply_future(threads, fail).result(timeout=2.0)
 
 
 class TestBranchOutcome:

@@ -23,7 +23,11 @@ This script AST-scans ``src/repro`` and fails (exit 1) on violations of:
   constructor arguments, and the benchmark refuses to run with such a
   variable set, so a switch read under ``src/`` would be a path nothing
   measures.  The rule flags the name as a string literal, which also
-  catches a read through a module constant.
+  catches a read through a module constant;
+- one place starts a thread: ``threading.Thread``, ``threading.Timer`` and
+  ``concurrent.futures.ThreadPoolExecutor`` may be named (as an attribute
+  or in a ``from`` import) only by ``repro.util.concurrency``, whose
+  ``WorkerThreads`` is the scheduler every other module borrows from.
 
 Usage::
 
@@ -112,11 +116,38 @@ def named_switches(tree: ast.AST) -> list[tuple[int, str]]:
     ]
 
 
+THREAD_STARTERS = {"Thread", "Timer", "ThreadPoolExecutor"}
+THREAD_MODULES = {"threading", "concurrent.futures"}
+THREAD_OWNER = "repro.util.concurrency"
+
+
+def named_thread_starters(tree: ast.AST) -> list[tuple[int, str]]:
+    """``threading.Thread`` and its kin, named as an attribute of anything
+    or imported from their module (with line)."""
+    found: list[tuple[int, str]] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in THREAD_STARTERS:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module in THREAD_MODULES:
+            found.extend(
+                (node.lineno, alias.name)
+                for alias in node.names
+                if alias.name in THREAD_STARTERS
+            )
+    return found
+
+
 def check(root: Path) -> list[str]:
     violations: list[str] = []
     for path in sorted(root.rglob("*.py")):
         module = module_name(path, root)
         tree = ast.parse(path.read_text(), filename=str(path))
+        if module != THREAD_OWNER:
+            for lineno, name in named_thread_starters(tree):
+                violations.append(
+                    f"{path}:{lineno}: {module} names {name} "
+                    f"(only {THREAD_OWNER} starts a thread: spawn on the deployment's set)"
+                )
         for lineno, name in named_switches(tree):
             violations.append(
                 f"{path}:{lineno}: {module} names the environment switch {name} "
@@ -150,7 +181,10 @@ def main(argv: list[str] | None = None) -> int:
     if violations:
         print(f"FAIL: {len(violations)} layering violation(s)")
         return 1
-    print("layering OK: generic layers import no platform packages, no CQOS_* switches")
+    print(
+        "layering OK: generic layers import no platform packages, no CQOS_* switches, "
+        "one place starts a thread"
+    )
     return 0
 
 
