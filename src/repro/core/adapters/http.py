@@ -5,10 +5,10 @@ platform is.
 the TCP socket layer would be viewed as the middleware layer."  Here it is:
 the CQoS skeleton mounts as a *generic* HTTP object in place of the real
 servant (the proxy-resource pattern), the CQoS stub posts operations to it,
-piggyback data rides ``X-CQoS-*`` headers (encoded by the shared
-:class:`~repro.core.piggyback.PiggybackCodec`, so any marshallable key or
-value round-trips losslessly), and replica discovery uses the path registry
-with the convention name ``"<OID>/replica-<i>"``.
+piggyback data rides ``X-CQoS-*`` headers (written and read by
+:mod:`repro.http.message`, so any marshallable key or value round-trips
+losslessly), and replica discovery uses the path registry with the
+convention name ``"<OID>/replica-<i>"``.
 
 All request-lifecycle machinery lives in the shared invocation kernel
 (:mod:`repro.core.platform`); this module supplies the HTTP codec surface —

@@ -18,7 +18,7 @@ request, plus their paper-verbatim naming conventions):
   tracing/metrics attach without touching adapters.
 
 Its neighbours: :mod:`repro.core.fanout` (scatter-gather),
-:mod:`repro.core.piggyback` (header codec, reply envelope).  All three must
+:mod:`repro.core.piggyback` (the reply envelope).  All three must
 stay platform-agnostic: importing :mod:`repro.orb`, :mod:`repro.rmi`, or
 :mod:`repro.http` here is a layering violation (machine-checked by
 ``tools/check_layering.py``).
@@ -93,13 +93,59 @@ class InvocationObserver:
     def on_servant_return(self, request: Request, value: Any) -> None: ...
 
 
-def notify_observers(observers: Iterable[InvocationObserver], hook: str, *args: Any) -> None:
-    """Deliver one hook to every observer, swallowing observer failures."""
-    for observer in observers:
+_HOOKS = {name: hook for name, hook in vars(InvocationObserver).items() if name.startswith("on_")}
+
+
+class HookTable:
+    """Per hook, the bound methods of the observers that listen to it.
+
+    An :class:`InvocationObserver` listens to the hooks it overrides; any
+    other object to the hooks it defines.  Immutable once built: a site
+    reads its table once per invocation, so an observer added meanwhile
+    first sees the next invocation, whole.
+    """
+
+    __slots__ = tuple(_HOOKS)
+
+    def __init__(self, observers: Iterable[Any] = ()):
+        for name, inherited in _HOOKS.items():
+            listening: tuple[Callable[..., None], ...] = ()
+            for observer in observers:
+                method = getattr(observer, name, None)
+                if method is not None and getattr(method, "__func__", None) is not inherited:
+                    listening += (method,)
+            setattr(self, name, listening)
+
+
+_NO_HOOKS = HookTable()
+
+
+def notify_observers(hooks: tuple[Callable[..., None], ...], *args: Any) -> None:
+    """Deliver one hook to everyone who listens, swallowing observer failures."""
+    for hook in hooks:
         try:
-            getattr(observer, hook)(*args)
+            hook(*args)
         except Exception:  # noqa: BLE001 - observation must not alter outcomes
             pass
+
+
+class ObserverSite:
+    """A place along the pipeline that observers attach to.
+
+    ``observers`` is the registration list and :meth:`add_observer` its only
+    writer; ``_hooks`` is the :class:`HookTable` derived from it.
+    """
+
+    _registration = threading.Lock()
+
+    def __init__(self, observers: Iterable[Any] | None = None):
+        self.observers: list[Any] = list(observers or ())
+        self._hooks = HookTable(self.observers) if self.observers else _NO_HOOKS
+
+    def add_observer(self, observer: Any) -> None:
+        with self._registration:
+            self.observers.append(observer)
+            self._hooks = HookTable(self.observers)
 
 
 def _once(fn: Callable[[], None]) -> Callable[[], None]:
@@ -120,7 +166,7 @@ def _once(fn: Callable[[], None]) -> Callable[[], None]:
 # -- client platform base ------------------------------------------------------
 
 
-class BaseClientPlatform(ClientPlatform):
+class BaseClientPlatform(ObserverSite, ClientPlatform):
     """Platform-independent client half of the Cactus QoS interface.
 
     Owns the whole request lifecycle — lazy binding through a
@@ -151,8 +197,8 @@ class BaseClientPlatform(ClientPlatform):
         observers: Iterable[InvocationObserver] | None = None,
         router: ShardRouter | None = None,
     ):
+        ObserverSite.__init__(self, observers)
         self.object_id = object_id
-        self.observers: list[InvocationObserver] = list(observers or ())
         self.router = router if router is not None else ShardRouter()
         self.directory = ReplicaDirectory(
             name_for=self._replica_name,
@@ -167,9 +213,6 @@ class BaseClientPlatform(ClientPlatform):
         # it, so quorum gathers tend to reach k before the slow stragglers.
         self._latency_ewma: dict[int, float] = {}
         self._latency_lock = threading.Lock()
-
-    def add_observer(self, observer: InvocationObserver) -> None:
-        self.observers.append(observer)
 
     # -- codec surface (subclass responsibility) ----------------------------
 
@@ -260,21 +303,22 @@ class BaseClientPlatform(ClientPlatform):
         # new binds route to the new owner (zero-drop rebalancing).  The
         # view stamp rides piggyback only on sharded deployments, so
         # unsharded wire bytes are untouched.
-        lease = self.router.lease() if self.router.sharded else None
+        router = self.router
+        lease = router.lease() if router._view.groups else None  # .sharded, no call
         if lease is not None:
             request.piggyback[PB_VIEW_VERSION] = lease.view.version
-        # Read once: an invocation that starts with no observer makes none
-        # of its hook calls, so a late add_observer never sees half a call.
-        observers = self.observers or None
-        if observers is not None:
-            notify_observers(observers, "on_wire_send", request, server)
+        # Read once: an observer added while this invocation is in flight
+        # sees none of its hooks, never half of them.
+        hooks = self._hooks
+        if hooks.on_wire_send:
+            notify_observers(hooks.on_wire_send, request, server)
         started = time.monotonic()
         try:
             value = self._send(
                 endpoint, request.operation, request.get_params(), dict(request.piggyback)
             )
         except BaseException as exc:
-            self._wire_failed(server, request, observers, exc)
+            self._wire_failed(server, request, hooks, exc)
             raise
         finally:
             if lease is not None:
@@ -284,16 +328,16 @@ class BaseClientPlatform(ClientPlatform):
         if reply_piggyback:
             request.reply_piggyback.update(reply_piggyback)
             delta = reply_piggyback.get(PB_VIEW_DELTA)
-            if delta is not None and not self.router.apply_delta(delta):
+            if delta is not None and not router.apply_delta(delta):
                 # Delta not applicable (history evicted / base mismatch):
                 # fall back to bootstrap re-enumeration.
                 self.refresh()
-        if observers is not None:
-            notify_observers(observers, "on_wire_reply", request, server, value)
+        if hooks.on_wire_reply:
+            notify_observers(hooks.on_wire_reply, request, server, value)
         return value
 
     def _wire_failed(
-        self, server: int, request: Request, observers: list | None, exc: BaseException
+        self, server: int, request: Request, hooks: HookTable, exc: BaseException
     ) -> None:
         """One send attempt failed: fault taxonomy, then ``on_wire_failure``.
 
@@ -302,8 +346,8 @@ class BaseClientPlatform(ClientPlatform):
         attempt reconnects.
         """
         self.directory.apply_fault(server, exc)
-        if observers is not None:
-            notify_observers(observers, "on_wire_failure", request, server, exc)
+        if hooks.on_wire_failure:
+            notify_observers(hooks.on_wire_failure, request, server, exc)
 
     def invoke_server_async(self, server: int, request: Request) -> ReplyFuture:
         """Non-blocking :meth:`invoke_server`: submit now, settle later.
@@ -325,12 +369,13 @@ class BaseClientPlatform(ClientPlatform):
         view forever.
         """
         endpoint = self.directory.bind_endpoint(server)
-        lease = self.router.lease() if self.router.sharded else None
+        router = self.router
+        lease = router.lease() if router._view.groups else None  # .sharded, no call
         if lease is not None:
             request.piggyback[PB_VIEW_VERSION] = lease.view.version
-        observers = self.observers or None
-        if observers is not None:
-            notify_observers(observers, "on_wire_send", request, server)
+        hooks = self._hooks
+        if hooks.on_wire_send:
+            notify_observers(hooks.on_wire_send, request, server)
         started = time.monotonic()
         try:
             reply = self._send_async(
@@ -339,7 +384,7 @@ class BaseClientPlatform(ClientPlatform):
         except BaseException as exc:
             if lease is not None:
                 lease.release()
-            self._wire_failed(server, request, observers, exc)
+            self._wire_failed(server, request, hooks, exc)
             raise
         if lease is not None:
             release = _once(lease.release)
@@ -352,14 +397,14 @@ class BaseClientPlatform(ClientPlatform):
             if reply_piggyback:
                 request.reply_piggyback.update(reply_piggyback)
                 delta = reply_piggyback.get(PB_VIEW_DELTA)
-                if delta is not None and not self.router.apply_delta(delta):
+                if delta is not None and not router.apply_delta(delta):
                     self.refresh()
-            if observers is not None:
-                notify_observers(observers, "on_wire_reply", request, server, value)
+            if hooks.on_wire_reply:
+                notify_observers(hooks.on_wire_reply, request, server, value)
             return value
 
         def on_error(exc: BaseException) -> Any:
-            self._wire_failed(server, request, observers, exc)
+            self._wire_failed(server, request, hooks, exc)
             if isinstance(exc, ShardMovedError):
                 return self.invoke_server(server, request)
             raise exc
@@ -406,7 +451,7 @@ class BaseClientPlatform(ClientPlatform):
 # -- server platform base ------------------------------------------------------
 
 
-class BaseServerPlatform(ServerPlatform):
+class BaseServerPlatform(ObserverSite, ServerPlatform):
     """Platform-independent server half of the Cactus QoS interface.
 
     Owns servant dispatch bookkeeping and the replica control plane
@@ -427,18 +472,15 @@ class BaseServerPlatform(ServerPlatform):
         observers: Iterable[InvocationObserver] | None = None,
         router: ShardRouter | None = None,
     ):
+        ObserverSite.__init__(self, observers)
         self.object_id = object_id
         self._replica = replica
         self._total = total_replicas
         self._dispatch = dispatch
-        self.observers: list[InvocationObserver] = list(observers or ())
         #: The authoritative ShardRouter of a sharded deployment (None when
         #: unsharded): the skeleton serves piggyback view deltas from it.
         self.router = router
         self.peers = ReplicaDirectory(name_for=self._peer_name, resolve=self._resolve)
-
-    def add_observer(self, observer: InvocationObserver) -> None:
-        self.observers.append(observer)
 
     # -- codec surface (subclass responsibility) ----------------------------
 
@@ -463,12 +505,12 @@ class BaseServerPlatform(ServerPlatform):
     # -- Cactus QoS interface (shared lifecycle) ----------------------------
 
     def invoke_servant(self, request: Request) -> Any:
-        observers = self.observers or None
-        if observers is None:
-            return self._dispatch.dispatch(request.operation, request.get_params())
-        notify_observers(observers, "on_servant_invoke", request)
+        hooks = self._hooks
+        if hooks.on_servant_invoke:
+            notify_observers(hooks.on_servant_invoke, request)
         value = self._dispatch.dispatch(request.operation, request.get_params())
-        notify_observers(observers, "on_servant_return", request, value)
+        if hooks.on_servant_return:
+            notify_observers(hooks.on_servant_return, request, value)
         return value
 
     def my_replica(self) -> int:
@@ -541,7 +583,7 @@ class BaseServerPlatform(ServerPlatform):
 # -- skeleton servant base -----------------------------------------------------
 
 
-class BaseSkeletonServant:
+class BaseSkeletonServant(ObserverSite):
     """Platform-independent wrapper delivering upcalls to the skeleton core.
 
     The generic ``invoke(method, arguments, context)`` signature is exactly
@@ -551,25 +593,23 @@ class BaseSkeletonServant:
     """
 
     def __init__(self, skeleton: Any, observers: Iterable[InvocationObserver] | None = None):
+        ObserverSite.__init__(self, observers)
         self.skeleton = skeleton
-        self.observers: list[InvocationObserver] = list(observers or ())
-
-    def add_observer(self, observer: InvocationObserver) -> None:
-        self.observers.append(observer)
 
     def dispatch_invocation(self, operation: str, arguments: list, context: dict) -> Any:
         """Run one intercepted platform request through the CQoS skeleton."""
-        observers = self.observers or None
-        if observers is None:
-            return self.skeleton.handle_invocation(operation, arguments, context)
-        object_id = self.skeleton.object_id
-        notify_observers(observers, "on_skeleton_receive", object_id, operation, context)
+        hooks = self._hooks
+        skeleton = self.skeleton
+        if hooks.on_skeleton_receive:
+            notify_observers(hooks.on_skeleton_receive, skeleton.object_id, operation, context)
         try:
-            value = self.skeleton.handle_invocation(operation, arguments, context)
+            value = skeleton.handle_invocation(operation, arguments, context)
         except BaseException as exc:
-            notify_observers(observers, "on_skeleton_failure", object_id, operation, exc)
+            if hooks.on_skeleton_failure:
+                notify_observers(hooks.on_skeleton_failure, skeleton.object_id, operation, exc)
             raise
-        notify_observers(observers, "on_skeleton_reply", object_id, operation, value)
+        if hooks.on_skeleton_reply:
+            notify_observers(hooks.on_skeleton_reply, skeleton.object_id, operation, value)
         return value
 
     def invoke(self, method: str, arguments: list, context: dict) -> Any:

@@ -114,7 +114,7 @@ class CqosSkeleton:
         their wire traffic byte-identical to pre-routing builds).
         """
         router = self._platform.router
-        if router is None or not router.sharded:
+        if router is None or not router._view.groups:  # .sharded, no call
             return
         client_version = request.piggyback.get(PB_VIEW_VERSION)
         if client_version is None:

@@ -23,13 +23,13 @@ from typing import Any
 
 from repro.core.client import CactusClient
 from repro.core.interfaces import ClientPlatform
-from repro.core.platform import InvocationObserver, notify_observers
+from repro.core.platform import InvocationObserver, ObserverSite, notify_observers
 from repro.core.request import PB_CLIENT_ID, PB_PRIORITY, PB_REQUEST_ID, Request
 from repro.idl.compiler import InterfaceDef
 from repro.util.ids import unique_id
 
 
-class CqosStub:
+class CqosStub(ObserverSite):
     """Base class for generated CQoS stubs."""
 
     def __init__(
@@ -41,18 +41,14 @@ class CqosStub:
         priority: int | None = None,
         observers: list[InvocationObserver] | None = None,
     ):
+        ObserverSite.__init__(self, observers)
         self._platform = platform
         self._object_id = object_id
         self._cactus_client = cactus_client
         self._client_id = client_id or unique_id("client")
         self._priority = priority
-        self._observers: list[InvocationObserver] = list(observers or ())
         self._pending: dict[str, Request] = {}
         self._pending_lock = threading.Lock()
-
-    def add_observer(self, observer: InvocationObserver) -> None:
-        """Attach a kernel hook at the stub (application-call) boundary."""
-        self._observers.append(observer)
 
     @property
     def client_id(self) -> str:
@@ -87,11 +83,11 @@ class CqosStub:
         request = self._make_request(operation, args)
         with self._pending_lock:
             self._pending[request.request_id] = request
-        # Read once: a call that starts with no observer makes neither hook
-        # call, so a late add_observer never sees half an invocation.
-        observers = self._observers or None
-        if observers is not None:
-            notify_observers(observers, "on_stub_request", request)
+        # Read once: an observer added while this call is in flight sees
+        # neither of its hooks, never half an invocation.
+        hooks = self._hooks
+        if hooks.on_stub_request:
+            notify_observers(hooks.on_stub_request, request)
         error: BaseException | None = None
         try:
             if self._cactus_client is not None:
@@ -106,8 +102,8 @@ class CqosStub:
         finally:
             with self._pending_lock:
                 self._pending.pop(request.request_id, None)
-            if observers is not None:
-                notify_observers(observers, "on_stub_complete", request, error)
+            if hooks.on_stub_complete:
+                notify_observers(hooks.on_stub_complete, request, error)
 
 
 def _make_method(operation_name: str, arity: int):

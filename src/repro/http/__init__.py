@@ -9,7 +9,8 @@ request/reply protocol over the :mod:`repro.net` transports —
 
 - :mod:`repro.http.message` — wire format: request line
   (``POST /objects/<id>/<operation> HTTP/1.0``), headers, binary body;
-  piggyback data travels as ``X-CQoS-*`` headers;
+  piggyback data travels as ``X-CQoS-*`` headers; one formatter and one
+  parser per direction;
 - :mod:`repro.http.server` — an object server mapping paths to servants
   (typed dispatch via interface metadata, or generic handlers);
 - :mod:`repro.http.client` — a small client with per-host connections;
@@ -21,14 +22,12 @@ the Cactus protocols only see the abstract interfaces, *every* QoS
 micro-protocol works on HTTP unchanged — which is the point.
 """
 
-from repro.http.message import HttpRequest, HttpResponse, format_request, format_response, parse_request, parse_response
+from repro.http.message import format_request, format_response, parse_request, parse_response
 from repro.http.server import HttpObjectServer
 from repro.http.client import HttpClient
 from repro.http.registry import HttpRegistry, HttpRegistryClient, start_http_registry
 
 __all__ = [
-    "HttpRequest",
-    "HttpResponse",
     "format_request",
     "format_response",
     "parse_request",

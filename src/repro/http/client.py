@@ -4,12 +4,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.http.message import (
-    HttpRequest,
-    format_request,
-    parse_response,
-    piggyback_headers,
-)
+from repro.http.message import format_request, parse_response
 from repro.net.pool import ConnectionPool
 from repro.net.transport import Connection, Network, ReplyFuture
 from repro.serialization.jser import jser_dumps, jser_loads
@@ -29,9 +24,6 @@ class HttpClient:
         self._host = network.host(host_name)
         self._pool = ConnectionPool(self._host)
 
-    def _connection(self, address: str) -> Connection:
-        return self._pool.get(address)
-
     def drop_connection(self, address: str, connection: Connection | None = None) -> None:
         self._pool.drop(address, connection)
 
@@ -50,15 +42,12 @@ class HttpClient:
         original exception instance; other failures raise
         :class:`InvocationError`.
         """
-        request = HttpRequest(
-            method="POST",
-            path=f"/objects/{object_id}/{operation}",
-            headers=piggyback_headers(piggyback or {}),
-            body=jser_dumps(arguments),
+        frame = format_request(
+            f"/objects/{object_id}/{operation}", piggyback, jser_dumps(arguments)
         )
-        connection = self._connection(address)
+        connection = self._pool.get(address)
         try:
-            frame = connection.call(format_request(request), timeout=timeout)
+            frame = connection.call(frame, timeout=timeout)
         except CommunicationError:
             self.drop_connection(address, connection)
             raise
@@ -75,20 +64,16 @@ class HttpClient:
     ):
         """Non-blocking :meth:`post`; returns a ReplyFuture of the value.
 
-        Formatted eagerly with the same request builder (wire bytes
-        identical to the blocking path); response parsing runs lazily on
+        Formatted eagerly by the same formatter (wire bytes identical to
+        the blocking path); response parsing runs lazily on
         the consumer's thread.  Never raises — submit-time failures settle
         the future.
         """
         try:
-            request = HttpRequest(
-                method="POST",
-                path=f"/objects/{object_id}/{operation}",
-                headers=piggyback_headers(piggyback or {}),
-                body=jser_dumps(arguments),
+            frame = format_request(
+                f"/objects/{object_id}/{operation}", piggyback, jser_dumps(arguments)
             )
-            frame = format_request(request)
-            connection = self._connection(address)
+            connection = self._pool.get(address)
         except Exception as exc:  # noqa: BLE001 - delivered via the future
             return ReplyFuture.failed(exc)
 
@@ -103,17 +88,17 @@ class HttpClient:
 
     def _decode_response(self, frame: bytes) -> Any:
         """Parse a raw HTTP response frame; map the error taxonomy."""
-        response = parse_response(frame)
-        if response.status == 200:
-            return jser_loads(response.body) if response.body else None
-        body = jser_loads(response.body) if response.body else None
-        if isinstance(body, BaseException):
-            raise body
-        if isinstance(body, dict):
+        status, _, body = parse_response(frame)
+        value = jser_loads(body) if body else None
+        if status == 200:
+            return value
+        if isinstance(value, BaseException):
+            raise value
+        if isinstance(value, dict):
             raise rehydrate_system_error(
-                body.get("type", "HttpError"), body.get("message", "")
+                value.get("type", "HttpError"), value.get("message", "")
             )
-        raise InvocationError("HttpError", f"status {response.status}")
+        raise InvocationError("HttpError", f"status {status}")
 
     def close(self) -> None:
         self._pool.close()

@@ -18,13 +18,7 @@ from __future__ import annotations
 import threading
 from typing import Any
 
-from repro.http.message import (
-    HttpRequest,
-    HttpResponse,
-    format_response,
-    parse_request,
-    piggyback_headers,
-)
+from repro.http.message import format_response, parse_request
 from repro.idl.compiler import CompiledIdl, IdlRemoteException, InterfaceDef
 from repro.net.transport import Network
 from repro.orb.stubs import StaticSkeleton
@@ -32,16 +26,6 @@ from repro.serialization.jser import jser_dumps, jser_loads
 from repro.util.errors import BindError
 
 SERVICE = "http"
-
-
-class _Mount:
-    def __init__(self, servant, skeleton: StaticSkeleton | None):
-        self.servant = servant
-        self.skeleton = skeleton  # None => generic servant
-
-    @property
-    def is_generic(self) -> bool:
-        return self.skeleton is None
 
 
 class HttpObjectServer:
@@ -53,7 +37,8 @@ class HttpObjectServer:
         self.compiled = compiled
         self._host = network.host(host_name)
         self._listener = None
-        self._mounts: dict[str, _Mount] = {}
+        # object id -> (servant, its typed skeleton, or None for a generic servant)
+        self._mounts: dict[str, tuple[Any, StaticSkeleton | None]] = {}
         self._lock = threading.Lock()
 
     @property
@@ -77,19 +62,19 @@ class HttpObjectServer:
     def mount(self, object_id: str, servant: Any, interface: InterfaceDef) -> str:
         """Mount a typed servant; returns its URL path."""
         skeleton = StaticSkeleton(servant, interface, self.compiled)
-        return self._mount(object_id, _Mount(servant, skeleton))
+        return self._mount(object_id, servant, skeleton)
 
     def mount_generic(self, object_id: str, servant: Any) -> str:
         """Mount a generic servant (``invoke(method, arguments, context)``)."""
         if not callable(getattr(servant, "invoke", None)):
             raise BindError("generic mounts must provide invoke(method, arguments, context)")
-        return self._mount(object_id, _Mount(servant, None))
+        return self._mount(object_id, servant, None)
 
-    def _mount(self, object_id: str, mount: _Mount) -> str:
+    def _mount(self, object_id: str, servant: Any, skeleton: StaticSkeleton | None) -> str:
         with self._lock:
             if object_id in self._mounts:
                 raise BindError(f"object id {object_id!r} already mounted")
-            self._mounts[object_id] = mount
+            self._mounts[object_id] = (servant, skeleton)
         return f"/objects/{object_id}"
 
     def unmount(self, object_id: str) -> None:
@@ -101,33 +86,34 @@ class HttpObjectServer:
     # Servant dispatch can block (request.wait, replica forwarding).
     def _handle_frame(self, frame: bytes) -> bytes:
         try:
-            request = parse_request(frame)
-            response = self._dispatch(request)
+            method, path, _, context, body = parse_request(frame)
+            return self._dispatch(method, path, context, body)
         except IdlRemoteException as exc:
-            response = HttpResponse(status=400, body=jser_dumps(exc))
-            response.headers["x-cqos-kind"] = "application-exception"
-        except BaseException as exc:  # noqa: BLE001 - mapped to 500
-            response = HttpResponse(
-                status=500,
-                body=jser_dumps({"type": type(exc).__name__, "message": str(exc)}),
+            return format_response(
+                400, jser_dumps(exc), {"x-cqos-kind": "application-exception"}
             )
-        return format_response(response)
+        except BaseException as exc:  # noqa: BLE001 - mapped to 500
+            return format_response(
+                500, jser_dumps({"type": type(exc).__name__, "message": str(exc)})
+            )
 
-    def _dispatch(self, request: HttpRequest) -> HttpResponse:
-        if request.method != "POST":
-            return HttpResponse(status=400, body=jser_dumps({"type": "BadMethod", "message": request.method}))
-        parts = request.path.strip("/").split("/")
-        if len(parts) != 3 or parts[0] != "objects":
-            return HttpResponse(status=404, body=jser_dumps({"type": "NotFound", "message": request.path}))
-        _, object_id, operation = parts
-        with self._lock:
-            mount = self._mounts.get(object_id)
+    def _dispatch(self, method: str, path: str, context: dict, body: bytes) -> bytes:
+        if method != "POST":
+            return format_response(400, jser_dumps({"type": "BadMethod", "message": method}))
+        try:
+            root, object_id, operation = path.strip("/").split("/")
+        except ValueError:
+            root = None
+        if root != "objects":
+            return format_response(404, jser_dumps({"type": "NotFound", "message": path}))
+        # A dict read is atomic; only writers take the lock.
+        mount = self._mounts.get(object_id)
         if mount is None:
-            return HttpResponse(status=404, body=jser_dumps({"type": "NotFound", "message": object_id}))
-        arguments = list(jser_loads(request.body)) if request.body else []
-        context = request.piggyback()
-        if mount.is_generic:
-            value = mount.servant.invoke(operation, arguments, context)
+            return format_response(404, jser_dumps({"type": "NotFound", "message": object_id}))
+        servant, skeleton = mount
+        arguments = list(jser_loads(body)) if body else []
+        if skeleton is None:
+            value = servant.invoke(operation, arguments, context)
         else:
-            value = mount.skeleton.dispatch(operation, arguments)
-        return HttpResponse(status=200, body=jser_dumps(value))
+            value = skeleton.dispatch(operation, arguments)
+        return format_response(200, jser_dumps(value))

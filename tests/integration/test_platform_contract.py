@@ -293,6 +293,25 @@ def test_late_observer_sees_whole_invocations_only(deployment, bank_iface):
     ]
 
 
+def count_calls(watched: dict, run) -> dict[str, int]:
+    """Enter ``run()`` under a profile hook; how often each watched code
+    object (``code -> name``) was called.  Counted, not timed."""
+    seen = dict.fromkeys(watched.values(), 0)
+
+    def count(frame, event, arg):
+        if event == "call":
+            name = watched.get(frame.f_code)
+            if name is not None:
+                seen[name] += 1
+
+    sys.setprofile(count)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
 def test_idle_hooks_and_lookups_cost_no_call(deployment, bank_iface):
     """With no observer registered and an unchanged view, a base-stack
     invocation enters ``notify_observers``, ``SharedData.get`` and
@@ -307,25 +326,116 @@ def test_idle_hooks_and_lookups_cost_no_call(deployment, bank_iface):
         ReplicaDirectory._sync_view.__code__: "_sync_view",
         BankAccount.get_balance.__code__: "servant",
     }
-    seen = dict.fromkeys(watched.values(), 0)
-
-    def count(frame, event, arg):
-        if event == "call":
-            name = watched.get(frame.f_code)
-            if name is not None:
-                seen[name] += 1
-
-    sys.setprofile(count)
-    try:
-        for _ in range(4):
-            stub.get_balance()
-    finally:
-        sys.setprofile(None)
     # The in-memory network dispatches on the caller's thread, so the
     # server half of the path is inside the profile: the servant proves it.
-    assert seen == {
+    assert count_calls(watched, lambda: [stub.get_balance() for _ in range(4)]) == {
         "notify_observers": 0, "SharedData.get": 0, "_sync_view": 0, "servant": 4,
     }
+
+
+class SkeletonBoundaryObserver(InvocationObserver):
+    """Listens at the skeleton boundary only, as the shard space's drain
+    counter does."""
+
+    def __init__(self):
+        self.open = 0
+
+    def on_skeleton_receive(self, object_id, operation, context):
+        self.open += 1
+
+    def on_skeleton_reply(self, object_id, operation, value):
+        self.open -= 1
+
+
+def test_hooks_nobody_overrides_cost_no_call(deployment, bank_iface):
+    """An observer is called on the hooks it overrides and on no other: one
+    registered at all four sites that listens to two skeleton hooks costs
+    those two deliveries per invocation, and the base class's no-op hooks
+    are never entered."""
+    observer = SkeletonBoundaryObserver()
+    deployment.add_replicas(
+        "acct", make_account(), bank_iface, replicas=1, observers=[observer]
+    )
+    stub = deployment.client_stub("acct", bank_iface, observers=[observer])
+    stub.set_balance(1.0)
+    watched = {
+        notify_observers.__code__: "notify_observers",
+        SkeletonBoundaryObserver.on_skeleton_receive.__code__: "receive",
+        SkeletonBoundaryObserver.on_skeleton_reply.__code__: "reply",
+        BankAccount.get_balance.__code__: "servant",
+    }
+    for name, hook in vars(InvocationObserver).items():
+        if name.startswith("on_"):
+            watched[hook.__code__] = "inherited no-op"
+    assert count_calls(watched, lambda: [stub.get_balance() for _ in range(4)]) == {
+        "notify_observers": 8, "receive": 4, "reply": 4, "servant": 4, "inherited no-op": 0,
+    }
+    assert observer.open == 0
+
+
+def test_observer_added_between_invocations_sees_the_next_in_full(deployment, bank_iface):
+    observer = RecordingObserver()
+    (skeleton,) = deployment.add_replicas(
+        "acct", make_account(), bank_iface, replicas=1, server_micro_protocols=None
+    )
+    stub = deployment.client_stub("acct", bank_iface, with_cactus_client=False)
+    stub.set_balance(5.0)
+    for site in (stub, stub._platform, skeleton._platform):
+        site.add_observer(observer)
+    assert observer.events == []
+    assert stub.get_balance() == 5.0
+    assert [name for name, *_ in observer.events] == [
+        "on_stub_request", "on_wire_send", "on_servant_invoke", "on_servant_return",
+        "on_wire_reply", "on_stub_complete",
+    ]
+
+
+def test_duck_typed_observer_gets_the_hook_it_defines(deployment, bank_iface):
+    """An observer need not subclass InvocationObserver, nor define every hook."""
+
+    class Replies:
+        def __init__(self):
+            self.values = []
+
+        def on_wire_reply(self, request, server, value):
+            self.values.append(value)
+
+    early, late = Replies(), Replies()
+    deployment.add_replicas("acct", make_account(), bank_iface, replicas=1)
+    stub = deployment.client_stub("acct", bank_iface, observers=[early])
+    stub.set_balance(3.0)
+    stub._platform.add_observer(late)
+    assert stub.get_balance() == 3.0
+    assert early.values == [None, 3.0] and late.values == [3.0]
+
+
+def test_raising_hooks_change_no_outcome(deployment, bank_iface):
+    """Observation never alters a result, an application exception or the
+    hooks of the observer registered beside the broken one."""
+
+    class Broken(InvocationObserver):
+        def on_stub_request(self, *args):
+            raise RuntimeError("observer bug")
+
+        on_stub_complete = on_wire_send = on_wire_reply = on_skeleton_receive = on_stub_request
+        on_skeleton_reply = on_skeleton_failure = on_servant_invoke = on_stub_request
+        on_servant_return = on_stub_request
+
+    witness = RecordingObserver()
+    observers = [Broken(), witness]
+    deployment.add_replicas(
+        "acct", make_account(), bank_iface, replicas=1, observers=observers
+    )
+    stub = deployment.client_stub("acct", bank_iface, observers=observers)
+    stub.set_balance(2.0)
+    assert stub.get_balance() == 2.0
+    with pytest.raises(Exception) as excinfo:
+        stub.withdraw(1000.0)
+    assert type(excinfo.value).__name__ == "InsufficientFunds"
+    hooks = [name for name, *_ in witness.events]
+    assert hooks.count("on_stub_request") == hooks.count("on_stub_complete") == 3
+    assert hooks.count("on_skeleton_receive") == 3
+    assert hooks.count("on_skeleton_reply") + hooks.count("on_skeleton_failure") == 3
 
 
 # -- a failed send is a whole failed attempt ----------------------------------

@@ -1,11 +1,11 @@
-"""Property tests: piggyback fidelity through the shared header codec.
+"""Property tests: piggyback fidelity through the HTTP header lines.
 
 The HTTP adapter ships piggyback entries as ``X-CQoS-*`` headers.  Headers
 are case-folded and latin-1-constrained, which historically lost key case,
-crashed on non-latin-1 keys, and stringified non-string keys.  The kernel's
-:class:`~repro.core.piggyback.PiggybackCodec` must round-trip *any*
-jser-marshallable key and value losslessly — through the codec alone and
-through a real formatted-and-parsed HTTP request frame.
+crashed on non-latin-1 keys, and stringified non-string keys.
+:mod:`repro.http.message` must round-trip *any* jser-marshallable key and
+value losslessly — through its header lines alone and through a whole
+formatted-and-parsed HTTP request frame.
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.core import request
-from repro.core.piggyback import PIGGYBACK_CODEC
-from repro.http.message import HttpRequest, format_request, parse_request
+from repro.http.message import format_request, parse_request
 
 # Finite floats only: NaN breaks equality (as in the codec suites).
 values = st.recursive(
@@ -44,11 +43,20 @@ keys = st.one_of(
 piggybacks = st.dictionaries(keys, values, max_size=6)
 
 
+def header_lines(piggyback) -> list[bytes]:
+    """The ``x-cqos-*`` lines of a request carrying ``piggyback``."""
+    head = format_request("/x", piggyback).partition(b"\r\n\r\n")[0]
+    return head.split(b"\r\n")[1:-1]  # between the request line and content-length
+
+
 @given(piggybacks)
 @settings(max_examples=200)
 def test_codec_roundtrip(piggyback):
-    headers = PIGGYBACK_CODEC.encode_headers(piggyback)
-    assert PIGGYBACK_CODEC.decode_headers(headers) == piggyback
+    """One line per entry, and the lines alone give the dict back."""
+    lines = header_lines(piggyback)
+    assert len(lines) == len(piggyback)
+    frame = b"POST /x HTTP/1.0\r\n" + b"".join(line + b"\r\n" for line in lines) + b"\r\n"
+    assert parse_request(frame)[3] == piggyback
 
 
 @given(piggybacks)
@@ -56,27 +64,24 @@ def test_codec_roundtrip(piggyback):
 def test_roundtrip_through_http_wire_frame(piggyback):
     """Fidelity survives an actual formatted + parsed HTTP request —
     the transport that lowercases header names and encodes them latin-1."""
-    request = HttpRequest(
-        method="POST",
-        path="/objects/acct/op",
-        headers=PIGGYBACK_CODEC.encode_headers(piggyback),
-        body=b"payload",
+    method, path, headers, parsed, body = parse_request(
+        format_request("/objects/acct/op", piggyback, b"payload")
     )
-    parsed = parse_request(format_request(request))
-    assert parsed.piggyback() == piggyback
-    assert parsed.body == b"payload"
+    assert parsed == piggyback
+    assert [type(key) for key in parsed] == [type(key) for key in piggyback]
+    assert (method, path, headers, body) == ("POST", "/objects/acct/op", {}, b"payload")
 
 
 @given(piggybacks)
 @settings(max_examples=100)
 def test_headers_are_latin1_and_casefold_safe(piggyback):
-    """Every emitted header name/value is latin-1 encodable and invariant
-    under the case folding real HTTP stacks apply."""
-    for name, value in PIGGYBACK_CODEC.encode_headers(piggyback).items():
-        name.encode("latin-1")
-        value.encode("latin-1")
-        assert name == name.lower()
-        assert value == value.lower()
+    """Every emitted header name/value is latin-1 (ASCII, even) and
+    invariant under the case folding real HTTP stacks apply."""
+    for line in header_lines(piggyback):
+        assert line.isascii()
+        assert line == line.lower()
+        name, _, value = line.partition(b": ")
+        assert name.startswith(b"x-cqos-") and value == value.strip()
 
 
 def test_wellknown_keys_keep_historical_wire_form():
@@ -86,5 +91,4 @@ def test_wellknown_keys_keep_historical_wire_form():
     keys = [value for name, value in vars(request).items() if name.startswith("PB_")]
     assert len(keys) >= 12
     for key in keys:
-        headers = PIGGYBACK_CODEC.encode_headers({key: 1})
-        assert list(headers) == [f"x-cqos-{key}"]
+        assert header_lines({key: 1}) == [f"x-cqos-{key}: 0302".encode()]
