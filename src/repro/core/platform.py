@@ -9,7 +9,8 @@ request, plus their paper-verbatim naming conventions):
 - :class:`BaseClientPlatform` / :class:`BaseServerPlatform` /
   :class:`BaseSkeletonServant` — own the request lifecycle on each side
   (lazy binding through a :class:`~repro.core.routing.ReplicaDirectory`,
-  liveness marks, control pings, view leases, the fault taxonomy of
+  liveness marks, control pings, the view stamp and the one place a reply
+  is accepted, the fault taxonomy of
   :func:`repro.util.errors.fault_action`); subclasses supply only name
   formatting, name resolution, and the wire send (``_send`` /
   ``_send_async``);
@@ -29,6 +30,7 @@ from __future__ import annotations
 import threading
 import time
 from abc import abstractmethod
+from functools import partial
 from typing import Any, Callable, Iterable
 
 from repro.core.interfaces import ClientPlatform, ServerPlatform
@@ -146,21 +148,6 @@ class ObserverSite:
         with self._registration:
             self.observers.append(observer)
             self._hooks = HookTable(self.observers)
-
-
-def _once(fn: Callable[[], None]) -> Callable[[], None]:
-    """Wrap ``fn`` so concurrent/repeated invocations run it exactly once."""
-    lock = threading.Lock()
-    ran = [False]
-
-    def run() -> None:
-        with lock:
-            if ran[0]:
-                return
-            ran[0] = True
-        fn()
-
-    return run
 
 
 # -- client platform base ------------------------------------------------------
@@ -298,15 +285,12 @@ class BaseClientPlatform(ObserverSite, ClientPlatform):
 
     def _invoke_server_once(self, server: int, request: Request) -> Any:
         endpoint = self.directory.bind_endpoint(server)
-        # In-flight invocations pin the view they routed with: during a
-        # shard handoff this attempt completes against the old view while
-        # new binds route to the new owner (zero-drop rebalancing).  The
-        # view stamp rides piggyback only on sharded deployments, so
-        # unsharded wire bytes are untouched.
-        router = self.router
-        lease = router.lease() if router._view.groups else None  # .sharded, no call
-        if lease is not None:
-            request.piggyback[PB_VIEW_VERSION] = lease.view.version
+        # The view stamp rides piggyback only on sharded deployments, so
+        # unsharded wire bytes are untouched; the server answers a stale
+        # stamp with a view delta on the reply.
+        view = self.router._view
+        if view.groups:  # .sharded, no call
+            request.piggyback[PB_VIEW_VERSION] = view.version
         # Read once: an observer added while this invocation is in flight
         # sees none of its hooks, never half of them.
         hooks = self._hooks
@@ -320,17 +304,32 @@ class BaseClientPlatform(ObserverSite, ClientPlatform):
         except BaseException as exc:
             self._wire_failed(server, request, hooks, exc)
             raise
-        finally:
-            if lease is not None:
-                lease.release()
-        self.record_latency(server, time.monotonic() - started)
+        return self._accept_reply(server, request, hooks, started, value)
+
+    def _accept_reply(
+        self, server: int, request: Request, hooks: HookTable, started: float, value: Any
+    ) -> Any:
+        """What a successful send means, for the blocking and the async path.
+
+        Folds the reply latency into the replica's EWMA (read by
+        :meth:`rank_servers`), strips the reply envelope, applies a
+        piggybacked view delta — or, when the delta cannot be applied,
+        falls back to bootstrap re-enumeration — and fires
+        ``on_wire_reply``.  Returns the application value.
+        """
+        seconds = time.monotonic() - started
+        with self._latency_lock:
+            previous = self._latency_ewma.get(server)
+            if previous is None:
+                self._latency_ewma[server] = seconds
+            else:
+                alpha = self.LATENCY_ALPHA
+                self._latency_ewma[server] = alpha * seconds + (1 - alpha) * previous
         value, reply_piggyback = unwrap_reply_value(value)
         if reply_piggyback:
             request.reply_piggyback.update(reply_piggyback)
             delta = reply_piggyback.get(PB_VIEW_DELTA)
-            if delta is not None and not router.apply_delta(delta):
-                # Delta not applicable (history evicted / base mismatch):
-                # fall back to bootstrap re-enumeration.
+            if delta is not None and not self.router.apply_delta(delta):
                 self.refresh()
         if hooks.on_wire_reply:
             notify_observers(hooks.on_wire_reply, request, server, value)
@@ -352,27 +351,24 @@ class BaseClientPlatform(ObserverSite, ClientPlatform):
     def invoke_server_async(self, server: int, request: Request) -> ReplyFuture:
         """Non-blocking :meth:`invoke_server`: submit now, settle later.
 
-        Submit-time work (bind, endpoint resolution, view-lease pinning,
+        Submit-time work (bind, endpoint resolution, the view stamp,
         ``on_wire_send``, the substrate's encode) runs on the caller's
         thread and may raise :class:`~repro.util.errors.BindError` or what
         the encode raises — :class:`~repro.core.fanout.ScatterGather`
         records such raises as immediate branch failures, and a send that
-        raised has released its lease and had its ``on_wire_failure`` like
-        any other failed attempt.  Everything after
-        the wire settles runs lazily at ``result()`` on the consumer's
-        thread: reply unwrap, view-delta pull, fault taxonomy, observers.
+        raised has had its ``on_wire_failure`` like any other failed
+        attempt.  Everything after the wire settles runs lazily at
+        ``result()`` on the consumer's thread: :meth:`_accept_reply` on a
+        reply, fault taxonomy and observers on a failure.
         A :class:`~repro.util.errors.ShardMovedError` outcome falls back to
         the blocking redirect-following path (rare rebalance window; the
         old owner refused without executing, so the resend is exactly-once
-        safe).  The view lease is released at wire settle *or* abandon,
-        whichever comes first, so abandoned stragglers cannot pin a retired
-        view forever.
+        safe).
         """
         endpoint = self.directory.bind_endpoint(server)
-        router = self.router
-        lease = router.lease() if router._view.groups else None  # .sharded, no call
-        if lease is not None:
-            request.piggyback[PB_VIEW_VERSION] = lease.view.version
+        view = self.router._view
+        if view.groups:  # .sharded, no call
+            request.piggyback[PB_VIEW_VERSION] = view.version
         hooks = self._hooks
         if hooks.on_wire_send:
             notify_observers(hooks.on_wire_send, request, server)
@@ -382,26 +378,8 @@ class BaseClientPlatform(ObserverSite, ClientPlatform):
                 endpoint, request.operation, request.get_params(), dict(request.piggyback)
             )
         except BaseException as exc:
-            if lease is not None:
-                lease.release()
             self._wire_failed(server, request, hooks, exc)
             raise
-        if lease is not None:
-            release = _once(lease.release)
-            reply.add_done_callback(lambda _reply: release())
-            reply.chain_abandon(release)
-
-        def on_value(value: Any) -> Any:
-            self.record_latency(server, time.monotonic() - started)
-            value, reply_piggyback = unwrap_reply_value(value)
-            if reply_piggyback:
-                request.reply_piggyback.update(reply_piggyback)
-                delta = reply_piggyback.get(PB_VIEW_DELTA)
-                if delta is not None and not router.apply_delta(delta):
-                    self.refresh()
-            if hooks.on_wire_reply:
-                notify_observers(hooks.on_wire_reply, request, server, value)
-            return value
 
         def on_error(exc: BaseException) -> Any:
             self._wire_failed(server, request, hooks, exc)
@@ -409,27 +387,12 @@ class BaseClientPlatform(ObserverSite, ClientPlatform):
                 return self.invoke_server(server, request)
             raise exc
 
-        return reply.then(on_value, on_error)
+        return reply.then(partial(self._accept_reply, server, request, hooks, started), on_error)
 
     # -- latency ranking -----------------------------------------------------
 
     #: EWMA smoothing factor for per-replica reply latency.
     LATENCY_ALPHA = 0.3
-
-    def record_latency(self, server: int, seconds: float) -> None:
-        """Fold one successful reply's latency into the replica's EWMA."""
-        with self._latency_lock:
-            previous = self._latency_ewma.get(server)
-            if previous is None:
-                self._latency_ewma[server] = seconds
-            else:
-                alpha = self.LATENCY_ALPHA
-                self._latency_ewma[server] = alpha * seconds + (1 - alpha) * previous
-
-    def latency_estimate(self, server: int) -> float | None:
-        """The replica's current reply-latency EWMA (None if never seen)."""
-        with self._latency_lock:
-            return self._latency_ewma.get(server)
 
     def rank_servers(self, candidates: Iterable[int]) -> tuple[int, ...]:
         """Order candidate replicas fastest-first by latency EWMA.

@@ -23,10 +23,12 @@ machine-checked by ``tools/check_layering.py``):
   version, so readers are lock-free — the same discipline as the compiled
   event-dispatch binding snapshots;
 - :class:`ShardRouter` — the mutable cell holding the current view.  The
-  invocation kernel consults it on every bind/rebind; in-flight
-  invocations pin the view they routed with (:meth:`ShardRouter.lease`),
-  which is what makes live rebalancing drop zero requests: old leases
-  drain against the old view while new binds route to the new owner;
+  invocation kernel consults it on every bind/rebind and stamps its
+  version on every sharded send; a reply brings back the delta to the
+  server's view.  Live rebalancing drops zero requests without any
+  client-side bookkeeping: the shard space drains the old owner's
+  *server-side* in-flight count before retiring it, and a stale client
+  is redirected by ``ShardMovedError``;
 - :class:`ReplicaDirectory` — the kernel's replica-number → endpoint
   directory, now router-aware: replica counts and ids come from the view
   when one is present (one view serves thousands of objects), with the
@@ -36,7 +38,7 @@ machine-checked by ``tools/check_layering.py``):
 
 from repro.core.routing.directory import ReplicaDirectory
 from repro.core.routing.ring import DEFAULT_VNODES, HashRing, stable_hash
-from repro.core.routing.router import ShardRouter, ViewLease
+from repro.core.routing.router import ShardRouter
 from repro.core.routing.view import (
     PLACEMENT_POLICIES,
     DirectoryView,
@@ -53,6 +55,5 @@ __all__ = [
     "ReplicaDirectory",
     "ServerGroup",
     "ShardRouter",
-    "ViewLease",
     "stable_hash",
 ]

@@ -9,50 +9,32 @@ and is what the invocation kernel consults on every bind/rebind:
 - **writers are serialized** — ``apply()`` installs a strictly
   newer-versioned view (view versions are monotonic by construction; a
   regression is a programming error and raises);
-- **in-flight invocations pin their view** — ``lease()`` returns a
-  context-managed :class:`ViewLease` counting the invocation against the
-  version it routed with.  During a rebalance the old version's lease
-  count drains to zero while new leases land on the new view; the drain
-  callbacks are how the deployment knows the old owner may retire.  This
-  is the zero-dropped-requests discipline;
-- **clients pull deltas via piggyback** — a server stamps
-  ``delta_since(client_version)`` onto the reply envelope; the client
-  feeds it to ``apply_delta()``.  A delta that cannot be applied (history
-  evicted, base version mismatch without a full view) returns ``False``
-  and the caller falls back to bootstrap re-enumeration.
+- **clients pull deltas via piggyback** — a client stamps the version of
+  its view on every sharded send, a server stamps
+  ``delta_since(client_version)`` onto the reply envelope, and the client
+  feeds it to ``apply_delta()``.  A delta that cannot be parsed into a
+  view (history evicted, base version mismatch without a full view,
+  malformed wire input) returns ``False`` and the caller falls back to
+  bootstrap re-enumeration.
+
+A client router is a view, not a ledger: nothing counts the invocations
+that routed with a version.  Zero-drop rebalancing is the server's job —
+the shard space installs the new owner, flips its authoritative view,
+drains the old mount's *server-side* in-flight count and retires it, and a
+stale client reaching the retired mount gets a ``ShardMovedError`` it
+follows to the new owner (:mod:`repro.core.shardspace`).
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable, Iterable
+from typing import Iterable
 
 from repro.core.routing.view import DirectoryView
+from repro.util.errors import ConfigurationError
 
 #: How many past view wire-forms the router keeps for incremental deltas.
 DELTA_HISTORY = 32
-
-
-class ViewLease:
-    """A pinned view for one in-flight invocation (context manager)."""
-
-    __slots__ = ("router", "view", "_released")
-
-    def __init__(self, router: "ShardRouter", view: DirectoryView):
-        self.router = router
-        self.view = view
-        self._released = False
-
-    def release(self) -> None:
-        if not self._released:
-            self._released = True
-            self.router._release(self.view.version)
-
-    def __enter__(self) -> "ViewLease":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.release()
 
 
 class ShardRouter:
@@ -61,18 +43,7 @@ class ShardRouter:
     def __init__(self, view: DirectoryView | None = None):
         self._view = view if view is not None else DirectoryView()
         self._lock = threading.Lock()
-        self._inflight: dict[int, int] = {}
-        self._drained: dict[int, list[Callable[[int], None]]] = {}
         self._history: dict[int, dict] = {self._view.version: self._view.to_wire()}
-        self._subscribers: list[Callable[[DirectoryView], None]] = []
-        self._stats = {
-            "routes": 0,
-            "view_changes": 0,
-            "deltas_served": 0,
-            "deltas_applied": 0,
-            "delta_fallbacks": 0,
-            "leases": 0,
-        }
 
     # -- lock-free read side ---------------------------------------------------
 
@@ -86,9 +57,7 @@ class ShardRouter:
 
     def route(self, object_id: str) -> tuple[int, ...]:
         """The logical replica numbers serving ``object_id`` right now."""
-        view = self._view
-        self._stats["routes"] += 1
-        return view.replicas_for(object_id)
+        return self._view.replicas_for(object_id)
 
     def live_replicas(self, object_id: str) -> tuple[int, ...]:
         """``route()`` minus replicas hosted on failed members (may be empty)."""
@@ -102,49 +71,6 @@ class ShardRouter:
             if member not in failed
         )
 
-    # -- leases (in-flight pinning) --------------------------------------------
-
-    def lease(self) -> ViewLease:
-        """Pin the current view for one in-flight invocation."""
-        with self._lock:
-            view = self._view
-            self._inflight[view.version] = self._inflight.get(view.version, 0) + 1
-            self._stats["leases"] += 1
-        return ViewLease(self, view)
-
-    def _release(self, version: int) -> None:
-        callbacks: list[Callable[[int], None]] = []
-        with self._lock:
-            count = self._inflight.get(version, 0) - 1
-            if count > 0:
-                self._inflight[version] = count
-            else:
-                self._inflight.pop(version, None)
-                if version < self._view.version:
-                    callbacks = self._drained.pop(version, [])
-        for callback in callbacks:
-            callback(version)
-
-    def inflight(self, version: int | None = None) -> int:
-        """Lease count for ``version`` (or every retired version when None)."""
-        with self._lock:
-            if version is not None:
-                return self._inflight.get(version, 0)
-            current = self._view.version
-            return sum(
-                count for v, count in self._inflight.items() if v < current
-            )
-
-    def on_drained(self, version: int, callback: Callable[[int], None]) -> None:
-        """Run ``callback(version)`` when the retired ``version`` has no
-        leases left; immediate when it is already drained (or still current —
-        then it fires on the retirement that drains it)."""
-        with self._lock:
-            if version >= self._view.version or self._inflight.get(version, 0) > 0:
-                self._drained.setdefault(version, []).append(callback)
-                return
-        callback(version)
-
     # -- write side ------------------------------------------------------------
 
     def apply(self, view: DirectoryView) -> DirectoryView:
@@ -154,7 +80,6 @@ class ShardRouter:
         (every builder bumps), so an older version here means two writers
         raced outside the router, which is a bug to surface, not mask.
         """
-        callbacks: list[tuple[Callable[[int], None], int]] = []
         with self._lock:
             current = self._view
             if view.version <= current.version:
@@ -163,26 +88,10 @@ class ShardRouter:
                     f"got {view.version})"
                 )
             self._view = view
-            self._stats["view_changes"] += 1
             self._history[view.version] = view.to_wire()
             while len(self._history) > DELTA_HISTORY:
                 del self._history[min(self._history)]
-            # Versions retired with no leases drain immediately.
-            for version, waiters in list(self._drained.items()):
-                if version < view.version and self._inflight.get(version, 0) == 0:
-                    del self._drained[version]
-                    callbacks.extend((callback, version) for callback in waiters)
-            subscribers = list(self._subscribers)
-        for callback, version in callbacks:
-            callback(version)
-        for subscriber in subscribers:
-            subscriber(view)
         return view
-
-    def subscribe(self, callback: Callable[[DirectoryView], None]) -> None:
-        """Run ``callback(new_view)`` after every view change."""
-        with self._lock:
-            self._subscribers.append(callback)
 
     def apply_membership_change(self, failed: Iterable[int]) -> DirectoryView:
         """Record the failure detector's new failed set (bumps the version)."""
@@ -203,7 +112,6 @@ class ShardRouter:
         with self._lock:
             base = self._history.get(version)
             current_wire = self._history.get(view.version) or view.to_wire()
-            self._stats["deltas_served"] += 1
         if base is None:
             # History evicted: ship the full view.
             return {"from": version, "to": view.version, "view": current_wire}
@@ -218,32 +126,30 @@ class ShardRouter:
         """Apply a piggyback-pulled delta; False → fall back to bootstrap.
 
         Stale deltas (``to`` not newer than the current version) are
-        swallowed successfully — replies may arrive reordered.
+        swallowed successfully — replies may arrive reordered.  The delta
+        is wire input: one that cannot be parsed into a view — a missing
+        or mistyped field, a view the :class:`DirectoryView` constructor
+        refuses — is ``False`` like an unappliable one, never an exception
+        escaping into a reply whose servant already ran.
         """
-        with self._lock:
-            current = self._view
-        to_version = int(delta["to"])
-        if to_version <= current.version:
-            return True
-        if "view" in delta:
-            new_view = DirectoryView.from_wire(delta["view"])
-        elif int(delta["from"]) == current.version:
-            wire = current.to_wire()
-            wire.update(delta["changes"])
-            wire["version"] = to_version
-            new_view = DirectoryView.from_wire(wire)
-        else:
-            self._stats["delta_fallbacks"] += 1
+        current = self._view
+        try:
+            to_version = int(delta["to"])
+            if to_version <= current.version:
+                return True
+            if "view" in delta:
+                new_view = DirectoryView.from_wire(delta["view"])
+            elif int(delta["from"]) == current.version:
+                wire = current.to_wire()
+                wire.update(delta["changes"])
+                wire["version"] = to_version
+                new_view = DirectoryView.from_wire(wire)
+            else:
+                return False
+        except (LookupError, TypeError, ValueError, AttributeError, ConfigurationError):
             return False
         try:
             self.apply(new_view)
         except ValueError:
             return True  # lost a race to a newer view — still current
-        self._stats["deltas_applied"] += 1
         return True
-
-    # -- stats -------------------------------------------------------------------
-
-    def stats(self) -> dict[str, int]:
-        with self._lock:
-            return dict(self._stats, version=self._view.version)

@@ -146,22 +146,6 @@ class ReplyFuture:
             except Exception:  # noqa: BLE001 - abandon must never raise
                 pass
 
-    def chain_abandon(self, fn) -> None:
-        """Also run ``fn`` when this future is abandoned.
-
-        Layers above the transport (the invocation kernel) hang their own
-        cleanup — e.g. releasing a routing-view lease for a branch whose
-        reply will never arrive — off the same abandon signal.
-        """
-        prev = self._abandon_hook
-
-        def hook() -> None:
-            if prev is not None:
-                prev()
-            fn()
-
-        self._abandon_hook = hook
-
 
 def threaded_reply_future(threads: WorkerThreads, call: Callable[[], Any]) -> ReplyFuture:
     """Run a blocking ``call()`` on a thread of ``threads``; its outcome

@@ -18,10 +18,11 @@ import sys
 import pytest
 
 from repro.apps.bank import BankAccount
-from repro.cactus.composite import SharedData
+from repro.cactus.composite import MicroProtocol, SharedData
 from repro.core.adapters import HOSTS
 from repro.core.platform import InvocationObserver, notify_observers
-from repro.core.request import PB_REQUEST_ID, Request
+from repro.core.events import EV_INVOKE_RETURN
+from repro.core.request import PB_REQUEST_ID, PB_VIEW_DELTA, Request
 from repro.core.routing import ShardRouter
 from repro.core.routing.directory import ReplicaDirectory
 from repro.qos import ActiveRep
@@ -441,11 +442,12 @@ def test_raising_hooks_change_no_outcome(deployment, bank_iface):
 # -- a failed send is a whole failed attempt ----------------------------------
 
 
-def test_failed_async_submit_releases_its_lease_and_reports(deployment, bank_iface):
+def test_failed_async_submit_reports_a_failed_attempt(deployment, bank_iface):
     """A scatter branch whose send raises at submit (here: an argument no
-    codec can marshal) is a failed attempt like any other — inside the
-    taxonomy, its view lease released, its ``on_wire_send`` paired with an
-    ``on_wire_failure`` — so a later rebalance still drains the view."""
+    codec can marshal) on a sharded deployment is a failed attempt like any
+    other — inside the taxonomy, its ``on_wire_send`` paired with an
+    ``on_wire_failure`` — and the stub keeps working.  Nothing on the client
+    side is held for a rebalance to drain: that happens at the server."""
     observer = RecordingObserver()
     space = deployment.shard_space({"a": 1})
     space.add_object("acct", BankAccount, bank_iface)
@@ -453,20 +455,19 @@ def test_failed_async_submit_releases_its_lease_and_reports(deployment, bank_ifa
         "acct", bank_iface, client_micro_protocols=lambda: [ActiveRep()], observers=[observer]
     )
     stub.set_balance(1.0)
-    router = stub._platform.router
     observer.events.clear()
     with pytest.raises(MarshalError):
         stub.set_balance(object())
-    assert router.inflight(router.view().version) == 0
     wire = [name for name, *_ in observer.events if name.startswith("on_wire")]
     assert wire == ["on_wire_send", "on_wire_failure"]
     assert stub._platform.server_status(1)  # a marshalling fault keeps the binding
     assert stub.get_balance() == 1.0
 
 
-def test_raising_send_async_is_handled_by_the_kernel(deployment, bank_iface):
+def test_raising_send_async_reports_a_failed_attempt(deployment, bank_iface):
     """The same guarantee whatever the codec raises before it has a future
-    to settle (a DII conformance check, a fake): the kernel owns the lease."""
+    to settle (a DII conformance check, a fake): the kernel reports the
+    attempt."""
     observer = RecordingObserver()
     space = deployment.shard_space({"a": 1})
     space.add_object("acct", BankAccount, bank_iface)
@@ -480,8 +481,56 @@ def test_raising_send_async_is_handled_by_the_kernel(deployment, bank_iface):
     observer.events.clear()
     with pytest.raises(CommunicationError):
         platform.invoke_server_async(1, make_request("get_balance", []))
-    assert platform.router.inflight(platform.router.view().version) == 0
     assert [name for name, *_ in observer.events] == ["on_wire_send", "on_wire_failure"]
+
+
+# -- a reply is accepted in one place -----------------------------------------
+
+
+class StageViewDelta(MicroProtocol):
+    """Server side: put this value on every reply as the view delta."""
+
+    name = "StageViewDelta"
+
+    def __init__(self, delta):
+        super().__init__()
+        self._delta = delta
+
+    def start(self) -> None:
+        self.bind(EV_INVOKE_RETURN, self.stage, order=90)
+
+    def stage(self, occurrence) -> None:
+        occurrence.args[0].reply_piggyback[PB_VIEW_DELTA] = self._delta
+
+
+def test_unparseable_view_delta_is_a_refresh_not_an_error(deployment, bank_iface):
+    """A view delta that cannot be parsed into a view arrives after the
+    servant ran: the call returns the servant's value, the directory falls
+    back to bootstrap re-enumeration and ``on_wire_reply`` fires — on the
+    blocking and the async send alike."""
+    observer = RecordingObserver()
+    space = deployment.shard_space({"a": 1})
+    space.add_object(
+        "acct",
+        BankAccount,
+        bank_iface,
+        server_micro_protocols=lambda: [StageViewDelta({"to": 10**9})],
+    )
+    stub = space.client_stub("acct", bank_iface, observers=[observer])
+    platform = stub._platform
+    refreshes = []
+    refresh = platform.directory.refresh
+    platform.directory.refresh = lambda: refreshes.append(1) or refresh()
+    version = platform.router.view().version
+
+    assert stub.deposit(5.0) == 5.0
+    assert refreshes == [1]
+    reply = platform.invoke_server_async(1, make_request("get_balance", []))
+    assert reply.result(timeout=5.0) == 5.0
+    assert refreshes == [1, 1]
+    replies = [args[-1] for name, *args in observer.events if name == "on_wire_reply"]
+    assert replies == [5.0, 5.0]
+    assert platform.router.view().version == version
 
 
 # -- the adapter host seam ----------------------------------------------------

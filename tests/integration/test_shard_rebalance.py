@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 import sys
 import threading
+import time
 
 import pytest
 
@@ -118,6 +119,79 @@ class TestShardSpace:
         assert {oid: stubs[oid].get_balance() for oid in ids} == {
             oid: float(count) for oid, count in issued.items()
         }
+
+    def test_handoff_waits_for_the_old_mounts_inflight_request(
+        self, deployment, bank_iface
+    ):
+        """The drain signal of a handoff is the *server's* in-flight count:
+        with one request held inside the old mount's servant, the handoff
+        does not return and the old skeleton is not retired; once the
+        request replies, the mount retires and a stale stub's next call is
+        redirected to the new owner."""
+        entered, release = threading.Event(), threading.Event()
+
+        class HeldAccount(BankAccount):
+            def deposit(self, amount):
+                entered.set()
+                assert release.wait(5.0)
+                return super().deposit(amount)
+
+        space = make_space(deployment)
+        oid = "obj-held"
+        space.add_object(oid, HeldAccount, bank_iface)
+        stub = space.client_stub(oid, bank_iface)
+        stub.set_balance(10.0)
+        ((logical, _),) = space.view().assignments(oid)
+        (owner,) = space.view().owner_groups(oid)
+        target = "b" if owner == "a" else "a"
+        old = space._mounts[(oid, logical)]
+        served = []
+
+        def spy(name, skeleton):
+            handle = skeleton.handle_invocation
+
+            def handle_invocation(operation, arguments, context):
+                served.append((name, operation))
+                return handle(operation, arguments, context)
+
+            skeleton.handle_invocation = handle_invocation
+
+        spy("old", old.skeleton)
+        outcome = []
+        caller = threading.Thread(target=lambda: outcome.append(stub.deposit(1.0)))
+        caller.start()
+        handoff = None
+        try:
+            assert entered.wait(5.0)
+            assert space.inflight(oid) == 1
+            version = space.view().version
+            handoff = threading.Thread(
+                target=space.set_placement,
+                args=(oid, Placement(policy="pinned", groups=(target,))),
+            )
+            handoff.start()
+            deadline = time.monotonic() + 5.0
+            while space.view().version == version and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert space.view().version == version + 1  # the view has flipped
+            handoff.join(0.2)
+            assert handoff.is_alive()  # ... and the handoff is draining
+            assert old.observer.inflight == 1
+            assert not old.skeleton.retired
+        finally:
+            release.set()
+            caller.join(5.0)
+            if handoff is not None:
+                handoff.join(5.0)
+        assert outcome == [11.0]
+        assert not handoff.is_alive()
+        assert old.skeleton.retired
+        new = space._mounts[(oid, logical)]
+        assert new is not old
+        spy("new", new.skeleton)
+        served.clear()
+        assert stub.get_balance() == 11.0
+        assert served == [("old", "get_balance"), ("new", "get_balance")]
 
     def test_client_view_version_is_monotonic(self, deployment, bank_iface):
         space = make_space(deployment)

@@ -278,29 +278,6 @@ class TestShardRouter:
             counts[n_objects] = calls[0]
         assert counts[10] == counts[100] == counts[1000], counts
 
-    def test_lease_pins_old_view_until_released(self):
-        router = ShardRouter(make_view())
-        drained: list[int] = []
-        lease = router.lease()
-        old_version = lease.view.version
-        router.on_drained(old_version, drained.append)
-        router.apply(router.view().with_group(ServerGroup("d", (7,))))
-        assert drained == []  # the in-flight invocation still pins it
-        assert router.inflight(old_version) == 1
-        lease.release()
-        assert drained == [old_version]
-        assert router.inflight(old_version) == 0
-        lease.release()  # idempotent
-        assert drained == [old_version]
-
-    def test_on_drained_fires_immediately_when_already_drained(self):
-        router = ShardRouter(make_view())
-        old_version = router.view().version
-        router.apply(router.view().with_group(ServerGroup("d", (7,))))
-        drained: list[int] = []
-        router.on_drained(old_version, drained.append)
-        assert drained == [old_version]
-
     def test_delta_brings_stale_client_current(self):
         server = ShardRouter(make_view())
         client = ShardRouter(make_view())
@@ -341,3 +318,38 @@ class TestShardRouter:
         client.apply(client.view().with_group(ServerGroup("d", (7,))))
         assert client.apply_delta({"from": 0, "to": 1, "changes": {}}) is True
         assert client.view().version == 2
+
+    @pytest.mark.parametrize(
+        "delta",
+        [
+            {"to": 5},  # no base and no view
+            "garbage",  # not a mapping
+            {"to": "x"},  # version not a number
+            {"to": 9, "view": {"version": 9}},  # a view without groups
+            {"from": 1, "to": 2, "changes": 3},  # changes not a mapping
+            # a member in two groups: the view constructor refuses it
+            {"from": 1, "to": 2, "changes": {"groups": [["a", [1, 2]], ["b", [2, 3]]]}},
+        ],
+        ids=[
+            "no-from",
+            "not-a-dict",
+            "bad-to",
+            "view-without-groups",
+            "bad-changes",
+            "member-in-two-groups",
+        ],
+    )
+    def test_malformed_delta_reports_fallback(self, delta):
+        """Wire input that cannot be parsed into a view is the documented
+        "re-enumerate from the bootstrap service", never an exception."""
+        client = ShardRouter(make_view())
+        assert client.apply_delta(delta) is False
+        assert client.view().version == 1
+
+    def test_lost_race_to_a_newer_view_still_reports_current(self):
+        """A parsed view the router refuses as a regression means someone
+        installed a newer one first: the client is current, not stale."""
+        client = ShardRouter(make_view())
+        stale_wire = make_view().to_wire()  # version 1, shipped as "to": 5
+        assert client.apply_delta({"from": 0, "to": 5, "view": stale_wire}) is True
+        assert client.view().version == 1

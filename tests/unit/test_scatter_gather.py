@@ -123,8 +123,9 @@ class TestScatterGather:
         inner, reply = _pending()
         scatter.submit("done", lambda: reply)
         abandoned = []
-        _, straggler = _pending()
-        straggler.chain_abandon(lambda: abandoned.append("straggler"))
+        straggler = ReplyFuture(
+            concurrent.futures.Future(), abandon=lambda: abandoned.append("straggler")
+        )
         scatter.submit("straggler", lambda: straggler)
         inner.set_result("ok")
         assert scatter.next_outcome(timeout=2.0).value == "ok"
