@@ -19,6 +19,7 @@ Raise modes:
 from __future__ import annotations
 
 import threading
+from functools import partial
 from typing import Any, Callable, Iterable
 
 from repro.cactus.events import (
@@ -142,18 +143,14 @@ class CompositeProtocol:
         if self._tracing:
             self._record_edge(parent, event_name)
         event.raise_count += 1
+        run = partial(event.raise_blocking, *args, parent=parent)
         if delay > 0.0:
             handle = DelayedRaise()
             self.runtime.submit_delayed(
-                delay,
-                event._execute,
-                args,
-                parent,
-                priority=priority,
-                cancelled=lambda: handle.cancelled,
+                delay, run, priority=priority, cancelled=lambda: handle.cancelled
             )
             return handle
-        return self.runtime.submit(event._execute, args, parent, priority=priority)
+        return self.runtime.submit(run, priority=priority)
 
     # -- micro-protocols ----------------------------------------------------
 

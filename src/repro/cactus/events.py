@@ -29,13 +29,15 @@ Dispatch
 *snapshot*; the raise path reads an immutable pre-compiled handler chain — a
 flat tuple of ``(binding, handler, order, static_args)`` — with **no lock
 and no list copy** and enters the causality stack once per raise instead
-of once per handler.  Every raise allocates its own :class:`Occurrence`, so
-a handler that keeps the one it was given keeps a truthful object.
+of once per handler.  Every raise with a handler allocates its own
+:class:`Occurrence`, so a handler that keeps the one it was given keeps a
+truthful object.
 
 A micro-protocol that raises an event on every invocation resolves it once
 (``self._ready = composite.event(name)`` in ``start()``) and calls
-:meth:`Event.raise_blocking`; ``CompositeProtocol.raise_event(name, ...)``
-looks the name up and enters the same method.
+:meth:`Event.raise_blocking`, one Python frame per raise;
+``CompositeProtocol.raise_event(name, ...)`` looks the name up and enters the
+same method, as its async and delayed raises do on the runtime's lane.
 
 The paper-shaped interpretation loop (lock, copy the binding list, run
 handlers one by one) is the differential oracle in
@@ -70,6 +72,9 @@ Handler = Callable[..., None]
 # *client* composite's handler, and that cross-composite context must not
 # produce edges.
 _handling = threading.local()
+
+# ``raise_blocking``'s default parent: look it up on this thread's stack.
+_ON_STACK = object()
 
 
 def _handling_stack() -> list[tuple[object, str]]:
@@ -248,45 +253,37 @@ class Event:
 
     # -- raising ---------------------------------------------------------
 
-    def raise_blocking(self, *args) -> None:
+    def raise_blocking(self, *args, parent: str | None | object = _ON_STACK) -> Occurrence | None:
         """Raise this event: run its handlers in the calling thread.
 
-        The one blocking entry.  The event being handled on this thread, if
-        it belongs to the same composite, is the causal parent (and a trace
-        edge while tracing is on).
+        The one executor body: immutable snapshot, no lock, one stack
+        entry.  The event being handled on this thread, if it belongs to the
+        same composite, is the causal parent (and a trace edge while tracing
+        is on).  An async or delayed raise passes the ``parent`` it captured
+        when it was raised, where it was also counted and traced.
+
+        Returns the occurrence so callers can inspect halt state; an event
+        nobody handles allocates none and returns None.
         """
-        parent: str | None = None
         try:
             stack = _handling.stack
         except AttributeError:  # this thread's first raise
             stack = _handling.stack = []
-        if stack:
-            owner, parent = stack[-1]
-            if owner is not self.composite:
-                parent = None
-            elif owner._tracing:
-                owner._record_edge(parent, self.name)
-        self.raise_count += 1
-        self._execute(args, parent, stack)
-
-    def _execute(
-        self,
-        args: tuple,
-        parent_event: str | None,
-        stack: list | None = None,
-    ) -> Occurrence:
-        """Run the chain: immutable snapshot, no lock, one stack entry.
-
-        Returns the occurrence so callers can inspect halt state.
-        """
+        if parent is _ON_STACK:
+            parent = None
+            if stack:
+                owner, parent = stack[-1]
+                if owner is not self.composite:
+                    parent = None
+                elif owner._tracing:
+                    owner._record_edge(parent, self.name)
+            self.raise_count += 1
         chain = self._chain
         if self._dirty:
             chain = self._refresh_chain()
-        occurrence = Occurrence(self, args, parent_event)
         if not chain:
-            return occurrence
-        if stack is None:
-            stack = _handling_stack()
+            return None
+        occurrence = Occurrence(self, args, parent)
         stack.append(self._stack_entry)
         entries = iter(chain)
         try:

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.util.errors import MarshalError
+
 #: Reserved marker key of the reply envelope (never a legitimate app value).
 REPLY_ENVELOPE_KEY = "__cqos_reply__"
 _REPLY_ENVELOPE_VALUE = "v"
@@ -29,12 +31,16 @@ def wrap_reply_value(value: Any, reply_piggyback: dict) -> Any:
 
 
 def unwrap_reply_value(value: Any) -> tuple[Any, dict | None]:
-    """Split a reply into ``(value, reply_piggyback | None)``."""
+    """Split a reply into ``(value, reply_piggyback | None)``; an envelope
+    whose piggyback is not a dict is a :class:`MarshalError`."""
     if (
         isinstance(value, dict)
         and len(value) == 2
         and REPLY_ENVELOPE_KEY in value
         and _REPLY_ENVELOPE_VALUE in value
     ):
-        return value[_REPLY_ENVELOPE_VALUE], dict(value[REPLY_ENVELOPE_KEY])
+        piggyback = value[REPLY_ENVELOPE_KEY]
+        if not isinstance(piggyback, dict):
+            raise MarshalError(f"reply envelope piggyback is a {type(piggyback).__name__}")
+        return value[_REPLY_ENVELOPE_VALUE], dict(piggyback)
     return value, None

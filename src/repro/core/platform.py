@@ -38,7 +38,7 @@ from repro.core.piggyback import unwrap_reply_value
 from repro.core.request import PB_VIEW_DELTA, PB_VIEW_VERSION, Request
 from repro.core.routing import ReplicaDirectory, ShardRouter
 from repro.net.transport import ReplyFuture
-from repro.util.errors import BindError, CommunicationError, ShardMovedError
+from repro.util.errors import BindError, CommunicationError, MarshalError, ShardMovedError
 
 
 #: The reserved operation name of the replica control plane.  Requests with
@@ -315,7 +315,9 @@ class BaseClientPlatform(ObserverSite, ClientPlatform):
         :meth:`rank_servers`), strips the reply envelope, applies a
         piggybacked view delta — or, when the delta cannot be applied,
         falls back to bootstrap re-enumeration — and fires
-        ``on_wire_reply``.  Returns the application value.
+        ``on_wire_reply``.  Returns the application value.  A malformed
+        envelope is a failed attempt: ``on_wire_failure``, then the
+        ``MarshalError``.
         """
         seconds = time.monotonic() - started
         with self._latency_lock:
@@ -325,7 +327,11 @@ class BaseClientPlatform(ObserverSite, ClientPlatform):
             else:
                 alpha = self.LATENCY_ALPHA
                 self._latency_ewma[server] = alpha * seconds + (1 - alpha) * previous
-        value, reply_piggyback = unwrap_reply_value(value)
+        try:
+            value, reply_piggyback = unwrap_reply_value(value)
+        except MarshalError as exc:
+            self._wire_failed(server, request, hooks, exc)
+            raise
         if reply_piggyback:
             request.reply_piggyback.update(reply_piggyback)
             delta = reply_piggyback.get(PB_VIEW_DELTA)

@@ -9,7 +9,7 @@ bootstrap — one ``list_names`` round-trip per object, cached.
 
 The directory consults the router on every bind/rebind/endpoint/count: a
 view-version change invalidates cached endpoints, failure marks, and the
-cached count in one step — that *is* the client-side rebind of a
+cached count and ids in one step — that *is* the client-side rebind of a
 membership change or shard handoff, after which endpoints lazily
 re-resolve through the (possibly re-registered) naming entries.
 """
@@ -66,6 +66,8 @@ class ReplicaDirectory:
         self._failed: set[int] = set()
         self._count: int | None = None
         self._seen_version = router.view().version if router is not None else 0
+        #: ``(view version, replica ids)`` as :meth:`replica_ids` last found them.
+        self._ids: tuple[int, tuple[int, ...]] | None = None
 
     # -- router consultation ---------------------------------------------------
 
@@ -87,7 +89,7 @@ class ReplicaDirectory:
         Callers compare ``router._view.version`` with ``_seen_version``
         inline and enter only on a difference, so an unchanged view costs
         one compare and no call.  A version change clears cached
-        endpoints, failure marks, and the cached count so the next use
+        endpoints, failure marks, and the cached count and ids so the next use
         rebinds through the (possibly re-registered) naming entries — this
         is the client half of a shard handoff or a membership-driven view
         change.
@@ -99,7 +101,7 @@ class ReplicaDirectory:
                 return
             self._endpoints.clear()
             self._failed.clear()
-            self._count = None
+            self._count = self._ids = None
             self._seen_version = version
         # Seed failure marks from the adopted view: replicas hosted on a
         # member the view reports failed start out marked, so status() and
@@ -219,16 +221,27 @@ class ReplicaDirectory:
         Contiguous ``1..N`` for unsharded deployments; the view's placement
         ids (legitimately sparse) when routed.  Failure detectors must probe
         *these*, not ``range(1, count+1)``.
+
+        Kept under the view version read *before* computing them, so ids a
+        view flip overtook are never served under the new version; an
+        unchanged view costs one compare.
         """
         router = self._router
-        if router is not None and router._view.version != self._seen_version:
+        version = router._view.version if router is not None else 0
+        ids = self._ids
+        if ids is not None and ids[0] == version:
+            return ids[1]
+        if version != self._seen_version:
             self._sync_view()
         if self._routed():
-            return self._router.route(self._object_id)
-        return tuple(range(1, self.count() + 1))
+            found = router.route(self._object_id)
+        else:
+            found = tuple(range(1, self.count() + 1))
+        self._ids = (version, found)
+        return found
 
     def refresh(self) -> None:
-        """Drop every binding, failure mark, and the cached count.
+        """Drop every binding, failure mark, and the cached count and ids.
 
         This is the bootstrap re-enumeration fallback: the next use
         re-counts (or re-routes) and re-resolves from the naming service.
@@ -236,4 +249,4 @@ class ReplicaDirectory:
         with self._lock:
             self._endpoints.clear()
             self._failed.clear()
-            self._count = None
+            self._count = self._ids = None

@@ -4,7 +4,8 @@
 by middleware platforms … by the CQoS stub.  When the client invokes a
 method on this stub, it creates a request object and notifies the Cactus
 client.  The stub then stores the pending requests until the call has been
-completed."  (paper, section 2.2)
+completed."  (paper, section 2.2)  Here the calling thread's frame is that
+store: it holds the request until the Cactus client completes it.
 
 :func:`make_cqos_stub_class` generates a stub class from interface metadata
 with exactly the original stub's application interface (one method per
@@ -18,7 +19,6 @@ client is not.
 
 from __future__ import annotations
 
-import threading
 from typing import Any
 
 from repro.core.client import CactusClient
@@ -47,8 +47,6 @@ class CqosStub(ObserverSite):
         self._cactus_client = cactus_client
         self._client_id = client_id or unique_id("client")
         self._priority = priority
-        self._pending: dict[str, Request] = {}
-        self._pending_lock = threading.Lock()
 
     @property
     def client_id(self) -> str:
@@ -57,11 +55,6 @@ class CqosStub(ObserverSite):
     @property
     def cactus_client(self) -> CactusClient | None:
         return self._cactus_client
-
-    def pending_requests(self) -> list[Request]:
-        """Requests currently in flight through this stub."""
-        with self._pending_lock:
-            return list(self._pending.values())
 
     def _make_request(self, operation: str, args: tuple) -> Request:
         piggyback: dict[str, Any] = {PB_CLIENT_ID: self._client_id}
@@ -81,8 +74,6 @@ class CqosStub(ObserverSite):
 
     def _invoke_operation(self, operation: str, args: tuple) -> Any:
         request = self._make_request(operation, args)
-        with self._pending_lock:
-            self._pending[request.request_id] = request
         # Read once: an observer added while this call is in flight sees
         # neither of its hooks, never half an invocation.
         hooks = self._hooks
@@ -100,8 +91,6 @@ class CqosStub(ObserverSite):
             error = exc
             raise
         finally:
-            with self._pending_lock:
-                self._pending.pop(request.request_id, None)
             if hooks.on_stub_complete:
                 notify_observers(hooks.on_stub_complete, request, error)
 

@@ -218,8 +218,9 @@ class InMemoryNetwork(Network):
                     f"{source} and {destination} are in different partitions"
                 )
 
-    def _charge_message(self, source: str, destination: str) -> None:
-        """Account for one message: reachability, loss, latency."""
+    def _charge_message(self, source: str, destination: str) -> bool:
+        """Account for one message: reachability, loss, latency.  True when
+        it slept out a latency, during which a host may have crashed."""
         with self._lock:
             self._message_count += 1
             self._check_reachable(source, destination)
@@ -239,15 +240,16 @@ class InMemoryNetwork(Network):
                 self.clock.sleep(delay)
         if lost:
             raise CommunicationError(f"message {source}->{destination} lost")
+        return delay > 0.0
 
     def _deliver(self, source: str, address: str, data: bytes) -> bytes:
         destination, _ = split_address(address)
-        self._charge_message(source, destination)
-        with self._lock:
-            handler = self._handlers.get(address)
+        if self._charge_message(source, destination):
             # Re-check after the latency sleep: the host may have crashed
             # while the request was in flight.
-            self._check_reachable(source, destination)
+            with self._lock:
+                self._check_reachable(source, destination)
+        handler = self._handlers.get(address)  # one dict read, atomic under the GIL
         if handler is None:
             raise CommunicationError(f"no listener at {address}")
         reply = handler(data)

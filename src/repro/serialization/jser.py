@@ -75,13 +75,28 @@ def jser_dumps(value: Any, registry: TypeRegistry | None = None) -> bytes:
     """Encode a value as a self-describing jser buffer."""
     if registry is None:
         registry = global_registry
-    buf = bytearray()
-    # id -> (handle, object) for each list, dict and value instance written;
-    # holding the object keeps its id from being handed out again.
-    handles: dict[int, tuple[int, Any]] = {}
-    outer: list = []  # iterators over the enclosing containers
-    pending = iter((value,))
     try:
+        # A scalar alone is written in one step, without the walk's state.
+        kind = type(value)
+        if kind is str:
+            data = value.encode()
+            n = len(data)
+            return (_SHORT[TAG_STR][n] if n < 0x80 else _head(TAG_STR, n)) + data
+        if kind is float:
+            return _PACK_FLOAT(TAG_FLOAT, value)
+        if value is None:
+            return b"\x00"
+        if kind is bool:
+            return b"\x01" if value else b"\x02"
+        if kind is int and INT64_MIN <= value <= INT64_MAX:
+            n = (value << 1) ^ (value >> 63)
+            return _SHORT[TAG_INT][n] if n < 0x80 else _head(TAG_INT, n)
+        buf = bytearray()
+        # id -> (handle, object) for each list, dict and value instance written;
+        # holding the object keeps its id from being handed out again.
+        handles: dict[int, tuple[int, Any]] = {}
+        outer: list = []  # iterators over the enclosing containers
+        pending = iter((value,))
         while True:
             for value in pending:
                 try:
@@ -155,16 +170,28 @@ def jser_loads(data: bytes, registry: TypeRegistry | None = None) -> Any:
         registry = global_registry
     if type(data) is not bytes:
         data = bytes(data)
-    size = len(data)
-    pos = 0
-    objects: list = []  # what each handle stands for, in stream order
-    # The container being filled: its tag, the object collecting its
-    # children, how many are still missing, and one more word -- a dict's
-    # key while its value is read, a value type's handle while its state is.
-    kind = items = key = None
-    missing = 0
-    outer: list = []  # the containers around it
     try:
+        # A scalar alone is read in one step, without the walk's state.
+        tag = data[0]
+        if tag <= TAG_FALSE:
+            return None if tag == TAG_NONE else tag == TAG_TRUE
+        if tag == TAG_FLOAT:
+            return _DOUBLE_AT(data, 1)[0]
+        n = data[1] if tag == TAG_INT or tag == TAG_STR else 0x80
+        if n < 0x80:
+            if tag == TAG_INT:
+                return (n >> 1) ^ -(n & 1)
+            if n + 2 <= len(data):
+                return data[2 : n + 2].decode()
+        size = len(data)
+        pos = 0
+        objects: list = []  # what each handle stands for, in stream order
+        # The container being filled: its tag, the object collecting its
+        # children, how many are still missing, and one more word -- a dict's
+        # key while its value is read, a value type's handle while its state is.
+        kind = items = key = None
+        missing = 0
+        outer: list = []  # the containers around it
         while True:
             tag = data[pos]
             if tag <= TAG_FALSE:

@@ -77,13 +77,6 @@ class TestTransparency:
         history = stub.history(10)
         assert [h["kind"] for h in history] == ["deposit", "withdraw"]
 
-    def test_pending_requests_tracked(self, deployment):
-        deployment.add_replicas("acct", BankAccount, bank_interface())
-        stub = deployment.client_stub("acct", bank_interface())
-        assert stub.pending_requests() == []
-        stub.get_balance()
-        assert stub.pending_requests() == []  # drained after completion
-
     def test_multiple_objects_independent(self, deployment):
         deployment.add_replicas("a1", lambda: BankAccount(balance=1.0), bank_interface())
         deployment.add_replicas("a2", lambda: BankAccount(balance=2.0), bank_interface())

@@ -22,8 +22,9 @@ from repro.cactus.composite import MicroProtocol, SharedData
 from repro.core.adapters import HOSTS
 from repro.core.platform import InvocationObserver, notify_observers
 from repro.core.events import EV_INVOKE_RETURN
+from repro.core.piggyback import REPLY_ENVELOPE_KEY
 from repro.core.request import PB_REQUEST_ID, PB_VIEW_DELTA, Request
-from repro.core.routing import ShardRouter
+from repro.core.routing import Placement, ShardRouter
 from repro.core.routing.directory import ReplicaDirectory
 from repro.qos import ActiveRep
 from repro.util.errors import (
@@ -531,6 +532,104 @@ def test_unparseable_view_delta_is_a_refresh_not_an_error(deployment, bank_iface
     replies = [args[-1] for name, *args in observer.events if name == "on_wire_reply"]
     assert replies == [5.0, 5.0]
     assert platform.router.view().version == version
+
+
+class MalformedEnvelope(MicroProtocol):
+    """Server side: replace every result with a reply envelope whose
+    piggyback is ``piggyback``, as DesPrivacyServer replaces it with
+    ciphertext."""
+
+    name = "MalformedEnvelope"
+
+    def __init__(self, piggyback):
+        super().__init__()
+        self._piggyback = piggyback
+
+    def start(self) -> None:
+        self.bind(EV_INVOKE_RETURN, self.replace, order=90)
+
+    def replace(self, occurrence) -> None:
+        occurrence.args[0].set_result({REPLY_ENVELOPE_KEY: self._piggyback, "v": 1.0})
+
+
+@pytest.mark.parametrize("piggyback", [5, "ab", [1], None], ids=["int", "str", "list", "none"])
+def test_malformed_reply_envelope_is_a_failed_attempt(deployment, bank_iface, piggyback):
+    """An envelope whose piggyback is not a dict arrives after the servant
+    ran: the call fails with ``MarshalError`` and the attempt is reported
+    once through ``on_wire_failure`` — on the blocking and the async send."""
+    observer = RecordingObserver()
+    deployment.add_replicas(
+        "acct",
+        make_account(),
+        bank_iface,
+        replicas=1,
+        server_micro_protocols=lambda: [MalformedEnvelope(piggyback)],
+    )
+    stub = deployment.client_stub("acct", bank_iface, observers=[observer])
+    platform = stub._platform
+
+    def wire_hooks():
+        return [name for name, *_ in observer.events if name.startswith("on_wire")]
+
+    with pytest.raises(MarshalError):
+        stub.get_balance()
+    assert wire_hooks() == ["on_wire_send", "on_wire_failure"]
+    observer.events.clear()
+    reply = platform.invoke_server_async(1, make_request("get_balance", []))
+    with pytest.raises(MarshalError):
+        reply.result(timeout=5.0)
+    assert wire_hooks() == ["on_wire_send", "on_wire_failure"]
+    assert platform.server_status(1)  # a marshalling fault keeps the binding
+
+
+# -- replica ids are kept per view version ------------------------------------
+
+
+def test_server_ids_follow_a_view_flip_and_a_refresh(deployment, bank_iface):
+    """The ids are cached under the view version they were computed for: a
+    flip that moves the object is seen by the next call, so is a refresh,
+    and a computation a flip overtook is never served under the new view."""
+    space = deployment.shard_space({"a": 1, "b": 1})
+    space.add_object("acct", BankAccount, bank_iface)
+    platform = space.client_stub("acct", bank_iface)._platform
+    router = platform.router
+    assert platform.server_ids() == (1,)
+
+    def move(*logical_ids):
+        placement = Placement(replication_factor=len(logical_ids), logical_ids=logical_ids)
+        router.apply(router.view().with_placement("acct", placement))
+
+    move(4, 7)
+    assert platform.server_ids() == (4, 7)
+    platform.refresh()
+    assert platform.server_ids() == (4, 7)
+
+    route = router.route
+
+    def flip_mid_call(object_id):
+        ids = route(object_id)  # computed under the view about to go stale
+        move(9)
+        return ids
+
+    platform.refresh()  # nothing cached: the next call computes
+    router.route = flip_mid_call
+    assert platform.server_ids() == (4, 7)
+    router.route = route
+    assert platform.server_ids() == (9,)
+
+
+def test_refresh_recounts_unsharded_server_ids(hosts, bank_iface):
+    """Unsharded ids are counted by enumeration once, and again after a
+    refresh: a replica installed meanwhile then appears."""
+    server, client = hosts
+    router = ShardRouter()  # one host serving two replicas: a shard member
+    server.install_replica("acct", 1, BankAccount(), bank_iface, router=router)
+    platform = client.client_platform("acct")
+    assert platform.server_ids() == (1,)
+    server.install_replica("acct", 2, BankAccount(), bank_iface, router=router)
+    assert platform.server_ids() == (1,)
+    platform.refresh()
+    assert platform.server_ids() == (1, 2)
 
 
 # -- the adapter host seam ----------------------------------------------------

@@ -1,35 +1,35 @@
 """The event interpretation loop ``repro.cactus.events.Event`` had before the
-compiled chain replaced it: take the binding lock, copy the binding list,
-run the handlers one by one with a causality push/pop around each.  Kept as
-the differential oracle: a :class:`ReferenceComposite` is a
-``CompositeProtocol`` in every other respect (binding, raise modes, tracing,
-micro-protocols), so the same script can be run through both and must give
-the same handler sequence, halt state and trace edges.  ``raise_blocking``
-is inherited: parent lookup and ``raise_count`` are the same code on both
-sides, only the executor body differs."""
+compiled chain replaced it: find the causal parent by asking the thread's
+stack, take the binding lock, copy the binding list, run the handlers one by
+one with a causality push/pop around each.  Kept as the differential oracle:
+a :class:`ReferenceComposite` is a ``CompositeProtocol`` in every other
+respect (binding, raise modes, tracing, micro-protocols), so the same script
+can be run through both and must give the same handler sequence, halt state,
+trace edges and raise counts."""
 
 from __future__ import annotations
 
 from repro.cactus.composite import CompositeProtocol
 from repro.cactus.events import (
+    _ON_STACK,
     Event,
     Occurrence,
     _handling_stack,
+    current_event,
     validate_event_name,
 )
 
 
 class ReferenceEvent(Event):
-    def _execute(
-        self,
-        args: tuple,
-        parent_event: str | None,
-        stack: list | None = None,
-    ) -> Occurrence:
-        occurrence = Occurrence(self, args, parent_event)
+    def raise_blocking(self, *args, parent=_ON_STACK) -> Occurrence:
+        if parent is _ON_STACK:
+            parent = current_event(self.composite)
+            if parent is not None and self.composite._tracing:
+                self.composite._record_edge(parent, self.name)
+            self.raise_count += 1
+        occurrence = Occurrence(self, args, parent)
         snapshot = self.bindings()
-        if stack is None:
-            stack = _handling_stack()
+        stack = _handling_stack()
         halted_after: int | None = None  # order threshold set by halt()
         for binding in snapshot:
             if not binding.active:

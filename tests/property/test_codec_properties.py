@@ -2,6 +2,7 @@
 
 import math
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.serialization.cdr import cdr_dumps, cdr_loads
@@ -149,3 +150,57 @@ def test_jser_aliasing_preserved(shape):
     outer = [inner for _ in shape]
     decoded = jser_loads(jser_dumps(outer))
     assert all(item is decoded[0] for item in decoded)
+
+
+# What a value alone at the top of a frame can be: the shapes the one-step
+# scalar path meets, and the edges around it (varint and int64 limits, one-
+# and two-byte lengths, values no UTF-8 or IEEE bit pattern hides).
+top_level_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-200, max_value=200),
+    st.integers(min_value=-(2**63) - 3, max_value=-(2**63) + 3),
+    st.integers(min_value=2**63 - 4, max_value=2**63 + 3),
+    st.integers(min_value=-(2**200), max_value=2**200),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0]),
+    st.text(max_size=40),
+    st.text(alphabet=st.characters(min_codepoint=0x80), max_size=40),
+    st.builds(lambda n, c: c * n, st.integers(124, 130), st.sampled_from(["a", "é"])),
+    st.builds(
+        lambda head, lone, tail: head + lone + tail,
+        st.text(max_size=5),
+        st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF),
+        st.text(max_size=5),
+    ),
+)
+
+
+@given(top_level_scalars, st.data())
+@settings(max_examples=300)
+def test_jser_top_level_scalar_in_one_step(value, data):
+    """A lone scalar: the tree walk's bytes, a round trip, and every proper
+    prefix and single-byte corruption a MarshalError or a value."""
+    try:
+        expected = jser_tree_walk.tree_dumps(value)
+    except UnicodeEncodeError:  # a lone surrogate
+        with pytest.raises(MarshalError):
+            jser_dumps(value)
+        return
+    encoded = jser_dumps(value)
+    assert encoded == expected
+    decoded = jser_loads(encoded)
+    assert type(decoded) is type(value)
+    assert jser_dumps(decoded) == encoded  # bit-exact: nan and -0.0 included
+    for cut in range(len(encoded)):
+        with pytest.raises(MarshalError):
+            jser_loads(encoded[:cut])
+    for at in range(len(encoded)):
+        replacements = range(256) if at == 0 else [data.draw(st.integers(0, 255))]
+        for byte in replacements:
+            corrupt = bytearray(encoded)
+            corrupt[at] = byte
+            try:
+                jser_loads(bytes(corrupt))
+            except MarshalError:
+                pass

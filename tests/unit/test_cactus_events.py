@@ -176,22 +176,31 @@ class TestRaiseModes:
 class TestHaltState:
     """The occurrence's public halt state stays truthful after the raise."""
 
+    @staticmethod
+    def raise_and_capture(composite):
+        """Raise ``ev`` once; the occurrence its first handler was given."""
+        seen = []
+        composite.bind("ev", seen.append, order=ORDER_FIRST)
+        composite.raise_event("ev")
+        (occurrence,) = seen
+        return occurrence
+
     def test_halt_state_visible_after_raise(self, composite):
         composite.bind("ev", lambda occ: occ.halt(), order=10)
         composite.bind("ev", lambda occ: None, order=20)
-        occurrence = composite.event("ev")._execute((), None)
+        occurrence = self.raise_and_capture(composite)
         assert occurrence.halted
         assert not occurrence.halted_all
 
     def test_halt_all_state_visible_after_raise(self, composite):
         composite.bind("ev", lambda occ: occ.halt_all(), order=10)
-        occurrence = composite.event("ev")._execute((), None)
+        occurrence = self.raise_and_capture(composite)
         assert occurrence.halted
         assert occurrence.halted_all
 
     def test_unhalted_raise_reports_clean_state(self, composite):
         composite.bind("ev", lambda occ: None)
-        occurrence = composite.event("ev")._execute((), None)
+        occurrence = self.raise_and_capture(composite)
         assert not occurrence.halted
         assert not occurrence.halted_all
 
@@ -200,7 +209,7 @@ class TestHaltState:
         # non-halting same-order peer must not wipe the first peer's halt.
         composite.bind("ev", lambda occ: occ.halt(), order=10)
         composite.bind("ev", lambda occ: None, order=10)
-        occurrence = composite.event("ev")._execute((), None)
+        occurrence = self.raise_and_capture(composite)
         assert occurrence.halted
 
 

@@ -10,15 +10,18 @@ Three families of coverage:
   causal-trace edges and raise counts;
 - **snapshot consistency**: a raise in flight observes one point-in-time
   binding set on both executors, even while other threads bind/unbind;
-- **mechanics**: a stashed occurrence stays truthful, and chain
-  recompilation across dynamic reconfiguration.
+- **mechanics**: a stashed occurrence stays truthful, one Python frame per
+  raise, async and delayed raises keep the parent they were raised under,
+  and chain recompilation across dynamic reconfiguration.
 """
 
 import random
+import sys
 import threading
 
 import pytest
 
+from repro.cactus import events
 from repro.cactus.composite import CompositeProtocol, MicroProtocol
 from tests.oracles.event_reference import ReferenceComposite
 
@@ -250,6 +253,86 @@ class TestStashedOccurrence:
             assert second.args == ("b",)
         finally:
             composite.runtime.shutdown()
+
+
+# -- one frame per raise -----------------------------------------------------
+
+
+def frames_in_events_module(run) -> list[str]:
+    """Enter ``run()`` under a profile hook; the names of the Python frames
+    it entered in ``cactus/events.py``, in order.  Counted, not timed."""
+    seen = []
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == events.__file__:
+            seen.append(frame.f_code.co_qualname)
+
+    sys.setprofile(count)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
+def test_a_blocking_raise_enters_one_frame():
+    """The executor is the entry: a raise nobody handles is one frame and
+    allocates no occurrence; a handled one adds only its occurrence."""
+    composite = make_composite(True)
+    try:
+        handled, idle = composite.event("handled"), composite.event("idle")
+        handled.bind(lambda occ: None)
+        handled.raise_blocking(1)  # compile the chains
+        idle.raise_blocking(1)
+        assert frames_in_events_module(lambda: idle.raise_blocking(1)) == [
+            "Event.raise_blocking"
+        ]
+        assert frames_in_events_module(lambda: handled.raise_blocking(1)) == [
+            "Event.raise_blocking", "Occurrence.__init__"
+        ]
+        assert frames_in_events_module(lambda: composite.raise_event("handled", 1)) == [
+            "Event.raise_blocking", "Occurrence.__init__"
+        ]
+        assert idle.raise_blocking(1) is None
+    finally:
+        composite.runtime.shutdown()
+
+
+@both_executors
+def test_async_and_delayed_raises_keep_their_parent_and_one_edge(compiled):
+    """A raise that runs later on the runtime's lane was counted and traced
+    when it was raised, and its handlers still see the raising event."""
+    composite = make_composite(compiled)
+    try:
+        parents = {}
+        landed = threading.Semaphore(0)
+        edges = []
+        record_edge = composite._record_edge
+        composite._record_edge = lambda parent, child: (
+            edges.append((parent, child)), record_edge(parent, child)
+        )
+
+        def note(occurrence):
+            parents[occurrence.event.name] = occurrence.parent_event
+            landed.release()
+
+        def outer(occurrence):
+            composite.raise_event("later", mode="async")
+            composite.raise_event("delayed", delay=0.01)
+
+        composite.bind("outer", outer)
+        composite.bind("later", note)
+        composite.bind("delayed", note)
+        composite.enable_tracing()
+        composite.raise_event("outer")
+        assert landed.acquire(timeout=5.0) and landed.acquire(timeout=5.0)
+        assert parents == {"later": "outer", "delayed": "outer"}
+        assert sorted(edges) == [("outer", "delayed"), ("outer", "later")]
+        assert composite.trace_edges() == {("outer", "delayed"), ("outer", "later")}
+        assert composite.event_stats() == {"outer": 1, "later": 1, "delayed": 1}
+    finally:
+        composite.shutdown()
+        composite.runtime.shutdown()
 
 
 # -- dynamic reconfiguration -------------------------------------------------

@@ -5,7 +5,7 @@ import threading
 import pytest
 
 from repro.net.memory import InMemoryNetwork
-from repro.util.clock import VirtualClock
+from repro.util.clock import RealClock, VirtualClock
 from repro.util.errors import CommunicationError, ServerFailedError
 
 
@@ -160,3 +160,22 @@ class TestLatency:
         clock.advance(0.1)  # releases the reply leg
         thread.join(timeout=5)
         assert result == [b"echo:x"]
+
+    def test_destination_crashed_during_the_latency_sleep_fails_the_request(self):
+        """Reachability is checked once per message, and again only after a
+        latency sleep: the window in which a host may crash in flight."""
+        handled = []
+
+        class CrashInFlight(RealClock):
+            def sleep(self, seconds):
+                net.crash("server")
+
+        net = InMemoryNetwork(clock=CrashInFlight(), latency=0.001)
+        try:
+            net.host("server").listen("echo", lambda data: handled.append(data) or data)
+            conn = net.host("client").connect("server/echo")
+            with pytest.raises(ServerFailedError, match="server is crashed"):
+                conn.call(b"x")
+            assert handled == []
+        finally:
+            net.close()
