@@ -196,9 +196,9 @@ class BaseClientPlatform(ObserverSite, ClientPlatform):
             object_id=object_id,
         )
         # Per-replica reply-latency EWMA, fed by every successful send (sync
-        # or async).  rank_servers() orders fan-out/balancing candidates by
-        # it, so quorum gathers tend to reach k before the slow stragglers.
-        self._latency_ewma: dict[int, float] = {}
+        # or async) once the first rank_servers() call creates it: until
+        # somebody ranks, a send reads no clock and takes no lock.
+        self._latency_ewma: dict[int, float] | None = None
         self._latency_lock = threading.Lock()
 
     # -- codec surface (subclass responsibility) ----------------------------
@@ -271,47 +271,45 @@ class BaseClientPlatform(ObserverSite, ClientPlatform):
     SHARD_REDIRECT_LIMIT = 3
 
     def invoke_server(self, server: int, request: Request) -> Any:
-        for redirect in range(self.SHARD_REDIRECT_LIMIT + 1):
+        redirects = 0
+        while True:
+            endpoint = self.directory.bind_endpoint(server)
+            # The view stamp rides piggyback only on sharded deployments, so
+            # unsharded wire bytes are untouched; the server answers a stale
+            # stamp with a view delta on the reply.
+            view = self.router._view
+            if view.groups:  # .sharded, no call
+                request.piggyback[PB_VIEW_VERSION] = view.version
+            # Read once: an observer added while this invocation is in flight
+            # sees none of its hooks, never half of them.
+            hooks = self._hooks
+            if hooks.on_wire_send:
+                notify_observers(hooks.on_wire_send, request, server)
+            started = None if self._latency_ewma is None else time.monotonic()
             try:
-                return self._invoke_server_once(server, request)
-            except ShardMovedError:
-                # The retired old owner refused without executing; its
-                # binding was already dropped by the fault taxonomy, so the
-                # next attempt re-resolves the (re-registered) naming entry
-                # and lands on the new owner.
-                if redirect == self.SHARD_REDIRECT_LIMIT:
+                value = self._send(
+                    endpoint, request.operation, request._params, dict(request.piggyback)
+                )
+            except ShardMovedError as exc:
+                # The retired old owner refused without executing; the fault
+                # taxonomy drops its binding, so the next attempt re-resolves
+                # the (re-registered) naming entry and lands on the new owner.
+                self._wire_failed(server, request, hooks, exc)
+                if redirects == self.SHARD_REDIRECT_LIMIT:
                     raise
-        raise AssertionError("unreachable")
-
-    def _invoke_server_once(self, server: int, request: Request) -> Any:
-        endpoint = self.directory.bind_endpoint(server)
-        # The view stamp rides piggyback only on sharded deployments, so
-        # unsharded wire bytes are untouched; the server answers a stale
-        # stamp with a view delta on the reply.
-        view = self.router._view
-        if view.groups:  # .sharded, no call
-            request.piggyback[PB_VIEW_VERSION] = view.version
-        # Read once: an observer added while this invocation is in flight
-        # sees none of its hooks, never half of them.
-        hooks = self._hooks
-        if hooks.on_wire_send:
-            notify_observers(hooks.on_wire_send, request, server)
-        started = time.monotonic()
-        try:
-            value = self._send(
-                endpoint, request.operation, request.get_params(), dict(request.piggyback)
-            )
-        except BaseException as exc:
-            self._wire_failed(server, request, hooks, exc)
-            raise
-        return self._accept_reply(server, request, hooks, started, value)
+                redirects += 1
+                continue
+            except BaseException as exc:
+                self._wire_failed(server, request, hooks, exc)
+                raise
+            return self._accept_reply(server, request, hooks, started, value)
 
     def _accept_reply(
-        self, server: int, request: Request, hooks: HookTable, started: float, value: Any
+        self, server: int, request: Request, hooks: HookTable, started: float | None, value: Any
     ) -> Any:
         """What a successful send means, for the blocking and the async path.
 
-        Folds the reply latency into the replica's EWMA (read by
+        Folds a timed send's latency into the replica's EWMA (see
         :meth:`rank_servers`), strips the reply envelope, applies a
         piggybacked view delta — or, when the delta cannot be applied,
         falls back to bootstrap re-enumeration — and fires
@@ -319,24 +317,27 @@ class BaseClientPlatform(ObserverSite, ClientPlatform):
         envelope is a failed attempt: ``on_wire_failure``, then the
         ``MarshalError``.
         """
-        seconds = time.monotonic() - started
-        with self._latency_lock:
-            previous = self._latency_ewma.get(server)
-            if previous is None:
-                self._latency_ewma[server] = seconds
-            else:
-                alpha = self.LATENCY_ALPHA
-                self._latency_ewma[server] = alpha * seconds + (1 - alpha) * previous
-        try:
-            value, reply_piggyback = unwrap_reply_value(value)
-        except MarshalError as exc:
-            self._wire_failed(server, request, hooks, exc)
-            raise
-        if reply_piggyback:
-            request.reply_piggyback.update(reply_piggyback)
-            delta = reply_piggyback.get(PB_VIEW_DELTA)
-            if delta is not None and not self.router.apply_delta(delta):
-                self.refresh()
+        if started is not None:
+            seconds = time.monotonic() - started
+            with self._latency_lock:
+                ewma = self._latency_ewma
+                previous = ewma.get(server)
+                if previous is None:
+                    ewma[server] = seconds
+                else:
+                    alpha = self.LATENCY_ALPHA
+                    ewma[server] = alpha * seconds + (1 - alpha) * previous
+        if type(value) is dict:  # only a dict can be an envelope
+            try:
+                value, reply_piggyback = unwrap_reply_value(value)
+            except MarshalError as exc:
+                self._wire_failed(server, request, hooks, exc)
+                raise
+            if reply_piggyback:
+                request.reply_piggyback.update(reply_piggyback)
+                delta = reply_piggyback.get(PB_VIEW_DELTA)
+                if delta is not None and not self.router.apply_delta(delta):
+                    self.refresh()
         if hooks.on_wire_reply:
             notify_observers(hooks.on_wire_reply, request, server, value)
         return value
@@ -378,10 +379,10 @@ class BaseClientPlatform(ObserverSite, ClientPlatform):
         hooks = self._hooks
         if hooks.on_wire_send:
             notify_observers(hooks.on_wire_send, request, server)
-        started = time.monotonic()
+        started = None if self._latency_ewma is None else time.monotonic()
         try:
             reply = self._send_async(
-                endpoint, request.operation, request.get_params(), dict(request.piggyback)
+                endpoint, request.operation, request._params, dict(request.piggyback)
             )
         except BaseException as exc:
             self._wire_failed(server, request, hooks, exc)
@@ -407,9 +408,15 @@ class BaseClientPlatform(ObserverSite, ClientPlatform):
         order, after the measured ones — a cold replica is probed only once
         the known-fast ones are in flight, which is the right bias for
         quorum gathers and for balancing cold starts alike.
+
+        The EWMA is kept on demand: the first call creates it, and only sends
+        submitted after that read the clock.  Its readers, ``LoadBalance``
+        and ``ActiveRep``, both rank before their first send.
         """
         candidates = list(candidates)
         with self._latency_lock:
+            if self._latency_ewma is None:
+                self._latency_ewma = {}
             snapshot = dict(self._latency_ewma)
         measured = [server for server in candidates if server in snapshot]
         measured.sort(key=lambda server: snapshot[server])
@@ -477,7 +484,7 @@ class BaseServerPlatform(ObserverSite, ServerPlatform):
         hooks = self._hooks
         if hooks.on_servant_invoke:
             notify_observers(hooks.on_servant_invoke, request)
-        value = self._dispatch.dispatch(request.operation, request.get_params())
+        value = self._dispatch.dispatch(request.operation, request._params)
         if hooks.on_servant_return:
             notify_observers(hooks.on_servant_return, request, value)
         return value
@@ -581,7 +588,6 @@ class BaseSkeletonServant(ObserverSite):
             notify_observers(hooks.on_skeleton_reply, skeleton.object_id, operation, value)
         return value
 
-    def invoke(self, method: str, arguments: list, context: dict) -> Any:
-        """The generic-invoke entry point (RMI export / HTTP mount)."""
-        return self.dispatch_invocation(method, arguments, context)
+    #: The generic-invoke entry point (RMI export / HTTP mount), one frame.
+    invoke = dispatch_invocation
 

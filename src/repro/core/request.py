@@ -18,17 +18,23 @@ One :class:`Request` instance exists per invocation on each side:
 Replication support: per-replica outcomes accumulate as :class:`Reply`
 records for the acceptance micro-protocols; ``attributes`` is a free-form
 slot for micro-protocol request-local state (ordering marks, release flags).
+
+Lock discipline: the per-request lock guards only completing exactly once,
+``set_result``'s completed check and ``on_complete`` registration.  Reads
+take none: the outcome is written before ``_completed`` is set and never
+changes after, and the reply table sees only single dict operations, which
+the GIL makes atomic.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 from dataclasses import dataclass
 from typing import Any
 
 from repro.util.concurrency import DEFAULT_PRIORITY
 from repro.util.errors import ReproError, TimeoutError_
-from repro.util.ids import IdGenerator
 
 # Well-known piggyback keys.
 PB_REQUEST_ID = "cqos_request_id"
@@ -63,6 +69,9 @@ PB_VIEW_VERSION = "cqos_view_version"
 #: membership-driven view changes (bootstrap re-enumeration is the fallback).
 PB_VIEW_DELTA = "cqos_view_delta"
 
+#: Request-id numbers: ``next()`` on a count is one C call, atomic under the GIL.
+_request_numbers = itertools.count(1)
+
 
 @dataclass
 class Reply:
@@ -86,8 +95,6 @@ class Reply:
 class Request:
     """One abstract invocation travelling through CQoS."""
 
-    _ids = IdGenerator("req")
-
     def __init__(
         self,
         object_id: str,
@@ -96,11 +103,12 @@ class Request:
         piggyback: dict | None = None,
         request_id: str | None = None,
     ):
-        self.request_id = request_id or Request._ids.next_id()
+        self.request_id = request_id or f"req:{next(_request_numbers)}"
         self.object_id = object_id
         self.operation = operation
+        # The one place the parameter vector and the piggyback are copied.
         self._params = list(params)
-        self.piggyback: dict = dict(piggyback or {})
+        self.piggyback: dict = dict(piggyback) if piggyback else {}
         #: Reply-direction piggyback: server micro-protocols stage entries
         #: here; the server composite envelopes them onto the return value
         #: and the client platform merges them back into its request copy.
@@ -266,12 +274,10 @@ class Request:
 
     @property
     def completed(self) -> bool:
-        with self._lock:
-            return self._completed
+        return self._completed  # one attribute read: no lock
 
     def get_result(self) -> Any:
-        with self._lock:
-            return self._result
+        return self._result  # one attribute read: no lock
 
     def set_result(self, value: Any) -> None:
         """Overwrite the stored result (server-side reply manipulation).
@@ -287,21 +293,23 @@ class Request:
     @property
     def stored_result(self) -> Any:
         """The result staged so far (server side, pre-completion)."""
-        with self._lock:
-            return self._result
+        return self._result  # one attribute read: no lock
 
     def wait(self, timeout: float | None = None) -> Any:
         """Block until completion; return the result or raise the failure."""
-        with self._lock:
-            waiter = None
-            if not self._completed:
-                waiter = self._waiter
-                if waiter is None:
-                    waiter = self._waiter = threading.Event()
-        if waiter is not None and not waiter.wait(timeout):
-            raise TimeoutError_(
-                f"request {self.request_id} ({self.operation}) did not complete"
-            )
+        # The outcome is written before ``_completed`` is set, so a request
+        # seen completed needs no lock; only a wait that may block takes it.
+        if not self._completed:
+            with self._lock:
+                waiter = None
+                if not self._completed:
+                    waiter = self._waiter
+                    if waiter is None:
+                        waiter = self._waiter = threading.Event()
+            if waiter is not None and not waiter.wait(timeout):
+                raise TimeoutError_(
+                    f"request {self.request_id} ({self.operation}) did not complete"
+                )
         # Completed: neither field changes again.
         if self._exception is not None:
             raise self._exception
@@ -309,17 +317,15 @@ class Request:
 
     # -- per-replica outcomes -------------------------------------------------
 
+    # Each accessor is one dict operation, atomic under the GIL: no lock.
     def add_reply(self, reply: Reply) -> None:
-        with self._lock:
-            self._replies[reply.server] = reply
+        self._replies[reply.server] = reply
 
     def replies(self) -> dict[int, Reply]:
-        with self._lock:
-            return dict(self._replies)
+        return self._replies.copy()
 
     def reply_count(self) -> int:
-        with self._lock:
-            return len(self._replies)
+        return len(self._replies)
 
     # -- wire form (replica forwarding) -----------------------------------------
 
@@ -337,8 +343,8 @@ class Request:
         return cls(
             object_id=wire["object_id"],
             operation=wire["operation"],
-            params=list(wire["params"]),
-            piggyback=dict(wire["piggyback"]),
+            params=wire["params"],
+            piggyback=wire["piggyback"],
             request_id=wire["request_id"],
         )
 

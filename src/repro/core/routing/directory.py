@@ -37,7 +37,7 @@ class ReplicaDirectory:
     naming convention (``name_for``) formats the per-replica name, the
     resolver turns the name into an opaque endpoint (IOR reference, remote
     ref, HTTP address pair), and the directory caches endpoints and tracks
-    lock-guarded failure marks.
+    failure marks (locked writes; reads are single atomic dict/set operations).
 
     Replica discovery is two-tier: a sharded :class:`ShardRouter` view when
     one is attached (``router=``/``object_id=``), prefix enumeration
@@ -119,52 +119,57 @@ class ReplicaDirectory:
                         self._failed.update(failed_logicals)
 
     def _resolve_name(self, replica: int) -> Any:
+        # Kept only while the view it was resolved under is still the
+        # directory's and the router's: after a flip the name may have named
+        # the retired owner, so it serves this one send and is re-resolved.
+        version = self._seen_version
         name = self._name_for(replica)
         try:
-            return self._resolve(name)
+            endpoint = self._resolve(name)
         except CommunicationError:
             raise  # the bootstrap service itself is unreachable
         except BindError:
             raise
         except Exception as exc:  # noqa: BLE001 - platform-specific "not bound"
             raise BindError(f"cannot resolve {name!r}: {exc}") from exc
+        router = self._router
+        with self._lock:
+            if self._seen_version == version and (
+                router is None or router._view.version == version
+            ):
+                self._endpoints[replica] = endpoint
+        return endpoint
 
-    def bind(self, replica: int) -> None:
-        """(Re-)bind ``replica``: clear its failure mark, resolve lazily.
+    def bind_endpoint(self, replica: int) -> Any:
+        """(Re-)bind ``replica`` and return its endpoint (what every send
+        does): clear its failure mark, resolve lazily.  A hit is one
+        ``dict.get``; the lock is taken only to clear a mark that exists.
 
         Also the recovery path: "the bind() operation can also be used to
         rebind to a failed server after it has recovered."
         """
-        self.bind_endpoint(replica)
-
-    def bind_endpoint(self, replica: int) -> Any:
-        """:meth:`bind`, returning the endpoint: what every send does,
-        under one view check and one lock."""
         router = self._router
         if router is not None and router._view.version != self._seen_version:
             self._sync_view()
-        with self._lock:
-            self._failed.discard(replica)  # rebinding clears failure knowledge
-            endpoint = self._endpoints.get(replica)
+        if replica in self._failed:
+            with self._lock:
+                self._failed.discard(replica)  # rebinding clears failure knowledge
+        endpoint = self._endpoints.get(replica)
         if endpoint is None:
             endpoint = self._resolve_name(replica)
-            with self._lock:
-                self._endpoints[replica] = endpoint
         return endpoint
+
+    bind = bind_endpoint
 
     def endpoint(self, replica: int) -> Any:
         """The (lazily bound) endpoint for ``replica``."""
         router = self._router
         if router is not None and router._view.version != self._seen_version:
             self._sync_view()
-        with self._lock:
-            endpoint = self._endpoints.get(replica)
-        if endpoint is not None:
-            return endpoint
-        endpoint = self._resolve_name(replica)
-        with self._lock:
-            self._endpoints[replica] = endpoint
-            return self._endpoints[replica]
+        endpoint = self._endpoints.get(replica)
+        if endpoint is None:
+            endpoint = self._resolve_name(replica)
+        return endpoint
 
     def drop(self, replica: int) -> None:
         """Forget the cached endpoint (next use re-resolves/reconnects)."""
@@ -182,8 +187,7 @@ class ReplicaDirectory:
         router = self._router
         if router is not None and router._view.version != self._seen_version:
             self._sync_view()
-        with self._lock:
-            return replica not in self._failed
+        return replica not in self._failed  # one set lookup: no lock
 
     def failed_replicas(self) -> set[int]:
         with self._lock:

@@ -84,7 +84,8 @@ class CactusServer(CompositeProtocol):
         except BaseException as exc:
             request.fail(exc)  # no-op when already completed
             raise
-        return wrap_reply_value(value, request.reply_piggyback)
+        reply_piggyback = request.reply_piggyback
+        return wrap_reply_value(value, reply_piggyback) if reply_piggyback else value
 
     def handle_control(self, kind: str, payload: dict, sender: int) -> Any:
         """Deliver a peer control message to its ``control:<kind>`` event.

@@ -87,16 +87,17 @@ class CqosSkeleton:
             raise ShardMovedError(
                 f"{self.object_id} no longer served here (shard moved)"
             )
-        context = dict(context)
         request = Request(
             object_id=self.object_id,
             operation=operation,
-            params=list(arguments),
+            params=arguments,
             piggyback=context,
             # Preserve the client-side identity so replicas agree on it.
             request_id=context.get(PB_REQUEST_ID),
         )
-        self._stage_view_delta(request)
+        router = self._platform.router
+        if router is not None and router._view.groups:  # .sharded, no call
+            self._stage_view_delta(request, router)
         if self._cactus_server is not None:
             return self._cactus_server.cactus_invoke(request)
         # Pass-through (Table 1's "+CQoS skeleton" rung): the abstract
@@ -106,18 +107,15 @@ class CqosSkeleton:
             self._platform.invoke_servant(request), request.reply_piggyback
         )
 
-    def _stage_view_delta(self, request: Request) -> None:
-        """Stage the view delta for a client behind this server's view.
+    def _stage_view_delta(self, request: Request, router: Any) -> None:
+        """Stage the view delta for a client behind this server's sharded view.
 
-        Only when the platform carries a sharded router *and* the client
-        stamped its view version (unsharded clients never stamp, keeping
-        their wire traffic byte-identical to pre-routing builds).
+        Only when the client stamped a version other than the server's
+        (unsharded clients never stamp, keeping their wire traffic
+        byte-identical to pre-routing builds; a current client needs none).
         """
-        router = self._platform.router
-        if router is None or not router._view.groups:  # .sharded, no call
-            return
         client_version = request.piggyback.get(PB_VIEW_VERSION)
-        if client_version is None:
+        if client_version is None or client_version == router._view.version:
             return
         delta = router.delta_since(int(client_version))
         if delta is not None:

@@ -63,7 +63,7 @@ class CqosStub(ObserverSite):
         request = Request(
             object_id=self._object_id,
             operation=operation,
-            params=list(args),
+            params=args,
             piggyback=piggyback,
         )
         # The id must travel: every replica's skeleton rebuilds the abstract

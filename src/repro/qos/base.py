@@ -128,7 +128,10 @@ class ClientBase(MicroProtocol):
         """Default acceptance: the first reply completes the request."""
         request: Request = occurrence.args[0]
         reply: Reply = occurrence.args[2]
-        request.complete_from_reply(reply)
+        if reply.exception is None and not reply.failed:
+            request.complete(reply.value)  # a plain value, one call
+        else:
+            request.complete_from_reply(reply)
 
 
 @register_micro_protocol("ServerBase")

@@ -9,11 +9,13 @@ id is qualified with a caller-supplied namespace string.
 from __future__ import annotations
 
 import itertools
-import threading
 
 
 class IdGenerator:
     """Thread-safe monotonically increasing integer ids with a namespace.
+
+    An id is one ``next()`` on an :func:`itertools.count`, a single C call
+    the GIL makes atomic, so no two threads ever draw the same number.
 
     >>> gen = IdGenerator("client-1")
     >>> gen.next_int()
@@ -25,16 +27,14 @@ class IdGenerator:
     def __init__(self, namespace: str = ""):
         self.namespace = namespace
         self._counter = itertools.count(1)
-        self._lock = threading.Lock()
 
     def next_int(self) -> int:
         """Return the next integer id."""
-        with self._lock:
-            return next(self._counter)
+        return next(self._counter)
 
     def next_id(self) -> str:
         """Return the next id qualified with this generator's namespace."""
-        return f"{self.namespace}:{self.next_int()}"
+        return f"{self.namespace}:{next(self._counter)}"
 
 
 _global = IdGenerator("g")
