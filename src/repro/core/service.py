@@ -262,7 +262,7 @@ class CqosDeployment:
             observers=observers,
         )
 
-    def shard_space(self, groups, **kwargs):
+    def shard_space(self, groups):
         """Create a sharded object space over this deployment.
 
         ``groups`` maps group name → member count; see
@@ -270,7 +270,7 @@ class CqosDeployment:
         """
         from repro.core.shardspace import ShardSpace
 
-        return ShardSpace(self, groups, **kwargs)
+        return ShardSpace(self, groups)
 
     def plain_stub(
         self,

@@ -16,10 +16,11 @@ discipline:
 2. **flip the view** — ``router.apply(new_view)`` publishes the new
    assignment; clients pull it via reply piggyback;
 3. **drain, then retire** — the old mount keeps serving until its
-   server-side in-flight count reaches zero; only then is it retired, after
-   which a stale client with a cached endpoint receives the wire-safe,
-   retryable :class:`~repro.util.errors.ShardMovedError`, drops its
-   binding, re-resolves, and lands on the new owner.
+   skeleton's in-flight count reaches zero
+   (:meth:`~repro.core.skeleton.CqosSkeleton.drain`); only then is it
+   retired, after which a stale client with a cached endpoint receives the
+   wire-safe, retryable :class:`~repro.util.errors.ShardMovedError`, drops
+   its binding, re-resolves, and lands on the new owner.
 
 No request in flight at the flip is dropped, and no naming convention or
 wire byte changes — the ring only decides *which hosts register* the
@@ -29,11 +30,9 @@ unchanged ``"OID/replica-i"`` style names.
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
 
-from repro.core.platform import InvocationObserver
 from repro.core.routing import (
     DirectoryView,
     Placement,
@@ -45,48 +44,19 @@ from repro.core.skeleton import CqosSkeleton
 from repro.idl.compiler import InterfaceDef
 from repro.util.errors import ConfigurationError
 
-
-class _InflightObserver(InvocationObserver):
-    """Counts requests between skeleton receive and reply/failure.
-
-    The count is the drain signal of a handoff: an old mount may retire
-    only once every request it accepted has produced its reply (or error),
-    which is exactly when this counter returns to zero.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._count = 0
-
-    @property
-    def inflight(self) -> int:
-        with self._lock:
-            return self._count
-
-    def on_skeleton_receive(self, object_id: str, operation: str, context: dict) -> None:
-        with self._lock:
-            self._count += 1
-
-    def on_skeleton_reply(self, object_id: str, operation: str, value: Any) -> None:
-        with self._lock:
-            self._count -= 1
-
-    def on_skeleton_failure(
-        self, object_id: str, operation: str, error: BaseException
-    ) -> None:
-        with self._lock:
-            self._count -= 1
+#: Seconds a handoff waits for the old mount's in-flight requests before
+#: retiring it anyway.
+DRAIN_TIMEOUT = 5.0
 
 
 @dataclass
 class _Mount:
-    """One installed replica mount: skeleton + drain counter."""
+    """One installed replica mount; its skeleton counts and drains."""
 
     object_id: str
     logical: int
     member: int
     skeleton: CqosSkeleton
-    observer: _InflightObserver
 
 
 @dataclass
@@ -102,18 +72,10 @@ class _ObjectSpec:
 class ShardSpace:
     """Many objects, few server groups, ring-decided placement."""
 
-    def __init__(
-        self,
-        deployment: CqosDeployment,
-        groups: Mapping[str, int],
-        vnodes: int | None = None,
-        default_placement: Placement | None = None,
-        drain_timeout: float = 5.0,
-    ):
+    def __init__(self, deployment: CqosDeployment, groups: Mapping[str, int]):
         if not groups:
             raise ConfigurationError("a shard space needs at least one server group")
         self.deployment = deployment
-        self.drain_timeout = drain_timeout
         self._lock = threading.RLock()
         self._members: dict[int, str] = {}  # member id -> host name
         self._hosts: dict[int, Any] = {}  # member id -> its started adapter host
@@ -122,12 +84,7 @@ class ShardSpace:
             self._allocate_group(name, count) for name, count in groups.items()
         )
         self.router = ShardRouter(
-            DirectoryView(
-                version=1,
-                groups=server_groups,
-                vnodes=vnodes,
-                default_placement=default_placement or Placement(),
-            )
+            DirectoryView(version=1, groups=server_groups)
         )
         self._objects: dict[str, _ObjectSpec] = {}
         self._servants: dict[tuple[str, int], Any] = {}
@@ -229,8 +186,6 @@ class ShardSpace:
                 self._safely(host.unmount_replica, object_id, logical)
         spec = self._objects[object_id]
         servant = self._servant(object_id, logical)
-        observer = _InflightObserver()
-        observers = [observer, *spec.observers]
         factory = self.deployment._server_factory(
             object_id, logical, spec.micro_protocols, None
         )
@@ -241,10 +196,10 @@ class ShardSpace:
             spec.interface,
             cactus_server_factory=factory,
             total_replicas=total,
-            observers=observers,
+            observers=spec.observers,
             router=self.router,
         )
-        return _Mount(object_id, logical, member, skeleton, observer)
+        return _Mount(object_id, logical, member, skeleton)
 
     # -- rebalancing -----------------------------------------------------------
 
@@ -302,7 +257,7 @@ class ShardSpace:
                         dropped.append(previous)
         self.router.apply(new_view)
         for mount in moved + dropped:
-            self._drain(mount)
+            mount.skeleton.drain(DRAIN_TIMEOUT)
             mount.skeleton.retire()
             self._retired.setdefault(mount.member, []).append(mount)
         # A dropped logical replica has no successor registration: remove
@@ -311,12 +266,6 @@ class ShardSpace:
             self._safely(
                 self._host(mount.member).unbind_replica, mount.object_id, mount.logical
             )
-
-    def _drain(self, mount: _Mount) -> None:
-        """Wait for the old mount's in-flight requests to complete."""
-        deadline = time.monotonic() + self.drain_timeout
-        while mount.observer.inflight > 0 and time.monotonic() < deadline:
-            time.sleep(0.001)
 
     @staticmethod
     def _safely(action: Callable[..., None], object_id: str, logical: int) -> None:
@@ -329,7 +278,7 @@ class ShardSpace:
         """Total server-side in-flight count across the object's live mounts."""
         with self._lock:
             return sum(
-                mount.observer.inflight
+                mount.skeleton.inflight
                 for (oid, _), mount in self._mounts.items()
                 if oid == object_id
             )

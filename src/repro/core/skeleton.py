@@ -23,14 +23,17 @@ Two sharding duties also live here because the skeleton sees every request:
   :class:`~repro.core.routing.router.ShardRouter` and the client stamped an
   older view version, the delta bringing it current is staged onto the
   reply piggyback (the pull half of membership-driven view propagation);
-- **retirement** — after a shard handoff has drained, :meth:`retire` makes
-  the skeleton refuse non-control operations with
-  :class:`~repro.util.errors.ShardMovedError` so a stale client re-resolves
-  to the new owner instead of silently executing against the old one.
+- **drain, then retirement** — a sharded skeleton counts the application
+  requests it is executing; a shard handoff waits in :meth:`drain` for
+  that count to reach zero, then :meth:`retire` makes the skeleton refuse
+  non-control operations with :class:`~repro.util.errors.ShardMovedError`
+  so a stale client re-resolves to the new owner instead of silently
+  executing against the old one.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Any
 
 from repro.core.interfaces import ServerPlatform
@@ -54,6 +57,14 @@ class CqosSkeleton:
         self._platform = platform
         self._cactus_server = cactus_server
         self._retired = False
+        # In-flight application requests on the sharded branch.  A plain
+        # lock guards the count per call; a condition over the same lock,
+        # made by the first drain, is notified only when the count reaches
+        # zero while a drain waits.
+        self._lock = threading.Lock()
+        self._inflight = 0
+        self._drainers = 0
+        self._drained: threading.Condition | None = None
 
     @property
     def cactus_server(self) -> CactusServer | None:
@@ -73,6 +84,23 @@ class CqosSkeleton:
         lands on the new owner.
         """
         self._retired = True
+
+    @property
+    def inflight(self) -> int:
+        """Application requests this sharded skeleton is executing now."""
+        return self._inflight
+
+    def drain(self, timeout: float) -> bool:
+        """Wait up to ``timeout`` seconds for the in-flight count to reach
+        zero; True when it did."""
+        with self._lock:
+            if self._drained is None:
+                self._drained = threading.Condition(self._lock)
+            self._drainers += 1
+            try:
+                return self._drained.wait_for(lambda: not self._inflight, timeout)
+            finally:
+                self._drainers -= 1
 
     def handle_invocation(self, operation: str, arguments: list, context: dict) -> Any:
         """Process one intercepted platform request; return the reply value.
@@ -96,16 +124,26 @@ class CqosSkeleton:
             request_id=context.get(PB_REQUEST_ID),
         )
         router = self._platform.router
-        if router is not None and router._view.groups:  # .sharded, no call
+        sharded = router is not None and router._view.groups  # .sharded, no call
+        if sharded:
             self._stage_view_delta(request, router)
-        if self._cactus_server is not None:
-            return self._cactus_server.cactus_invoke(request)
-        # Pass-through (Table 1's "+CQoS skeleton" rung): the abstract
-        # request is built and the servant invoked natively, no Cactus.
-        # Staged reply piggyback (view deltas) still rides the envelope.
-        return wrap_reply_value(
-            self._platform.invoke_servant(request), request.reply_piggyback
-        )
+            with self._lock:
+                self._inflight += 1
+        try:
+            if self._cactus_server is not None:
+                return self._cactus_server.cactus_invoke(request)
+            # Pass-through (Table 1's "+CQoS skeleton" rung): the abstract
+            # request is built and the servant invoked natively, no Cactus.
+            # Staged reply piggyback (view deltas) still rides the envelope.
+            return wrap_reply_value(
+                self._platform.invoke_servant(request), request.reply_piggyback
+            )
+        finally:
+            if sharded:
+                with self._lock:
+                    self._inflight -= 1
+                    if self._drainers and not self._inflight:
+                        self._drained.notify_all()
 
     def _stage_view_delta(self, request: Request, router: Any) -> None:
         """Stage the view delta for a client behind this server's sharded view.

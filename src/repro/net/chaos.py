@@ -162,7 +162,7 @@ class _ChaosConnection(Connection):
         self._address = address
         self._destination, _ = split_address(address)
         self._inner = inner
-        self._rng = network._connection_rng(source_host, address)
+        self._reseeds, self._rng = network._connection_stream(source_host, address)
         self._closed = False
 
     # One lock-held draw per call keeps the stream contiguous even if the
@@ -215,6 +215,12 @@ class _ChaosConnection(Connection):
             network._count("exempted")
             return self._inner.call(data, timeout=timeout)
         with network._rng_lock:
+            if self._reseeds != network._reseeds:
+                # set_loss(seed=...) restarted every stream since our last
+                # draw: continue on the stream the new seed derives.
+                self._reseeds, self._rng = network._connection_stream(
+                    self._source, self._address
+                )
             fate = self._draw_fate(plan)
         network._count("messages", 2)
         if fate.request_delay > 0:
@@ -300,6 +306,7 @@ class ChaosNetwork(Network):
         self._rng_lock = threading.Lock()
         self._hosts: dict[str, _ChaosHost] = {}
         self._link_counts: dict[tuple[str, str], int] = {}
+        self._reseeds = 0  # how many times set_loss restarted the streams
         self._partition_of: dict[str, int] = {}
         self._stats = ChaosStats()
         self._started_at: float | None = None
@@ -342,8 +349,10 @@ class ChaosNetwork(Network):
             )
             if seed is not None:
                 # A fresh seed restarts every stream, as the in-memory
-                # network restarts its single PRNG.
+                # network restarts its single PRNG: each live connection
+                # re-derives its stream at its next call.
                 self._link_counts.clear()
+                self._reseeds += 1
 
     def partition(self, groups: list[list[str]]) -> None:
         """Split hosts into isolated groups; unlisted hosts join group 0."""
@@ -397,14 +406,16 @@ class ChaosNetwork(Network):
 
     # -- internals ---------------------------------------------------------
 
-    def _connection_rng(self, source: str, address: str) -> random.Random:
-        """A fresh deterministic stream for one connection on one link."""
+    def _connection_stream(self, source: str, address: str) -> tuple[int, random.Random]:
+        """A fresh deterministic stream for one connection on one link, with
+        the restart count it was derived under."""
         with self._lock:
             key = (source, address)
             index = self._link_counts.get(key, 0)
             self._link_counts[key] = index + 1
             seed = self._plan.seed
-        return random.Random(f"{seed}|{source}->{address}|{index}")
+            reseeds = self._reseeds
+        return reseeds, random.Random(f"{seed}|{source}->{address}|{index}")
 
     def _is_exempt(self, plan: FaultPlan, source: str, destination: str) -> bool:
         return source in plan.exempt_hosts or destination in plan.exempt_hosts

@@ -61,10 +61,6 @@ logger = get_logger("net.tcp")
 #: How many pipelined requests of one connection may execute at once.
 _SERVER_WORKERS = max(4, min(16, 2 * (os.cpu_count() or 1)))
 
-#: Inline handler duration (seconds) beyond which a connection's pipelined
-#: requests are dispatched to the connection's lane instead of run inline.
-_SLOW_HANDLER = 0.0002
-
 
 def _read_exact(sock: socket.socket, n: int) -> bytes:
     chunks = []
@@ -125,20 +121,6 @@ def _reset_connection(sock: socket.socket) -> None:
         sock.close()
     except OSError:
         pass
-
-
-def _has_pending_data(sock: socket.socket) -> bool:
-    """True when more request bytes are already buffered on ``sock``.
-
-    Drives the server's hybrid dispatch: an empty buffer means the client is
-    waiting for this reply (serial workload — run the handler inline); a
-    non-empty buffer means requests are pipelined (dispatch to the lane so
-    they execute concurrently)."""
-    try:
-        readable, _, _ = select.select([sock], [], [], 0)
-    except (OSError, ValueError):
-        return False
-    return bool(readable)
 
 
 class _TcpListener(Listener):
@@ -204,18 +186,13 @@ class _TcpListener(Listener):
             _SERVER_WORKERS, f"tcp-mux-{self.address}", self._network.threads
         )
         write_lock = threading.Lock()
-        # Concurrency only pays when the handler blocks or computes for a
-        # while; for sub-_SLOW_HANDLER handlers the lane handoff would cost
-        # more than it buys.  The flag is sticky per connection: the first
-        # observed slow inline execution routes all further pipelined
-        # requests to the lane.
-        handler_is_slow = False
         try:
             with conn:
                 try:
                     conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 except OSError:
                     return  # crash injection closed the socket before we ran
+                polled = [conn]
                 while True:
                     try:
                         request_id, request = read_frame_mux(conn)
@@ -230,20 +207,19 @@ class _TcpListener(Listener):
                     if suspended:
                         _reset_connection(conn)
                         return
-                    if handler_is_slow and _has_pending_data(conn):
-                        # Pipelined requests behind this one and a handler
-                        # worth overlapping: run it on the lane so the
-                        # reader keeps draining the socket and in-flight
-                        # requests execute concurrently.
+                    # Dispatch by what is buffered: bytes already waiting
+                    # behind this request mean the client pipelines, so the
+                    # request goes to the lane and the reader keeps
+                    # draining the socket; an empty buffer means the client
+                    # waits for this reply, so it runs inline, no handoff.
+                    try:
+                        pipelined = select.select(polled, (), (), 0)[0]
+                    except (OSError, ValueError):
+                        pipelined = ()  # closed under us: the write will tell
+                    if pipelined:
                         lane.submit(self._serve_one, conn, write_lock, request_id, request)
-                    else:
-                        # Fast or serial workload: inline execution, no
-                        # handoff.
-                        started = time.monotonic()
-                        if not self._serve_one(conn, write_lock, request_id, request):
-                            return
-                        if time.monotonic() - started >= _SLOW_HANDLER:
-                            handler_is_slow = True
+                    elif not self._serve_one(conn, write_lock, request_id, request):
+                        return
         finally:
             lane.shutdown(wait=False)
             with self._lock:

@@ -336,8 +336,8 @@ def test_idle_hooks_and_lookups_cost_no_call(deployment, bank_iface):
 
 
 class SkeletonBoundaryObserver(InvocationObserver):
-    """Listens at the skeleton boundary only, as the shard space's drain
-    counter does."""
+    """Listens at the skeleton boundary only: one count up on receive, one
+    down on reply."""
 
     def __init__(self):
         self.open = 0

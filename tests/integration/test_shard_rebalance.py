@@ -18,7 +18,7 @@ import pytest
 from repro.apps.bank import BankAccount, bank_interface
 from repro.core.routing import Placement
 from repro.core.platform import CONTROL_OPERATION
-from repro.util.errors import ShardMovedError
+from repro.util.errors import InvocationError, ShardMovedError
 
 
 @pytest.fixture
@@ -26,8 +26,8 @@ def bank_iface():
     return bank_interface()
 
 
-def make_space(deployment, groups=None, **kwargs):
-    return deployment.shard_space(groups or {"a": 1, "b": 1}, **kwargs)
+def make_space(deployment, groups=None):
+    return deployment.shard_space(groups or {"a": 1, "b": 1})
 
 
 def place_objects(space, iface, count=6, prefix="obj"):
@@ -176,7 +176,7 @@ class TestShardSpace:
             assert space.view().version == version + 1  # the view has flipped
             handoff.join(0.2)
             assert handoff.is_alive()  # ... and the handoff is draining
-            assert old.observer.inflight == 1
+            assert old.skeleton.inflight == 1
             assert not old.skeleton.retired
         finally:
             release.set()
@@ -192,6 +192,75 @@ class TestShardSpace:
         served.clear()
         assert stub.get_balance() == 11.0
         assert served == [("old", "get_balance"), ("new", "get_balance")]
+
+    def test_inflight_count_returns_to_zero_on_every_outcome(self, deployment, bank_iface):
+        """The old mount's skeleton counts a request in flight until its
+        outcome, whatever it is: an application exception, a system failure
+        and a retired mount's refusal each leave the count at zero (a count
+        left at one would stall every later handoff for the drain timeout)."""
+
+        class FaultyAccount(BankAccount):
+            def owner(self):
+                raise RuntimeError("servant crashed")
+
+        space = make_space(deployment)
+        oid = "obj-faulty"
+        space.add_object(oid, FaultyAccount, bank_iface)
+        stub = space.client_stub(oid, bank_iface)
+        ((logical, _),) = space.view().assignments(oid)
+        (owner,) = space.view().owner_groups(oid)
+        old = space._mounts[(oid, logical)]
+        stub.set_balance(5.0)
+        assert old.skeleton.inflight == 0
+        with pytest.raises(Exception) as application:
+            stub.withdraw(50.0)
+        assert type(application.value).__name__ == "InsufficientFunds"
+        assert old.skeleton.inflight == 0
+        with pytest.raises(InvocationError, match="servant crashed"):
+            stub.owner()
+        assert old.skeleton.inflight == 0
+        target = "b" if owner == "a" else "a"
+        space.set_placement(oid, Placement(policy="pinned", groups=(target,)))
+        assert old.skeleton.retired
+        with pytest.raises(ShardMovedError):
+            old.skeleton.handle_invocation("get_balance", [], {})
+        assert old.skeleton.inflight == 0
+        assert stub.get_balance() == 5.0  # refused by the old, served by the new
+        new = space._mounts[(oid, logical)]
+        assert (old.skeleton.inflight, new.skeleton.inflight) == (0, 0)
+        assert space.inflight(oid) == 0
+
+    def test_drain_wakes_when_the_last_request_completes(self, deployment, bank_iface):
+        """A drain waits on the skeleton's count, not on a clock: held with a
+        30 s bound behind one request, it returns True as soon as that
+        request's reply is out."""
+        entered, release = threading.Event(), threading.Event()
+
+        class HeldAccount(BankAccount):
+            def deposit(self, amount):
+                entered.set()
+                assert release.wait(5.0)
+                return super().deposit(amount)
+
+        space = make_space(deployment)
+        oid = "obj-held"
+        space.add_object(oid, HeldAccount, bank_iface)
+        stub = space.client_stub(oid, bank_iface)
+        ((logical, _),) = space.view().assignments(oid)
+        skeleton = space._mounts[(oid, logical)].skeleton
+        caller = threading.Thread(target=stub.deposit, args=(1.0,))
+        caller.start()
+        drained = []
+        assert entered.wait(5.0)
+        drainer = threading.Thread(target=lambda: drained.append(skeleton.drain(30.0)))
+        drainer.start()
+        drainer.join(0.1)
+        assert drainer.is_alive() and skeleton.inflight == 1
+        release.set()
+        drainer.join(5.0)
+        caller.join(5.0)
+        assert drained == [True] and skeleton.inflight == 0
+        assert skeleton.drain(30.0) is True  # nothing in flight: no wait
 
     def test_client_view_version_is_monotonic(self, deployment, bank_iface):
         space = make_space(deployment)

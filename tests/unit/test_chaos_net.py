@@ -196,6 +196,35 @@ class TestInjectionParityApi:
         finally:
             net.close()
 
+    @pytest.mark.parametrize("make_inner", [InMemoryNetwork, TcpNetwork])
+    def test_set_loss_seed_restarts_a_live_connections_stream(self, make_inner):
+        """After ``set_loss(p, seed=s)`` a connection that already carried
+        traffic draws the same faults as one that carried none, as the
+        in-memory network's restarted PRNG would."""
+
+        def pattern_after(earlier_calls: int) -> str:
+            net = ChaosNetwork(make_inner(), FaultPlan(seed=1))
+            try:
+                net.host("server").listen("svc", lambda d: d)
+                conn = net.host("client").connect("server/svc")
+                for _ in range(earlier_calls):
+                    assert conn.call(b"a") == b"a"
+                net.set_loss(0.5, seed=7)
+                outcomes = []
+                for _ in range(16):
+                    try:
+                        conn.call(b"b")
+                        outcomes.append(".")
+                    except CommunicationError:
+                        outcomes.append("L")
+                return "".join(outcomes)
+            finally:
+                net.close()
+
+        fresh = pattern_after(0)
+        assert "L" in fresh and "." in fresh
+        assert pattern_after(3) == fresh
+
     def test_partition_and_heal_parity(self):
         net = ChaosNetwork(TcpNetwork())
         try:

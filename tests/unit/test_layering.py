@@ -184,3 +184,32 @@ def test_checker_flags_a_thread_started_outside_the_set(tmp_path):
     assert sorted(v.split(" names ")[1].split()[0] for v in violations) == [
         "Thread", "Thread", "ThreadPoolExecutor", "ThreadPoolExecutor", "Timer",
     ]
+
+
+def test_checker_flags_a_sleep_poll_outside_util_and_chaos(tmp_path):
+    """``time.sleep`` may be named only under ``repro.util`` and in
+    ``repro.net.chaos`` (injected latency); a clock's ``sleep`` method and
+    prose are free."""
+    source = '''
+        """Do not time.sleep here (prose, not a call)."""
+        import time
+        from time import monotonic, sleep
+
+        def drain(counter, clock):
+            while counter.inflight:
+                time.sleep(0.001)
+            clock.sleep(0.5)
+        '''
+    for package in ("core", "net", "util"):
+        pkg = tmp_path / "repro" / package
+        pkg.mkdir(parents=True)
+        (pkg / "__init__.py").write_text("")
+    (tmp_path / "repro" / "__init__.py").write_text("")
+    for module in ("core/shardspace.py", "net/chaos.py", "net/tcp.py", "util/clock.py"):
+        (tmp_path / "repro" / module).write_text(textwrap.dedent(source))
+    violations = check_layering.check(tmp_path)
+    assert len(violations) == 4
+    assert sorted(v.split(": ")[1].split()[0] for v in violations) == [
+        "repro.core.shardspace", "repro.core.shardspace", "repro.net.tcp", "repro.net.tcp",
+    ]
+    assert all("time.sleep" in v for v in violations)

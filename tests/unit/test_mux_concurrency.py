@@ -5,14 +5,18 @@ connection, the shared :class:`~repro.net.pool.ConnectionPool` across crash
 and recovery, and deterministic chaos-seeded runs over multiplexed TCP.
 """
 
+import socket
+import sys
 import threading
+import time
 
 import pytest
 
 from repro.net.chaos import ChaosNetwork, FaultPlan
+from repro.net.framing import FRAME_HEADER
 from repro.net.memory import InMemoryNetwork
 from repro.net.pool import ConnectionPool
-from repro.net.tcp import TcpNetwork
+from repro.net.tcp import TcpNetwork, read_frame_mux
 from repro.util.errors import CommunicationError
 
 
@@ -68,7 +72,7 @@ class TestMuxCorrelation:
         try:
             net.host("server").listen("slow", lambda d: (time.sleep(0.1), d)[1])
             connection = net.host("client").connect("server/slow")
-            # Prime the connection (establish socket, mark the handler slow).
+            # Prime the connection (establish the socket).
             connection.call(b"prime", timeout=10.0)
             barrier = threading.Barrier(4)
 
@@ -88,6 +92,65 @@ class TestMuxCorrelation:
             connection.close()
         finally:
             net.close()
+
+
+class TestServerDispatch:
+    """The listener dispatches each request by what is buffered behind it:
+    bytes waiting ⇒ the connection's lane, an empty buffer ⇒ inline."""
+
+    def test_buffered_requests_overlap_with_no_priming_call(self):
+        """Four frames written at once reach a handler that needs all four
+        running together; the very first frame already sees the other three
+        buffered, so they overlap without any earlier call on the link."""
+        barrier = threading.Barrier(4, timeout=2.0)
+
+        def meet(data: bytes) -> bytes:
+            try:
+                barrier.wait()
+            except threading.BrokenBarrierError:
+                return b"broken"
+            return b"ok"
+
+        net = TcpNetwork()
+        try:
+            net.host("server").listen("meet", meet)
+            port = net._resolve("server/meet")
+            with socket.create_connection(("127.0.0.1", port), timeout=10.0) as raw:
+                raw.sendall(
+                    b"".join(FRAME_HEADER.pack(1, rid) + b"x" for rid in range(1, 5))
+                )
+                replies = dict(read_frame_mux(raw) for _ in range(4))
+        finally:
+            net.close()
+        assert replies == {1: b"ok", 2: b"ok", 3: b"ok", 4: b"ok"}
+
+    def test_serving_reads_no_clock(self):
+        """A serial echo over TCP reads no clock on either side: the client
+        passes no timeout and the listener's dispatch rule is a buffer
+        check, so the profile of every thread sees no ``time.monotonic``."""
+        seen = []
+
+        def hook(frame, event, arg):
+            if event == "c_call" and arg is time.monotonic:
+                seen.append(frame.f_code.co_filename)
+
+        threading.setprofile(hook)  # the network's threads start under it
+        net = TcpNetwork()
+        try:
+            net.host("server").listen("echo", lambda d: d)
+            connection = net.host("client").connect("server/echo")
+            assert connection.call(b"warm") == b"warm"
+            sys.setprofile(hook)
+            try:
+                for i in range(50):
+                    assert connection.call(b"%d" % i) == b"%d" % i
+            finally:
+                sys.setprofile(None)
+            connection.close()
+        finally:
+            threading.setprofile(None)
+            net.close()
+        assert seen == []
 
 
 class TestConnectionPool:

@@ -28,6 +28,11 @@ This script AST-scans ``src/repro`` and fails (exit 1) on violations of:
   ``concurrent.futures.ThreadPoolExecutor`` may be named (as an attribute
   or in a ``from`` import) only by ``repro.util.concurrency``, whose
   ``WorkerThreads`` is the scheduler every other module borrows from.
+- no sleep-poll: ``time.sleep`` may be named (as ``time.sleep`` or in a
+  ``from time import``) only under ``repro.util`` and in ``repro.net.chaos``,
+  whose sleeps are the injected latency itself.  Code that waits for
+  something to happen waits on the thing (an event, a condition, a
+  future), not on the clock.
 
 Usage::
 
@@ -137,6 +142,26 @@ def named_thread_starters(tree: ast.AST) -> list[tuple[int, str]]:
     return found
 
 
+SLEEP_OWNERS = ("repro.util", "repro.net.chaos")
+
+
+def named_sleeps(tree: ast.AST) -> list[int]:
+    """Lines naming ``time.sleep`` or importing ``sleep`` from ``time``."""
+    found: list[int] = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "sleep"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "time"
+        ):
+            found.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "time":
+            if any(alias.name == "sleep" for alias in node.names):
+                found.append(node.lineno)
+    return found
+
+
 def check(root: Path) -> list[str]:
     violations: list[str] = []
     for path in sorted(root.rglob("*.py")):
@@ -147,6 +172,14 @@ def check(root: Path) -> list[str]:
                 violations.append(
                     f"{path}:{lineno}: {module} names {name} "
                     f"(only {THREAD_OWNER} starts a thread: spawn on the deployment's set)"
+                )
+        if not any(
+            module == owner or module.startswith(owner + ".") for owner in SLEEP_OWNERS
+        ):
+            for lineno in named_sleeps(tree):
+                violations.append(
+                    f"{path}:{lineno}: {module} names time.sleep "
+                    "(no sleep-poll: wait on an event or condition)"
                 )
         for lineno, name in named_switches(tree):
             violations.append(
@@ -183,7 +216,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     print(
         "layering OK: generic layers import no platform packages, no CQOS_* switches, "
-        "one place starts a thread"
+        "one place starts a thread, no sleep-poll"
     )
     return 0
 
