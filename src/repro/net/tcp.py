@@ -76,16 +76,25 @@ def _read_exact(sock: socket.socket, n: int) -> bytes:
 
 # On the per-frame paths below the size limit is compared inline and
 # ``check_frame_size`` (which owns the message and the raise) is entered only
-# for a frame that fails it: a call per frame would be four calls of the
-# ~512 an ``rtt_tcp_base`` invocation makes.
+# for a frame that fails it, and each half of a frame is one ``recv``:
+# ``_read_exact``'s loop is entered only when the kernel hands back less than
+# was asked for.
 
 
 def read_frame_mux(sock: socket.socket) -> tuple[int, bytes]:
     """Read one frame; returns ``(request_id, payload)``."""
-    length, request_id = FRAME_HEADER.unpack(_read_exact(sock, FRAME_HEADER.size))
+    header = sock.recv(FRAME_HEADER.size)
+    if len(header) != FRAME_HEADER.size:
+        header += _read_exact(sock, FRAME_HEADER.size - len(header))
+    length, request_id = FRAME_HEADER.unpack(header)
     if length > framing.MAX_FRAME:
         check_frame_size(length)
-    return request_id, _read_exact(sock, length)
+    if not length:
+        return request_id, b""  # recv(0) would read as end of stream
+    payload = sock.recv(length)
+    if len(payload) != length:
+        payload += _read_exact(sock, length - len(payload))
+    return request_id, payload
 
 
 def write_frame_mux(sock: socket.socket, request_id: int, data) -> None:
@@ -330,13 +339,18 @@ class _TcpMuxConnection(Connection):
 
     Concurrency model (leader/follower):
 
+    - one plain lock guards the connection's state; the condition built on
+      it is used only to wait and to notify, and is notified only while a
+      follower or the idle demultiplexer waits on it;
     - a *writer lock* is held only around ``sendall`` — requests from many
       threads interleave frame-atomically on the wire;
-    - the first caller awaiting a reply becomes the *leader* and reads the
-      socket, completing every arriving reply's pending slot by correlation
-      id; other callers (followers) wait on the shared condition;
-    - when the leader's own reply arrives it steps down and wakes a
-      follower to take over the readership.
+    - the first caller awaiting a reply, once its frame is written, becomes
+      the *leader* and reads the socket, completing every arriving reply's
+      pending slot by correlation id; other callers (followers) wait on the
+      condition;
+    - when the leader's own reply arrives it takes its slot out of the
+      pending map, steps down, wakes the waiters (if any) so one takes over
+      the readership, and returns the payload itself.
 
     A follower's timeout discards its pending slot and leaves the stream
     intact (its late reply is dropped on arrival); a *leader* timeout resets
@@ -348,9 +362,14 @@ class _TcpMuxConnection(Connection):
     def __init__(self, network: "TcpNetwork", address: str):
         self._network = network
         self._address = address
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
+        self._cond = threading.Condition(self._lock)
+        self._waiting = 0  # threads in self._cond.wait: nobody else is notified
         self._write_lock = threading.Lock()
         self._sock: socket.socket | None = None
+        # The socket whose timeout is known to be None: a reader that wants
+        # none calls settimeout only after a deadline read changed it.
+        self._untimed: socket.socket | None = None
         self._pending: dict[int, _PendingReply] = {}
         self._ids = itertools.count(1)
         self._reader_active = False
@@ -360,7 +379,7 @@ class _TcpMuxConnection(Connection):
         # leader/follower path (and its leader-timeout reset semantics).
         self._demux_started = False
 
-    # -- socket management (called with self._cond held) -------------------
+    # -- socket management (called with self._lock held) -------------------
 
     def _ensure_socket(self) -> socket.socket:
         if self._sock is None:
@@ -370,11 +389,11 @@ class _TcpMuxConnection(Connection):
             sock = socket.create_connection(("127.0.0.1", port), timeout=5.0)
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             sock.settimeout(None)
-            self._sock = sock
+            self._sock = self._untimed = sock
         return self._sock
 
     def _fail_all_locked(self, sock: socket.socket | None, error: BaseException) -> None:
-        """Fail every pending call and drop the socket (cond held)."""
+        """Fail every pending call and drop the socket (lock held)."""
         if sock is not None and self._sock is sock:
             try:
                 self._sock.close()
@@ -385,7 +404,8 @@ class _TcpMuxConnection(Connection):
             slot.settle(None, error)
         self._pending.clear()
         self._reader_active = False
-        self._cond.notify_all()
+        if self._waiting:
+            self._cond.notify_all()
 
     # -- Connection interface ----------------------------------------------
 
@@ -393,7 +413,7 @@ class _TcpMuxConnection(Connection):
         if len(data) > framing.MAX_FRAME:
             check_frame_size(len(data))
         slot = _PendingReply()
-        with self._cond:
+        with self._lock:
             if self._closed:
                 raise CommunicationError("connection is closed")
             try:
@@ -410,14 +430,14 @@ class _TcpMuxConnection(Connection):
             with self._write_lock:
                 write_frame_mux(sock, request_id, data)
         except socket.timeout as exc:
-            with self._cond:
+            with self._lock:
                 self._fail_all_locked(
                     sock, CommunicationError(f"call to {self._address} failed: {exc}")
                 )
             raise TimeoutError_(f"call to {self._address} timed out") from exc
         except OSError as exc:
             error = CommunicationError(f"call to {self._address} failed: {exc}")
-            with self._cond:
+            with self._lock:
                 self._fail_all_locked(sock, error)
             raise error from exc
         return self._await_reply(sock, request_id, slot, timeout)
@@ -431,14 +451,10 @@ class _TcpMuxConnection(Connection):
     ) -> bytes:
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
-            with self._cond:
+            with self._lock:
                 if slot.done:
                     break
-                if not self._reader_active:
-                    self._reader_active = True
-                    lead = True
-                else:
-                    lead = False
+                if self._reader_active:
                     remaining = None
                     if deadline is not None:
                         remaining = deadline - time.monotonic()
@@ -448,10 +464,14 @@ class _TcpMuxConnection(Connection):
                             # discarded by the leader when it arrives.
                             self._pending.pop(request_id, None)
                             raise TimeoutError_(f"call to {self._address} timed out")
+                    self._waiting += 1
                     self._cond.wait(remaining)
+                    self._waiting -= 1
                     continue
-            if lead:
-                self._lead_reads(sock, request_id, slot, deadline)
+                self._reader_active = True
+            payload = self._lead_reads(sock, request_id, slot, deadline)
+            if payload is not None:
+                return payload
         if slot.error is not None:
             raise slot.error
         return slot.value  # type: ignore[return-value]
@@ -462,22 +482,29 @@ class _TcpMuxConnection(Connection):
         request_id: int,
         slot: _PendingReply,
         deadline: float | None,
-    ) -> None:
-        """Read frames as the leader until our reply arrives (or error)."""
+    ) -> bytes | None:
+        """Read frames as the leader until our reply arrives.
+
+        Returns our payload, or None once our slot was failed — by a read
+        error here, or by a reset or ``close()`` that also ended our
+        readership.
+        """
         while True:
             try:
                 if deadline is not None:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
                         raise socket.timeout("deadline expired")
+                    self._untimed = None
                     sock.settimeout(remaining)
-                else:
+                elif self._untimed is not sock:
                     sock.settimeout(None)
+                    self._untimed = sock
                 reply_id, payload = read_frame_mux(sock)
             except socket.timeout as exc:
                 # Leader timeout: the read may have stopped mid-frame, so
                 # the stream can no longer be trusted — reset everything.
-                with self._cond:
+                with self._lock:
                     slot.settle(None, TimeoutError_(f"call to {self._address} timed out"))
                     self._fail_all_locked(
                         sock,
@@ -486,20 +513,23 @@ class _TcpMuxConnection(Connection):
                 raise slot.error from exc
             except (OSError, CommunicationError, FrameTooLargeError) as exc:
                 error = CommunicationError(f"call to {self._address} failed: {exc}")
-                with self._cond:
+                with self._lock:
                     self._fail_all_locked(sock, error)
-                return  # our own slot was failed by _fail_all_locked
-            with self._cond:
+                return None
+            with self._lock:
                 arrived = self._pending.pop(reply_id, None)
-                if arrived is not None:
-                    arrived.settle(payload, None)
                 if reply_id == request_id:
+                    if arrived is None:
+                        return None  # failed by a reset, which ended our readership
                     # Step down and promote a waiting follower (if any).
                     self._reader_active = False
-                    self._cond.notify_all()
-                    return
+                    if self._waiting:
+                        self._cond.notify_all()
+                    return payload
                 if arrived is not None:
-                    self._cond.notify_all()
+                    arrived.settle(payload, None)
+                    if self._waiting:
+                        self._cond.notify_all()
 
     # -- non-blocking submit (futures API) ---------------------------------
 
@@ -521,7 +551,7 @@ class _TcpMuxConnection(Connection):
             return ReplyFuture.failed(exc)
         future: concurrent.futures.Future = concurrent.futures.Future()
         slot = _PendingReply(future)
-        with self._cond:
+        with self._lock:
             if self._closed:
                 return ReplyFuture.failed(CommunicationError("connection is closed"))
             try:
@@ -542,29 +572,28 @@ class _TcpMuxConnection(Connection):
             with self._write_lock:
                 write_frame_mux(sock, request_id, data)
         except socket.timeout as exc:
-            with self._cond:
+            with self._lock:
                 slot.settle(None, TimeoutError_(f"call to {self._address} timed out"))
                 self._fail_all_locked(
                     sock, CommunicationError(f"call to {self._address} failed: {exc}")
                 )
             return reply
         except OSError as exc:
-            with self._cond:
+            with self._lock:
                 self._fail_all_locked(
                     sock, CommunicationError(f"call to {self._address} failed: {exc}")
                 )
             return reply
-        with self._cond:
+        with self._lock:
             # Wake the demultiplexer if no reader currently owns the socket.
-            if not self._reader_active:
+            if not self._reader_active and self._waiting:
                 self._cond.notify_all()
         return reply
 
     def _abandon(self, request_id: int) -> None:
         """Reclaim one pending entry; a late reply is discarded on arrival."""
-        with self._cond:
+        with self._lock:
             self._pending.pop(request_id, None)
-            self._cond.notify_all()
 
     def _demux_loop(self) -> None:
         """Take the readership whenever async calls are in flight unled.
@@ -574,10 +603,11 @@ class _TcpMuxConnection(Connection):
         readable, so its idle ticks can never stop mid-frame — unlike a
         leader deadline, a poll timeout leaves the stream intact.  It steps
         down (releasing the readership to synchronous leaders) whenever the
-        pending map drains.
+        pending map drains.  While it waits it counts among the waiters, so
+        a leader stepping down with async replies still due wakes it.
         """
         while True:
-            with self._cond:
+            with self._lock:
                 sock = None
                 while sock is None:
                     if self._closed:
@@ -590,12 +620,14 @@ class _TcpMuxConnection(Connection):
                         self._reader_active = True
                         sock = self._sock
                     else:
+                        self._waiting += 1
                         self._cond.wait(0.5)
+                        self._waiting -= 1
             self._demux_reads(sock)
 
     def _demux_reads(self, sock: socket.socket) -> None:
         while True:
-            with self._cond:
+            with self._lock:
                 if self._closed:
                     return
                 if self._sock is not sock:
@@ -604,13 +636,14 @@ class _TcpMuxConnection(Connection):
                     return
                 if not self._pending:
                     self._reader_active = False
-                    self._cond.notify_all()
+                    if self._waiting:
+                        self._cond.notify_all()
                     return
             try:
                 readable, _, _ = select.select([sock], [], [], 0.05)
             except (OSError, ValueError):
                 readable = []
-                with self._cond:
+                with self._lock:
                     if self._sock is sock:
                         self._fail_all_locked(
                             sock,
@@ -620,10 +653,12 @@ class _TcpMuxConnection(Connection):
             if not readable:
                 continue
             try:
-                sock.settimeout(None)
+                if self._untimed is not sock:
+                    sock.settimeout(None)
+                    self._untimed = sock
                 reply_id, payload = read_frame_mux(sock)
             except (OSError, CommunicationError, FrameTooLargeError) as exc:
-                with self._cond:
+                with self._lock:
                     if self._sock is sock:
                         self._fail_all_locked(
                             sock,
@@ -632,14 +667,15 @@ class _TcpMuxConnection(Connection):
                             ),
                         )
                 return
-            with self._cond:
+            with self._lock:
                 arrived = self._pending.pop(reply_id, None)
                 if arrived is not None:
                     arrived.settle(payload, None)
-                    self._cond.notify_all()
+                    if self._waiting:
+                        self._cond.notify_all()
 
     def close(self) -> None:
-        with self._cond:
+        with self._lock:
             self._closed = True
             self._fail_all_locked(self._sock, CommunicationError("connection is closed"))
 

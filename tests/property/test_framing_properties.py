@@ -13,7 +13,8 @@ exactly ``encode_frame``'s bytes on the socket on both of its branches (one
 ``sendall`` for a small ``bytes`` payload, two for a large or non-``bytes``
 one), and ``read_frame_mux`` over a socket that returns whatever chunk
 sizes it likes yields exactly the oracle decoder's frames, refusing an
-over-limit header before it reads a payload byte.
+over-limit header before it reads a payload byte; a stream cut anywhere
+yields its whole frames and then fails, never a short payload.
 """
 
 import pytest
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.net import framing
 from repro.net.tcp import read_frame_mux, write_frame_mux
-from repro.util.errors import FrameTooLargeError
+from repro.util.errors import CommunicationError, FrameTooLargeError
 from tests.oracles.framing_reference import FrameDecoder, encode_frame
 
 request_ids = st.integers(min_value=0, max_value=2**64 - 1)
@@ -154,3 +155,18 @@ def test_read_frame_mux_refuses_an_over_limit_header_before_its_payload(
     with pytest.raises(FrameTooLargeError):
         read_frame_mux(sock)
     assert sock.pos == len(header)
+
+
+@given(
+    frames=st.lists(st.tuples(request_ids, st.binary(max_size=200)), min_size=1, max_size=20),
+    data=st.data(),
+)
+def test_read_frame_mux_over_a_cut_stream_yields_whole_frames_then_fails(frames, data):
+    stream = b"".join(encode_frame(rid, payload) for rid, payload in frames)
+    prefix = stream[: data.draw(st.integers(min_value=0, max_value=len(stream) - 1))]
+    sizes = data.draw(st.lists(st.integers(min_value=1, max_value=64), max_size=200))
+    sock = _ChunkedSocket(prefix, sizes)
+    whole = FrameDecoder().feed(prefix)
+    assert [read_frame_mux(sock) for _ in whole] == whole
+    with pytest.raises(CommunicationError):
+        read_frame_mux(sock)

@@ -5,6 +5,7 @@ connection, the shared :class:`~repro.net.pool.ConnectionPool` across crash
 and recovery, and deterministic chaos-seeded runs over multiplexed TCP.
 """
 
+import random
 import socket
 import sys
 import threading
@@ -18,6 +19,15 @@ from repro.net.memory import InMemoryNetwork
 from repro.net.pool import ConnectionPool
 from repro.net.tcp import TcpNetwork, read_frame_mux
 from repro.util.errors import CommunicationError
+
+
+def _poll(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(0.001)
+    return predicate()
 
 
 def _hammer_one_connection(network, threads: int, calls: int) -> list:
@@ -151,6 +161,133 @@ class TestServerDispatch:
             threading.setprofile(None)
             net.close()
         assert seen == []
+
+
+class TestClientConnection:
+    """The leader/follower client connection: one plain lock for its state,
+    a condition notified only while somebody waits on it, and a leader that
+    returns its own reply."""
+
+    def test_a_sync_tcp_call_enters_no_threading_frame(self):
+        """A lone synchronous caller takes C locks only: neither side of a
+        serial echo enters a Python frame of the threading module."""
+        seen = []
+        counting = threading.Event()  # thread starts and stops are not calls
+
+        def hook(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename == threading.__file__:
+                if counting.is_set():
+                    seen.append(frame.f_code.co_name)
+
+        threading.setprofile(hook)  # the network's threads start under it
+        net = TcpNetwork()
+        try:
+            net.host("server").listen("echo", lambda d: d)
+            connection = net.host("client").connect("server/echo")
+            assert connection.call(b"warm") == b"warm"
+            counting.set()
+            sys.setprofile(hook)
+            try:
+                for i in range(50):
+                    assert connection.call(b"%d" % i) == b"%d" % i
+            finally:
+                sys.setprofile(None)
+                counting.clear()
+            connection.close()
+        finally:
+            threading.setprofile(None)
+            net.close()
+        assert seen == []
+
+    def test_async_reply_after_a_sync_leader_steps_down_settles_promptly(self):
+        """The idle demultiplexer counts among the waiters, so a sync leader
+        that steps down while an async reply is still due wakes it instead
+        of leaving the reply unread until the demultiplexer's next tick."""
+        entered = threading.Event()
+        release = threading.Event()
+
+        def handler(data: bytes) -> bytes:
+            if data == b"sync":
+                entered.set()
+                release.wait(5.0)
+            return data
+
+        net = TcpNetwork()
+        try:
+            net.host("server").listen("svc", handler)
+            connection = net.host("client").connect("server/svc")
+            # Start the demultiplexer; once this reply is in it steps down
+            # and goes back to waiting on the condition.
+            assert connection.call_async(b"warm").result(5.0) == b"warm"
+            assert _poll(lambda: not connection._reader_active)
+            outcome = []
+            leader = threading.Thread(
+                target=lambda: outcome.append(connection.call(b"sync", timeout=5.0))
+            )
+            leader.start()
+            assert entered.wait(5.0)
+            assert _poll(lambda: connection._reader_active)
+            # The server runs "sync" inline, so this request waits unread
+            # behind it and its reply lands after the leader's.
+            reply = connection.call_async(b"async")
+            released = time.monotonic()
+            release.set()
+            leader.join(5.0)
+            assert outcome == [b"sync"]
+            assert reply.result(5.0) == b"async"
+            assert time.monotonic() - released < 0.25
+            connection.close()
+        finally:
+            release.set()
+            net.close()
+
+    def test_concurrent_callers_with_one_deadline_each_get_their_own_reply(self):
+        """Eight threads share one connection to a handler that takes 0-200
+        us (seeded); one passes a deadline, so the socket timeout changes
+        hands between leaders.  Every reply matches its request and no
+        pending slot is left behind."""
+        rng = random.Random(33)
+
+        def handler(data: bytes) -> bytes:
+            time.sleep(rng.random() * 200e-6)
+            return b"R:" + data
+
+        net = TcpNetwork()
+        try:
+            net.host("server").listen("echo", handler)
+            connection = net.host("client").connect("server/echo")
+            mismatches: list = []
+            barrier = threading.Barrier(8)
+
+            def worker(slot: int) -> None:
+                timeout = 30.0 if slot == 0 else None
+                barrier.wait()
+                for i in range(500):
+                    payload = b"%d:%d" % (slot, i)
+                    try:
+                        reply = connection.call(payload, timeout=timeout)
+                    except BaseException as exc:  # noqa: BLE001 - for the assert
+                        mismatches.append((slot, i, repr(exc)))
+                        return
+                    if reply != b"R:" + payload:
+                        mismatches.append((slot, i, reply))
+
+            workers = [threading.Thread(target=worker, args=(s,)) for s in range(8)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)  # more thread switches inside each call
+            try:
+                for w in workers:
+                    w.start()
+                for w in workers:
+                    w.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(w.is_alive() for w in workers)
+            assert mismatches == []
+            assert connection._pending == {}
+            connection.close()
+        finally:
+            net.close()
 
 
 class TestConnectionPool:
