@@ -17,8 +17,10 @@ tuple, dict, and registered value types (:mod:`repro.serialization.registry`).
 Every write is one pre-built :class:`struct.Struct` whose format already
 holds the pad bytes for the buffer's current alignment residue, and every
 read is an ``unpack_from`` at an aligned offset.  :func:`write_any` and
-:func:`read_any` each walk a whole value in one loop, keeping the enclosing
-containers on an explicit stack of at most :data:`MAX_DEPTH`.
+:func:`read_any` each walk a whole value in one loop.  The enclosing
+containers, at most :data:`MAX_DEPTH` of them, are a chain of tuples in a
+local, each holding the next one out, so a push or a pop makes no call; the
+reader fills a dict as its keys and values arrive.
 """
 
 from __future__ import annotations
@@ -180,7 +182,8 @@ class CdrInputStream:
 
 def write_any(buf: bytearray, value: Any, registry: TypeRegistry = global_registry) -> None:
     """Append ``value`` to ``buf`` as a run-time-typed value with a leading tag."""
-    outer: list = []  # iterators over the enclosing containers
+    outer = None  # the enclosing containers' iterators: (innermost, next link out)
+    depth = 0
     pending = iter((value,))
     try:
         while True:
@@ -225,14 +228,16 @@ def write_any(buf: bytearray, value: Any, registry: TypeRegistry = global_regist
                     children = iter((state,))
                     break
             else:
-                if not outer:
+                if outer is None:
                     return
-                pending = outer.pop()
+                pending, outer = outer
+                depth -= 1
                 continue
             # The value just begun has children: they come before the rest.
-            if len(outer) >= MAX_DEPTH:
+            if depth >= MAX_DEPTH:
                 raise MarshalError(_TOO_DEEP)
-            outer.append(pending)
+            depth += 1
+            outer = (pending, outer)
             pending = children
     except UnicodeEncodeError as exc:
         raise MarshalError(f"cannot marshal string: {exc}") from exc
@@ -245,12 +250,13 @@ def read_any(data, pos: int, registry: TypeRegistry = global_registry) -> tuple[
     if type(data) is not bytes:
         data = bytes(data)
     size = len(data)
-    # The container being filled: its tag, the child values read so far and
-    # how many are still missing.  A dict collects keys and values
-    # alternately; a value type holds its name, then its state.
-    kind = items = None
+    # The container being filled: its tag, the object collecting its children
+    # (a value type's name instead, until its state is read), how many are
+    # still missing, and a dict's key while its value is read.
+    kind = items = key = None
     missing = 0
-    outer: list = []  # the containers around it
+    outer = None  # the containers around it: (the same four words, next link out)
+    depth = 0
     try:
         while True:
             tag = data[pos]
@@ -271,20 +277,25 @@ def read_any(data, pos: int, registry: TypeRegistry = global_registry) -> tuple[
                 elif tag == TAG_BIGINT:
                     value = int(value.decode())
                 elif tag == TAG_VALUE:
-                    if len(outer) >= MAX_DEPTH:
+                    if depth >= MAX_DEPTH:
                         raise MarshalError(_TOO_DEEP)
-                    outer.append((kind, items, missing))
-                    kind, items, missing = tag, [value.decode()], 1
+                    depth += 1
+                    outer = (kind, items, missing, key, outer)
+                    kind, items, missing = tag, value.decode(), 1
                     continue
             elif tag == TAG_LIST or tag == TAG_TUPLE or tag == TAG_DICT:
                 pos += -pos & 3
                 (count,) = _ULONG_AT(data, pos)
                 pos += 4
                 if count:
-                    if len(outer) >= MAX_DEPTH:
+                    if depth >= MAX_DEPTH:
                         raise MarshalError(_TOO_DEEP)
-                    outer.append((kind, items, missing))
-                    kind, items, missing = tag, [], count * 2 if tag == TAG_DICT else count
+                    depth += 1
+                    outer = (kind, items, missing, key, outer)
+                    if tag == TAG_DICT:
+                        kind, items, missing = tag, {}, count * 2
+                    else:
+                        kind, items, missing = tag, [], count
                     continue
                 value = [] if tag == TAG_LIST else () if tag == TAG_TUPLE else {}
             elif tag == TAG_INT:
@@ -300,20 +311,24 @@ def read_any(data, pos: int, registry: TypeRegistry = global_registry) -> tuple[
             else:
                 raise MarshalError(f"unknown CDR any tag: {tag}")
             while kind is not None:
-                items.append(value)
+                if kind == TAG_DICT:
+                    if missing & 1:
+                        items[key] = value
+                    else:
+                        key = value
+                elif kind == TAG_VALUE:
+                    value = registry.decode(items, value)
+                    kind, items, missing, key, outer = outer
+                    depth -= 1
+                    continue
+                else:
+                    items.append(value)
                 missing -= 1
                 if missing:
                     break
-                if kind == TAG_LIST:
-                    value = items
-                elif kind == TAG_TUPLE:
-                    value = tuple(items)
-                elif kind == TAG_DICT:
-                    pairs = iter(items)
-                    value = dict(zip(pairs, pairs))
-                else:
-                    value = registry.decode(*items)
-                kind, items, missing = outer.pop()
+                value = tuple(items) if kind == TAG_TUPLE else items
+                kind, items, missing, key, outer = outer
+                depth -= 1
             else:
                 return value, pos
     except (IndexError, struct.error) as exc:

@@ -17,8 +17,10 @@ reasons the RMI substrate benchmarks faster than the ORB substrate — the
 same qualitative gap the paper reports between JDK 1.3 RMI and Visibroker.
 
 :func:`jser_dumps` and :func:`jser_loads` each walk a whole value in one
-loop, the enclosing containers on an explicit stack of at most ``MAX_DEPTH``;
-a tag and a length below 128 are one constant out and two index reads in.
+loop.  The enclosing containers, at most ``MAX_DEPTH`` of them, are a chain
+of tuples in a local, each holding the next one out, so a push or a pop is
+a tuple built or unpacked and no call; a tag and a length below 128 are one
+constant out and two index reads in.
 """
 
 from __future__ import annotations
@@ -95,7 +97,9 @@ def jser_dumps(value: Any, registry: TypeRegistry | None = None) -> bytes:
         # id -> (handle, object) for each list, dict and value instance written;
         # holding the object keeps its id from being handed out again.
         handles: dict[int, tuple[int, Any]] = {}
-        outer: list = []  # iterators over the enclosing containers
+        count = 0  # the next handle
+        outer = None  # the enclosing containers' iterators: (innermost, next link out)
+        depth = 0
         pending = iter((value,))
         while True:
             for value in pending:
@@ -137,7 +141,8 @@ def jser_dumps(value: Any, registry: TypeRegistry | None = None) -> bytes:
                         n = handles[key][0]
                         buf += _SHORT[_TAG_REF][n] if n < 0x80 else _head(_TAG_REF, n)
                         continue
-                    handles[key] = (len(handles), value)
+                    handles[key] = (count, value)
+                    count += 1
                     if tag == TAG_LIST:
                         data, n, children = b"", len(value), iter(value)
                     elif tag == TAG_DICT:
@@ -150,14 +155,16 @@ def jser_dumps(value: Any, registry: TypeRegistry | None = None) -> bytes:
                     buf += data
                     break
             else:
-                if not outer:
+                if outer is None:
                     return bytes(buf)
-                pending = outer.pop()
+                pending, outer = outer
+                depth -= 1
                 continue
             # The value just begun has children: they come before the rest.
-            if len(outer) >= MAX_DEPTH:
+            if depth >= MAX_DEPTH:
                 raise MarshalError(_TOO_DEEP)
-            outer.append(pending)
+            depth += 1
+            outer = (pending, outer)
             pending = children
     except ValueError as exc:  # a lone surrogate; an int past the digit limit
         raise MarshalError(f"cannot marshal value: {exc}") from exc
@@ -191,7 +198,8 @@ def jser_loads(data: bytes, registry: TypeRegistry | None = None) -> Any:
         # key while its value is read, a value type's handle while its state is.
         kind = items = key = None
         missing = 0
-        outer: list = []  # the containers around it
+        outer = None  # the containers around it: (the same four words, next link out)
+        depth = 0
         while True:
             tag = data[pos]
             if tag <= TAG_FALSE:
@@ -218,9 +226,10 @@ def jser_loads(data: bytes, registry: TypeRegistry | None = None) -> Any:
                     elif tag == TAG_BIGINT:
                         value = int(value.decode("ascii"))
                     elif tag == TAG_VALUE:
-                        if len(outer) >= MAX_DEPTH:
+                        if depth >= MAX_DEPTH:
                             raise MarshalError(_TOO_DEEP)
-                        outer.append((kind, items, missing, key))
+                        depth += 1
+                        outer = (kind, items, missing, key, outer)
                         # The handle is reserved before the state is read, so
                         # that a reference to the instance from inside its own
                         # state resolves (to None, until the instance exists).
@@ -238,9 +247,10 @@ def jser_loads(data: bytes, registry: TypeRegistry | None = None) -> Any:
                     if tag != TAG_TUPLE:
                         objects.append(value)
                     if n:
-                        if len(outer) >= MAX_DEPTH:
+                        if depth >= MAX_DEPTH:
                             raise MarshalError(_TOO_DEEP)
-                        outer.append((kind, items, missing, key))
+                        depth += 1
+                        outer = (kind, items, missing, key, outer)
                         kind = tag
                         items = [] if tag == TAG_TUPLE else value
                         missing = n * 2 if tag == TAG_DICT else n
@@ -253,7 +263,8 @@ def jser_loads(data: bytes, registry: TypeRegistry | None = None) -> Any:
                         key = value
                 elif kind == TAG_VALUE:
                     value = objects[key] = registry.decode(items, value)
-                    kind, items, missing, key = outer.pop()
+                    kind, items, missing, key, outer = outer
+                    depth -= 1
                     continue
                 else:
                     items.append(value)
@@ -261,7 +272,8 @@ def jser_loads(data: bytes, registry: TypeRegistry | None = None) -> Any:
                 if missing:
                     break
                 value = tuple(items) if kind == TAG_TUPLE else items
-                kind, items, missing, key = outer.pop()
+                kind, items, missing, key, outer = outer
+                depth -= 1
             else:
                 return value
     except (IndexError, struct.error) as exc:
