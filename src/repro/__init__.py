@@ -24,35 +24,11 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every table and figure.
 """
 
-from repro.core import (
-    CactusClient,
-    CactusServer,
-    CqosDeployment,
-    CqosSkeleton,
-    CqosStub,
-    Reply,
-    Request,
-    make_cqos_stub_class,
-)
-from repro.cactus import CompositeProtocol, MicroProtocol
-from repro.idl import compile_idl
-from repro.net import InMemoryNetwork, TcpNetwork
+from repro.util import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CqosDeployment",
-    "CqosStub",
-    "CqosSkeleton",
-    "CactusClient",
-    "CactusServer",
-    "Request",
-    "Reply",
-    "make_cqos_stub_class",
-    "CompositeProtocol",
-    "MicroProtocol",
-    "compile_idl",
-    "InMemoryNetwork",
-    "TcpNetwork",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "CqosDeployment": "repro.core.service",
+    "InMemoryNetwork": "repro.net.memory",
+})

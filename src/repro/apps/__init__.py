@@ -4,27 +4,3 @@
 - :mod:`repro.apps.auction` — an order-sensitive auction house (the
   "more realistic application" of the paper's future-work list).
 """
-
-from repro.apps.bank import (
-    BANK_IDL,
-    BankAccount,
-    bank_compiled,
-    bank_interface,
-)
-from repro.apps.auction import (
-    AUCTION_IDL,
-    AuctionHouse,
-    auction_compiled,
-    auction_interface,
-)
-
-__all__ = [
-    "BANK_IDL",
-    "BankAccount",
-    "bank_compiled",
-    "bank_interface",
-    "AUCTION_IDL",
-    "AuctionHouse",
-    "auction_compiled",
-    "auction_interface",
-]

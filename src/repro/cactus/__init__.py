@@ -21,47 +21,9 @@ customization, loading micro-protocols by registered name from a peer or a
 configuration service at composite-creation time.
 """
 
-from repro.cactus.events import (
-    Binding,
-    Event,
-    Occurrence,
-    ORDER_DEFAULT,
-    ORDER_EARLY,
-    ORDER_FIRST,
-    ORDER_LAST,
-    ORDER_LATE,
-)
-from repro.cactus.runtime import CactusRuntime
-from repro.cactus.composite import CompositeProtocol, MicroProtocol
-from repro.cactus.message import Message
-from repro.cactus.config import (
-    MicroProtocolSpec,
-    build_micro_protocols,
-    micro_protocol_registry,
-    parse_config_text,
-    register_micro_protocol,
-)
-from repro.cactus.dynamic import ConfigurationService, RBoot, RControl
+from repro.util import lazy_exports
 
-__all__ = [
-    "Event",
-    "Occurrence",
-    "Binding",
-    "ORDER_FIRST",
-    "ORDER_EARLY",
-    "ORDER_DEFAULT",
-    "ORDER_LATE",
-    "ORDER_LAST",
-    "CactusRuntime",
-    "CompositeProtocol",
-    "MicroProtocol",
-    "Message",
-    "MicroProtocolSpec",
-    "register_micro_protocol",
-    "micro_protocol_registry",
-    "build_micro_protocols",
-    "parse_config_text",
-    "ConfigurationService",
-    "RBoot",
-    "RControl",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "CompositeProtocol": "repro.cactus.composite",
+    "MicroProtocol": "repro.cactus.composite",
+})

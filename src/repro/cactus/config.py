@@ -15,7 +15,11 @@ This module provides the second one:
       DesPrivacy key_name=bank-des
 
 - :func:`build_micro_protocols` instantiates a configuration against the
-  registry, producing the list a composite's ``configure()`` takes.
+  registry, producing the list a composite's ``configure()`` takes;
+- a package of micro-protocols may *declare* them by name instead of
+  importing them (:func:`declare_micro_protocols`, as :mod:`repro.qos`
+  does): a name the registry does not hold yet resolves by importing the
+  module declared for it, the first time a configuration names it.
 
 The same registry is what the dynamic path (:mod:`repro.cactus.dynamic`)
 loads from, standing in for Cactus/J's Java dynamic code loading — we load
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from importlib import import_module
 from typing import TYPE_CHECKING, Any
 
 from repro.util.errors import ConfigurationError
@@ -34,6 +39,8 @@ if TYPE_CHECKING:
     from repro.cactus.composite import MicroProtocol
 
 _registry: dict[str, type] = {}
+# Declared name -> the module whose import registers it.
+_declared: dict[str, str] = {}
 _registry_lock = threading.Lock()
 
 
@@ -59,8 +66,31 @@ def register_micro_protocol(name: str, cls: type | None = None):
     return do_register
 
 
+def declare_micro_protocols(table: dict[str, str]) -> None:
+    """Declare micro-protocols by name: ``table`` maps a name to the module
+    whose import registers it.  Declaring imports nothing."""
+    with _registry_lock:
+        _declared.update(table)
+
+
+def resolve_micro_protocol(name: str) -> type:
+    """The class registered under ``name``, importing its declared module
+    if the registry does not hold it yet."""
+    cls = _registry.get(name)
+    if cls is None and name in _declared:
+        import_module(_declared[name])
+        cls = _registry.get(name)
+    if cls is None:
+        known = ", ".join(sorted(_registry.keys() | _declared.keys())) or "<none>"
+        raise ConfigurationError(f"unknown micro-protocol {name!r}; registered: {known}")
+    return cls
+
+
 def micro_protocol_registry() -> dict[str, type]:
-    """A snapshot of the registered micro-protocol classes."""
+    """A snapshot of every micro-protocol class a configuration may name,
+    the declared ones imported first."""
+    for name in list(_declared):
+        resolve_micro_protocol(name)
     with _registry_lock:
         return dict(_registry)
 
@@ -124,15 +154,9 @@ def load_config_file(path: str) -> list[MicroProtocolSpec]:
 
 def build_micro_protocols(specs: list[MicroProtocolSpec]) -> list["MicroProtocol"]:
     """Instantiate a configuration against the registry."""
-    registry = micro_protocol_registry()
     instances = []
     for spec in specs:
-        cls = registry.get(spec.name)
-        if cls is None:
-            known = ", ".join(sorted(registry)) or "<none>"
-            raise ConfigurationError(
-                f"unknown micro-protocol {spec.name!r}; registered: {known}"
-            )
+        cls = resolve_micro_protocol(spec.name)
         try:
             instances.append(cls(**spec.params))
         except TypeError as exc:

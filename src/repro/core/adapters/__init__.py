@@ -19,7 +19,8 @@ platform.  One module per supported platform (paper section 4):
   headers.
 
 The host surface, identical on every platform (checked per entry of
-:data:`HOSTS` by ``tests/integration/test_platform_contract.py``):
+:data:`HOSTS` by ``tests/integration/test_platform_contract.py``), is the
+class an adapter module names ``HOST``:
 
 - ``Host(network, host_name, compiled)``, ``start()`` (server endpoint;
   client-only hosts skip it), ``shutdown()``;
@@ -35,14 +36,20 @@ The host surface, identical on every platform (checked per entry of
   the Cactus QoS interface.
 
 Adding a platform is one module here plus one line in :data:`HOSTS`; the
-Cactus protocols above never see which one is in use.
+Cactus protocols above never see which one is in use, and a deployment
+imports only its own platform's adapter and substrate.
 """
 
-from repro.core.adapters.corba import CorbaHost
-from repro.core.adapters.http import HttpHost
-from repro.core.adapters.rmi import RmiHost
+from importlib import import_module
 
-#: Platform name → host class.
-HOSTS = {"corba": CorbaHost, "rmi": RmiHost, "http": HttpHost}
+#: Platform name → its adapter module.
+HOSTS = {
+    "corba": "repro.core.adapters.corba",
+    "rmi": "repro.core.adapters.rmi",
+    "http": "repro.core.adapters.http",
+}
 
-__all__ = ["HOSTS", "CorbaHost", "RmiHost", "HttpHost"]
+
+def host_class(platform: str) -> type:
+    """``platform``'s host class, its adapter imported on first use."""
+    return import_module(HOSTS[platform]).HOST

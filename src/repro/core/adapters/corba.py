@@ -271,3 +271,7 @@ class CorbaHost:
 
     def client_platform(self, object_id: str, observers=None, router=None):
         return CorbaClientPlatform(self._orb, object_id, observers=observers, router=router)
+
+
+#: What :data:`repro.core.adapters.HOSTS` resolves ``"corba"`` to.
+HOST = CorbaHost

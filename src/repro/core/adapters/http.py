@@ -35,9 +35,8 @@ from repro.core.skeleton import CqosSkeleton
 from repro.http.client import HttpClient, make_http_stub_class
 from repro.http.registry import REGISTRY_HOST, HttpRegistryClient, start_http_registry
 from repro.http.server import HttpObjectServer
-from repro.idl.compiler import CompiledIdl, InterfaceDef
+from repro.idl.compiler import CompiledIdl, InterfaceDef, ServantSkeleton
 from repro.net.transport import Network
-from repro.orb.stubs import StaticSkeleton
 
 __all__ = [
     "HttpClientPlatform",
@@ -101,7 +100,7 @@ class HttpServerPlatform(_HttpRegistryMixin, BaseServerPlatform):
         super().__init__(
             object_id,
             replica,
-            StaticSkeleton(servant, interface, server.compiled),
+            ServantSkeleton(servant, interface, server.compiled),
             total_replicas=total_replicas,
             observers=observers,
             router=router,
@@ -237,3 +236,7 @@ class HttpHost:
         return HttpClientPlatform(
             self._client, self._registry, object_id, observers=observers, router=router
         )
+
+
+#: What :data:`repro.core.adapters.HOSTS` resolves ``"http"`` to.
+HOST = HttpHost

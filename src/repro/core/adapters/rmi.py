@@ -28,9 +28,8 @@ from repro.core.platform import (
     BaseSkeletonServant,
 )
 from repro.core.skeleton import CqosSkeleton
-from repro.idl.compiler import CompiledIdl, InterfaceDef
+from repro.idl.compiler import CompiledIdl, InterfaceDef, ServantSkeleton
 from repro.net.transport import Network
-from repro.orb.stubs import StaticSkeleton
 from repro.rmi.registry import (
     REGISTRY_HOST,
     RegistryClient,
@@ -103,7 +102,7 @@ class RmiServerPlatform(_RmiRegistryMixin, BaseServerPlatform):
         super().__init__(
             object_id,
             replica,
-            StaticSkeleton(servant, interface, runtime.compiled),
+            ServantSkeleton(servant, interface, runtime.compiled),
             total_replicas=total_replicas,
             observers=observers,
             router=router,
@@ -217,3 +216,7 @@ class RmiHost:
 
     def client_platform(self, object_id: str, observers=None, router=None):
         return RmiClientPlatform(self._runtime, object_id, observers=observers, router=router)
+
+
+#: What :data:`repro.core.adapters.HOSTS` resolves ``"rmi"`` to.
+HOST = RmiHost

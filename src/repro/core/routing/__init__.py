@@ -36,24 +36,12 @@ machine-checked by ``tools/check_layering.py``):
   deployments — whose naming entries and wire bytes stay byte-identical.
 """
 
-from repro.core.routing.directory import ReplicaDirectory
-from repro.core.routing.ring import DEFAULT_VNODES, HashRing, stable_hash
-from repro.core.routing.router import ShardRouter
-from repro.core.routing.view import (
-    PLACEMENT_POLICIES,
-    DirectoryView,
-    Placement,
-    ServerGroup,
-)
+from repro.util import lazy_exports
 
-__all__ = [
-    "DEFAULT_VNODES",
-    "DirectoryView",
-    "HashRing",
-    "PLACEMENT_POLICIES",
-    "Placement",
-    "ReplicaDirectory",
-    "ServerGroup",
-    "ShardRouter",
-    "stable_hash",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "DirectoryView": "repro.core.routing.view",
+    "Placement": "repro.core.routing.view",
+    "ReplicaDirectory": "repro.core.routing.directory",
+    "ServerGroup": "repro.core.routing.view",
+    "ShardRouter": "repro.core.routing.router",
+})

@@ -18,7 +18,8 @@ Micro-protocol configurations are passed as zero-argument factories (each
 replica and each client needs fresh instances), as
 :class:`~repro.cactus.config.MicroProtocolSpec` lists, or as plain
 registered-name lists — the latter two go through the static-configuration
-machinery of :mod:`repro.cactus.config`.
+machinery of :mod:`repro.cactus.config`, where a name :mod:`repro.qos`
+declares imports its module the first time a configuration gives it.
 
 The Table 1 ladder is directly expressible: ``plain_stub`` /
 ``deploy_plain_replica`` give the original-platform rung;
@@ -32,10 +33,11 @@ from __future__ import annotations
 import threading
 from typing import Any, Callable, Sequence
 
+import repro.qos  # noqa: F401  (declares the micro-protocol names a configuration may give)
 from repro.cactus.composite import MicroProtocol
 from repro.cactus.config import MicroProtocolSpec, build_micro_protocols
 from repro.cactus.runtime import CactusRuntime
-from repro.core.adapters import HOSTS
+from repro.core.adapters import HOSTS, host_class
 from repro.core.client import CactusClient
 from repro.core.request import Request
 from repro.core.server import CactusServer
@@ -96,11 +98,12 @@ class CqosDeployment:
         # beside the transport's own loops.
         self._threads = network.threads
         self._replica_hosts: dict[tuple[str, int], str] = {}
-        self._new_host(HOSTS[platform].BOOTSTRAP_HOST).start().start_bootstrap()
+        self._host_class = host_class(platform)
+        self._new_host(self._host_class.BOOTSTRAP_HOST).start().start_bootstrap()
 
     def _new_host(self, host_name: str):
         """One more host of this deployment's platform, shut down by ``close``."""
-        host = HOSTS[self.platform](self.network, host_name, self.compiled)
+        host = self._host_class(self.network, host_name, self.compiled)
         with self._lock:
             self._hosts.append(host)
         return host

@@ -11,17 +11,3 @@ algorithm is available here as a dependency, so:
 - :mod:`repro.crypto.keys` is a tiny shared-key store standing in for the
   out-of-band key distribution the paper assumes.
 """
-
-from repro.crypto.des import DesCipher, des_decrypt, des_encrypt
-from repro.crypto.mac import KeyedMac, hmac_digest, hmac_verify
-from repro.crypto.keys import KeyStore
-
-__all__ = [
-    "DesCipher",
-    "des_encrypt",
-    "des_decrypt",
-    "KeyedMac",
-    "hmac_digest",
-    "hmac_verify",
-    "KeyStore",
-]

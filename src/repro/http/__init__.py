@@ -22,19 +22,11 @@ the Cactus protocols only see the abstract interfaces, *every* QoS
 micro-protocol works on HTTP unchanged — which is the point.
 """
 
-from repro.http.message import format_request, format_response, parse_request, parse_response
-from repro.http.server import HttpObjectServer
-from repro.http.client import HttpClient
-from repro.http.registry import HttpRegistry, HttpRegistryClient, start_http_registry
+from repro.util import lazy_exports
 
-__all__ = [
-    "format_request",
-    "format_response",
-    "parse_request",
-    "parse_response",
-    "HttpObjectServer",
-    "HttpClient",
-    "HttpRegistry",
-    "HttpRegistryClient",
-    "start_http_registry",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "HttpClient": "repro.http.client",
+    "HttpObjectServer": "repro.http.server",
+    "HttpRegistryClient": "repro.http.registry",
+    "start_http_registry": "repro.http.registry",
+})

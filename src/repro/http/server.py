@@ -19,9 +19,8 @@ import threading
 from typing import Any
 
 from repro.http.message import format_response, parse_request
-from repro.idl.compiler import CompiledIdl, IdlRemoteException, InterfaceDef
+from repro.idl.compiler import CompiledIdl, IdlRemoteException, InterfaceDef, ServantSkeleton
 from repro.net.transport import Network
-from repro.orb.stubs import StaticSkeleton
 from repro.serialization.jser import jser_dumps, jser_loads
 from repro.util.errors import BindError
 
@@ -38,7 +37,7 @@ class HttpObjectServer:
         self._host = network.host(host_name)
         self._listener = None
         # object id -> (servant, its typed skeleton, or None for a generic servant)
-        self._mounts: dict[str, tuple[Any, StaticSkeleton | None]] = {}
+        self._mounts: dict[str, tuple[Any, ServantSkeleton | None]] = {}
         self._lock = threading.Lock()
 
     @property
@@ -61,7 +60,7 @@ class HttpObjectServer:
 
     def mount(self, object_id: str, servant: Any, interface: InterfaceDef) -> str:
         """Mount a typed servant; returns its URL path."""
-        skeleton = StaticSkeleton(servant, interface, self.compiled)
+        skeleton = ServantSkeleton(servant, interface, self.compiled)
         return self._mount(object_id, servant, skeleton)
 
     def mount_generic(self, object_id: str, servant: Any) -> str:
@@ -70,7 +69,7 @@ class HttpObjectServer:
             raise BindError("generic mounts must provide invoke(method, arguments, context)")
         return self._mount(object_id, servant, None)
 
-    def _mount(self, object_id: str, servant: Any, skeleton: StaticSkeleton | None) -> str:
+    def _mount(self, object_id: str, servant: Any, skeleton: ServantSkeleton | None) -> str:
         with self._lock:
             if object_id in self._mounts:
                 raise BindError(f"object id {object_id!r} already mounted")

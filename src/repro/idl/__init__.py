@@ -18,49 +18,10 @@ the resulting metadata, which is what makes one IDL description serve the
 CORBA-like and RMI-like platforms alike.
 """
 
-from repro.idl.ast import (
-    AttributeDecl,
-    BasicType,
-    ExceptionDecl,
-    IdlType,
-    InterfaceDecl,
-    Member,
-    ModuleDecl,
-    NamedType,
-    Operation,
-    Param,
-    SequenceType,
-    StructDecl,
-)
-from repro.idl.lexer import IdlSyntaxError, tokenize
-from repro.idl.parser import parse_idl
-from repro.idl.compiler import (
-    CompiledIdl,
-    InterfaceDef,
-    OperationDef,
-    ParamDef,
-    compile_idl,
-)
+from repro.util import lazy_exports
 
-__all__ = [
-    "tokenize",
-    "parse_idl",
-    "compile_idl",
-    "IdlSyntaxError",
-    "CompiledIdl",
-    "InterfaceDef",
-    "OperationDef",
-    "ParamDef",
-    "ModuleDecl",
-    "InterfaceDecl",
-    "StructDecl",
-    "ExceptionDecl",
-    "AttributeDecl",
-    "Operation",
-    "Param",
-    "Member",
-    "IdlType",
-    "BasicType",
-    "SequenceType",
-    "NamedType",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "compile_idl": "repro.idl.compiler",
+    "parse_idl": "repro.idl.parser",
+    "tokenize": "repro.idl.lexer",
+})

@@ -35,7 +35,7 @@ from repro.idl.ast import (
 )
 from repro.idl.parser import parse_idl
 from repro.serialization.registry import TypeRegistry, global_registry
-from repro.util.errors import ConfigurationError, MarshalError
+from repro.util.errors import ConfigurationError, InvocationError, MarshalError
 
 _INT_RANGES = {
     "short": (-(2**15), 2**15 - 1),
@@ -194,6 +194,38 @@ class CompiledIdl:
                 raise ConfigurationError(f"unresolved type {idl_type.name!r}")
             return isinstance(value, cls)
         raise ConfigurationError(f"unknown IDL type {idl_type!r}")
+
+
+class ServantSkeleton:
+    """Server-side dispatch of decoded requests to a typed servant, the
+    skeleton every platform generates from the same metadata."""
+
+    def __init__(self, servant, interface: InterfaceDef, compiled: CompiledIdl):
+        self._servant = servant
+        self._interface = interface
+        self._compiled = compiled
+
+    @property
+    def interface(self) -> InterfaceDef:
+        return self._interface
+
+    def dispatch(self, operation_name: str, arguments: list):
+        """Invoke the servant method; validate the result against the IDL.
+
+        Application exceptions declared in ``raises`` propagate as-is (the
+        platform maps them to its user-exception reply); anything else
+        becomes an :class:`InvocationError` at the caller.
+        """
+        operation = self._interface.operation(operation_name)
+        method = getattr(self._servant, operation_name, None)
+        if method is None:
+            raise InvocationError(
+                "NoSuchMethod", f"servant lacks method {operation_name!r}"
+            )
+        result = method(*arguments)
+        if not operation.oneway:
+            operation.check_result(result, self._compiled)
+        return result
 
 
 class _Compiler:

@@ -26,21 +26,9 @@ Both expose the same shape: ``network.host(name)`` returns a
 request/reply exchanges, the only primitive the middleware layers need.
 """
 
-from repro.net.transport import Connection, Host, Listener, Network
-from repro.net.memory import InMemoryNetwork
-from repro.net.pool import ConnectionPool
-from repro.net.tcp import TcpNetwork
-from repro.net.chaos import ChaosNetwork, ChaosStats, FaultPlan
+from repro.util import lazy_exports
 
-__all__ = [
-    "Network",
-    "Host",
-    "Listener",
-    "Connection",
-    "ConnectionPool",
-    "InMemoryNetwork",
-    "TcpNetwork",
-    "ChaosNetwork",
-    "ChaosStats",
-    "FaultPlan",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "InMemoryNetwork": "repro.net.memory",
+    "TcpNetwork": "repro.net.tcp",
+})

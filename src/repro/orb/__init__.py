@@ -20,47 +20,11 @@ Requests travel as GIOP-like messages (:mod:`repro.orb.giop`) encoded with
 the CDR codec over either transport from :mod:`repro.net`.
 """
 
-from repro.orb.ior import IOR, ior_to_string, string_to_ior
-from repro.orb.giop import (
-    REPLY_NO_EXCEPTION,
-    REPLY_SYSTEM_EXCEPTION,
-    REPLY_USER_EXCEPTION,
-    ReplyMessage,
-    RequestMessage,
-)
-from repro.orb.dsi import DynamicImplementation, ServerRequest
-from repro.orb.dii import DiiRequest
-from repro.orb.poa import Poa
-from repro.orb.orb import ObjectRef, Orb
-from repro.orb.stubs import StaticSkeleton, make_static_stub_class
-from repro.orb.naming import (
-    NAMING_HOST,
-    NamingClient,
-    NamingService,
-    naming_idl,
-    start_naming_service,
-)
+from repro.util import lazy_exports
 
-__all__ = [
-    "Orb",
-    "ObjectRef",
-    "Poa",
-    "IOR",
-    "ior_to_string",
-    "string_to_ior",
-    "DiiRequest",
-    "DynamicImplementation",
-    "ServerRequest",
-    "StaticSkeleton",
-    "make_static_stub_class",
-    "RequestMessage",
-    "ReplyMessage",
-    "REPLY_NO_EXCEPTION",
-    "REPLY_USER_EXCEPTION",
-    "REPLY_SYSTEM_EXCEPTION",
-    "NamingService",
-    "NamingClient",
-    "start_naming_service",
-    "naming_idl",
-    "NAMING_HOST",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "DynamicImplementation": "repro.orb.dsi",
+    "Orb": "repro.orb.orb",
+    "make_static_stub_class": "repro.orb.stubs",
+    "start_naming_service": "repro.orb.naming",
+})

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
-from repro.idl.compiler import CompiledIdl, InterfaceDef, OperationDef
+from repro.idl.compiler import CompiledIdl, InterfaceDef, OperationDef, ServantSkeleton
 from repro.orb.typed_marshal import build_plans
-from repro.util.errors import InvocationError
 
 if TYPE_CHECKING:
     from repro.orb.ior import IOR
@@ -90,36 +89,12 @@ def make_static_stub_class(
     return type(f"{interface.simple_name}Stub", (StaticStub,), namespace)
 
 
-class StaticSkeleton:
-    """Server-side dispatch of decoded requests to a typed servant."""
+class StaticSkeleton(ServantSkeleton):
+    """The ORB's skeleton: servant dispatch plus the typed-CDR plans."""
 
     def __init__(self, servant, interface: InterfaceDef, compiled: CompiledIdl):
-        self._servant = servant
-        self._interface = interface
-        self._compiled = compiled
+        super().__init__(servant, interface, compiled)
         # Skeleton creation is the server's IDL-compiler moment: build the
         # marshalling plans for every operation up front.
         for operation in interface.operations.values():
             build_plans(operation, compiled)
-
-    @property
-    def interface(self) -> InterfaceDef:
-        return self._interface
-
-    def dispatch(self, operation_name: str, arguments: list) -> Any:
-        """Invoke the servant method; validate the result against the IDL.
-
-        Application exceptions declared in ``raises`` propagate as-is (the
-        ORB maps them to USER_EXCEPTION replies); anything else becomes an
-        :class:`InvocationError` at the caller.
-        """
-        operation = self._interface.operation(operation_name)
-        method = getattr(self._servant, operation_name, None)
-        if method is None:
-            raise InvocationError(
-                "NoSuchMethod", f"servant lacks method {operation_name!r}"
-            )
-        result = method(*arguments)
-        if not operation.oneway:
-            operation.check_result(result, self._compiled)
-        return result

@@ -20,21 +20,13 @@ read traffic off the wire with event-driven invalidation, and the
 latency-EWMA balancer steers around hot replicas.
 """
 
-from repro.qos.extensions.load_balance import LoadBalance, LoadReporter
-from repro.qos.extensions.caching import ATTR_SERVED_STALE, CacheInvalidator, ClientCache
-from repro.qos.extensions.admission import (
-    AdmissionControl,
-    AdmissionRejectedError,
-    RateLimiter,
-)
+from repro.util import lazy_exports
 
-__all__ = [
-    "LoadBalance",
-    "LoadReporter",
-    "ClientCache",
-    "CacheInvalidator",
-    "ATTR_SERVED_STALE",
-    "AdmissionControl",
-    "AdmissionRejectedError",
-    "RateLimiter",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "AdmissionControl": "repro.qos.extensions.admission",
+    "AdmissionRejectedError": "repro.util.errors",
+    "CacheInvalidator": "repro.qos.extensions.caching",
+    "ClientCache": "repro.qos.extensions.caching",
+    "LoadBalance": "repro.qos.extensions.load_balance",
+    "LoadReporter": "repro.qos.extensions.load_balance",
+})

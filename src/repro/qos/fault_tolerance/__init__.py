@@ -40,32 +40,10 @@ Resilience suite (extensions; see ``docs/RESILIENCE.md``):
   (stale-marked) values when every other layer has given up.
 """
 
-from repro.qos.fault_tolerance.active import ActiveRep
-from repro.qos.fault_tolerance.passive import PassiveRep, PassiveRepServer
-from repro.qos.fault_tolerance.acceptance import FirstSuccess, MajorityVote
-from repro.qos.fault_tolerance.total_order import TotalOrder
-from repro.qos.fault_tolerance.retransmit import Retransmit
-from repro.qos.fault_tolerance.resilience import CircuitBreaker, RetryBackoff
-from repro.qos.fault_tolerance.deadline import DeadlineBudget, DeadlineShed
-from repro.qos.fault_tolerance.degrade import Degrade, Stale
-from repro.qos.fault_tolerance.logging_recovery import RequestLog, replay_log
-from repro.qos.fault_tolerance.membership import FailureDetector
+from repro.util import lazy_exports
 
-__all__ = [
-    "ActiveRep",
-    "PassiveRep",
-    "PassiveRepServer",
-    "FirstSuccess",
-    "MajorityVote",
-    "TotalOrder",
-    "Retransmit",
-    "RetryBackoff",
-    "CircuitBreaker",
-    "DeadlineBudget",
-    "DeadlineShed",
-    "Degrade",
-    "Stale",
-    "RequestLog",
-    "replay_log",
-    "FailureDetector",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "FailureDetector": "repro.qos.fault_tolerance.membership",
+    "RequestLog": "repro.qos.fault_tolerance.logging_recovery",
+    "replay_log": "repro.qos.fault_tolerance.logging_recovery",
+})

@@ -20,15 +20,3 @@ the reply path the server encrypts, then signs (so the client verifies
 before decrypting).  Handler orders encode this and are stable whichever
 subset of the three protocols is configured.
 """
-
-from repro.qos.security.privacy import DesPrivacy, DesPrivacyServer
-from repro.qos.security.integrity import SignedIntegrity, SignedIntegrityServer
-from repro.qos.security.access import AccessControl
-
-__all__ = [
-    "DesPrivacy",
-    "DesPrivacyServer",
-    "SignedIntegrity",
-    "SignedIntegrityServer",
-    "AccessControl",
-]

@@ -20,22 +20,9 @@ is the paper's resolution of the ordering/differentiation conflict when the
 differentiation protocols run at the ordering coordinator.
 """
 
-from repro.qos.timeliness.priority import PrioritySched
-from repro.qos.timeliness.queued import QueuedSched
-from repro.qos.timeliness.timed import TimedSched
-from repro.qos.timeliness.common import (
-    HIGH_PRIORITY,
-    HIGH_PRIORITY_THRESHOLD,
-    LOW_PRIORITY,
-    is_high_priority,
-)
+from repro.util import lazy_exports
 
-__all__ = [
-    "PrioritySched",
-    "QueuedSched",
-    "TimedSched",
-    "HIGH_PRIORITY",
-    "LOW_PRIORITY",
-    "HIGH_PRIORITY_THRESHOLD",
-    "is_high_priority",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "HIGH_PRIORITY": "repro.qos.timeliness.common",
+    "LOW_PRIORITY": "repro.qos.timeliness.common",
+})

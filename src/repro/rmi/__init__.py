@@ -18,28 +18,11 @@ exporting a single ``invoke`` method (the paper's simulated DSI), and
 replicas register under the ``"OID_CQoS_Skeleton_i"`` naming convention.
 """
 
-from repro.rmi.runtime import (
-    GenericRemoteObject,
-    RemoteRef,
-    RmiRuntime,
-    make_rmi_stub_class,
-)
-from repro.rmi.registry import (
-    REGISTRY_HOST,
-    RegistryClient,
-    RmiRegistry,
-    registry_client,
-    start_registry,
-)
+from repro.util import lazy_exports
 
-__all__ = [
-    "RmiRuntime",
-    "RemoteRef",
-    "GenericRemoteObject",
-    "make_rmi_stub_class",
-    "RmiRegistry",
-    "RegistryClient",
-    "start_registry",
-    "registry_client",
-    "REGISTRY_HOST",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "RmiRuntime": "repro.rmi.runtime",
+    "make_rmi_stub_class": "repro.rmi.runtime",
+    "registry_client": "repro.rmi.registry",
+    "start_registry": "repro.rmi.registry",
+})

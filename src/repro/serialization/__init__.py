@@ -12,19 +12,3 @@ Two from-scratch binary codecs, mirroring the two platforms the paper targets:
 Both refuse to encode unsupported types with :class:`~repro.util.errors.MarshalError`
 rather than silently pickling arbitrary objects.
 """
-
-from repro.serialization.cdr import CdrInputStream, CdrOutputStream, cdr_dumps, cdr_loads
-from repro.serialization.jser import jser_dumps, jser_loads
-from repro.serialization.registry import TypeRegistry, global_registry, value_type
-
-__all__ = [
-    "CdrInputStream",
-    "CdrOutputStream",
-    "cdr_dumps",
-    "cdr_loads",
-    "jser_dumps",
-    "jser_loads",
-    "TypeRegistry",
-    "global_registry",
-    "value_type",
-]

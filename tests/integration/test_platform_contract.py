@@ -19,7 +19,7 @@ import pytest
 
 from repro.apps.bank import BankAccount
 from repro.cactus.composite import MicroProtocol, SharedData
-from repro.core.adapters import HOSTS
+from repro.core.adapters import HOSTS, host_class
 from repro.core.platform import InvocationObserver, notify_observers
 from repro.core.events import EV_INVOKE_RETURN
 from repro.core.piggyback import REPLY_ENVELOPE_KEY
@@ -638,10 +638,10 @@ def test_refresh_recounts_unsharded_server_ids(hosts, bank_iface):
 @pytest.fixture(params=list(HOSTS))
 def hosts(request, network, compiled_bank):
     """One platform's bootstrap service, a started server host, a client host."""
-    host_class = HOSTS[request.param]
+    host = host_class(request.param)
     bootstrap, server, client = (
-        host_class(network, name, compiled_bank)
-        for name in (host_class.BOOTSTRAP_HOST, "srv", "cli")
+        host(network, name, compiled_bank)
+        for name in (host.BOOTSTRAP_HOST, "srv", "cli")
     )
     bootstrap.start().start_bootstrap()
     server.start()

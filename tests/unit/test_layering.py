@@ -213,3 +213,32 @@ def test_checker_flags_a_sleep_poll_outside_util_and_chaos(tmp_path):
         "repro.core.shardspace", "repro.core.shardspace", "repro.net.tcp", "repro.net.tcp",
     ]
     assert all("time.sleep" in v for v in violations)
+
+
+def test_checker_flags_a_platform_module_named_lazily(tmp_path):
+    """A module path in a lazy export table or an ``import_module`` /
+    ``__import__`` literal is an import: the contracts apply to it.  A path
+    named in prose or any other string is not one."""
+    violations = _plant(
+        tmp_path,
+        "stub",
+        '''
+        """Never reaches repro.orb.orb (prose, not an import)."""
+        import importlib
+        from importlib import import_module
+
+        from repro.util import lazy_exports
+
+        __getattr__, __dir__, __all__ = lazy_exports(globals(), {"Orb": "repro.orb.orb"})
+        runtime = import_module("repro.rmi.runtime")
+        adapter = importlib.import_module("repro.core.adapters.http")
+        server = __import__("repro.http.server")
+        request = import_module("repro.core.request")
+        label = "repro.http.client"
+        ''',
+    )
+    assert len(violations) == 4
+    assert all("repro.core.stub" in v for v in violations)
+    assert sorted(v.split(" imports ")[1].split()[0] for v in violations) == [
+        "repro.core.adapters.http", "repro.http.server", "repro.orb.orb", "repro.rmi.runtime",
+    ]

@@ -19,6 +19,10 @@ This script AST-scans ``src/repro`` and fails (exit 1) on violations of:
 - the routing layer (``repro.core.routing``) is below every adapter: it
   must not import platform packages, so the same consistent-hash views
   serve CORBA, RMI, and HTTP without wire or naming changes;
+- a lazy import is an import: the contracts above also apply to a module
+  path written as a string value of a dict literal (the name → module
+  tables package ``__init__`` files export through) and to the string
+  argument of ``import_module`` / ``__import__``;
 - no file names a ``CQOS_*`` environment switch: behaviour is chosen by
   constructor arguments, and the benchmark refuses to run with such a
   variable set, so a switch read under ``src/`` would be a path nothing
@@ -98,6 +102,31 @@ def imported_modules(
             else:
                 found.append((node.lineno, node.module or ""))
     return found
+
+
+MODULE_PATH = re.compile(r"repro(\.\w+)+")
+DYNAMIC_IMPORTERS = {"import_module", "__import__"}
+
+
+def lazily_named_modules(tree: ast.AST) -> list[tuple[int, str]]:
+    """``repro`` module paths written as dict-literal values or as the
+    string argument of ``import_module`` / ``__import__`` (with line)."""
+    strings: list[ast.expr] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Dict):
+            strings.extend(node.values)
+        elif isinstance(node, ast.Call) and node.args:
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if name in DYNAMIC_IMPORTERS:
+                strings.append(node.args[0])
+    return [
+        (node.lineno, node.value)
+        for node in strings
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and MODULE_PATH.fullmatch(node.value)
+    ]
 
 
 def banned_for(module: str) -> tuple[str, ...]:
@@ -190,7 +219,8 @@ def check(root: Path) -> list[str]:
         if not banned:
             continue
         is_package = path.name == "__init__.py"
-        for lineno, imported in imported_modules(tree, module, is_package):
+        named = imported_modules(tree, module, is_package) + lazily_named_modules(tree)
+        for lineno, imported in named:
             for target in banned:
                 if imported == target or imported.startswith(target + "."):
                     violations.append(
@@ -215,7 +245,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"FAIL: {len(violations)} layering violation(s)")
         return 1
     print(
-        "layering OK: generic layers import no platform packages, no CQOS_* switches, "
+        "layering OK: generic layers import no platform packages (lazily named ones "
+        "included), no CQOS_* switches, "
         "one place starts a thread, no sleep-poll"
     )
     return 0
