@@ -7,6 +7,8 @@ import pytest
 
 from repro.net import framing as framing_mod
 from repro.net.tcp import TcpNetwork
+from tests.conftest import open_sockets
+from tests.unit.test_mux_concurrency import thread_stacks
 from repro.util.errors import (
     CommunicationError,
     FrameTooLargeError,
@@ -95,6 +97,33 @@ class TestTcpFaults:
         net.recover("server")
         assert conn.call(b"c") == b"c"
 
+    def test_close_closes_what_a_recovered_connection_opened(self):
+        """A connection that re-opened its socket after crash → recover and
+        that nobody closed is closed by ``TcpNetwork.close()``, and so is its
+        demultiplexer, which parks with no timed wait and would otherwise
+        never notice."""
+        sockets = open_sockets()
+        threads = set(threading.enumerate())
+        net = TcpNetwork()
+        net.host("server").listen("echo", lambda d: d)
+        conn = net.host("client").connect("server/echo")
+        assert conn.call(b"a") == b"a"
+        net.crash("server")
+        with pytest.raises(CommunicationError):
+            conn.call(b"b")
+        net.recover("server")
+        assert conn.call(b"c") == b"c"
+        assert conn.call_async(b"d").result(5.0) == b"d"
+        net.close()
+
+        def left() -> list:
+            started = set(threading.enumerate()) - threads
+            return [t.name for t in started if t.name.startswith("cqos-")] + sorted(
+                open_sockets() - sockets
+            )
+
+        assert _poll(lambda: not left(), timeout=2.0), left()
+
     def test_connect_to_crashed_host(self, net):
         net.host("server").listen("echo", lambda d: d)
         net.crash("server")
@@ -145,6 +174,54 @@ def _poll(predicate, timeout=5.0):
             return True
         time.sleep(0.005)
     return predicate()
+
+
+def _demux_running() -> bool:
+    return any("_demux_loop" in stack for stack in thread_stacks())
+
+
+class TestClose:
+    def test_close_fails_a_leader_blocked_in_recv_at_once(self, net):
+        """``close()`` from another thread shuts the socket down, so a sync
+        leader blocked in ``recv`` on a hung handler fails at once, not when
+        the server finally answers; the demultiplexer parked behind it ends
+        once its pending async call is failed."""
+        entered = threading.Event()
+        release = threading.Event()
+
+        def handler(data: bytes) -> bytes:
+            if data == b"hang":
+                entered.set()
+                release.wait(5.0)
+            return data
+
+        net.host("server").listen("svc", handler)
+        conn = net.host("client").connect("server/svc")
+        outcome: list = []
+
+        def lead() -> None:
+            try:
+                outcome.append(conn.call(b"hang"))
+            except BaseException as exc:  # noqa: BLE001 - handed to the assert
+                outcome.append(exc)
+
+        leader = threading.Thread(target=lead)
+        leader.start()
+        try:
+            assert entered.wait(5.0)
+            assert _poll(lambda: conn._reader_active)
+            reply = conn.call_async(b"async")
+            assert _poll(_demux_running)
+            conn.close()
+            leader.join(0.25)
+            assert not leader.is_alive(), "close() did not wake the leader"
+            assert len(outcome) == 1 and isinstance(outcome[0], CommunicationError)
+            with pytest.raises(CommunicationError, match="closed"):
+                reply.result(0.25)
+            assert _poll(lambda: not _demux_running(), timeout=0.25)
+        finally:
+            release.set()
+            leader.join(5.0)
 
 
 class TestCallTimeouts:
