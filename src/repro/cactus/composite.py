@@ -13,7 +13,8 @@ Raise modes:
 - ``mode="async"`` — non-blocking: handlers run on the runtime pool, at the
   caller's priority unless ``priority=`` is given (the paper's modified
   raise operation);
-- ``delay=seconds`` — time-driven execution; returns a cancellable handle.
+- ``delay=seconds`` — time-driven execution; returns a future, like
+  ``mode="async"``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from typing import Any, Callable, Iterable
 
 from repro.cactus.events import (
     Binding,
-    DelayedRaise,
     Event,
     Handler,
     ORDER_DEFAULT,
@@ -105,10 +105,6 @@ class CompositeProtocol:
                 self._events[name] = event
             return event
 
-    def event_names(self) -> list[str]:
-        with self._events_lock:
-            return sorted(self._events)
-
     def bind(
         self,
         event_name: str,
@@ -125,11 +121,11 @@ class CompositeProtocol:
         mode: str = "blocking",
         delay: float = 0.0,
         priority: int | None = None,
-    ) -> ResultFuture | DelayedRaise | None:
+    ) -> ResultFuture | None:
         """Raise an event (see module docstring for modes).
 
-        Returns None for blocking raises, a future for async raises, and a
-        cancellable :class:`DelayedRaise` handle when ``delay`` is set.
+        Returns None for blocking raises and a future for async or delayed
+        ones.
         """
         event = self._events.get(event_name)  # events are only ever added
         if event is None:
@@ -145,11 +141,7 @@ class CompositeProtocol:
         event.raise_count += 1
         run = partial(event.raise_blocking, *args, parent=parent)
         if delay > 0.0:
-            handle = DelayedRaise()
-            self.runtime.submit_delayed(
-                delay, run, priority=priority, cancelled=lambda: handle.cancelled
-            )
-            return handle
+            return self.runtime.submit_delayed(delay, run, priority=priority)
         return self.runtime.submit(run, priority=priority)
 
     # -- micro-protocols ----------------------------------------------------
@@ -201,10 +193,6 @@ class CompositeProtocol:
         with self._trace_lock:
             self._tracing = True
             self._trace_edges.clear()
-
-    def disable_tracing(self) -> None:
-        with self._trace_lock:
-            self._tracing = False
 
     def trace_edges(self) -> set[tuple[str, str]]:
         """Observed (raising event -> raised event) causal edges."""

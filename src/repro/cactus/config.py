@@ -146,12 +146,6 @@ def parse_config_text(text: str) -> list[MicroProtocolSpec]:
     return specs
 
 
-def load_config_file(path: str) -> list[MicroProtocolSpec]:
-    """Read and parse a configuration file."""
-    with open(path, encoding="utf-8") as handle:
-        return parse_config_text(handle.read())
-
-
 def build_micro_protocols(specs: list[MicroProtocolSpec]) -> list["MicroProtocol"]:
     """Instantiate a configuration against the registry."""
     instances = []

@@ -321,20 +321,6 @@ class Event:
         return f"Event({self.name}, handlers={self.handler_count()})"
 
 
-class DelayedRaise:
-    """Handle for a delayed raise; supports cancellation before firing."""
-
-    def __init__(self) -> None:
-        self._cancelled = threading.Event()
-
-    def cancel(self) -> None:
-        self._cancelled.set()
-
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled.is_set()
-
-
 def validate_event_name(name: str) -> str:
     if not name or not isinstance(name, str):
         raise ConfigurationError(f"invalid event name: {name!r}")

@@ -28,8 +28,7 @@ class an adapter module names ``HOST``:
   bootstrap service lives, and starting it on that host;
 - ``install_replica(object_id, replica, servant, interface, ...)`` →
   :class:`~repro.core.skeleton.CqosSkeleton`; ``unmount_replica`` and
-  ``unbind_replica``, its two halves backwards, and ``uninstall_replica``
-  for both;
+  ``unbind_replica``, its two halves backwards;
 - ``deploy_plain`` / ``plain_stub`` — the platform's own skeleton and stub
   under the replica's name (Table 1's "Original" rung);
 - ``client_platform(object_id, observers, router)`` → the client half of

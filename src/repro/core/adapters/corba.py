@@ -246,11 +246,6 @@ class CorbaHost:
         """Remove the replica's bootstrap-service entry."""
         self._naming.unbind(_naming_entry(object_id, replica))
 
-    def uninstall_replica(self, object_id: str, replica: int) -> None:
-        """:meth:`install_replica` backwards: no naming entry, no mount."""
-        self.unbind_replica(object_id, replica)
-        self.unmount_replica(object_id, replica)
-
     def deploy_plain(
         self, object_id: str, replica: int, servant: Any, interface: InterfaceDef
     ) -> None:

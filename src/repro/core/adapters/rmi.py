@@ -196,11 +196,6 @@ class RmiHost:
         """Remove the replica's bootstrap-service entry."""
         self._registry.unbind(_skeleton_name(object_id, replica))
 
-    def uninstall_replica(self, object_id: str, replica: int) -> None:
-        """:meth:`install_replica` backwards: no registry entry, no export."""
-        self.unbind_replica(object_id, replica)
-        self.unmount_replica(object_id, replica)
-
     def deploy_plain(
         self, object_id: str, replica: int, servant: Any, interface: InterfaceDef
     ) -> None:

@@ -12,9 +12,7 @@ micro-protocols.  At minimum the configuration must include
 :class:`~repro.qos.base.ClientBase`; :meth:`CactusClient.with_base` builds
 that default.
 
-The synchronous-invocation assumption of the prototype is kept, and the
-extension the paper mentions is provided too: :meth:`cactus_request_async`
-returns immediately with the request, whose ``wait()`` collects the result.
+The synchronous-invocation assumption of the prototype is kept.
 """
 
 from __future__ import annotations
@@ -83,11 +81,3 @@ class CactusClient(CompositeProtocol):
         except BaseException as exc:
             request.fail(exc)  # no-op when already completed
             raise
-
-    def cactus_request_async(self, request: Request) -> Request:
-        """Asynchronous-invocation extension: start processing, don't block.
-
-        The caller collects the outcome with ``request.wait()``.
-        """
-        self.raise_event(EV_NEW_REQUEST, request, mode="async")
-        return request

@@ -87,10 +87,6 @@ class Reply:
         """True when the invocation reached the servant (even if it raised)."""
         return not self.failed
 
-    @property
-    def is_application_error(self) -> bool:
-        return not self.failed and self.exception is not None
-
 
 class Request:
     """One abstract invocation travelling through CQoS."""
@@ -151,12 +147,6 @@ class Request:
 
     def set_params(self, params: list) -> None:
         self._params = list(params)
-
-    def get_param(self, index: int) -> Any:
-        return self._params[index]
-
-    def set_param(self, index: int, value: Any) -> None:
-        self._params[index] = value
 
     @property
     def priority(self) -> int:
@@ -275,9 +265,6 @@ class Request:
     @property
     def completed(self) -> bool:
         return self._completed  # one attribute read: no lock
-
-    def get_result(self) -> Any:
-        return self._result  # one attribute read: no lock
 
     def set_result(self, value: Any) -> None:
         """Overwrite the stored result (server-side reply manipulation).

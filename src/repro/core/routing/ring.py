@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_right
-from typing import Iterable, Iterator
+from typing import Iterable
 
 #: Virtual nodes per group when ``HashRing`` is given none.
 DEFAULT_VNODES = 64
@@ -88,9 +88,6 @@ class HashRing:
                 if len(found) >= count:
                     break
         return tuple(found)
-
-    def iter_points(self) -> Iterator[tuple[int, str]]:
-        return iter(zip(self._points, self._owners))
 
     # -- immutable updates ----------------------------------------------------
 

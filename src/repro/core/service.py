@@ -90,7 +90,7 @@ class CqosDeployment:
         self.platform = platform
         self.compiled = compiled
         self.request_timeout = request_timeout
-        self._ids = IdGenerator("dep")
+        self._ids = IdGenerator()
         self._lock = threading.Lock()
         self._hosts: list = []
         self._cactus: list[CactusServer | CactusClient] = []

@@ -299,11 +299,3 @@ class ShardSpace:
         return self.deployment.client_stub(
             object_id, interface, router=self.client_router(), **kwargs
         )
-
-    # -- fault injection --------------------------------------------------------
-
-    def crash_member(self, member: int) -> None:
-        self.deployment.network.crash(self.member_host(member))
-
-    def recover_member(self, member: int) -> None:
-        self.deployment.network.recover(self.member_host(member))

@@ -70,10 +70,6 @@ class CqosSkeleton:
     def cactus_server(self) -> CactusServer | None:
         return self._cactus_server
 
-    @property
-    def retired(self) -> bool:
-        return self._retired
-
     def retire(self) -> None:
         """Refuse further application operations (shard handoff complete).
 

@@ -335,13 +335,3 @@ class DesCipher:
         else:
             out = [_crypt_block(block, keys) for block in blocks]
         return _pkcs5_unpad(struct.pack(f">{len(out)}Q", *out))
-
-
-def des_encrypt(key: bytes, data: bytes, mode: str = "CBC") -> bytes:
-    """One-shot DES encryption (PKCS#5 padded; CBC prepends its IV)."""
-    return DesCipher(key, mode).encrypt(data)
-
-
-def des_decrypt(key: bytes, data: bytes, mode: str = "CBC") -> bytes:
-    """One-shot DES decryption matching :func:`des_encrypt`."""
-    return DesCipher(key, mode).decrypt(data)

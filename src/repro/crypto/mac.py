@@ -59,15 +59,3 @@ class KeyedMac:
         return isinstance(signature, (bytes, bytearray)) and _stdlib_hmac.compare_digest(
             self.digest(message), signature
         )
-
-
-def hmac_digest(key: bytes, message: bytes, hash_name: str = "sha256") -> bytes:
-    """One-shot HMAC(key, message) with the named hashlib digest."""
-    return KeyedMac(key, hash_name).digest(message)
-
-
-def hmac_verify(
-    key: bytes, message: bytes, signature: bytes, hash_name: str = "sha256"
-) -> bool:
-    """Constant-time verification of a signature from :func:`hmac_digest`."""
-    return KeyedMac(key, hash_name).verify(message, signature)

@@ -36,7 +36,6 @@ class DiiRequest:
         self._context: dict = {}
         self._result: Any = self._PENDING
         self._exception: BaseException | None = None
-        self._deferred = None  # ReplyFuture from send_deferred()
 
     @property
     def operation(self) -> str:
@@ -98,43 +97,14 @@ class DiiRequest:
     def send_deferred(self):
         """CORBA deferred-synchronous invoke: submit now, harvest later.
 
-        Returns the underlying ReplyFuture (also retained for
-        :meth:`poll_response`/:meth:`get_response`).  The request leaves
-        with the same wire bytes as :meth:`invoke`; only the wait moves.
+        Returns the underlying ReplyFuture.  The request leaves with the
+        same wire bytes as :meth:`invoke`; only the wait moves.
         """
         arguments = self._checked_arguments()
         target = self._target
-        self._deferred = target._orb.invoke_async(
+        return target._orb.invoke_async(
             target.ior, self._operation, arguments, self._context
         )
-        return self._deferred
-
-    def poll_response(self) -> bool:
-        """True once a deferred invocation's reply has arrived."""
-        if self._deferred is None:
-            raise ReproError("request has not been sent deferred")
-        return self._deferred.done()
-
-    def get_response(self, timeout: float | None = None) -> None:
-        """Harvest a deferred invocation; stores the outcome like invoke()."""
-        if self._deferred is None:
-            raise ReproError("request has not been sent deferred")
-        try:
-            self._result = self._deferred.result(timeout)
-            self._exception = None
-        except BaseException as exc:  # noqa: BLE001 - DII stores the outcome
-            self._exception = exc
-            self._result = self._PENDING
-
-    def send_oneway(self) -> None:
-        """Fire-and-forget send; no reply is waited for."""
-        arguments = self._checked_arguments()
-        target = self._target
-        target._orb.invoke(
-            target.ior, self._operation, arguments, self._context, response_expected=False
-        )
-        self._result = None
-        self._exception = None
 
     def exception(self) -> BaseException | None:
         return self._exception

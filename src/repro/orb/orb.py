@@ -152,9 +152,6 @@ class Orb:
     def string_to_object(self, text: str) -> ObjectRef:
         return ObjectRef(self, string_to_ior(text))
 
-    def get_object(self, ior: IOR) -> ObjectRef:
-        return ObjectRef(self, ior)
-
     def resolve_initial_references(self, name: str) -> ObjectRef:
         """Bootstrap references; only ``"NameService"`` is defined."""
         if name != "NameService":

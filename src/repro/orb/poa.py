@@ -80,10 +80,6 @@ class Poa:
             self._objects[object_id] = activation
         return self.id_to_reference(object_id)
 
-    def deactivate_object(self, object_id: str) -> None:
-        with self._lock:
-            self._objects.pop(object_id, None)
-
     def id_to_reference(self, object_id: str) -> IOR:
         """Build the IOR for an activated object id."""
         with self._lock:

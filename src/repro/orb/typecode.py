@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.idl.ast import BasicType, IdlType, NamedType, SequenceType
-from repro.util.errors import MarshalError
 
 _TC_BOOLEAN = BasicType("boolean")
 _TC_LONGLONG = BasicType("long long")
@@ -66,14 +65,3 @@ class NamedValue:
     name: str
     value: Any
     typecode: IdlType
-
-    @classmethod
-    def wrap(cls, index: int, value: Any) -> "NamedValue":
-        return cls(name=f"arg{index}", value=value, typecode=typecode_of(value))
-
-
-def build_nvlist(arguments: list) -> list[NamedValue]:
-    """Package positional arguments as an NVList (the DII request body)."""
-    if not isinstance(arguments, list):
-        raise MarshalError("NVList requires a list of arguments")
-    return [NamedValue.wrap(index, value) for index, value in enumerate(arguments)]

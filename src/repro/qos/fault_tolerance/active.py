@@ -118,9 +118,6 @@ class _GatherContext:
                 return True
         return False
 
-    def exhausted(self) -> bool:
-        return self.gathered >= self.scatter.submitted
-
     def exhaustion_error(self) -> BaseException:
         """The failure completing a request whose scatter drained unsatisfied."""
         if self.mode == GATHER_QUORUM and self.successes > 0:

@@ -11,13 +11,11 @@ duplicate-suppression cache, so post-recovery forwarded retries are
 answered consistently.
 
 The log store is pluggable: anything with ``append(entry)`` and iteration
-(a list, or :class:`FileLogStore` for an actual file).
+(a list will do).
 """
 
 from __future__ import annotations
 
-import json
-import os
 from typing import Iterable, Protocol
 
 from repro.cactus.composite import MicroProtocol
@@ -33,23 +31,6 @@ class LogStore(Protocol):
     def append(self, entry: dict) -> None: ...
 
     def __iter__(self): ...
-
-
-class FileLogStore:
-    """A JSON-lines file log (sufficient durability for the simulation)."""
-
-    def __init__(self, path: str):
-        self._path = path
-
-    def append(self, entry: dict) -> None:
-        with open(self._path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(entry, default=repr) + "\n")
-
-    def __iter__(self):
-        if not os.path.exists(self._path):
-            return iter(())
-        with open(self._path, encoding="utf-8") as handle:
-            return iter([json.loads(line) for line in handle if line.strip()])
 
 
 @register_micro_protocol("RequestLog")

@@ -106,10 +106,6 @@ class QueuedSched(MicroProtocol):
 
     # -- introspection (tests) ----------------------------------------------
 
-    def queued_count(self) -> int:
-        with self.shared.lock:
-            return len(self._queue)
-
     def active_high(self) -> int:
         with self.shared.lock:
             return self._active_high

@@ -136,9 +136,3 @@ class TimedSched(MicroProtocol):
             self.raise_event(EV_REQUEST_RETURNED, None, mode="async", priority=LOW_PRIORITY)
         if not self._stopped:
             self.raise_event(EV_TIMED_TICK, delay=self._period)
-
-    # -- introspection (tests) ----------------------------------------------------
-
-    def queued_count(self) -> int:
-        with self.shared.lock:
-            return len(self._queue)

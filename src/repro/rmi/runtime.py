@@ -100,7 +100,7 @@ class RmiRuntime:
         self._listener = None
         self._exports: dict[str, _Export] = {}
         self._lock = threading.Lock()
-        self._ids = IdGenerator(host_name)
+        self._ids = IdGenerator()
         self._pool = ConnectionPool(self._host)
 
     # -- lifecycle ---------------------------------------------------------

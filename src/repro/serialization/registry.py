@@ -86,19 +86,3 @@ class TypeRegistry:
 
 
 global_registry = TypeRegistry()
-
-
-def value_type(name: str, registry: TypeRegistry | None = None):
-    """Class decorator registering a simple data class as a wire value type.
-
-    >>> @value_type("examples.Point")
-    ... class Point:
-    ...     def __init__(self, x, y):
-    ...         self.x, self.y = x, y
-    """
-
-    def decorate(cls: type) -> type:
-        (registry or global_registry).register(name, cls)
-        return cls
-
-    return decorate

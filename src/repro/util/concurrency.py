@@ -22,8 +22,7 @@ import itertools
 import queue
 import threading
 import time
-from typing import Any, Callable, Iterator
-from contextlib import contextmanager
+from typing import Any, Callable
 
 from repro.util.errors import TimeoutError_
 from repro.util.log import get_logger
@@ -52,17 +51,6 @@ def set_thread_priority(priority: int) -> None:
     Clamped to [MIN_PRIORITY, MAX_PRIORITY]; higher numbers run first.
     """
     _tls.priority = max(MIN_PRIORITY, min(MAX_PRIORITY, priority))
-
-
-@contextmanager
-def thread_priority(priority: int) -> Iterator[None]:
-    """Context manager that temporarily changes the thread's priority."""
-    previous = current_thread_priority()
-    set_thread_priority(priority)
-    try:
-        yield
-    finally:
-        set_thread_priority(previous)
 
 
 class ResultFuture:

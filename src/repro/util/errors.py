@@ -175,20 +175,6 @@ def is_retryable(exception: BaseException | None) -> bool:
     )
 
 
-def classify_error(exception: BaseException | None) -> str:
-    """Coarse failure class: ``"retryable"``, ``"fatal"``, or ``"application"``.
-
-    ``"fatal"`` covers delivery failures that retrying cannot fix (crashed
-    host, spent deadline, open breaker); ``"application"`` is everything
-    that reached the servant or failed outside the communication layer.
-    """
-    if is_retryable(exception):
-        return "retryable"
-    if isinstance(exception, CommunicationError):
-        return "fatal"
-    return "application"
-
-
 # One shared answer to "what should the binding layer do about this platform
 # fault?", the counterpart of is_retryable's "is this worth retrying?":
 #

@@ -3,7 +3,7 @@
 Request ids, connection ids and event-occurrence ids all come from here.
 Ids are process-unique, monotonically increasing, and cheap; where global
 uniqueness matters (request ids crossing hosts in the simulated network) the
-id is qualified with a caller-supplied namespace string.
+caller qualifies the id with a prefix (:func:`unique_id`).
 """
 
 from __future__ import annotations
@@ -12,32 +12,25 @@ import itertools
 
 
 class IdGenerator:
-    """Thread-safe monotonically increasing integer ids with a namespace.
+    """Thread-safe monotonically increasing integer ids.
 
     An id is one ``next()`` on an :func:`itertools.count`, a single C call
     the GIL makes atomic, so no two threads ever draw the same number.
 
-    >>> gen = IdGenerator("client-1")
+    >>> gen = IdGenerator()
     >>> gen.next_int()
     1
-    >>> gen.next_id()
-    'client-1:2'
     """
 
-    def __init__(self, namespace: str = ""):
-        self.namespace = namespace
+    def __init__(self) -> None:
         self._counter = itertools.count(1)
 
     def next_int(self) -> int:
         """Return the next integer id."""
         return next(self._counter)
 
-    def next_id(self) -> str:
-        """Return the next id qualified with this generator's namespace."""
-        return f"{self.namespace}:{next(self._counter)}"
 
-
-_global = IdGenerator("g")
+_global = IdGenerator()
 
 
 def unique_id(prefix: str = "id") -> str:

@@ -3,7 +3,7 @@
 The unit tests enumerate and validate all 192 combinations; here a
 representative sample actually *runs*: every fault-tolerance combination,
 with and without the full security bundle and a timeliness protocol, on
-both platforms — the paper's claim that the attribute families compose "in
+each of the three platforms — the paper's claim that the attribute families compose "in
 any combination", executed.
 """
 

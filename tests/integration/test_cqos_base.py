@@ -111,11 +111,12 @@ class TestTransparency:
 
 class TestAsyncExtension:
     def test_cactus_request_async(self, deployment, bank_iface):
+        from repro.core.events import EV_NEW_REQUEST
         from repro.core.request import Request
 
         deployment.add_replicas("acct", BankAccount, bank_iface)
         stub = deployment.client_stub("acct", bank_iface)
         client = stub.cactus_client
         request = Request("acct", "deposit", [7.0])
-        client.cactus_request_async(request)
+        client.raise_event(EV_NEW_REQUEST, request, mode="async")
         assert request.wait(10.0) == 7.0

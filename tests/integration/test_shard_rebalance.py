@@ -177,7 +177,7 @@ class TestShardSpace:
             handoff.join(0.2)
             assert handoff.is_alive()  # ... and the handoff is draining
             assert old.skeleton.inflight == 1
-            assert not old.skeleton.retired
+            assert not old.skeleton._retired
         finally:
             release.set()
             caller.join(5.0)
@@ -185,7 +185,7 @@ class TestShardSpace:
                 handoff.join(5.0)
         assert outcome == [11.0]
         assert not handoff.is_alive()
-        assert old.skeleton.retired
+        assert old.skeleton._retired
         new = space._mounts[(oid, logical)]
         assert new is not old
         spy("new", new.skeleton)
@@ -221,7 +221,7 @@ class TestShardSpace:
         assert old.skeleton.inflight == 0
         target = "b" if owner == "a" else "a"
         space.set_placement(oid, Placement(policy="pinned", groups=(target,)))
-        assert old.skeleton.retired
+        assert old.skeleton._retired
         with pytest.raises(ShardMovedError):
             old.skeleton.handle_invocation("get_balance", [], {})
         assert old.skeleton.inflight == 0
@@ -286,7 +286,7 @@ class TestShardSpace:
         retired = [m for mounts in space._retired.values() for m in mounts]
         assert retired, "the group add should have retired at least one mount"
         for mount in retired:
-            assert mount.skeleton.retired
+            assert mount.skeleton._retired
             # A stale-view invocation reaching the old owner must NOT
             # execute: the wire-safe redirect error comes back instead.
             with pytest.raises(ShardMovedError):
@@ -399,7 +399,7 @@ class TestShardChaos:
             stub.deposit(1.0)
             deposits += 1
         _, primary_member = space.view().assignments(oid)[0]
-        space.crash_member(primary_member)
+        space.deployment.network.crash(space.member_host(primary_member))
         for _ in range(10):
             stub.deposit(1.0)  # fails over to the forwarded-to backup
             deposits += 1
@@ -455,7 +455,7 @@ class TestShardChaos:
         used = {member for oid in ids for _, member in view.assignments(oid)}
         idle = [m for m in view.members() if m not in used]
         if idle:
-            space.crash_member(idle[0])
+            space.deployment.network.crash(space.member_host(idle[0]))
         for oid in ids:
             stubs[oid].deposit(1.0)
             issued[oid] += 1

@@ -1,7 +1,6 @@
 """Unit tests for Cactus events: binding, ordering, halting, raise modes."""
 
 import threading
-import time
 
 import pytest
 
@@ -75,9 +74,9 @@ class TestBinding:
         assert calls == [0, 1, 2]
 
     def test_event_created_on_first_use(self, composite):
-        assert composite.event_names() == []
+        assert sorted(composite._events) == []
         composite.event("lazy")
-        assert composite.event_names() == ["lazy"]
+        assert sorted(composite._events) == ["lazy"]
 
     def test_invalid_event_name(self, composite):
         with pytest.raises(ConfigurationError):
@@ -153,14 +152,6 @@ class TestRaiseModes:
         composite.bind("tick", lambda occ: done.set())
         composite.raise_event("tick", delay=0.02)
         assert done.wait(2.0)
-
-    def test_delayed_raise_cancellable(self, composite):
-        fired = threading.Event()
-        composite.bind("tick", lambda occ: fired.set())
-        handle = composite.raise_event("tick", delay=0.05)
-        handle.cancel()
-        time.sleep(0.15)
-        assert not fired.is_set()
 
     def test_unknown_mode_rejected(self, composite):
         with pytest.raises(ConfigurationError):

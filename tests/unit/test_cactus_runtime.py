@@ -12,7 +12,7 @@ from repro.util.concurrency import (
     MAX_PRIORITY,
     WorkerThreads,
     current_thread_priority,
-    thread_priority,
+    set_thread_priority,
 )
 from tests.unit.test_concurrency import alive_threads, poll
 
@@ -30,8 +30,12 @@ class TestSubmit:
         assert ran_on is not threading.current_thread()
 
     def test_priority_inherited(self, runtime):
-        with thread_priority(7):
+        previous = current_thread_priority()
+        set_thread_priority(7)
+        try:
             future = runtime.submit(current_thread_priority)
+        finally:
+            set_thread_priority(previous)
         assert future.result(2.0) == 7
 
     def test_explicit_priority_is_clamped(self, runtime):

@@ -16,7 +16,6 @@ from repro.util.concurrency import (
     WorkerThreads,
     current_thread_priority,
     set_thread_priority,
-    thread_priority,
 )
 from repro.util.errors import TimeoutError_
 
@@ -57,13 +56,6 @@ class TestThreadPriority:
         assert current_thread_priority() == 10
         set_thread_priority(-5)
         assert current_thread_priority() == 1
-        set_thread_priority(DEFAULT_PRIORITY)
-
-    def test_context_manager_restores(self):
-        set_thread_priority(4)
-        with thread_priority(9):
-            assert current_thread_priority() == 9
-        assert current_thread_priority() == 4
         set_thread_priority(DEFAULT_PRIORITY)
 
 
@@ -114,8 +106,12 @@ class TestPriorityExecutor:
     def test_priority_defaults_to_submitter(self):
         executor = PriorityExecutor(workers=1)
         try:
-            with thread_priority(3):
+            previous = current_thread_priority()
+            set_thread_priority(3)
+            try:
                 future = executor.submit(current_thread_priority)
+            finally:
+                set_thread_priority(previous)
             assert future.result(2.0) == 3
         finally:
             executor.shutdown()

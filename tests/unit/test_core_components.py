@@ -8,6 +8,7 @@ routing, Cactus client/server blocking semantics) be tested in isolation.
 import pytest
 
 from repro.core.client import CactusClient
+from repro.core.events import EV_NEW_REQUEST
 from repro.core.interfaces import ClientPlatform, ServerPlatform
 from repro.core.request import PB_CLIENT_ID, PB_PRIORITY, PB_REQUEST_ID, Request
 from repro.core.server import CactusServer
@@ -50,7 +51,7 @@ class FakeClientPlatform(ClientPlatform):
         if server in self.fail_servers:
             raise CommunicationError(f"server {server} scripted to fail")
         if request.operation == "echo":
-            return request.get_param(0)
+            return request.get_params()[0]
         return None
 
 
@@ -62,7 +63,7 @@ class FakeServerPlatform(ServerPlatform):
     def invoke_servant(self, request: Request):
         self.invoked.append(request)
         if request.operation == "echo":
-            return request.get_param(0)
+            return request.get_params()[0]
         return None
 
     def my_replica(self) -> int:
@@ -187,7 +188,8 @@ class TestCactusClient:
         platform = FakeClientPlatform()
         client = CactusClient.with_base(platform)
         try:
-            request = client.cactus_request_async(Request("obj", "echo", [7]))
+            request = Request("obj", "echo", [7])
+            client.raise_event(EV_NEW_REQUEST, request, mode="async")
             assert request.wait(5.0) == 7
         finally:
             client.shutdown()

@@ -11,7 +11,7 @@ import random
 import pytest
 
 from repro.crypto import des
-from repro.crypto.des import DesCipher, des_decrypt, des_encrypt
+from repro.crypto.des import DesCipher
 from repro.util.errors import MarshalError
 from tests.oracles.des_reference import ReferenceDes
 
@@ -86,6 +86,11 @@ class TestModes:
         ct = cipher.encrypt(b"A" * 16, iv=bytes(8))
         assert ct[8:16] != ct[16:24]
 
+    def test_modes_are_incompatible(self):
+        ct = DesCipher(KAT_KEY, mode="ECB").encrypt(b"data")
+        with pytest.raises(MarshalError):
+            DesCipher(KAT_KEY, mode="CBC").decrypt(ct)
+
 
 class TestValidation:
     def test_bad_key_length(self):
@@ -120,17 +125,6 @@ class TestValidation:
     def test_empty_cbc_ciphertext(self):
         with pytest.raises(MarshalError):
             DesCipher(KAT_KEY, mode="CBC").decrypt(b"")
-
-
-class TestOneShotHelpers:
-    def test_roundtrip(self):
-        data = b"one-shot helpers"
-        assert des_decrypt(KAT_KEY, des_encrypt(KAT_KEY, data)) == data
-
-    def test_modes_are_incompatible(self):
-        ct = des_encrypt(KAT_KEY, b"data", mode="ECB")
-        with pytest.raises(MarshalError):
-            des_decrypt(KAT_KEY, ct, mode="CBC")
 
 
 class TestAgainstTheReference:

@@ -170,14 +170,14 @@ def test_a_callback_registered_while_completing_still_fires():
 
 
 def test_request_and_generator_ids_are_distinct_across_threads(fast_switching):
-    generator = IdGenerator("g")
+    generator = IdGenerator()
     request_ids: list[list[str]] = [[] for _ in range(8)]
-    generator_ids: list[list[str]] = [[] for _ in range(8)]
+    generator_ids: list[list[int]] = [[] for _ in range(8)]
 
     def body(thread):
         for _ in range(5000):
             request_ids[thread].append(Request("acct", "op", []).request_id)
-            generator_ids[thread].append(generator.next_id())
+            generator_ids[thread].append(generator.next_int())
 
     run_threads(8, body)
     for drawn in (request_ids, generator_ids):

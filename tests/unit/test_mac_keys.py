@@ -1,29 +1,29 @@
-"""Unit tests for the HMAC construction and the key store."""
+"""Unit tests for the HMAC construction and key resolution."""
 
 import hashlib
 import hmac as stdlib_hmac
 
 import pytest
 
-from repro.crypto.keys import KeyStore, resolve_key
-from repro.crypto.mac import KeyedMac, hmac_digest, hmac_verify
+from repro.crypto.keys import resolve_key
+from repro.crypto.mac import KeyedMac
 from repro.util.errors import ConfigurationError
 
 
 class TestHmac:
     def test_matches_stdlib_short_key(self):
         for message in (b"", b"msg", b"x" * 1000):
-            assert hmac_digest(b"key", message) == stdlib_hmac.new(
+            assert KeyedMac(b"key").digest(message) == stdlib_hmac.new(
                 b"key", message, hashlib.sha256
             ).digest()
 
     def test_matches_stdlib_long_key(self):
         # Keys longer than the block size are hashed first (RFC 2104).
         key = b"k" * 200
-        assert hmac_digest(key, b"m") == stdlib_hmac.new(key, b"m", hashlib.sha256).digest()
+        assert KeyedMac(key).digest(b"m") == stdlib_hmac.new(key, b"m", hashlib.sha256).digest()
 
     def test_matches_stdlib_sha1(self):
-        assert hmac_digest(b"key", b"msg", "sha1") == stdlib_hmac.new(
+        assert KeyedMac(b"key", "sha1").digest(b"msg") == stdlib_hmac.new(
             b"key", b"msg", hashlib.sha1
         ).digest()
 
@@ -34,14 +34,14 @@ class TestHmac:
         expected = bytes.fromhex(
             "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
         )
-        assert hmac_digest(key, message) == expected
+        assert KeyedMac(key).digest(message) == expected
 
     def test_verify_accepts_and_rejects(self):
-        signature = hmac_digest(b"key", b"msg")
-        assert hmac_verify(b"key", b"msg", signature)
-        assert not hmac_verify(b"key", b"tampered", signature)
-        assert not hmac_verify(b"other-key", b"msg", signature)
-        assert not hmac_verify(b"key", b"msg", b"garbage")
+        signature = KeyedMac(b"key").digest(b"msg")
+        assert KeyedMac(b"key").verify(b"msg", signature)
+        assert not KeyedMac(b"key").verify(b"tampered", signature)
+        assert not KeyedMac(b"other-key").verify(b"msg", signature)
+        assert not KeyedMac(b"key").verify(b"msg", b"garbage")
 
 
 class TestKeyedMac:
@@ -53,7 +53,6 @@ class TestKeyedMac:
             for message in (b"", b"m" * 150):
                 expected = stdlib_hmac.new(key, message, hash_name).digest()
                 assert mac.digest(message) == expected
-                assert hmac_digest(key, message, hash_name) == expected
 
     def test_one_object_signs_many_messages(self):
         mac = KeyedMac(b"key")
@@ -65,16 +64,12 @@ class TestKeyedMac:
         assert not mac.verify(b"one", first[:-1])
 
     def test_bytearray_key(self):
-        assert KeyedMac(bytearray(b"key")).digest(b"m") == hmac_digest(b"key", b"m")
+        assert KeyedMac(bytearray(b"key")).digest(b"m") == KeyedMac(b"key").digest(b"m")
 
     @pytest.mark.parametrize("hash_name", ["shake_128", "shake_256", "new", "sha257", "md5 "])
     def test_rejects_what_is_not_a_fixed_length_digest(self, hash_name):
         with pytest.raises(ConfigurationError, match="digest"):
             KeyedMac(b"key", hash_name)
-        with pytest.raises(ConfigurationError):
-            hmac_digest(b"key", b"m", hash_name)
-        with pytest.raises(ConfigurationError):
-            hmac_verify(b"key", b"m", b"sig", hash_name)
 
 
 class TestResolveKey:
@@ -87,25 +82,3 @@ class TestResolveKey:
             resolve_key(b"k", "6b", "X")
         with pytest.raises(ConfigurationError, match="DesPrivacyServer requires a key"):
             resolve_key(None, None, "DesPrivacyServer")
-
-
-class TestKeyStore:
-    def test_add_and_get(self):
-        store = KeyStore()
-        store.add("k1", b"\x01" * 8)
-        assert store.get("k1") == b"\x01" * 8
-
-    def test_generate(self):
-        store = KeyStore()
-        key = store.generate("des", length=8)
-        assert len(key) == 8
-        assert store.get("des") == key
-
-    def test_missing_key_raises(self):
-        with pytest.raises(ConfigurationError):
-            KeyStore().get("nope")
-
-    def test_initial_keys_and_names(self):
-        store = KeyStore({"a": b"1", "b": b"2"})
-        assert store.has("a")
-        assert store.names() == ["a", "b"]

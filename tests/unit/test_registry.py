@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.serialization.registry import TypeRegistry, value_type
+from repro.serialization.registry import TypeRegistry
 from repro.util.errors import MarshalError
 
 
@@ -70,13 +70,3 @@ class TestTypeRegistry:
         registry.register("t.Bad", Bad, to_dict=lambda o: "not a dict")
         with pytest.raises(MarshalError, match="must return a dict"):
             registry.encode(Bad())
-
-    def test_value_type_decorator(self):
-        registry = TypeRegistry()
-
-        @value_type("t.Decorated", registry=registry)
-        class Decorated:
-            def __init__(self, x):
-                self.x = x
-
-        assert registry.name_for(Decorated(1)) == "t.Decorated"

@@ -37,7 +37,6 @@ from repro.util.errors import (
     InvocationError,
     ServerFailedError,
     TimeoutError_,
-    classify_error,
     is_retryable,
     rehydrate_system_error,
 )
@@ -96,12 +95,6 @@ class TestErrorClassification:
         assert not is_retryable(CircuitOpenError("open"))
         assert not is_retryable(ValueError("app"))
         assert not is_retryable(None)
-
-    def test_classify_error(self):
-        assert classify_error(CommunicationError("lost")) == "retryable"
-        assert classify_error(ServerFailedError("crashed")) == "fatal"
-        assert classify_error(DeadlineExceededError("late")) == "fatal"
-        assert classify_error(ValueError("app")) == "application"
 
     def test_rehydrate_allowlisted_error(self):
         exc = rehydrate_system_error("DeadlineExceededError", "shed")

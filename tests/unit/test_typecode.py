@@ -4,9 +4,8 @@ import pytest
 
 from repro.idl.ast import BasicType, NamedType, SequenceType
 from repro.idl.compiler import compile_idl
-from repro.orb.typecode import NamedValue, build_nvlist, typecode_of
+from repro.orb.typecode import typecode_of
 from repro.serialization.registry import TypeRegistry
-from repro.util.errors import MarshalError
 
 
 class TestTypecodeOf:
@@ -42,19 +41,22 @@ class TestTypecodeOf:
 
 class TestNvList:
     def test_build(self):
-        nvlist = build_nvlist([1.0, "two"])
-        assert [nv.name for nv in nvlist] == ["arg0", "arg1"]
-        assert nvlist[0].typecode == BasicType("double")
-        assert nvlist[1].value == "two"
+        from repro.apps.bank import bank_compiled
+        from repro.net.memory import InMemoryNetwork
+        from repro.orb.ior import IOR
+        from repro.orb.orb import ObjectRef, Orb
 
-    def test_requires_list(self):
-        with pytest.raises(MarshalError):
-            build_nvlist("not a list")
-
-    def test_wrap(self):
-        nv = NamedValue.wrap(3, True)
-        assert nv.name == "arg3"
-        assert nv.typecode == BasicType("boolean")
+        net = InMemoryNetwork()
+        orb = Orb(net, "client", bank_compiled())
+        try:
+            ref = ObjectRef(orb, IOR("IDL:omg.org/CORBA/Object:1.0", "s/giop", "p|o"))
+            nvlist = ref._create_request("op").add_arg(1.0).add_arg("two").nvlist()
+            assert [nv.name for nv in nvlist] == ["arg0", "arg1"]
+            assert nvlist[0].typecode == BasicType("double")
+            assert nvlist[1].value == "two"
+        finally:
+            orb.shutdown()
+            net.close()
 
 
 class TestDiiNvListIntegration:
@@ -67,8 +69,9 @@ class TestDiiNvListIntegration:
         orb = Orb(net, "client", bank_compiled())
         try:
             from repro.orb.ior import IOR
+            from repro.orb.orb import ObjectRef
 
-            ref = orb.get_object(IOR("IDL:omg.org/CORBA/Object:1.0", "s/giop", "p|o"))
+            ref = ObjectRef(orb, IOR("IDL:omg.org/CORBA/Object:1.0", "s/giop", "p|o"))
             request = ref._create_request("set_balance").add_arg(5.0)
             [nv] = request.nvlist()
             assert nv.typecode == BasicType("double")
