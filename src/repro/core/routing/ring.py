@@ -9,14 +9,21 @@ arcs — the property that bounds how many objects a group join/leave moves.
 The hash is BLAKE2b (stdlib, seeded-process independent): ring placement
 must be identical in every process that ever computes it — clients,
 servers, and the deployment all derive the same owner for the same key, so
-ownership never needs to travel on the wire.
+ownership never needs to travel on the wire.  It comes from the builtin
+``_blake2`` module, which is where :func:`hashlib.blake2b` comes from too:
+importing :mod:`hashlib` would also load OpenSSL's libcrypto, which nothing
+on a deployment's path needs until a security micro-protocol is built.
 """
 
 from __future__ import annotations
 
-import hashlib
 from bisect import bisect_right
 from typing import Iterable
+
+try:
+    from _blake2 import blake2b
+except ImportError:  # an interpreter built without the builtin module
+    from hashlib import blake2b
 
 #: Virtual nodes per group when ``HashRing`` is given none.
 DEFAULT_VNODES = 64
@@ -25,7 +32,7 @@ DEFAULT_VNODES = 64
 def stable_hash(key: str) -> int:
     """A process-independent 64-bit hash of ``key`` (BLAKE2b-8)."""
     return int.from_bytes(
-        hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest(), "big"
+        blake2b(key.encode("utf-8"), digest_size=8).digest(), "big"
     )
 
 

@@ -98,6 +98,9 @@ class CqosDeployment:
         # beside the transport's own loops.
         self._threads = network.threads
         self._replica_hosts: dict[tuple[str, int], str] = {}
+        # id(interface) -> its generated stub class.  The class holds the
+        # interface (``__idl_interface__``), so a cached id is never reused.
+        self._stub_classes: dict[int, type] = {}
         self._host_class = host_class(platform)
         self._new_host(self._host_class.BOOTSTRAP_HOST).start().start_bootstrap()
 
@@ -255,7 +258,11 @@ class CqosDeployment:
                 ),
             )
             self._track(cactus_client)
-        stub_class = make_cqos_stub_class(interface)
+        stub_class = self._stub_classes.get(id(interface))
+        if stub_class is None:
+            stub_class = self._stub_classes.setdefault(
+                id(interface), make_cqos_stub_class(interface)
+            )
         return stub_class(
             platform,
             object_id,

@@ -8,6 +8,11 @@ algorithm is available here as a dependency, so:
   modes, PKCS#5 padding) validated against published test vectors, and
 - :mod:`repro.crypto.mac` implements the HMAC construction (RFC 2104) over
   :mod:`hashlib` digests for the signature scheme.
-- :mod:`repro.crypto.keys` is a tiny shared-key store standing in for the
-  out-of-band key distribution the paper assumes.
+- :mod:`repro.crypto.keys` resolves the shared key each micro-protocol is
+  given, standing in for the out-of-band key distribution the paper assumes.
+
+Neither cipher nor MAC costs a process anything until it is used: DES
+derives its tables when the first ``DesCipher`` is made, and the MAC imports
+:mod:`hashlib` (which loads OpenSSL's libcrypto) when the first
+``KeyedMac`` is built.
 """

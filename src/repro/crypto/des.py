@@ -7,7 +7,9 @@ cipher, preserving the paper's cost shape (crypto dominates the response
 time on both platforms).
 
 The FIPS tables below are the source of truth; what the cipher indexes at
-run time is derived from them once, at import:
+run time is derived from them once per process, when the first
+:class:`DesCipher` is made (:func:`_derive_tables`), so a process that
+configures no privacy never builds them (1.3 MB, most of it S-box tables):
 
 - :func:`_crypt_block`, the only block function, makes no call.  It keeps
   both halves rotated left by one bit, so that the eight 6-bit chunks of the
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import os
 import struct
+import threading
 
 from repro.util.errors import MarshalError
 
@@ -164,21 +167,6 @@ def _byte_luts(spec: list[int], in_width: int) -> list[list[int]]:
     return luts
 
 
-# Both 32-bit halves of a block rotated left (right) by one bit, as specs.
-_ROTL1 = [*range(2, 33), 1, *range(34, 65), 33]
-_ROTR1 = [32, *range(1, 32), 64, *range(33, 64)]
-
-_IP0, _IP1, _IP2, _IP3, _IP4, _IP5, _IP6, _IP7 = _byte_luts([_IP[pos - 1] for pos in _ROTL1], 64)
-_FP0, _FP1, _FP2, _FP3, _FP4, _FP5, _FP6, _FP7 = _byte_luts([_ROTR1[pos - 1] for pos in _FP], 64)
-_PC1_LUTS = _byte_luts(_PC1, 64)
-# PC-2 straight into the two round-key words: the odd chunks, then the even
-# ones, each chunk in the low six bits of its own byte.
-_PC2_LUTS = _byte_luts(
-    [pos for first in (0, 6) for at in range(first, 48, 12) for pos in (0, 0, *_PC2[at : at + 6])],
-    56,
-)
-
-
 def _build_sp_tables() -> list[list[int]]:
     """Fuse S-boxes and P, two boxes to a table (1 and 3, 5 and 7, 2 and 4,
     6 and 8): index ``six_a << 8 | six_b``, value both boxes' output bits
@@ -199,7 +187,52 @@ def _build_sp_tables() -> list[list[int]]:
     return pairs
 
 
-_SP13, _SP57, _SP24, _SP68 = _build_sp_tables()
+_derived = False
+_derive_lock = threading.Lock()
+
+
+def _derive_tables() -> None:
+    """Bind what the cipher indexes at run time, derived from the FIPS
+    tables: once per process, by the first :class:`DesCipher` (or the first
+    read of a derived name, see :func:`__getattr__`).  Threads may make the
+    first cipher at once: the lock lets one derive, and the flag, set last,
+    tells the rest that every table is bound."""
+    global _IP0, _IP1, _IP2, _IP3, _IP4, _IP5, _IP6, _IP7
+    global _FP0, _FP1, _FP2, _FP3, _FP4, _FP5, _FP6, _FP7
+    global _PC1_LUTS, _PC2_LUTS, _SP13, _SP57, _SP24, _SP68, _derived
+    with _derive_lock:
+        if _derived:
+            return
+        # Both 32-bit halves of a block rotated left (right) by one bit, as specs.
+        rotl1 = [*range(2, 33), 1, *range(34, 65), 33]
+        rotr1 = [32, *range(1, 32), 64, *range(33, 64)]
+        _IP0, _IP1, _IP2, _IP3, _IP4, _IP5, _IP6, _IP7 = _byte_luts(
+            [_IP[pos - 1] for pos in rotl1], 64
+        )
+        _FP0, _FP1, _FP2, _FP3, _FP4, _FP5, _FP6, _FP7 = _byte_luts(
+            [rotr1[pos - 1] for pos in _FP], 64
+        )
+        _PC1_LUTS = _byte_luts(_PC1, 64)
+        # PC-2 straight into the two round-key words: the odd chunks, then the
+        # even ones, each chunk in the low six bits of its own byte.
+        _PC2_LUTS = _byte_luts(
+            [pos for first in (0, 6) for at in range(first, 48, 12)
+             for pos in (0, 0, *_PC2[at : at + 6])],
+            56,
+        )
+        _SP13, _SP57, _SP24, _SP68 = _build_sp_tables()
+        _derived = True
+
+
+def __getattr__(name: str):
+    """A derived table read before the first :class:`DesCipher` (``des._SP13``)
+    derives them all; any other missing name is missing."""
+    if not _derived and name.startswith("_") and not name.startswith("__"):
+        _derive_tables()
+        if name in globals():
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 _BLOCK = 8
 
@@ -282,6 +315,8 @@ class DesCipher:
         if mode not in ("ECB", "CBC"):
             raise ValueError(f"unsupported mode: {mode}")
         self.mode = mode
+        if not _derived:
+            _derive_tables()
         self._enc_keys = _key_schedule(key)
         # The same rounds, last first.
         self._dec_keys = tuple((k2, k3, k0, k1) for k0, k1, k2, k3 in reversed(self._enc_keys))

@@ -7,22 +7,18 @@ signature scheme: we implement the HMAC construction explicitly over a
 construction itself, including key normalization and the ipad/opad scheme,
 is spelled out here).  :class:`KeyedMac` does the part that depends only on
 the key once: a digest is a copy of two keyed hash states plus the message.
+
+:mod:`hashlib` and :mod:`hmac` load OpenSSL's libcrypto (about 3.5 MB
+resident), so they are imported when the first :class:`KeyedMac` is built,
+not with this module: a process that configures no integrity never loads it.
 """
 
 from __future__ import annotations
-
-import hashlib
-import hmac as _stdlib_hmac  # only for compare_digest semantics
 
 from repro.util.errors import ConfigurationError
 
 _IPAD = bytes(b ^ 0x36 for b in range(256))
 _OPAD = bytes(b ^ 0x5C for b in range(256))
-
-# Guaranteed by hashlib and of fixed length (SHAKE takes its length per call).
-_HASH_NAMES = frozenset(
-    name for name in hashlib.algorithms_guaranteed if not name.startswith("shake_")
-)
 
 
 class KeyedMac:
@@ -35,7 +31,12 @@ class KeyedMac:
     """
 
     def __init__(self, key: bytes, hash_name: str = "sha256"):
-        if hash_name not in _HASH_NAMES:
+        global hmac  # read by verify(), which no instance can reach before this
+        import hashlib
+        import hmac  # only for compare_digest semantics
+
+        # Guaranteed by hashlib and of fixed length (SHAKE takes its length per call).
+        if hash_name not in hashlib.algorithms_guaranteed or hash_name.startswith("shake_"):
             raise ConfigurationError(f"not a fixed-length hashlib digest: {hash_name!r}")
         make_hash = getattr(hashlib, hash_name)
         block_size = make_hash().block_size
@@ -56,6 +57,6 @@ class KeyedMac:
     def verify(self, message: bytes, signature: bytes) -> bool:
         """Constant-time verification of a signature from :meth:`digest`;
         whatever is not bytes (a peer sent it) is not a signature."""
-        return isinstance(signature, (bytes, bytearray)) and _stdlib_hmac.compare_digest(
+        return isinstance(signature, (bytes, bytearray)) and hmac.compare_digest(
             self.digest(message), signature
         )

@@ -110,7 +110,10 @@ class DesPrivacyServer(MicroProtocol):
         params = request.get_params()
         if len(params) != 1 or not isinstance(params[0], (bytes, bytearray)):
             raise MarshalError("encrypted request does not carry one ciphertext")
-        request.set_params(jser_loads(self._cipher.decrypt(params[0])))
+        plaintext = jser_loads(self._cipher.decrypt(params[0]))
+        if type(plaintext) is not list:
+            raise MarshalError("decrypted parameters are not a list")
+        request.set_params(plaintext)
         # Clear the flag so replica forwarding ships plaintext exactly once;
         # remember locally that this client expects an encrypted reply.
         request.piggyback[PB_ENCRYPTED] = False

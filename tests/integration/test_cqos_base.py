@@ -5,6 +5,8 @@ measurable: original platform, +CQoS stub (pass-through), +CQoS skeleton
 (pass-through), +Cactus server, +Cactus client.
 """
 
+import copy
+
 import pytest
 
 from repro.apps.bank import BankAccount, bank_compiled, bank_interface
@@ -84,6 +86,21 @@ class TestTransparency:
         stub2 = deployment.client_stub("a2", bank_interface())
         stub1.set_balance(100.0)
         assert stub2.get_balance() == 2.0
+
+    def test_one_stub_class_per_interface_object(self, deployment):
+        """Stubs of one ``InterfaceDef`` share one generated class; an equal
+        but distinct interface object gets its own."""
+        deployment.add_replicas("a1", BankAccount, bank_interface())
+        deployment.add_replicas("a2", BankAccount, bank_interface())
+        stub1 = deployment.client_stub("a1", bank_interface())
+        stub2 = deployment.client_stub("a2", bank_interface())
+        assert type(stub1) is type(stub2)
+        other = copy.copy(bank_interface())
+        stub3 = deployment.client_stub("a1", other)
+        assert type(stub3) is not type(stub1)
+        assert type(stub3).__idl_interface__ is other
+        stub3.set_balance(3.0)
+        assert stub1.get_balance() == 3.0
 
     def test_concurrent_clients_one_server(self, deployment):
         import threading

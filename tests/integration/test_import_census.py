@@ -92,6 +92,15 @@ def test_a_base_deployment_loads_nothing_it_does_not_name(census):
     assert [m for m in first_reply if under(m, "repro.qos")] == ["repro.qos", "repro.qos.base"]
 
 
+def test_a_base_deployment_loads_no_openssl_and_no_des(census):
+    """The ring's hash comes from the builtin ``_blake2``: OpenSSL's
+    libcrypto (``_hashlib``) and the DES module wait for a security
+    micro-protocol (``tests/integration/test_crypto_deferral.py``)."""
+    _, modules = census
+    assert [m for m in modules["native"] if m in import_census.OPENSSL] == []
+    assert not [m for m in modules["first_reply"] if under(m, "repro.crypto")]
+
+
 def test_no_import_after_the_first_reply(census):
     """Fifty more calls import no ``repro`` module: lazy work never lands
     inside a timed loop."""

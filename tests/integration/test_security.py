@@ -6,6 +6,7 @@ from repro.apps.bank import BankAccount, bank_interface
 from repro.cactus.composite import MicroProtocol
 from repro.core.events import EV_INVOKE_RETURN, EV_READY_TO_SEND
 from repro.core.request import PB_ENCRYPTED
+from repro.crypto.des import DesCipher
 from repro.qos import (
     AccessControl,
     ActiveRep,
@@ -15,6 +16,7 @@ from repro.qos import (
     SignedIntegrity,
     SignedIntegrityServer,
 )
+from repro.serialization.jser import jser_dumps
 from repro.util.errors import IntegrityError, InvocationError, MarshalError
 
 KEY = "0123456789abcdef"
@@ -290,6 +292,34 @@ class TestForgedShapes:
         with pytest.raises(InvocationError, match="MarshalError"):
             stub.set_balance(5.0)
         assert account.get_balance() == 0.0
+
+    @pytest.mark.parametrize("plaintext", ["ab", {"x": 1.0}, 5], ids=["str", "dict", "int"])
+    def test_decrypted_parameters_that_are_not_a_list(self, deployment, plaintext):
+        """A ciphertext under the right key whose plaintext is not a list is
+        rejected before the servant runs: a str would run as its characters,
+        a dict as its keys."""
+        calls = []
+
+        class RecordingAccount(BankAccount):
+            def set_balance(self, *args):
+                calls.append(args)
+                return super().set_balance(*args)
+
+        deployment.add_replicas(
+            "acct",
+            RecordingAccount,
+            bank_interface(),
+            server_micro_protocols=lambda: [DesPrivacyServer(key_hex=KEY)],
+        )
+        ciphertext = DesCipher(bytes.fromhex(KEY)).encrypt(jser_dumps(plaintext))
+        stub = deployment.client_stub(
+            "acct",
+            bank_interface(),
+            client_micro_protocols=lambda: [ForgeParams([ciphertext])],
+        )
+        with pytest.raises(InvocationError, match="MarshalError.*not a list"):
+            stub.set_balance(5.0)
+        assert calls == []
 
 
 class TestAccessControl:
