@@ -24,6 +24,10 @@ from repro.util.concurrency import (
 )
 
 
+# Read once per process: ``os.cpu_count()`` reads sysfs on every call.
+_DEFAULT_WORKERS = max(4, min(16, 4 * (os.cpu_count() or 1)))
+
+
 def default_worker_count() -> int:
     """Lane limit scaled to the machine: 4 per core, at least 4, at most 16.
 
@@ -31,7 +35,7 @@ def default_worker_count() -> int:
     bounds scheduler pressure from a busy composite and starts no thread
     (threads come on demand from the deployment's ``WorkerThreads``).
     """
-    return max(4, min(16, 4 * (os.cpu_count() or 1)))
+    return _DEFAULT_WORKERS
 
 
 class CactusRuntime:

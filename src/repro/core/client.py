@@ -23,7 +23,8 @@ from repro.cactus.composite import CompositeProtocol, MicroProtocol
 from repro.cactus.runtime import CactusRuntime
 from repro.core.events import EV_NEW_REQUEST
 from repro.core.interfaces import ClientPlatform
-from repro.core.request import Request
+from repro.core.request import HeldRequests, Request
+from repro.util.errors import CommunicationError
 
 SHARED_PLATFORM = "platform"
 SHARED_FAILED_SERVERS = "failed_servers"
@@ -43,6 +44,8 @@ class CactusClient(CompositeProtocol):
         super().__init__(name, runtime=runtime)
         self.platform = platform
         self.request_timeout = request_timeout
+        # Requests whose cactus_request blocks waiting: shutdown fails them.
+        self._held = HeldRequests()
         self.shared.set(SHARED_PLATFORM, platform)
         # Failure knowledge persists across requests (PassiveRep failover).
         self.shared.set(SHARED_FAILED_SERVERS, set())
@@ -77,7 +80,14 @@ class CactusClient(CompositeProtocol):
         """
         try:
             self._new_request.raise_blocking(request)
-            return request.wait(self.request_timeout)
+            return request.wait(self.request_timeout, self._held)
         except BaseException as exc:
             request.fail(exc)  # no-op when already completed
             raise
+
+    def shutdown(self) -> None:
+        """Unbind every micro-protocol and fail each request still held
+        (waiting for a gather, a retry or a reply), so its caller returns
+        now instead of after ``request_timeout``."""
+        super().shutdown()
+        self._held.fail_all(CommunicationError(f"{self.name} shut down with the request held"))

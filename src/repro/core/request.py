@@ -282,8 +282,12 @@ class Request:
         """The result staged so far (server side, pre-completion)."""
         return self._result  # one attribute read: no lock
 
-    def wait(self, timeout: float | None = None) -> Any:
-        """Block until completion; return the result or raise the failure."""
+    def wait(self, timeout: float | None = None, held: "HeldRequests | None" = None) -> Any:
+        """Block until completion; return the result or raise the failure.
+
+        A wait that blocks is in ``held`` while it does, so the composite
+        that owns it can fail the request when it shuts down.
+        """
         # The outcome is written before ``_completed`` is set, so a request
         # seen completed needs no lock; only a wait that may block takes it.
         if not self._completed:
@@ -293,10 +297,21 @@ class Request:
                     waiter = self._waiter
                     if waiter is None:
                         waiter = self._waiter = threading.Event()
-            if waiter is not None and not waiter.wait(timeout):
-                raise TimeoutError_(
-                    f"request {self.request_id} ({self.operation}) did not complete"
-                )
+            if waiter is not None:
+                if held is None:
+                    done = waiter.wait(timeout)
+                else:
+                    held.add(self)
+                    try:
+                        if held.error is not None:
+                            self.fail(held.error)
+                        done = waiter.wait(timeout)
+                    finally:
+                        held.discard(self)
+                if not done:
+                    raise TimeoutError_(
+                        f"request {self.request_id} ({self.operation}) did not complete"
+                    )
         # Completed: neither field changes again.
         if self._exception is not None:
             raise self._exception
@@ -340,3 +355,21 @@ class Request:
             f"Request({self.request_id}, {self.object_id}.{self.operation}, "
             f"server={self.server}, completed={self.completed})"
         )
+
+
+class HeldRequests(set):
+    """The requests whose waits block in one composite.
+
+    A wait that blocks is in the set while it does (two C calls, and none
+    for a request completed on the thread that waits for it), so
+    :meth:`fail_all` can end it when the composite shuts down; a wait that
+    registers after that finds ``error`` set and fails at once.
+    """
+
+    error: BaseException | None = None
+
+    def fail_all(self, error: BaseException) -> None:
+        """Fail every held request, and each one that registers later."""
+        self.error = error  # before the snapshot: a later add sees it
+        for request in list(self):
+            request.fail(error)

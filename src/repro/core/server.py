@@ -23,8 +23,8 @@ from repro.cactus.runtime import CactusRuntime
 from repro.core.events import CONTROL_EVENT_PREFIX, EV_NEW_SERVER_REQUEST
 from repro.core.interfaces import ControlMessage, ServerPlatform
 from repro.core.piggyback import wrap_reply_value
-from repro.core.request import Request
-from repro.util.errors import ConfigurationError
+from repro.core.request import HeldRequests, Request
+from repro.util.errors import ConfigurationError, ServerFailedError
 
 SHARED_PLATFORM = "platform"
 SHARED_PRIORITY_POLICY = "priority_policy"
@@ -45,6 +45,8 @@ class CactusServer(CompositeProtocol):
         super().__init__(name, runtime=runtime)
         self.platform = platform
         self.request_timeout = request_timeout
+        # Requests whose cactus_invoke blocks waiting: shutdown fails them.
+        self._held = HeldRequests()
         self.shared.set(SHARED_PLATFORM, platform)
         if priority_policy is not None:
             self.shared.set(SHARED_PRIORITY_POLICY, priority_policy)
@@ -80,12 +82,19 @@ class CactusServer(CompositeProtocol):
         """
         try:
             self._new_server_request.raise_blocking(request)
-            value = request.wait(self.request_timeout)
+            value = request.wait(self.request_timeout, self._held)
         except BaseException as exc:
             request.fail(exc)  # no-op when already completed
             raise
         reply_piggyback = request.reply_piggyback
         return wrap_reply_value(value, reply_piggyback) if reply_piggyback else value
+
+    def shutdown(self) -> None:
+        """Unbind every micro-protocol and fail each request still held
+        (queued by an ordering or a scheduler, or waiting for one), so its
+        dispatch thread returns now instead of after ``request_timeout``."""
+        super().shutdown()
+        self._held.fail_all(ServerFailedError(f"{self.name} shut down with the request held"))
 
     def handle_control(self, kind: str, payload: dict, sender: int) -> Any:
         """Deliver a peer control message to its ``control:<kind>`` event.

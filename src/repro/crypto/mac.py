@@ -3,17 +3,22 @@
 The paper's integrity micro-protocol signs the request parameters and reply
 value.  With only symmetric keys in the prototype, a keyed MAC is the
 signature scheme: we implement the HMAC construction explicitly over a
-:mod:`hashlib` digest (the hash primitive is the only borrowed piece; the
+hash object (the hash primitive is the only borrowed piece; the
 construction itself, including key normalization and the ipad/opad scheme,
 is spelled out here).  :class:`KeyedMac` does the part that depends only on
 the key once: a digest is a copy of two keyed hash states plus the message.
 
 :mod:`hashlib` and :mod:`hmac` load OpenSSL's libcrypto (about 3.5 MB
-resident), so they are imported when the first :class:`KeyedMac` is built,
-not with this module: a process that configures no integrity never loads it.
+resident), so neither is used for what CPython builds in: SHA-256, the
+digest the integrity micro-protocols sign with, comes from the builtin
+``_sha2`` (``_sha256`` before 3.12), and verification compares with
+``_operator._compare_digest``, the function ``hmac.compare_digest`` is
+without OpenSSL.  :mod:`hashlib` is imported only for another digest name.
 """
 
 from __future__ import annotations
+
+from _operator import _compare_digest
 
 from repro.util.errors import ConfigurationError
 
@@ -21,8 +26,20 @@ _IPAD = bytes(b ^ 0x36 for b in range(256))
 _OPAD = bytes(b ^ 0x5C for b in range(256))
 
 
+def _builtin_sha256():
+    """CPython's own SHA-256 constructor, or None where it is not built."""
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            return None
+    return sha256
+
+
 class KeyedMac:
-    """HMAC under one key and one named hashlib digest.
+    """HMAC under one key and one named digest (SHA-256 by default).
 
     Implements RFC 2104 directly:
     ``H((K' ^ opad) || H((K' ^ ipad) || message))`` where ``K'`` is the key
@@ -31,14 +48,14 @@ class KeyedMac:
     """
 
     def __init__(self, key: bytes, hash_name: str = "sha256"):
-        global hmac  # read by verify(), which no instance can reach before this
-        import hashlib
-        import hmac  # only for compare_digest semantics
+        make_hash = _builtin_sha256() if hash_name == "sha256" else None
+        if make_hash is None:
+            import hashlib
 
-        # Guaranteed by hashlib and of fixed length (SHAKE takes its length per call).
-        if hash_name not in hashlib.algorithms_guaranteed or hash_name.startswith("shake_"):
-            raise ConfigurationError(f"not a fixed-length hashlib digest: {hash_name!r}")
-        make_hash = getattr(hashlib, hash_name)
+            # Guaranteed by hashlib and of fixed length (SHAKE takes its length per call).
+            if hash_name not in hashlib.algorithms_guaranteed or hash_name.startswith("shake_"):
+                raise ConfigurationError(f"not a fixed-length hashlib digest: {hash_name!r}")
+            make_hash = getattr(hashlib, hash_name)
         block_size = make_hash().block_size
         if len(key) > block_size:
             key = make_hash(key).digest()
@@ -57,6 +74,6 @@ class KeyedMac:
     def verify(self, message: bytes, signature: bytes) -> bool:
         """Constant-time verification of a signature from :meth:`digest`;
         whatever is not bytes (a peer sent it) is not a signature."""
-        return isinstance(signature, (bytes, bytearray)) and hmac.compare_digest(
+        return isinstance(signature, (bytes, bytearray)) and _compare_digest(
             self.digest(message), signature
         )

@@ -5,7 +5,7 @@ Every frame on a TCP connection is a ``>IQ`` header (payload length,
 and writes frames; this module holds the header layout, the size limit and
 the one refusal both directions share.  ``tests/oracles/framing_reference.py``
 states the same bytes independently, and the property tests hold
-``write_frame_mux`` / ``read_frame_mux`` against it.
+``write_frame_mux`` and ``FrameReader`` against it.
 """
 
 from __future__ import annotations

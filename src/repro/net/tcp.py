@@ -6,30 +6,27 @@ maps ``"host/service"`` addresses to ports so the two transports stay
 interchangeable.
 
 Wire format (:mod:`repro.net.framing`): every frame carries a ``>IQ``
-header — payload length plus a 64-bit correlation id — so one TCP
-connection carries many concurrent in-flight calls.  The client side uses a
-leader/follower demultiplexer: a caller that finds nobody reading reads the
-socket and completes other callers' slots by correlation id, so a
-single-client workload reads its own reply on its own thread (no
-background thread, no handoff latency) while concurrent callers pipeline,
-each parked on its own slot and woken once, by its reply or by the
-readership being handed to it.
-The server side reads frames on one thread per connection and dispatches
-handlers inline when the socket has no further pipelined data, or onto a
-per-connection lane of at most ``_SERVER_WORKERS`` when it does — again
-keeping the serial fast path allocation-free.  Every thread here (accept,
-serve, lane, demultiplexer) is borrowed from the network's one set.
+header (payload length, 64-bit correlation id), so one connection carries
+many concurrent calls.  Each socket is read through its own
+:class:`FrameReader`: one ``recv`` per frame, none for a frame already
+buffered.  The client side is a leader/follower demultiplexer: a caller
+that finds nobody reading reads the socket and completes other callers'
+slots by correlation id, so a lone caller reads its own reply on its own
+thread, while concurrent callers pipeline, each parked on its own slot and
+woken once.  The server side reads frames on one thread per connection and
+runs a request inline when its reader holds nothing behind it, or on a
+per-connection lane of at most ``_SERVER_WORKERS`` when it does.  Every
+thread here (accept, serve, lane, demultiplexer) is borrowed from the
+network's one set.
 
 Crash injection closes the host's server sockets and refuses new accepts
-until :meth:`TcpNetwork.recover`, at which point the same listeners re-open
-on the same logical addresses (new ports, re-resolved through the name
-table) — enough fidelity for failover tests.
+until :meth:`TcpNetwork.recover`, when the same listeners re-open on the
+same logical addresses (new ports, re-resolved through the name table).
 """
 
 from __future__ import annotations
 
 import os
-import select
 import socket
 import struct
 import threading
@@ -64,39 +61,60 @@ logger = get_logger("net.tcp")
 _SERVER_WORKERS = max(4, min(16, 2 * (os.cpu_count() or 1)))
 
 
-def _read_exact(sock: socket.socket, n: int) -> bytes:
-    chunks = []
-    remaining = n
-    while remaining:
-        chunk = sock.recv(remaining)
-        if not chunk:
-            raise CommunicationError("peer closed the connection")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return chunks[0] if len(chunks) == 1 else b"".join(chunks)
+#: What one ``recv`` asks for when nothing is buffered: a small frame, or a
+#: burst of them, in one system call.
+_RECV_SIZE = 64 * 1024
+_HEADER_SIZE = FRAME_HEADER.size
+_unpack_header = FRAME_HEADER.unpack_from
 
 
-# On the per-frame paths below the size limit is compared inline and
-# ``check_frame_size`` (which owns the message and the raise) is entered only
-# for a frame that fails it, and each half of a frame is one ``recv``:
-# ``_read_exact``'s loop is entered only when the kernel hands back less than
-# was asked for.
+class FrameReader:
+    """Reads the frames of one socket through what it has received.
 
+    The buffer is the last chunk ``recv`` returned, from offset ``pos`` to
+    its length ``end``: a frame costs one ``recv`` when nothing is buffered
+    and none when it is, and each frame of a burst is one payload slice.
+    Only a frame the chunk cuts short is read on, to its last byte and no
+    further; an over-limit header is refused before its payload is read.
+    """
 
-def read_frame_mux(sock: socket.socket) -> tuple[int, bytes]:
-    """Read one frame; returns ``(request_id, payload)``."""
-    header = sock.recv(FRAME_HEADER.size)
-    if len(header) != FRAME_HEADER.size:
-        header += _read_exact(sock, FRAME_HEADER.size - len(header))
-    length, request_id = FRAME_HEADER.unpack(header)
-    if length > framing.MAX_FRAME:
-        check_frame_size(length)
-    if not length:
-        return request_id, b""  # recv(0) would read as end of stream
-    payload = sock.recv(length)
-    if len(payload) != length:
-        payload += _read_exact(sock, length - len(payload))
-    return request_id, payload
+    __slots__ = ("sock", "chunk", "pos", "end")
+
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
+        self.chunk = b""
+        self.pos = self.end = 0
+
+    def read(self) -> tuple[int, bytes]:
+        """Read one frame; returns ``(request_id, payload)``."""
+        chunk, pos, end = self.chunk, self.pos, self.end
+        if pos == end:
+            chunk = self.sock.recv(_RECV_SIZE)
+            pos, end = 0, len(chunk)
+        start = pos + _HEADER_SIZE
+        if start > end:  # the header is cut short, or the peer closed
+            chunk = self._rest(chunk[pos:end], start - end)
+            pos, end, start = 0, _HEADER_SIZE, _HEADER_SIZE
+        length, request_id = _unpack_header(chunk, pos)
+        if length > framing.MAX_FRAME:
+            check_frame_size(length)
+        stop = start + length
+        if stop > end:  # the payload is cut short
+            self.pos = self.end = 0
+            return request_id, self._rest(chunk[start:end], stop - end)
+        self.chunk, self.pos, self.end = chunk, stop, end
+        return request_id, chunk[start:stop]
+
+    def _rest(self, head: bytes, missing: int) -> bytes:
+        """``head`` and the next ``missing`` bytes of the stream."""
+        parts = [head]
+        while missing:
+            more = self.sock.recv(missing)
+            if not more:
+                raise CommunicationError("peer closed the connection")
+            parts.append(more)
+            missing -= len(more)
+        return b"".join(parts)
 
 
 def write_frame_mux(sock: socket.socket, request_id: int, data) -> None:
@@ -113,7 +131,7 @@ def write_frame_mux(sock: socket.socket, request_id: int, data) -> None:
     if size > framing.MAX_FRAME:
         check_frame_size(size)
     header = FRAME_HEADER.pack(size, request_id)
-    if size <= 0xFFFF and isinstance(data, bytes):
+    if size <= 0xFFFF and type(data) is bytes:
         sock.sendall(header + data)
     else:
         sock.sendall(header)
@@ -136,9 +154,7 @@ def _shut(sock: socket.socket) -> None:
 def _reset_connection(sock: socket.socket) -> None:
     """Close ``sock`` with an immediate RST so a blocked peer fails fast."""
     try:
-        sock.setsockopt(
-            socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
-        )
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
     except OSError:
         pass
     try:
@@ -193,11 +209,9 @@ class _TcpListener(Listener):
             with self._lock:
                 # A connection can sit in the kernel backlog across a crash;
                 # accepting it after suspend() must not resurrect the host.
-                if self._suspended:
-                    stale = True
-                else:
+                stale = self._suspended
+                if not stale:
                     self._accepted.add(conn)
-                    stale = False
             if stale:
                 _reset_connection(conn)
                 continue
@@ -216,31 +230,26 @@ class _TcpListener(Listener):
                     conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 except OSError:
                     return  # crash injection closed the socket before we ran
-                polled = [conn]
+                reader = FrameReader(conn)
                 while True:
                     try:
-                        request_id, request = read_frame_mux(conn)
+                        request_id, request = reader.read()
                     except FrameTooLargeError as exc:
                         logger.warning("%s: %s; resetting connection", self.address, exc)
                         _reset_connection(conn)
                         return
                     except (CommunicationError, OSError):
                         return
-                    with self._lock:
-                        suspended = self._suspended
-                    if suspended:
+                    # No lock: suspend() sets the flag in one store.
+                    if self._suspended:
                         _reset_connection(conn)
                         return
-                    # Dispatch by what is buffered: bytes already waiting
-                    # behind this request mean the client pipelines, so the
-                    # request goes to the lane and the reader keeps
-                    # draining the socket; an empty buffer means the client
-                    # waits for this reply, so it runs inline, no handoff.
-                    try:
-                        pipelined = select.select(polled, (), (), 0)[0]
-                    except (OSError, ValueError):
-                        pipelined = ()  # closed under us: the write will tell
-                    if pipelined:
+                    # Dispatch by what the reader holds: bytes already
+                    # buffered behind this request mean the client
+                    # pipelines, so the request goes to the lane and the
+                    # reader keeps draining; an empty buffer means the
+                    # client waits for this reply, so it runs inline.
+                    if reader.pos < reader.end:
                         lane.submit(self._serve_one, conn, write_lock, request_id, request)
                     elif not self._serve_one(conn, write_lock, request_id, request):
                         return
@@ -387,6 +396,8 @@ class _TcpMuxConnection(Connection):
         self._lock = threading.Lock()
         self._write_lock = threading.Lock()
         self._sock: socket.socket | None = None
+        # ``_sock``'s reader, made, dropped and captured with it under the lock.
+        self._reader: FrameReader | None = None
         # The socket whose timeout is known to be None: a reader that wants
         # none calls settimeout only after a deadline read changed it.
         self._untimed: socket.socket | None = None
@@ -415,10 +426,12 @@ class _TcpMuxConnection(Connection):
         except OSError as exc:
             raise CommunicationError(f"call to {self._address} failed: {exc}") from exc
         self._sock = self._untimed = sock
+        self._reader = FrameReader(sock)
         return sock
 
-    def _reset_locked(self, sock: socket.socket | None, error: BaseException) -> None:
-        """Fail every pending call and drop ``sock`` (lock held).
+    def _reset_locked(self, sock: socket.socket | None, reason: str) -> None:
+        """Fail every pending call with the ``reason`` the call to this
+        address ended for, and drop ``sock`` (lock held).
 
         A no-op once ``sock`` is no longer the connection's socket: the
         reset that replaced it already failed every call pending on it.
@@ -427,7 +440,8 @@ class _TcpMuxConnection(Connection):
             return
         if sock is not None:
             _shut(sock)
-            self._sock = None
+            self._sock = self._reader = None
+        error = CommunicationError(f"call to {self._address} {reason}")
         for slot in self._pending.values():
             slot.settle(None, error)
         self._pending.clear()
@@ -466,6 +480,7 @@ class _TcpMuxConnection(Connection):
             sock = self._sock
             if sock is None:
                 sock = self._connect()
+            reader = self._reader
             lead = not (self._pending or self._reader_active) and self._write_lock.acquire(False)
             if lead:
                 self._reader_active = True
@@ -480,19 +495,17 @@ class _TcpMuxConnection(Connection):
                 self._write_lock.release()
         except OSError as exc:
             with self._lock:
-                self._reset_locked(
-                    sock, CommunicationError(f"call to {self._address} failed: {exc}")
-                )
+                self._reset_locked(sock, f"failed: {exc}")
             if isinstance(exc, socket.timeout):
                 raise TimeoutError_(f"call to {self._address} timed out") from exc
             raise slot.error from exc
         deadline = None if timeout is None else time.monotonic() + timeout
         if lead:
-            return self._lead_reads(sock, request_id, slot, deadline)
-        return self._follow(sock, request_id, slot, deadline)
+            return self._lead_reads(reader, request_id, slot, deadline)
+        return self._follow(reader, request_id, slot, deadline)
 
     def _follow(
-        self, sock: socket.socket, request_id: int, slot: _PendingReply, deadline: float | None
+        self, reader: FrameReader, request_id: int, slot: _PendingReply, deadline: float | None
     ) -> bytes:
         """With our frame written, read if nobody does; else park until our
         slot settles or the readership is handed to us."""
@@ -508,30 +521,24 @@ class _TcpMuxConnection(Connection):
                 slot.park()
             elif not slot.park(max(deadline - time.monotonic(), 0.0)):
                 with self._lock:
-                    if not slot.done and not slot.lead:
-                        # Follower timeout: drop only this call; the stream
-                        # stays framed and the late reply is discarded by
-                        # whoever reads it.
+                    if not slot.done and not slot.lead:  # a follower's timeout
                         self._pending.pop(request_id, None)
                         raise TimeoutError_(f"call to {self._address} timed out")
         if slot.done:
             if slot.error is not None:
                 raise slot.error
             return slot.value  # type: ignore[return-value]
-        return self._lead_reads(sock, request_id, slot, deadline)
+        return self._lead_reads(reader, request_id, slot, deadline)
 
     def _lead_reads(
-        self,
-        sock: socket.socket,
-        request_id: int,
-        slot: _PendingReply,
-        deadline: float | None,
+        self, reader: FrameReader, request_id: int, slot: _PendingReply, deadline: float | None
     ) -> bytes:
         """Read frames as the leader until our reply arrives; return it.
 
         Raises our slot's error once a read error here, or a reset or
         ``close()`` elsewhere, failed it.
         """
+        sock = reader.sock
         while True:
             try:
                 if deadline is not None:
@@ -543,21 +550,17 @@ class _TcpMuxConnection(Connection):
                 elif self._untimed is not sock:
                     sock.settimeout(None)
                     self._untimed = sock
-                reply_id, payload = read_frame_mux(sock)
+                reply_id, payload = reader.read()
             except socket.timeout as exc:
                 # Leader timeout: the read may have stopped mid-frame, so
                 # the stream can no longer be trusted — reset everything.
                 with self._lock:
                     slot.settle(None, TimeoutError_(f"call to {self._address} timed out"))
-                    self._reset_locked(
-                        sock, CommunicationError(f"call to {self._address} timed out")
-                    )
+                    self._reset_locked(sock, "timed out")
                 raise slot.error from exc
             except (OSError, CommunicationError) as exc:
                 with self._lock:
-                    self._reset_locked(
-                        sock, CommunicationError(f"call to {self._address} failed: {exc}")
-                    )
+                    self._reset_locked(sock, f"failed: {exc}")
                 raise slot.error from exc
             with self._lock:
                 arrived = self._pending.pop(reply_id, None)
@@ -623,9 +626,7 @@ class _TcpMuxConnection(Connection):
             with self._lock:
                 if isinstance(exc, socket.timeout):
                     slot.settle(None, TimeoutError_(f"call to {self._address} timed out"))
-                self._reset_locked(
-                    sock, CommunicationError(f"call to {self._address} failed: {exc}")
-                )
+                self._reset_locked(sock, f"failed: {exc}")
         return reply
 
     def _abandon(self, request_id: int) -> None:
@@ -648,28 +649,27 @@ class _TcpMuxConnection(Connection):
                     return
                 if self._reader_active or not self._pending:
                     self._demux_parked = True
-                    sock = None
+                    reader = None
                 else:
                     self._reader_active = True
-                    sock = self._sock
-            if sock is None:
+                    reader = self._reader
+            if reader is None:
                 waiter.acquire()
             else:
-                self._demux_reads(sock)
+                self._demux_reads(reader)
 
-    def _demux_reads(self, sock: socket.socket) -> None:
+    def _demux_reads(self, reader: FrameReader) -> None:
         """Read frames with a blocking ``recv`` until nothing is pending."""
+        sock = reader.sock
         while True:
             try:
                 if self._untimed is not sock:
                     sock.settimeout(None)
                     self._untimed = sock
-                reply_id, payload = read_frame_mux(sock)
+                reply_id, payload = reader.read()
             except (OSError, CommunicationError) as exc:
                 with self._lock:
-                    self._reset_locked(
-                        sock, CommunicationError(f"call to {self._address} failed: {exc}")
-                    )
+                    self._reset_locked(sock, f"failed: {exc}")
                 return
             with self._lock:
                 if self._sock is not sock:
@@ -684,7 +684,7 @@ class _TcpMuxConnection(Connection):
     def close(self) -> None:
         with self._lock:
             self._closed = True
-            self._reset_locked(self._sock, CommunicationError("connection is closed"))
+            self._reset_locked(self._sock, "failed: connection is closed")
             self._wake_demux_locked()
 
 

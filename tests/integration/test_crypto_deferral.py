@@ -1,8 +1,9 @@
 """Security costs nothing until a security micro-protocol is built.
 
 OpenSSL's libcrypto (``_hashlib``, loaded by :mod:`hashlib` and
-:mod:`hmac`) comes with the first :class:`~repro.crypto.mac.KeyedMac`, and
-DES's derived tables with the first :class:`~repro.crypto.des.DesCipher`.
+:mod:`hmac`) comes only with a :class:`~repro.crypto.mac.KeyedMac` over a
+digest CPython does not build in (SHA-256, the integrity default, it does),
+and DES's derived tables with the first :class:`~repro.crypto.des.DesCipher`.
 A deployment that configures neither (a base deployment on any platform, a
 sharded object space) loads and builds neither, even after its first reply;
 importing the security micro-protocols still builds nothing.  Each check runs
@@ -66,8 +67,9 @@ def test_a_shard_space_first_reply_loads_no_openssl_and_builds_no_des_table():
 
 def test_building_a_security_micro_protocol_builds_what_it_needs():
     """Importing the security micro-protocols loads and builds nothing;
-    ``SignedIntegrity`` loads OpenSSL and ``DesPrivacy`` derives the DES
-    tables, each only when it is built."""
+    building ``SignedIntegrity`` loads no OpenSSL either (its HMAC-SHA-256
+    runs on CPython's builtin hash), and ``DesPrivacy`` derives the DES
+    tables only when it is built."""
     imported, signed, private = run_fresh("""
         from repro.qos import DesPrivacy, SignedIntegrity
 
@@ -78,8 +80,8 @@ def test_building_a_security_micro_protocol_builds_what_it_needs():
         print(json.dumps(state()))
     """)
     assert imported == {"hashlib": False, "des": False}
-    assert signed == {"hashlib": True, "des": False}
-    assert private == {"hashlib": True, "des": True}
+    assert signed == {"hashlib": False, "des": False}
+    assert private == {"hashlib": False, "des": True}
 
 
 def test_four_threads_making_the_first_cipher_at_once_all_get_fips_answers():

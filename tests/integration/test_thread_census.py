@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import sys
 import threading
+import time
 
 import pytest
 
@@ -21,13 +22,16 @@ from repro.core.service import CqosDeployment
 from repro.net.memory import InMemoryNetwork
 from repro.net.tcp import TcpNetwork
 from repro.net.transport import Network
-from repro.qos import ActiveRep, TimedSched
+from repro.qos import ActiveRep, TimedSched, TotalOrder
 from repro.util import concurrency
+from repro.util.errors import ReproError
 from tests.unit.test_concurrency import alive_threads, poll
 
 OBJECTS = 64
 HANDFUL = 4
 GRACE_S = 2.0  # cqosbench's leak-check grace
+#: How soon a caller whose request is held must be back once close() is called.
+CLOSE_BOUND_S = 1.0
 
 
 def _workers():
@@ -206,3 +210,54 @@ def test_close_leaves_no_thread_of_the_set(deployed, monkeypatch):
     assert leftover()  # parked for a minute, loops waiting: were it not for close()
     dep.close()
     assert poll(lambda: not leftover(), timeout=GRACE_S), sorted(t.name for t in leftover())
+
+
+def test_close_fails_the_requests_totalorder_backups_hold(deployed):
+    """With the sequencer crashed, both backups hold the call unordered in
+    ``TotalOrder``, the client's ``quorum:2`` gather waits for them and the
+    caller waits for the gather: ``close()`` fails all of them at once (the
+    parent let each wait out its 10 s ``request_timeout``), so the caller
+    sees an error at once and no thread is left."""
+    dep, leftover = deployed
+    orders = []
+
+    def total_order():
+        orders.append(TotalOrder(order_timeout=60.0))
+        return [orders[-1]]
+
+    dep.add_replicas(
+        "acct", BankAccount, bank_interface(), replicas=3, server_micro_protocols=total_order
+    )
+    stub = dep.client_stub(
+        "acct", bank_interface(),
+        client_micro_protocols=lambda: [ActiveRep(gather_policy="quorum:2")],
+    )
+    dep.crash_replica("acct", 1)
+    outcome = []
+
+    def call():
+        try:
+            outcome.append(stub.deposit(1.0))
+        except ReproError as exc:  # the client's composite or a backup's reply failed it
+            outcome.append(exc)
+
+    def caller_waits():  # in the client's wait for the gather
+        frame = sys._current_frames().get(caller.ident)
+        while frame is not None and frame.f_code is not Request.wait.__code__:
+            frame = frame.f_back
+        return frame is not None
+
+    caller = threading.Thread(target=call)
+    caller.start()
+    assert poll(lambda: sum(len(order._unordered) for order in orders) == 2 and caller_waits())
+    start = time.monotonic()
+    dep.close()
+    closed = time.monotonic() - start
+    caller.join(CLOSE_BOUND_S)
+    returned = time.monotonic() - start
+    assert poll(lambda: not leftover(), timeout=GRACE_S), sorted(t.name for t in leftover())
+    quiescent = time.monotonic() - start
+    print(f"close {closed * 1e3:.1f} ms, caller back {returned * 1e3:.1f} ms, "
+          f"no thread left {quiescent * 1e3:.1f} ms")
+    assert not caller.is_alive() and isinstance(outcome[0], ReproError)
+    assert returned < CLOSE_BOUND_S < dep.request_timeout

@@ -1,4 +1,4 @@
-"""Property tests for the frame format and the two functions that speak it.
+"""Property tests for the frame format and the code that speaks it.
 
 The oracle (``tests/oracles/framing_reference.py``) states the wire bytes
 without a socket; the algebra it must satisfy is:
@@ -11,10 +11,11 @@ without a socket; the algebra it must satisfy is:
 ``repro.net.tcp`` is then held to the oracle: ``write_frame_mux`` puts
 exactly ``encode_frame``'s bytes on the socket on both of its branches (one
 ``sendall`` for a small ``bytes`` payload, two for a large or non-``bytes``
-one), and ``read_frame_mux`` over a socket that returns whatever chunk
-sizes it likes yields exactly the oracle decoder's frames, refusing an
-over-limit header before it reads a payload byte; a stream cut anywhere
-yields its whole frames and then fails, never a short payload.
+one), and a ``FrameReader`` over a socket that returns whatever chunk sizes
+it likes (several frames in one chunk included) yields exactly the oracle
+decoder's frames, refusing an over-limit header before it reads a byte of
+its payload; a stream cut anywhere yields its whole frames and then fails,
+never a short payload.
 """
 
 import pytest
@@ -22,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net import framing
-from repro.net.tcp import read_frame_mux, write_frame_mux
+from repro.net.tcp import FrameReader, write_frame_mux
 from repro.util.errors import CommunicationError, FrameTooLargeError
 from tests.oracles.framing_reference import FrameDecoder, encode_frame
 
@@ -93,18 +94,21 @@ class _RecordingSocket:
 class _ChunkedSocket:
     """``recv`` hands out the stream in the chunk sizes it was given, never
     more than asked for; once the sizes run out it returns all that was
-    asked for, and ``b""`` at end of stream."""
+    asked for, and ``b""`` at end of stream.  ``ends`` records the stream
+    position after each ``recv``."""
 
     def __init__(self, stream: bytes, sizes: list[int]):
         self._stream = stream
         self._sizes = list(sizes)
         self.pos = 0
+        self.ends: list[int] = []
 
     def recv(self, n: int) -> bytes:
         if self._sizes:
             n = min(n, self._sizes.pop(0))
         chunk = self._stream[self.pos : self.pos + n]
         self.pos += len(chunk)
+        self.ends.append(self.pos)
         return chunk
 
 
@@ -131,15 +135,18 @@ def test_write_frame_mux_sends_the_oracle_bytes(frames):
     )
 
 
-@given(
-    frames=frames_strategy,
-    sizes=st.lists(st.integers(min_value=1, max_value=64), max_size=200),
-)
-def test_read_frame_mux_over_any_recv_chunking_yields_the_oracle_frames(frames, sizes):
+# Chunk sizes up to a few frames long, so one chunk often holds several.
+chunk_sizes = st.lists(st.integers(min_value=1, max_value=600), max_size=200)
+
+
+@given(frames=frames_strategy, sizes=chunk_sizes)
+def test_frame_reader_over_any_recv_chunking_yields_the_oracle_frames(frames, sizes):
     stream = b"".join(encode_frame(rid, payload) for rid, payload in frames)
     sock = _ChunkedSocket(stream, sizes)
-    assert [read_frame_mux(sock) for _ in frames] == FrameDecoder().feed(stream)
+    reader = FrameReader(sock)
+    assert [reader.read() for _ in frames] == FrameDecoder().feed(stream)
     assert sock.pos == len(stream)
+    assert reader.pos == reader.end  # nothing left buffered
 
 
 @given(
@@ -147,26 +154,30 @@ def test_read_frame_mux_over_any_recv_chunking_yields_the_oracle_frames(frames, 
     excess=st.integers(min_value=1, max_value=2**32 - 1 - framing.MAX_FRAME),
     sizes=st.lists(st.integers(min_value=1, max_value=12), max_size=12),
 )
-def test_read_frame_mux_refuses_an_over_limit_header_before_its_payload(
+def test_frame_reader_refuses_an_over_limit_header_before_its_payload(
     request_id, excess, sizes
 ):
     header = framing.FRAME_HEADER.pack(framing.MAX_FRAME + excess, request_id)
     sock = _ChunkedSocket(header + b"payload bytes that must stay unread", sizes)
     with pytest.raises(FrameTooLargeError):
-        read_frame_mux(sock)
-    assert sock.pos == len(header)
+        FrameReader(sock).read()
+    # The recv that completed the header was the last one: whatever payload
+    # bytes came in the same chunk, none was asked for after it.
+    assert sock.ends[-1] >= len(header)
+    assert len(sock.ends) == 1 or sock.ends[-2] < len(header)
 
 
 @given(
     frames=st.lists(st.tuples(request_ids, st.binary(max_size=200)), min_size=1, max_size=20),
     data=st.data(),
 )
-def test_read_frame_mux_over_a_cut_stream_yields_whole_frames_then_fails(frames, data):
+def test_frame_reader_over_a_cut_stream_yields_whole_frames_then_fails(frames, data):
     stream = b"".join(encode_frame(rid, payload) for rid, payload in frames)
     prefix = stream[: data.draw(st.integers(min_value=0, max_value=len(stream) - 1))]
-    sizes = data.draw(st.lists(st.integers(min_value=1, max_value=64), max_size=200))
+    sizes = data.draw(chunk_sizes)
     sock = _ChunkedSocket(prefix, sizes)
+    reader = FrameReader(sock)
     whole = FrameDecoder().feed(prefix)
-    assert [read_frame_mux(sock) for _ in whole] == whole
+    assert [reader.read() for _ in whole] == whole
     with pytest.raises(CommunicationError):
-        read_frame_mux(sock)
+        reader.read()

@@ -19,7 +19,7 @@ from repro.net.framing import FRAME_HEADER
 from repro.net.memory import InMemoryNetwork
 from repro.net.pool import ConnectionPool
 from repro.net import tcp
-from repro.net.tcp import TcpNetwork, read_frame_mux
+from repro.net.tcp import FrameReader, TcpNetwork
 from repro.util.errors import CommunicationError, TimeoutError_
 
 
@@ -149,7 +149,8 @@ class TestServerDispatch:
                 raw.sendall(
                     b"".join(FRAME_HEADER.pack(1, rid) + b"x" for rid in range(1, 5))
                 )
-                replies = dict(read_frame_mux(raw) for _ in range(4))
+                reader = FrameReader(raw)
+                replies = dict(reader.read() for _ in range(4))
         finally:
             net.close()
         assert replies == {1: b"ok", 2: b"ok", 3: b"ok", 4: b"ok"}
@@ -181,6 +182,71 @@ class TestServerDispatch:
             threading.setprofile(None)
             net.close()
         assert seen == []
+
+    def test_serving_makes_no_select_call(self):
+        """The listener's dispatch rule reads the frame reader's buffer, so
+        no thread makes a ``select`` call while a serial and a pipelined
+        client are served."""
+        seen = []
+
+        def hook(frame, event, arg):
+            if event == "c_call" and getattr(arg, "__module__", None) == "select":
+                seen.append(arg.__name__)
+
+        threading.setprofile(hook)  # the network's threads start under it
+        net = TcpNetwork()
+        try:
+            net.host("server").listen("echo", lambda d: d)
+            connection = net.host("client").connect("server/echo")
+            sys.setprofile(hook)
+            try:
+                for i in range(20):
+                    assert connection.call(b"%d" % i) == b"%d" % i
+                replies = [connection.call_async(b"%d" % i) for i in range(20)]
+                assert [reply.result(5.0) for reply in replies] == [
+                    b"%d" % i for i in range(20)
+                ]
+            finally:
+                sys.setprofile(None)
+            connection.close()
+        finally:
+            threading.setprofile(None)
+            net.close()
+        assert seen == []
+
+    def test_a_serial_echo_makes_one_recv_per_frame_on_each_side(self):
+        """Each request and each reply of a serial echo is read with one
+        ``recv``: the client's reader and the listener's each ask for up to
+        64 KiB when nothing is buffered, header and payload together."""
+        recording = threading.Event()
+        returned = []  # the thread of each recv that returned while recording
+
+        def hook(frame, event, arg):
+            if event == "c_return" and recording.is_set() and getattr(arg, "__name__", None) == "recv":
+                returned.append(threading.get_ident())
+
+        threading.setprofile(hook)  # the serving thread starts under it
+        net = TcpNetwork()
+        try:
+            net.host("server").listen("echo", lambda d: d)
+            connection = net.host("client").connect("server/echo")
+            assert connection.call(b"warm") == b"warm"
+            sys.setprofile(hook)
+            recording.set()
+            try:
+                for i in range(50):
+                    assert connection.call(b"%d" % i) == b"%d" % i
+            finally:
+                recording.clear()
+                sys.setprofile(None)
+            connection.close()
+        finally:
+            threading.setprofile(None)
+            net.close()
+        client = threading.get_ident()
+        assert returned.count(client) == 50
+        assert len(set(returned) - {client}) == 1  # the serving thread
+        assert len(returned) == 100
 
 
 class TestClientConnection:

@@ -1,12 +1,13 @@
 """Unit tests for the TCP loopback transport."""
 
+import socket
 import threading
 import time
 
 import pytest
 
 from repro.net import framing as framing_mod
-from repro.net.tcp import TcpNetwork
+from repro.net.tcp import FrameReader, TcpNetwork, write_frame_mux
 from tests.conftest import open_sockets
 from tests.unit.test_mux_concurrency import thread_stacks
 from repro.util.errors import (
@@ -22,6 +23,75 @@ def net():
     network = TcpNetwork()
     yield network
     network.close()
+
+
+class _CountingSocket:
+    """A socket that counts its ``recv`` calls."""
+
+    def __init__(self, sock):
+        self._sock = sock
+        self.recvs = 0
+
+    def recv(self, n):
+        self.recvs += 1
+        return self._sock.recv(n)
+
+
+class TestFrameReader:
+    @pytest.fixture
+    def pair(self):
+        a, b = socket.socketpair()
+        yield a, _CountingSocket(b)
+        a.close()
+        b.close()
+
+    def test_a_whole_frame_costs_one_recv(self, pair):
+        writer, counted = pair
+        reader = FrameReader(counted)
+        for request_id, payload in [(1, b"x" * 100), (2, b""), (3, b"y" * 5000)]:
+            write_frame_mux(writer, request_id, payload)
+            assert reader.read() == (request_id, payload)
+        assert counted.recvs == 3
+        assert reader.pos == reader.end
+
+    def test_a_buffered_frame_costs_no_recv(self, pair):
+        writer, counted = pair
+        frames = [(k, b"%d" % k * k) for k in range(1, 9)]
+        writer.sendall(
+            b"".join(framing_mod.FRAME_HEADER.pack(len(p), k) + p for k, p in frames)
+        )
+        time.sleep(0.05)  # all eight frames in the receive buffer
+        reader = FrameReader(counted)
+        assert reader.read() == frames[0]
+        assert counted.recvs == 1
+        assert reader.pos < reader.end  # seven frames still held
+        assert [reader.read() for _ in frames[1:]] == frames[1:]
+        assert counted.recvs == 1
+        assert reader.pos == reader.end
+
+    def test_a_frame_longer_than_one_recv_is_read_to_its_end_only(self, pair):
+        writer, counted = pair
+        big = bytes(range(256)) * 1024  # 256 KiB: more than one recv's worth
+        done = threading.Event()
+
+        def write():
+            write_frame_mux(writer, 7, big)
+            write_frame_mux(writer, 8, b"next")
+            done.set()
+
+        threading.Thread(target=write).start()
+        reader = FrameReader(counted)
+        assert reader.read() == (7, big)
+        assert reader.pos == reader.end  # nothing past the frame was read
+        assert reader.read() == (8, b"next")
+        assert done.wait(5.0)
+
+    def test_end_of_stream_is_a_communication_error(self, pair):
+        writer, counted = pair
+        writer.sendall(framing_mod.FRAME_HEADER.pack(4, 1) + b"ab")
+        writer.shutdown(socket.SHUT_WR)
+        with pytest.raises(CommunicationError):
+            FrameReader(counted).read()
 
 
 class TestTcpDelivery:
