@@ -22,6 +22,7 @@ from repro.util.concurrency import (
     WorkerThreads,
     current_thread_priority,
 )
+from repro.util.errors import CommunicationError
 
 
 # Read once per process: ``os.cpu_count()`` reads sysfs on every call.
@@ -61,8 +62,18 @@ class CactusRuntime:
     def submit(
         self, fn: Callable[..., None], *args, priority: int | None = None
     ) -> ResultFuture:
-        """Run ``fn(*args)`` on the pool (at the caller's priority by default)."""
-        return self._executor.submit(fn, *args, priority=priority)
+        """Run ``fn(*args)`` on the pool (at the caller's priority by default).
+
+        Once the lane is shut this raises :class:`CommunicationError`, the
+        error a request held at shutdown fails with, so a call that was
+        still raising its events when its deployment closed gets a fault
+        of the taxonomy, not the executor's ``RuntimeError``."""
+        try:
+            return self._executor.submit(fn, *args, priority=priority)
+        except RuntimeError as exc:
+            if not self._closed:
+                raise
+            raise CommunicationError(str(exc)) from None
 
     def submit_delayed(
         self,

@@ -191,7 +191,11 @@ class ActiveRep(MicroProtocol):
                 self.raise_event(EV_READY_TO_SEND, request, server)
         finally:
             request.attributes.pop(ATTR_SCATTER, None)
-        self.composite.runtime.submit(self._gather, request, ctx)
+        try:
+            self.composite.runtime.submit(self._gather, request, ctx)
+        except CommunicationError:
+            ctx.scatter.abandon_rest()  # the lane is shut: nothing will gather them
+            raise
         occurrence.halt()
 
     def submit_invoker(self, occurrence: Occurrence) -> None:

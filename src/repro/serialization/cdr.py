@@ -21,6 +21,15 @@ read is an ``unpack_from`` at an aligned offset.  :func:`write_any` and
 containers, at most :data:`MAX_DEPTH` of them, are a chain of tuples in a
 local, each holding the next one out, so a push or a pop makes no call; the
 reader fills a dict as its keys and values arrive.
+
+A list or tuple of records of one shape is read record by record once the
+first is known: when a flat dict (``str`` keys, scalar values) closes inside
+a list with siblings still to come, :func:`read_any` learns its layout, one
+:class:`struct.Struct` for its start residue whose fields are the values and
+the structural runs (tags, pads, lengths, key text) between them.  A later
+sibling at that residue is one ``unpack_from`` and one comparison of its runs
+with the learned ones; any other sibling is read by the generic loop.  The
+layouts are locals of one walk and go with it.
 """
 
 from __future__ import annotations
@@ -39,6 +48,11 @@ from repro.util.errors import MarshalError
 
 _TRUNCATED = "CDR stream truncated"
 _TOO_DEEP = f"CDR any nested deeper than {MAX_DEPTH}"
+
+#: Records one walk of :func:`read_any` may try to learn a layout from; once
+#: it has tried them all, the first record that fits no layout of its
+#: residue ends reading by layout for the rest of the walk.
+_LAYOUTS = 4
 
 
 def _packers(code: str, align: int, tagged: bool = False) -> tuple:
@@ -243,6 +257,60 @@ def write_any(buf: bytearray, value: Any, registry: TypeRegistry = global_regist
         raise MarshalError(f"cannot marshal string: {exc}") from exc
 
 
+def _layout(data: bytes, start: int, end: int, record: dict) -> tuple | None:
+    """How to read a record shaped like ``record``, the dict just decoded
+    from ``data[start:end]``, at another offset with ``start``'s residue
+    modulo 8; None unless it is flat (``str`` keys, no repeated key, values
+    None, bool, 64-bit int, float or str).
+
+    The layout is the record's width, the ``unpack_from`` of a struct whose
+    fields alternate structural run and value, the runs as read here, the
+    keys, the keys whose values are text and the keys whose values are
+    constants.  The bytes decide what is structural, as they do for
+    :func:`read_any`; ``record`` only lends its key objects, which are the
+    same keys in the same order when no key repeats.
+    """
+    pos = start + 1
+    pos += -pos & 3
+    if _ULONG_AT(data, pos)[0] != len(record):
+        return None
+    pos += 4
+    mark = start  # where the structural run being read began
+    fmt = ">"
+    keys = tuple(record)
+    texts = ()
+    consts = {}
+    for key in keys:
+        if data[pos] != TAG_STR:
+            return None
+        pos += 1
+        pos += -pos & 3
+        pos += 4 + _ULONG_AT(data, pos)[0]
+        tag = data[pos]
+        pos += 1
+        if tag == TAG_FLOAT or tag == TAG_INT:
+            pos += -pos & 7
+            fmt += f"{pos - mark}s{'d' if tag == TAG_FLOAT else 'q'}"
+            pos += 8
+        elif tag == TAG_STR:
+            pos += -pos & 3
+            length = _ULONG_AT(data, pos)[0]
+            pos += 4
+            fmt += f"{pos - mark}s{length}s"
+            pos += length
+            texts += (key,)
+        elif tag == TAG_NONE or tag == TAG_TRUE or tag == TAG_FALSE:
+            fmt += f"{pos - mark}s0s"
+            consts[key] = record[key]
+        else:
+            return None
+        mark = pos
+    if pos != end:
+        return None
+    unpack = struct.Struct(fmt).unpack_from
+    return end - start, unpack, unpack(data, start)[::2], keys, texts, consts
+
+
 def read_any(data, pos: int, registry: TypeRegistry = global_registry) -> tuple[Any, int]:
     """Decode the tagged value at ``data[pos:]``; return it with the offset
     just past it.  Whatever is wrong with the bytes, the error is a
@@ -257,6 +325,10 @@ def read_any(data, pos: int, registry: TypeRegistry = global_registry) -> tuple[
     missing = 0
     outer = None  # the containers around it: (the same four words, next link out)
     depth = 0
+    # Where the dict being read began, while it is a list's element with no
+    # container opened inside it; and the record layouts learned, by residue.
+    record_at = layouts = None
+    learned = 0
     try:
         while True:
             tag = data[pos]
@@ -284,6 +356,7 @@ def read_any(data, pos: int, registry: TypeRegistry = global_registry) -> tuple[
                     kind, items, missing = tag, value.decode(), 1
                     continue
             elif tag == TAG_LIST or tag == TAG_TUPLE or tag == TAG_DICT:
+                begun = pos - 1
                 pos += -pos & 3
                 (count,) = _ULONG_AT(data, pos)
                 pos += 4
@@ -293,8 +366,10 @@ def read_any(data, pos: int, registry: TypeRegistry = global_registry) -> tuple[
                     depth += 1
                     outer = (kind, items, missing, key, outer)
                     if tag == TAG_DICT:
+                        record_at = begun if kind == TAG_LIST or kind == TAG_TUPLE else None
                         kind, items, missing = tag, {}, count * 2
                     else:
+                        record_at = None
                         kind, items, missing = tag, [], count
                     continue
                 value = [] if tag == TAG_LIST else () if tag == TAG_TUPLE else {}
@@ -316,6 +391,7 @@ def read_any(data, pos: int, registry: TypeRegistry = global_registry) -> tuple[
                         items[key] = value
                     else:
                         key = value
+                    missing -= 1
                 elif kind == TAG_VALUE:
                     value = registry.decode(items, value)
                     kind, items, missing, key, outer = outer
@@ -323,12 +399,45 @@ def read_any(data, pos: int, registry: TypeRegistry = global_registry) -> tuple[
                     continue
                 else:
                     items.append(value)
-                missing -= 1
+                    missing -= 1
+                    if layouts is not None and missing and depth < MAX_DEPTH:
+                        # Each sibling a learned layout matches is one record.
+                        while True:
+                            for width, unpack, runs, keys, texts, consts in layouts[pos & 7]:
+                                if pos + width <= size:
+                                    fields = unpack(data, pos)
+                                    if fields[::2] == runs:
+                                        break
+                            else:
+                                if learned == _LAYOUTS:
+                                    layouts = None  # shapes vary more than layouts pay
+                                break
+                            value = dict(zip(keys, fields[1::2]))
+                            for name in texts:
+                                value[name] = value[name].decode()
+                            if consts:
+                                value.update(consts)
+                            items.append(value)
+                            pos += width
+                            missing -= 1
+                            if not missing:
+                                break
                 if missing:
                     break
                 value = tuple(items) if kind == TAG_TUPLE else items
                 kind, items, missing, key, outer = outer
                 depth -= 1
+                if record_at is not None:
+                    # A dict with no container in it closed in a list: if
+                    # siblings follow, learn its layout.
+                    if missing > 1 and learned < _LAYOUTS:
+                        learned += 1
+                        layout = _layout(data, record_at, pos, value)
+                        if layout is not None:
+                            if layouts is None:
+                                layouts = [()] * 8
+                            layouts[record_at & 7] += (layout,)
+                    record_at = None
             else:
                 return value, pos
     except (IndexError, struct.error) as exc:

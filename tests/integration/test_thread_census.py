@@ -17,14 +17,17 @@ import time
 import pytest
 
 from repro.apps.bank import BankAccount, bank_compiled, bank_interface
+from repro.cactus.composite import MicroProtocol
+from repro.core.events import EV_READY_TO_SEND
 from repro.core.request import Request
 from repro.core.service import CqosDeployment
 from repro.net.memory import InMemoryNetwork
 from repro.net.tcp import TcpNetwork
 from repro.net.transport import Network
 from repro.qos import ActiveRep, TimedSched, TotalOrder
+from repro.qos.fault_tolerance.active import ATTR_SCATTER, ORDER_SUBMIT
 from repro.util import concurrency
-from repro.util.errors import ReproError
+from repro.util.errors import CommunicationError, ReproError
 from tests.unit.test_concurrency import alive_threads, poll
 
 OBJECTS = 64
@@ -261,3 +264,46 @@ def test_close_fails_the_requests_totalorder_backups_hold(deployed):
           f"no thread left {quiescent * 1e3:.1f} ms")
     assert not caller.is_alive() and isinstance(outcome[0], ReproError)
     assert returned < CLOSE_BOUND_S < dep.request_timeout
+
+
+class _ShutLaneMidScatter(MicroProtocol):
+    """Shuts its composite's runtime as ``ActiveRep``'s scatter raises
+    readyToSend for the last replica, before the gather is submitted: what
+    ``close()`` does to a call still inside its scatter."""
+
+    name = "ShutLaneMidScatter"
+
+    def __init__(self, replicas: int):
+        super().__init__()
+        self._replicas = replicas
+        self.sends = 0
+
+    def start(self) -> None:
+        self.bind(EV_READY_TO_SEND, self.ready_to_send, order=ORDER_SUBMIT - 1)
+
+    def ready_to_send(self, occurrence) -> None:
+        if ATTR_SCATTER in occurrence.args[0].attributes:
+            self.sends += 1
+            if self.sends == self._replicas:
+                self.composite.runtime.shutdown()
+
+
+def test_a_lane_shut_mid_scatter_fails_the_call_with_a_communication_error(deployed):
+    """The gather cannot be submitted to a shut lane: the caller gets a
+    ``CommunicationError``, as a request held at close does, not the
+    executor's ``RuntimeError``, and the branches already sent are
+    abandoned."""
+    dep, leftover = deployed
+    dep.add_replicas("acct", BankAccount, bank_interface(), replicas=3)
+    probes = []
+
+    def protocols():
+        probes.append(_ShutLaneMidScatter(3))
+        return [ActiveRep(), probes[-1]]
+
+    stub = dep.client_stub("acct", bank_interface(), client_micro_protocols=protocols)
+    with pytest.raises(CommunicationError, match="shut down"):
+        stub.deposit(1.0)
+    assert probes[-1].sends == 3
+    dep.close()
+    assert poll(lambda: not leftover(), timeout=GRACE_S), sorted(t.name for t in leftover())
