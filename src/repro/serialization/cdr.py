@@ -30,12 +30,17 @@ the structural runs (tags, pads, lengths, key text) between them.  A later
 sibling at that residue is one ``unpack_from`` and one comparison of its runs
 with the learned ones; any other sibling is read by the generic loop.  The
 layouts are locals of one walk and go with it.
+
+The writer's converse (:func:`_write_records`) writes a list of flat records
+of one shape as templates joined in record order, each numeric column then
+laid in with one ``pack``.
 """
 
 from __future__ import annotations
 
 import struct
 from itertools import chain
+from operator import itemgetter
 from typing import Any
 
 from repro.serialization.registry import TypeRegistry, global_registry
@@ -53,6 +58,10 @@ _TOO_DEEP = f"CDR any nested deeper than {MAX_DEPTH}"
 #: it has tried them all, the first record that fits no layout of its
 #: residue ends reading by layout for the rest of the walk.
 _LAYOUTS = 4
+
+#: Templates :func:`_write_records` may write for the records after a
+#: block's first: one per combination of their text and bool values.
+_TEMPLATES = 4
 
 
 def _packers(code: str, align: int, tagged: bool = False) -> tuple:
@@ -217,7 +226,13 @@ def write_any(buf: bytearray, value: Any, registry: TypeRegistry = global_regist
                     children = chain.from_iterable(value.items())
                     break
                 elif tag == TAG_LIST or tag == TAG_TUPLE:
-                    buf += _PACK_ANY_ULONG[len(buf) & 3](tag, len(value))
+                    count = len(value)
+                    buf += _PACK_ANY_ULONG[len(buf) & 3](tag, count)
+                    if (
+                        count > 2 and type(value) in (list, tuple) and type(value[0]) is dict
+                        and depth < MAX_DEPTH - 1 and _write_records(buf, value)
+                    ):
+                        continue  # flat records of one shape, written as one block
                     children = iter(value)
                     break
                 elif tag == TAG_INT:
@@ -265,10 +280,11 @@ def _layout(data: bytes, start: int, end: int, record: dict) -> tuple | None:
 
     The layout is the record's width, the ``unpack_from`` of a struct whose
     fields alternate structural run and value, the runs as read here, the
-    keys, the keys whose values are text and the keys whose values are
-    constants.  The bytes decide what is structural, as they do for
-    :func:`read_any`; ``record`` only lends its key objects, which are the
-    same keys in the same order when no key repeats.
+    keys, the keys whose values are text, the keys whose values are
+    constants and the offsets of the numeric values from ``start``.  The
+    bytes decide what is structural, as they do for :func:`read_any`;
+    ``record`` only lends its key objects, which are the same keys in the
+    same order when no key repeats.
     """
     pos = start + 1
     pos += -pos & 3
@@ -278,7 +294,7 @@ def _layout(data: bytes, start: int, end: int, record: dict) -> tuple | None:
     mark = start  # where the structural run being read began
     fmt = ">"
     keys = tuple(record)
-    texts = ()
+    texts = slots = ()
     consts = {}
     for key in keys:
         if data[pos] != TAG_STR:
@@ -291,6 +307,7 @@ def _layout(data: bytes, start: int, end: int, record: dict) -> tuple | None:
         if tag == TAG_FLOAT or tag == TAG_INT:
             pos += -pos & 7
             fmt += f"{pos - mark}s{'d' if tag == TAG_FLOAT else 'q'}"
+            slots += (pos - start,)
             pos += 8
         elif tag == TAG_STR:
             pos += -pos & 3
@@ -308,7 +325,103 @@ def _layout(data: bytes, start: int, end: int, record: dict) -> tuple | None:
     if pos != end:
         return None
     unpack = struct.Struct(fmt).unpack_from
-    return end - start, unpack, unpack(data, start)[::2], keys, texts, consts
+    return end - start, unpack, unpack(data, start)[::2], keys, texts, consts, slots
+
+
+def _write_records(buf: bytearray, records) -> bool:
+    """Append ``records``, the three or more elements of a list or tuple
+    whose head is in ``buf``, as one block if they are flat records of one
+    shape: exact dicts with the same exact-``str`` keys in the same order,
+    each key's values of one exact type (None, bool, 64-bit int, float or
+    str).  Return whether it did; if not, it wrote nothing, and the generic
+    loop writes the list with its own bytes and ``MarshalError``.  Every
+    check runs by column, in C-level iteration.
+    """
+    first = records[0]
+    keys = [*first]
+    window = records[1 : _TEMPLATES + 2]
+    # Exact dicts and, before any key is looked up or compared, exact-str
+    # keys: a key of another type could run code of its own.
+    if {*map(type, records)} != {dict} or not keys or {
+        *map(type, chain(keys, chain.from_iterable(window)))
+    } != {str}:
+        return False
+    # The cheapest way out first: a text column whose values differ in each
+    # record of the window has more combinations than templates.
+    for key in keys:
+        if type(first[key]) is str:
+            try:
+                column = [*map(itemgetter(key), window)]
+            except KeyError:
+                return False
+            if {*map(type, column)} != {str} or len({*column}) > _TEMPLATES:
+                return False
+    # The same keys in the same order: as no dict repeats a key, no record
+    # can hold more than one turn of the cycle.
+    every = [*chain.from_iterable(records)]
+    if {*map(type, every)} != {str} or every != keys * len(records):
+        return False
+    columns = [*zip(*map(dict.values, records))]
+    numeric = varying = ()
+    for at, column in enumerate(columns):
+        kind = type(column[0])
+        if {*map(type, column)} != {kind}:
+            return False
+        if kind is int:
+            if min(column) < INT64_MIN or max(column) > INT64_MAX:
+                return False
+            numeric += ((at, "q"),)
+        elif kind is float:
+            numeric += ((at, "d"),)
+        elif kind is str or kind is bool:
+            varying += (column[1:],)
+        elif column[0] is not None:
+            return False
+    # The records after the first, each by its combination of text and bool
+    # values, which one template per combination writes (in the order they
+    # first appear, so what a list costs does not hang on string hashes).
+    rows = [*zip(*varying)] if varying else [()] * (len(records) - 1)
+    combinations = dict.fromkeys(rows)
+    if len(combinations) > _TEMPLATES:
+        return False
+    # The generic loop writes the first record at its residue, then one
+    # record of each combination at the residue after it, where
+    # :func:`_layout` finds the offsets of its numeric values.
+    lead = len(buf) & 7
+    opening = bytearray(lead)
+    write_any(opening, first)
+    residue = len(opening) & 7
+    templates = {}
+    shapes = set()
+    for combination in combinations:
+        template = bytearray(residue)
+        try:
+            write_any(template, records[1 + rows.index(combination)])
+        except MarshalError:  # the generic loop names the first in write order
+            return False
+        width = len(template) - residue
+        if width & 7:
+            return False
+        *_, slots = _layout(template, residue, len(template), first)
+        templates[combination] = template[residue:]
+        shapes.add((width, slots))
+    # Templates of one width, a multiple of 8, with the same numeric offsets:
+    # joined in record order, each numeric column packed at once and laid in
+    # by eight strided slices.
+    if len(shapes) > 1:
+        return False
+    count = len(rows)
+    if len(templates) > 1:
+        block = bytearray().join(map(templates.__getitem__, rows))
+    else:
+        block = templates[combination] * count
+    for (at, code), slot in zip(numeric, slots):
+        packed = struct.pack(f">{count}{code}", *columns[at][1:])
+        for octet in range(8):
+            block[slot + octet :: width] = packed[octet::8]
+    buf += opening[lead:]
+    buf += block
+    return True
 
 
 def read_any(data, pos: int, registry: TypeRegistry = global_registry) -> tuple[Any, int]:
@@ -326,9 +439,10 @@ def read_any(data, pos: int, registry: TypeRegistry = global_registry) -> tuple[
     outer = None  # the containers around it: (the same four words, next link out)
     depth = 0
     # Where the dict being read began, while it is a list's element with no
-    # container opened inside it; and the record layouts learned, by residue.
+    # container opened inside it; the residues (a bit each) at which such
+    # records began and taught nothing; and the record layouts learned, by residue.
     record_at = layouts = None
-    learned = 0
+    learned = unlearned = 0
     try:
         while True:
             tag = data[pos]
@@ -403,7 +517,7 @@ def read_any(data, pos: int, registry: TypeRegistry = global_registry) -> tuple[
                     if layouts is not None and missing and depth < MAX_DEPTH:
                         # Each sibling a learned layout matches is one record.
                         while True:
-                            for width, unpack, runs, keys, texts, consts in layouts[pos & 7]:
+                            for width, unpack, runs, keys, texts, consts, _ in layouts[pos & 7]:
                                 if pos + width <= size:
                                     fields = unpack(data, pos)
                                     if fields[::2] == runs:
@@ -429,14 +543,20 @@ def read_any(data, pos: int, registry: TypeRegistry = global_registry) -> tuple[
                 depth -= 1
                 if record_at is not None:
                     # A dict with no container in it closed in a list: if
-                    # siblings follow, learn its layout.
+                    # siblings follow and a later one may start at its
+                    # residue (the next one does, or an earlier record
+                    # already did), learn its layout.
                     if missing > 1 and learned < _LAYOUTS:
-                        learned += 1
-                        layout = _layout(data, record_at, pos, value)
-                        if layout is not None:
-                            if layouts is None:
-                                layouts = [()] * 8
-                            layouts[record_at & 7] += (layout,)
+                        residue = 1 << (record_at & 7)
+                        if (pos - record_at) & 7 and not unlearned & residue:
+                            unlearned |= residue
+                        else:
+                            learned += 1
+                            layout = _layout(data, record_at, pos, value)
+                            if layout is not None:
+                                if layouts is None:
+                                    layouts = [()] * 8
+                                layouts[record_at & 7] += (layout,)
                     record_at = None
             else:
                 return value, pos

@@ -6,7 +6,9 @@ entering or leaving a container makes no call, and the CDR reader fills a
 dict as its keys and values arrive.  The nesting cap counts containers open
 at once, not containers seen, and sits at exactly ``MAX_DEPTH`` in each walk.
 The CDR reader reads a list's later records by the layouts it learned from
-the first of each shape, and keeps nothing of them once it returns.
+earlier ones of each shape, and keeps nothing of them once it returns.  The
+CDR writer writes a list of same-shaped records as one block, in as many
+calls whatever its length, and otherwise costs the generic loop a fixed few.
 """
 
 import copy
@@ -230,6 +232,34 @@ class TestRecordLayoutCost:
         (layout,) = (name for name in extra if name.startswith(">"))
         assert extra == Counter({layout: 60, "bytes.decode": 60, "list.append": 60})
 
+    def test_a_first_record_no_sibling_starts_like_teaches_nothing(self):
+        """The benchmark's ``history`` reply: the first movement starts at
+        residue 4 and every later one at 0, so only the second teaches a
+        layout, and every record from the third on is read by it."""
+        buf = bytearray(14)
+        write_any(buf, movements(64))
+        calls = reader_calls(bytes(buf), 14)
+        layouts = {name: n for name, n in calls.items() if name.startswith(">")}
+        ((layout, reads),) = (item for item in layouts.items() if item[0] not in PRIMITIVES)
+        assert reads == 1 + 62  # learning it, then the third to the last record
+
+    def test_records_that_alternate_residues_still_read_by_layout(self):
+        """A record 28 octets wide from either residue 0 or 4: siblings
+        alternate between the two, so neither of the first two has a next
+        sibling at its own residue.  The third and fourth each start where an
+        earlier one did and teach a layout; from the fifth on each record is
+        one ``unpack_from``, a decode and an append."""
+        def frame(count):
+            return cdr_dumps([{"k": f"{i % 10000:04d}"} for i in range(count)])
+
+        assert len(frame(3)) - len(frame(2)) == 28
+        # Both layouts have one format: a 28-octet record has no 8-octet value.
+        (layout,) = (name for name in reader_calls(frame(8), 0) if name.startswith(">24s4s"))
+        assert reader_calls(frame(8), 0)[layout] == 2 + 4  # learning two, then reading four
+        extra = reader_calls(frame(64), 0) - reader_calls(frame(8), 0)
+        assert extra == Counter({layout: 56, "bytes.decode": 56, "list.append": 56})
+        assert cdr_loads(frame(64)) == [{"k": f"{i:04d}"} for i in range(64)]
+
     def test_records_of_ever_new_shapes_stop_being_tried(self):
         """Every text value a new length, so every record a new shape: once
         the walk has tried ``_LAYOUTS`` records, the first record that fits
@@ -244,23 +274,28 @@ class TestRecordLayoutCost:
         assert cdr_loads(frame) == records
 
 
+def cdr_state() -> dict:
+    """Each attribute of ``cdr``, and what a list, dict or set of them holds."""
+    return {
+        name: (value, copy.copy(value) if isinstance(value, (list, dict, set)) else None)
+        for name, value in vars(cdr).items()
+    }
+
+
+def changed_since(before: dict) -> list:
+    after = cdr_state()
+    assert after.keys() == before.keys()
+    return [
+        name for name, (value, held) in before.items()
+        if after[name][0] is not value or after[name][1] != held
+    ]
+
+
 class TestRecordLayoutsKeepNothing:
     def test_a_decode_leaves_the_module_as_it_was(self):
-        def state():
-            """Each attribute, and what a list, dict or set of them holds."""
-            return {
-                name: (value, copy.copy(value) if isinstance(value, (list, dict, set)) else None)
-                for name, value in vars(cdr).items()
-            }
-
-        before = state()
+        before = cdr_state()
         read_any(cdr_golden.HISTORY_64_REPLY, 14)
-        after = state()
-        assert after.keys() == before.keys()
-        assert [
-            name for name, (value, held) in before.items()
-            if after[name][0] is not value or after[name][1] != held
-        ] == []
+        assert changed_since(before) == []
 
     def test_only_the_decoded_records_hold_a_fresh_key(self):
         frame = cdr_dumps([{"k-" + "9f3c" * 4: i * 0.5, "n": i} for i in range(8)])
@@ -335,3 +370,193 @@ class TestRecordLayoutFallback:
         value = [*movements(3), nest([0, *movements(3)], MAX_DEPTH - 2)]
         with pytest.raises(MarshalError, match="nested deeper"):
             cdr_loads(cdr_tree_walk.cdr_dumps(value))
+
+
+# -- the record writer ----------------------------------------------------------
+
+
+def writer_calls(value, lead: int = 14) -> Counter:
+    """Each call ``write_any`` makes writing ``value`` after ``lead``
+    octets: a builtin by qualified name, a Python function by name."""
+    seen: Counter = Counter()
+
+    def hook(frame, event, arg):
+        if event == "c_call":
+            seen[arg.__qualname__] += 1
+        elif event == "call":
+            seen[frame.f_code.co_name] += 1
+
+    buf = bytearray(lead)
+    sys.setprofile(hook)
+    try:
+        write_any(buf, value)
+    finally:
+        sys.setprofile(None)
+    del seen["setprofile"]
+    return seen
+
+
+def generic_calls(monkeypatch, value, lead: int = 14) -> Counter:
+    """The same, with every list left to the generic loop."""
+    monkeypatch.setattr(cdr, "_write_records", lambda buf, value: False)
+    try:
+        seen = writer_calls(value, lead)
+    finally:
+        monkeypatch.undo()
+    del seen["<lambda>"]
+    return seen
+
+
+def written(value, lead: int) -> bytes:
+    buf = bytearray(lead)
+    write_any(buf, value)
+    return bytes(buf)
+
+
+def tree_walk_written(value, lead: int) -> bytes:
+    out = cdr_tree_walk.CdrOutputStream()
+    for _ in range(lead):
+        out.write_octet(0)
+    out.write_any(value)
+    return out.getvalue()
+
+
+class Loud(str):
+    """A ``str`` subclass both walks write through its own ``encode``."""
+
+    def encode(self, *args):
+        return str.encode(self.upper(), *args)
+
+
+def falling_back(count: int) -> dict:
+    """Lists of ``count`` records the record writer hands to the generic loop."""
+    return {
+        "a str subclass key": [
+            {Loud("kind") if i == count // 2 else "kind": "set", "amount": i * 1.0}
+            for i in range(count)
+        ],
+        "text of many lengths": [
+            {"id": i, "name": "x" * (3 + i), "score": i * 0.5} for i in range(count)
+        ],
+        "a bigint": [{"n": 2**63 if i == count // 2 else i} for i in range(count)],
+        "a float subclass": [
+            {"v": type("F", (float,), {})(i) if i == count - 1 else float(i)}
+            for i in range(count)
+        ],
+        "a dict subclass": [type("D", (dict,), {})(m) if i == 2 else m
+                            for i, m in enumerate(movements(count))],
+        "keys in another order": [
+            dict(reversed(m.items())) if i == count - 1 else m
+            for i, m in enumerate(movements(count))
+        ],
+        "a width not a multiple of 8": [{"k": f"{i % 2:04d}"} for i in range(count)],
+        "templates of two widths": [
+            {"a": i * 1.0, "b": "x" if i % 2 else "x" * 12} for i in range(count)
+        ],
+        "too many bool combinations": [
+            {"p": bool(i & 1), "q": bool(i & 2), "r": bool(i & 4)} for i in range(count)
+        ],
+        "a container value": [{"k": [i]} for i in range(count)],
+    }
+
+
+class TestRecordWriterCost:
+    def test_sixty_four_movements_cost_what_eight_do(self):
+        """The block is checked and packed by column, so its calls do not
+        grow with its records: the generic loop writes the first movement
+        and one template, and the rest is a pack per numeric column."""
+        assert writer_calls(movements(64)) == writer_calls(movements(8))
+        calls = writer_calls(movements(64))
+        assert (calls["write_any"], calls["_layout"], calls["pack"]) == (1 + 1 + 1, 1, 2)
+        assert sum(calls.values()) < 100
+
+    def test_the_golden_history_is_written_as_one_block(self, monkeypatch):
+        history = giop.decode_message(cdr_golden.HISTORY_64_REPLY).body
+        assert written(history, 14)[14:] == cdr_golden.HISTORY_64_REPLY[14:]
+        calls = writer_calls(history)
+        # The list, the first record, then a template for a set and a deposit.
+        assert (calls["write_any"], calls["_layout"]) == (1 + 1 + 2, 2)
+        assert sum(calls.values()) < sum(generic_calls(monkeypatch, history).values()) / 10
+
+    @pytest.mark.parametrize("case", sorted(falling_back(3)))
+    def test_a_list_that_falls_back_costs_a_fixed_number_of_calls_more(self, case, monkeypatch):
+        """At most the first record and a template or two written by the
+        generic loop before a rule fails, whatever the count."""
+        extra = []
+        for count in (16, 64):
+            value = falling_back(count)[case]
+            assert written(value, 5) == tree_walk_written(value, 5)
+            extra.append(
+                sum(writer_calls(value, 5).values())
+                - sum(generic_calls(monkeypatch, value, 5).values())
+            )
+        assert extra[0] == extra[1] <= 60
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            movements(2),
+            tuple(movements(2)),
+            [0, *movements(3)],
+            [[1], *movements(3)],
+            [type("D", (dict,), {})(), *movements(3)],
+            list(range(64)),
+        ],
+        ids=["two records", "a tuple of two", "an int first", "a list first",
+             "a dict subclass first", "ints"],
+    )
+    def test_a_short_list_or_one_not_led_by_a_dict_costs_no_call_more(self, value, monkeypatch):
+        calls = writer_calls(value)
+        assert "_write_records" not in calls
+        assert calls == generic_calls(monkeypatch, value)
+
+
+class TestRecordWriterTouchesNoKeyObject:
+    @pytest.mark.parametrize("at", [0, 3, 7], ids=["first", "in the window", "past the window"])
+    def test_a_key_of_a_value_type_is_never_hashed_or_compared(self, at):
+        """The generic loop writes a dict's keys without hashing or comparing
+        them; the record writer, which looks keys up and compares them, does
+        so only with keys known to be exact ``str``, wherever the odd key is:
+        in the first record, in one of the five it looks up text values in
+        first, or in a later one."""
+        touched = []
+
+        class Key:
+            def __init__(self, name):
+                self.name = name
+
+            def __hash__(self):
+                touched.append(("hash", self.name))
+                return hash(self.name)  # the same as its name's: lookups collide
+
+            def __eq__(self, other):
+                touched.append(("eq", self.name))
+                return type(other) is Key and other.name == self.name
+
+        registry = TypeRegistry()
+        registry.register("walks.Key", Key)
+        records = [{"kind": "set", "amount": i * 1.0} for i in range(8)]
+        records[at] = {Key("kind"): "set", "amount": 0.5}
+        touched.clear()
+        frame = cdr_dumps(records, registry)
+        assert touched == []
+        assert frame == cdr_tree_walk.cdr_dumps(records, registry)
+
+
+class TestRecordWriterKeepsNothing:
+    def test_a_write_leaves_the_module_as_it_was(self):
+        before = cdr_state()
+        cdr_dumps(giop.decode_message(cdr_golden.HISTORY_64_REPLY).body)
+        cdr_dumps(movements(64))
+        for value in falling_back(8).values():
+            cdr_dumps(value)
+        assert changed_since(before) == []
+
+    def test_no_text_value_or_key_is_held_once_the_write_returns(self):
+        kind = "".join(["depo", "sit-", "9f3c"])  # built at run time: no constant holds it
+        key = "".join(["bal", "ance"])
+        records = [{"kind": kind, key: i * 0.5} for i in range(16)]
+        held = sys.getrefcount(kind), sys.getrefcount(key)
+        frame = cdr_dumps(records)
+        assert (sys.getrefcount(kind), sys.getrefcount(key)) == held
+        assert frame == cdr_tree_walk.cdr_dumps(records)
