@@ -20,15 +20,15 @@ import pytest
 from repro.apps.bank import BankAccount, bank_compiled, bank_interface
 from repro.core.service import CqosDeployment
 from repro.net.memory import InMemoryNetwork
-from repro.qos import (
-    ActiveRep,
-    DesPrivacy,
-    DesPrivacyServer,
-    MajorityVote,
-    PassiveRep,
-    PassiveRepServer,
-    TimedSched,
-    TotalOrder,
+from repro.qos import ActiveRep, MajorityVote, TimedSched, TotalOrder
+from repro.qos.combinations import (
+    FT_ACTIVE,
+    FT_ACTIVE_TOTAL,
+    FT_ACTIVE_VOTE,
+    FT_ACTIVE_VOTE_TOTAL,
+    FT_PASSIVE,
+    Combination,
+    protocol_specs,
 )
 from repro.qos.timeliness import HIGH_PRIORITY, LOW_PRIORITY
 
@@ -101,15 +101,16 @@ def build_table1(platform: str, rung: str):
 
 # --- Table 2: QoS configurations ------------------------------------------------
 
-TABLE2_CONFIGS = (
-    "privacy",          # Privacy(DES), 1 server
-    "passive",          # Passive Rep, 3 servers
-    "active",           # Active Rep, 3 servers
-    "active_vote",      # + Vote
-    "active_vote_total",  # + Total
-    "active_total",     # Active+Total
-    "active_total_privacy",  # + Privacy
-)
+#: Table 2's rows, each a point of the §3.5 matrix.
+TABLE2_CONFIGS = {
+    "privacy": Combination(security=("privacy",)),  # Privacy(DES), 1 server
+    "passive": Combination(FT_PASSIVE),  # Passive Rep, 3 servers
+    "active": Combination(FT_ACTIVE),  # Active Rep, 3 servers
+    "active_vote": Combination(FT_ACTIVE_VOTE),  # + Vote
+    "active_vote_total": Combination(FT_ACTIVE_VOTE_TOTAL),  # + Total
+    "active_total": Combination(FT_ACTIVE_TOTAL),  # Active+Total
+    "active_total_privacy": Combination(FT_ACTIVE_TOTAL, ("privacy",)),  # + Privacy
+}
 
 TABLE2_SERVERS = {
     "privacy": 1,
@@ -121,44 +122,30 @@ TABLE2_SERVERS = {
     "active_total_privacy": 3,
 }
 
-
-def _table2_protocols(config: str):
-    """(client_factory, server_factory) for one Table 2 row."""
-    key = DES_KEY_HEX
-    client = {
-        "privacy": lambda: [DesPrivacy(key_hex=key)],
-        "passive": lambda: [PassiveRep()],
-        "active": lambda: [ActiveRep()],
-        "active_vote": lambda: [ActiveRep(), MajorityVote()],
-        "active_vote_total": lambda: [ActiveRep(), MajorityVote()],
-        "active_total": lambda: [ActiveRep()],
-        "active_total_privacy": lambda: [ActiveRep(), DesPrivacy(key_hex=key)],
-    }[config]
-    server = {
-        "privacy": lambda: [DesPrivacyServer(key_hex=key)],
-        "passive": lambda: [PassiveRepServer()],
-        "active": None,
-        "active_vote": None,
-        "active_vote_total": lambda: [TotalOrder()],
-        "active_total": lambda: [TotalOrder()],
-        "active_total_privacy": lambda: [TotalOrder(), DesPrivacyServer(key_hex=key)],
-    }[config]
-    return client, server
+#: Parameters of the Table 2 micro-protocols that take any, by name.
+TABLE2_PARAMS = {
+    "DesPrivacy": {"key_hex": DES_KEY_HEX},
+    "DesPrivacyServer": {"key_hex": DES_KEY_HEX},
+}
 
 
 def build_table2(platform: str, config: str):
     """Return (deployment, pair_fn) for one Table 2 configuration."""
     deployment = make_deployment(platform)
     iface = bank_interface()
-    client_factory, server_factory = _table2_protocols(config)
+    combo = TABLE2_CONFIGS[config]
     deployment.add_replicas(
         "acct",
         BankAccount,
         iface,
         replicas=TABLE2_SERVERS[config],
-        server_micro_protocols=server_factory if server_factory else "with_base",
+        server_micro_protocols=protocol_specs(combo.server_protocols(), TABLE2_PARAMS),
     )
-    stub = deployment.client_stub("acct", iface, client_micro_protocols=client_factory)
+    stub = deployment.client_stub(
+        "acct",
+        iface,
+        client_micro_protocols=protocol_specs(combo.client_protocols(), TABLE2_PARAMS),
+    )
 
     def pair():
         stub.set_balance(100.0)

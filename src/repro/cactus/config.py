@@ -2,18 +2,15 @@
 
 The paper offers two static-customization routes: modifying the composite
 protocol's constructor, or a configuration file read at construction time.
-This module provides the second one:
+This module provides the second one, as data rather than a file:
 
 - micro-protocol classes register under stable names
   (:func:`register_micro_protocol`);
 - a configuration is a list of :class:`MicroProtocolSpec` (name +
-  parameters), writable as plain text, one micro-protocol per line::
-
-      # client configuration
-      ActiveRep
-      MajorityVote
-      DesPrivacy key_name=bank-des
-
+  keyword parameters; a §3.5 matrix point's comes from
+  :func:`repro.qos.combinations.protocol_specs`), whose one serialised
+  form is :meth:`MicroProtocolSpec.to_wire` / ``from_wire``, what
+  :mod:`repro.cactus.dynamic` ships between hosts;
 - :func:`build_micro_protocols` instantiates a configuration against the
   registry, producing the list a composite's ``configure()`` takes;
 - a package of micro-protocols may *declare* them by name instead of
@@ -108,42 +105,6 @@ class MicroProtocolSpec:
     @classmethod
     def from_wire(cls, wire: dict) -> "MicroProtocolSpec":
         return cls(name=wire["name"], params=dict(wire.get("params", {})))
-
-
-def _parse_scalar(text: str) -> Any:
-    """Parse a config scalar: int, float, bool, or string."""
-    lowered = text.lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    return text
-
-
-def parse_config_text(text: str) -> list[MicroProtocolSpec]:
-    """Parse the one-micro-protocol-per-line configuration format."""
-    specs: list[MicroProtocolSpec] = []
-    for line_number, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        params: dict[str, Any] = {}
-        for part in parts[1:]:
-            key, sep, value = part.partition("=")
-            if not sep:
-                raise ConfigurationError(
-                    f"config line {line_number}: parameter {part!r} is not key=value"
-                )
-            params[key] = _parse_scalar(value)
-        specs.append(MicroProtocolSpec(name=parts[0], params=params))
-    return specs
 
 
 def build_micro_protocols(specs: list[MicroProtocolSpec]) -> list["MicroProtocol"]:

@@ -31,14 +31,17 @@ import threading
 import time
 from abc import abstractmethod
 from functools import partial
-from typing import Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.core.interfaces import ClientPlatform, ServerPlatform
 from repro.core.piggyback import unwrap_reply_value
 from repro.core.request import PB_VIEW_DELTA, PB_VIEW_VERSION, Request
-from repro.core.routing import ReplicaDirectory, ShardRouter
+from repro.core.routing import ReplicaDirectory
 from repro.net.transport import ReplyFuture
 from repro.util.errors import BindError, CommunicationError, MarshalError, ShardMovedError
+
+if TYPE_CHECKING:
+    from repro.core.routing import ShardRouter
 
 
 #: The reserved operation name of the replica control plane.  Requests with
@@ -173,9 +176,9 @@ class BaseClientPlatform(ObserverSite, ClientPlatform):
     ``router`` attaches a :class:`~repro.core.routing.ShardRouter`: replica
     counts/ids then come from its directory view (consulted on every
     bind/rebind), requests are view-stamped, and reply-piggybacked view
-    deltas are pulled automatically.  Without one, an unsharded router is
-    created and the platform behaves exactly as before (prefix-scan
-    discovery, no view stamp — wire bytes unchanged).
+    deltas are pulled automatically.  Without one (``router`` is None, as
+    on the server side) the platform is unsharded: prefix-scan discovery,
+    no view stamp, and a view delta on a reply only refreshes the directory.
     """
 
     def __init__(
@@ -186,7 +189,7 @@ class BaseClientPlatform(ObserverSite, ClientPlatform):
     ):
         ObserverSite.__init__(self, observers)
         self.object_id = object_id
-        self.router = router if router is not None else ShardRouter()
+        self.router = router
         self.directory = ReplicaDirectory(
             name_for=self._replica_name,
             resolve=self._resolve,
@@ -277,9 +280,9 @@ class BaseClientPlatform(ObserverSite, ClientPlatform):
             # The view stamp rides piggyback only on sharded deployments, so
             # unsharded wire bytes are untouched; the server answers a stale
             # stamp with a view delta on the reply.
-            view = self.router._view
-            if view.groups:  # .sharded, no call
-                request.piggyback[PB_VIEW_VERSION] = view.version
+            router = self.router
+            if router is not None and router._view.groups:  # .sharded, no call
+                request.piggyback[PB_VIEW_VERSION] = router._view.version
             # Read once: an observer added while this invocation is in flight
             # sees none of its hooks, never half of them.
             hooks = self._hooks
@@ -336,7 +339,8 @@ class BaseClientPlatform(ObserverSite, ClientPlatform):
             if reply_piggyback:
                 request.reply_piggyback.update(reply_piggyback)
                 delta = reply_piggyback.get(PB_VIEW_DELTA)
-                if delta is not None and not self.router.apply_delta(delta):
+                router = self.router
+                if delta is not None and (router is None or not router.apply_delta(delta)):
                     self.refresh()
         if hooks.on_wire_reply:
             notify_observers(hooks.on_wire_reply, request, server, value)
@@ -373,9 +377,9 @@ class BaseClientPlatform(ObserverSite, ClientPlatform):
         safe).
         """
         endpoint = self.directory.bind_endpoint(server)
-        view = self.router._view
-        if view.groups:  # .sharded, no call
-            request.piggyback[PB_VIEW_VERSION] = view.version
+        router = self.router
+        if router is not None and router._view.groups:  # .sharded, no call
+            request.piggyback[PB_VIEW_VERSION] = router._view.version
         hooks = self._hooks
         if hooks.on_wire_send:
             notify_observers(hooks.on_wire_send, request, server)

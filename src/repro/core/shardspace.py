@@ -121,19 +121,14 @@ class ShardSpace:
         servant_factory: Callable[[], Any],
         interface: InterfaceDef,
         placement: Placement | None = None,
-        qos: Any = None,
         server_micro_protocols: MpConfig | str = "with_base",
         observers: Sequence[Any] | None = None,
     ) -> tuple[tuple[int, int], ...]:
         """Place one object into the space; returns its assignments.
 
-        ``placement`` (or ``qos.placement``, when a sealed
-        :class:`~repro.qos.builder.QosSpec` is given) selects the
-        distribution policy; omitted, the space's default applies and the
-        view is not even bumped.
+        ``placement`` selects the distribution policy; omitted, the space's
+        default applies and the view is not even bumped.
         """
-        if placement is None and qos is not None:
-            placement = getattr(qos, "placement", None)
         with self._lock:
             if object_id in self._objects:
                 raise ConfigurationError(f"object {object_id!r} already placed")

@@ -13,7 +13,7 @@ from repro.util.errors import ConfigurationError
 
 def resolve_key(key: bytes | None, key_hex: str | None, owner: str) -> bytes:
     """The key micro-protocol ``owner`` was configured with: raw or as hex
-    text (what a configuration file can carry), exactly one of the two."""
+    text (what a configuration's wire form can carry), exactly one of the two."""
     if key is not None and key_hex is not None:
         raise ConfigurationError("pass either key or key_hex, not both")
     if key_hex is not None:

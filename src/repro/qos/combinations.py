@@ -22,7 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, combinations
+from typing import Iterable, Mapping
 
+from repro.cactus.config import MicroProtocolSpec
 from repro.util.errors import ConfigurationError
 
 # Feature names (configuration vocabulary, not class names).
@@ -116,6 +118,13 @@ class Combination:
         if self.timeliness:
             parts.append(self.timeliness)
         return "/".join(parts)
+
+
+def protocol_specs(names: Iterable[str], params: Mapping[str, dict]) -> list[MicroProtocolSpec]:
+    """``names`` (one side of a :class:`Combination`) as a configuration,
+    each micro-protocol given the keyword parameters ``params`` holds under
+    its name (none when it holds nothing)."""
+    return [MicroProtocolSpec(name, dict(params.get(name, {}))) for name in names]
 
 
 def _powerset(items: tuple[str, ...]):
@@ -226,7 +235,7 @@ def validate_configuration(
             "ClientCache with DesPrivacy requires SignedIntegrity: cached "
             "replies are stored and re-served as plaintext, so without a "
             "signature a tampered cache-fill reply is replayed forever — "
-            "add .integrity(...) or drop the cache"
+            "add SignedIntegrity or drop the cache"
         )
     cache_bypassed = client & (_ACCEPTANCE | _CLIENT_FT)
     if "ClientCache" in client and cache_bypassed:

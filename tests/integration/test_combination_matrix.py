@@ -10,12 +10,10 @@ any combination", executed.
 import pytest
 
 from repro.apps.bank import BankAccount, bank_interface
-from repro.cactus.config import build_micro_protocols, MicroProtocolSpec
 from repro.qos.combinations import (
     FT_COMBINATIONS,
-    CLIENT_SIDE,
-    SERVER_SIDE,
     Combination,
+    protocol_specs,
     validate_configuration,
 )
 from repro.qos.timeliness import HIGH_PRIORITY
@@ -42,11 +40,6 @@ SAMPLE = [
 ]
 
 
-def _build(names):
-    specs = [MicroProtocolSpec(name, PROTOCOL_PARAMS.get(name, {})) for name in names]
-    return build_micro_protocols(specs)
-
-
 @pytest.mark.parametrize("combo", SAMPLE, ids=[c.label() for c in SAMPLE])
 def test_combination_runs(deployment, combo):
     client_names = combo.client_protocols()
@@ -59,13 +52,13 @@ def test_combination_runs(deployment, combo):
         BankAccount,
         bank_interface(),
         replicas=replicas,
-        server_micro_protocols=(lambda: _build(server_names)) if server_names else "with_base",
+        server_micro_protocols=protocol_specs(server_names, PROTOCOL_PARAMS),
         priority_policy=lambda request: HIGH_PRIORITY,
     )
     stub = deployment.client_stub(
         "acct",
         bank_interface(),
-        client_micro_protocols=(lambda: _build(client_names)) if client_names else "with_base",
+        client_micro_protocols=protocol_specs(client_names, PROTOCOL_PARAMS),
         client_id="matrix-client",
     )
     stub.set_balance(10.0)

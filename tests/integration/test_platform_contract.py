@@ -23,7 +23,7 @@ from repro.core.adapters import HOSTS, host_class
 from repro.core.platform import InvocationObserver, notify_observers
 from repro.core.events import EV_INVOKE_RETURN
 from repro.core.piggyback import REPLY_ENVELOPE_KEY
-from repro.core.request import PB_REQUEST_ID, PB_VIEW_DELTA, Request
+from repro.core.request import PB_REQUEST_ID, PB_VIEW_DELTA, PB_VIEW_VERSION, Request
 from repro.core.routing import Placement, ShardRouter
 from repro.core.routing.directory import ReplicaDirectory
 from repro.qos import ActiveRep
@@ -532,6 +532,48 @@ def test_unparseable_view_delta_is_a_refresh_not_an_error(deployment, bank_iface
     replies = [args[-1] for name, *args in observer.events if name == "on_wire_reply"]
     assert replies == [5.0, 5.0]
     assert platform.router.view().version == version
+
+
+def test_an_unsharded_client_has_no_router_and_stamps_no_view(deployment, bank_iface):
+    """A base deployment's client platform is unsharded the way its server
+    platform is: ``router`` is None (so no routing module loads for it) and
+    no request carries a view stamp, on the blocking and the async send."""
+    deployment.add_replicas("acct", make_account(), bank_iface)
+    platform = deployment.client_stub("acct", bank_iface)._platform
+    assert platform.router is None
+    sent = []  # the piggyback of each send, the last argument
+
+    def recording(send):
+        return lambda *args: sent.append(args[-1]) or send(*args)
+
+    platform._send = recording(platform._send)
+    platform._send_async = recording(platform._send_async)
+
+    assert platform.invoke_server(1, make_request("deposit", [2.0])) == 2.0
+    assert platform.invoke_server_async(1, make_request("get_balance", [])).result(5.0) == 2.0
+    assert len(sent) == 2
+    assert not any(PB_VIEW_VERSION in piggyback for piggyback in sent)
+
+
+def test_a_view_delta_to_an_unsharded_client_is_a_refresh(deployment, bank_iface):
+    """A reply carrying a view delta to a client with no router refreshes
+    its directory, as an unusable delta does on a sharded client, and the
+    call returns the servant's value."""
+    deployment.add_replicas(
+        "acct",
+        make_account(),
+        bank_iface,
+        server_micro_protocols=lambda: [StageViewDelta({"to": 1})],
+    )
+    platform = deployment.client_stub("acct", bank_iface)._platform
+    refreshes = []
+    refresh = platform.directory.refresh
+    platform.directory.refresh = lambda: refreshes.append(1) or refresh()
+
+    assert platform.invoke_server(1, make_request("deposit", [5.0])) == 5.0
+    assert refreshes == [1]
+    assert platform.invoke_server_async(1, make_request("get_balance", [])).result(5.0) == 5.0
+    assert refreshes == [1, 1]
 
 
 class MalformedEnvelope(MicroProtocol):

@@ -1,4 +1,4 @@
-"""Unit tests for static configuration: registry, text format, building."""
+"""Unit tests for static configuration: registry, wire form, building."""
 
 import json
 import os
@@ -14,7 +14,6 @@ from repro.cactus.config import (
     MicroProtocolSpec,
     build_micro_protocols,
     micro_protocol_registry,
-    parse_config_text,
     register_micro_protocol,
 )
 from repro.util.errors import ConfigurationError
@@ -66,31 +65,7 @@ class TestRegistry:
             assert name in registry, name
 
 
-class TestTextFormat:
-    def test_parse_lines_and_params(self):
-        specs = parse_config_text(
-            """
-            # comment
-            ActiveRep
-            _TestConfigurable count=3 label=hello fast=true
-            MajorityVote   # trailing comment
-            """
-        )
-        assert [s.name for s in specs] == ["ActiveRep", "_TestConfigurable", "MajorityVote"]
-        assert specs[1].params == {"count": 3, "label": "hello", "fast": True}
-
-    def test_scalar_parsing(self):
-        specs = parse_config_text("_TestConfigurable count=2 label=1.5x fast=false")
-        assert specs[0].params == {"count": 2, "label": "1.5x", "fast": False}
-
-    def test_float_param(self):
-        specs = parse_config_text("X period=0.25")
-        assert specs[0].params == {"period": 0.25}
-
-    def test_malformed_param(self):
-        with pytest.raises(ConfigurationError, match="key=value"):
-            parse_config_text("X oops")
-
+class TestWireForm:
     def test_wire_roundtrip(self):
         spec = MicroProtocolSpec("A", {"k": 1})
         assert MicroProtocolSpec.from_wire(spec.to_wire()) == spec

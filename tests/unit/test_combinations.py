@@ -2,10 +2,15 @@
 
 import pytest
 
+from repro.cactus.config import MicroProtocolSpec, build_micro_protocols
 from repro.qos.combinations import (
+    FT_ACTIVE_VOTE_TOTAL,
     FT_COMBINATIONS,
+    FT_PASSIVE,
+    Combination,
     all_combinations,
     count_combinations,
+    protocol_specs,
     validate_configuration,
 )
 from repro.util.errors import ConfigurationError
@@ -35,6 +40,50 @@ class TestPaperClaims:
         for combo in all_combinations():
             for name in combo.client_protocols() + combo.server_protocols():
                 assert name in registry, name
+
+
+class TestStacks:
+    """A matrix point's stacks, and its configuration with parameters."""
+
+    def test_empty_combination(self):
+        assert Combination().client_protocols() == ()
+        assert Combination().server_protocols() == ()
+
+    def test_full_stack(self):
+        combo = Combination(FT_ACTIVE_VOTE_TOTAL, ("privacy", "integrity", "access"), "timed")
+        assert combo.client_protocols() == (
+            "ActiveRep",
+            "MajorityVote",
+            "DesPrivacy",
+            "SignedIntegrity",
+        )
+        assert combo.server_protocols() == (
+            "TotalOrder",
+            "DesPrivacyServer",
+            "SignedIntegrityServer",
+            "AccessControl",
+            "TimedSched",
+        )
+
+    def test_passive_pairs_automatically(self):
+        assert Combination(FT_PASSIVE).client_protocols() == ("PassiveRep",)
+        assert Combination(FT_PASSIVE).server_protocols() == ("PassiveRepServer",)
+
+    def test_parameters_are_given_by_name_and_copied(self):
+        params = {"TimedSched": {"period": 0.05}}
+        specs = protocol_specs(["PrioritySched", "TimedSched"], params)
+        assert specs == [
+            MicroProtocolSpec("PrioritySched"),
+            MicroProtocolSpec("TimedSched", {"period": 0.05}),
+        ]
+        specs[1].params["period"] = 9.0
+        assert params == {"TimedSched": {"period": 0.05}}
+
+    def test_a_configuration_builds_fresh_instances(self):
+        specs = protocol_specs(Combination(FT_PASSIVE).server_protocols(), {})
+        first, second = build_micro_protocols(specs), build_micro_protocols(specs)
+        assert type(first[0]).__name__ == "PassiveRepServer"
+        assert first[0] is not second[0]
 
 
 class TestValidation:
@@ -86,3 +135,24 @@ class TestValidation:
                 "TimedSched",
             ],
         )
+
+    def test_cache_with_privacy_but_no_integrity(self):
+        with pytest.raises(ConfigurationError, match="add SignedIntegrity"):
+            validate_configuration(["DesPrivacy", "ClientCache"], ["DesPrivacyServer"])
+        # Adding the integrity pair resolves it, as the message says.
+        validate_configuration(
+            ["DesPrivacy", "SignedIntegrity", "ClientCache"],
+            ["DesPrivacyServer", "SignedIntegrityServer"],
+        )
+
+    def test_cache_bypasses_replication_guarantee(self):
+        with pytest.raises(ConfigurationError, match="bypassing the replication"):
+            validate_configuration(["ActiveRep", "MajorityVote", "ClientCache"], [])
+
+    def test_balancer_conflicts_with_replication_assigners(self):
+        with pytest.raises(ConfigurationError, match="one assignment policy"):
+            validate_configuration(["PassiveRep", "LoadBalance"], ["PassiveRepServer"])
+
+    def test_orphan_invalidator_rejected(self):
+        with pytest.raises(ConfigurationError, match="no cache to invalidate"):
+            validate_configuration([], ["CacheInvalidator"])
