@@ -22,14 +22,16 @@ containers, at most :data:`MAX_DEPTH` of them, are a chain of tuples in a
 local, each holding the next one out, so a push or a pop makes no call; the
 reader fills a dict as its keys and values arrive.
 
-A list or tuple of records of one shape is read record by record once the
-first is known: when a flat dict (``str`` keys, scalar values) closes inside
-a list with siblings still to come, :func:`read_any` learns its layout, one
+A list or tuple of records of one shape is read as one block once the first
+is known: when a flat dict (``str`` keys, scalar values) closes inside a list
+with siblings still to come, :func:`read_any` learns its layout, one
 :class:`struct.Struct` for its start residue whose fields are the values and
 the structural runs (tags, pads, lengths, key text) between them.  A later
 sibling at that residue is one ``unpack_from`` and one comparison of its runs
-with the learned ones; any other sibling is read by the generic loop.  The
-layouts are locals of one walk and go with it.
+with the learned ones; at the layout's first fit, the siblings left are one
+``iter_unpack``, one comparison of all their runs and one C-level pass per
+field (:func:`_records`).  Any other sibling is read by the generic loop.
+The layouts are locals of one walk and go with it.
 
 The writer's converse (:func:`_write_records`) writes a list of flat records
 of one shape as templates joined in record order, each numeric column then
@@ -39,8 +41,9 @@ laid in with one ``pack``.
 from __future__ import annotations
 
 import struct
-from itertools import chain
-from operator import itemgetter
+from collections import deque
+from itertools import chain, repeat
+from operator import itemgetter, setitem
 from typing import Any
 
 from repro.serialization.registry import TypeRegistry, global_registry
@@ -56,7 +59,8 @@ _TOO_DEEP = f"CDR any nested deeper than {MAX_DEPTH}"
 
 #: Records one walk of :func:`read_any` may try to learn a layout from; once
 #: it has tried them all, the first record that fits no layout of its
-#: residue ends reading by layout for the rest of the walk.
+#: residue ends reading by layout for the rest of the walk (before any
+#: record has fitted one, the second).
 _LAYOUTS = 4
 
 #: Templates :func:`_write_records` may write for the records after a
@@ -294,7 +298,7 @@ def _layout(data: bytes, start: int, end: int, record: dict) -> tuple | None:
     mark = start  # where the structural run being read began
     fmt = ">"
     keys = tuple(record)
-    texts = slots = ()
+    runs = texts = slots = ()
     consts = {}
     for key in keys:
         if data[pos] != TAG_STR:
@@ -308,24 +312,39 @@ def _layout(data: bytes, start: int, end: int, record: dict) -> tuple | None:
             pos += -pos & 7
             fmt += f"{pos - mark}s{'d' if tag == TAG_FLOAT else 'q'}"
             slots += (pos - start,)
-            pos += 8
+            length = 8
         elif tag == TAG_STR:
             pos += -pos & 3
             length = _ULONG_AT(data, pos)[0]
             pos += 4
             fmt += f"{pos - mark}s{length}s"
-            pos += length
             texts += (key,)
         elif tag == TAG_NONE or tag == TAG_TRUE or tag == TAG_FALSE:
             fmt += f"{pos - mark}s0s"
             consts[key] = record[key]
+            length = 0
         else:
             return None
+        runs += (data[mark:pos],)
+        pos += length
         mark = pos
     if pos != end:
         return None
-    unpack = struct.Struct(fmt).unpack_from
-    return end - start, unpack, unpack(data, start)[::2], keys, texts, consts, slots
+    return end - start, struct.Struct(fmt).unpack_from, runs, keys, texts, consts, slots
+
+
+def _records(rows: list, keys: tuple, texts: tuple, consts: dict) -> list:
+    """A block's records from its layout's rows: a template copied per record,
+    each field set in all in one C-level pass, each distinct text decoded once."""
+    records = [*map(dict.copy, repeat({**dict.fromkeys(keys), **consts}, len(rows)))]
+    for name, column in zip(keys, [*zip(*rows)][1::2]):
+        if name in texts:
+            distinct = {*column}
+            column = map(dict(zip(distinct, map(bytes.decode, distinct))).__getitem__, column)
+        elif name in consts:
+            continue
+        deque(map(setitem, records, repeat(name), column), 0)
+    return records
 
 
 def _write_records(buf: bytearray, records) -> bool:
@@ -443,6 +462,9 @@ def read_any(data, pos: int, registry: TypeRegistry = global_registry) -> tuple[
     # records began and taught nothing; and the record layouts learned, by residue.
     record_at = layouts = None
     learned = unlearned = 0
+    # Whether a record has fit no layout of its residue, and the layouts (a
+    # bit each) that have not fitted one yet: -1 while none has.
+    missed, unfitted = False, -1
     try:
         while True:
             tag = data[pos]
@@ -515,17 +537,47 @@ def read_any(data, pos: int, registry: TypeRegistry = global_registry) -> tuple[
                     items.append(value)
                     missing -= 1
                     if layouts is not None and missing and depth < MAX_DEPTH:
-                        # Each sibling a learned layout matches is one record.
-                        while True:
-                            for width, unpack, runs, keys, texts, consts, _ in layouts[pos & 7]:
+                        # The next sibling a learned layout fits is one record,
+                        # or at the layout's first fit the first of a block.
+                        while missing:
+                            for bit, width, unpack, runs, keys, texts, consts in layouts[pos & 7]:
                                 if pos + width <= size:
                                     fields = unpack(data, pos)
                                     if fields[::2] == runs:
                                         break
                             else:
-                                if learned == _LAYOUTS:
-                                    layouts = None  # shapes vary more than layouts pay
+                                # A misfit (a residue with no layout is none) past
+                                # _LAYOUTS layouts, or a second one before any fit:
+                                # shapes vary more than layouts pay.
+                                if layouts[pos & 7]:
+                                    if learned == _LAYOUTS or missed and unfitted == -1:
+                                        layouts = None
+                                    missed = True
                                 break
+                            if unfitted & bit:
+                                # A layout's first fit is its one block try: if its
+                                # width keeps each sibling at its residue and the
+                                # next fits too, the block is every sibling left,
+                                # cut before the first whose runs differ.
+                                unfitted ^= bit
+                                if (
+                                    missing > 1 and not width & 7 and pos + 2 * width <= size
+                                    and unpack(data, pos + width)[::2] == runs
+                                ):
+                                    count = min(missing, (size - pos) // width)
+                                    view = memoryview(data)[pos : pos + count * width]
+                                    rows = [*unpack.__self__.iter_unpack(view)]
+                                    if tuple(chain(*rows))[::2] != runs * count:
+                                        count = 2
+                                        while rows[count][::2] == runs:
+                                            count += 1
+                                    try:
+                                        items += _records(rows[:count], keys, texts, consts)
+                                        pos += count * width
+                                        missing -= count
+                                        continue
+                                    except UnicodeDecodeError:
+                                        pass  # one by one, so the first bad text fails first
                             value = dict(zip(keys, fields[1::2]))
                             for name in texts:
                                 value[name] = value[name].decode()
@@ -534,8 +586,6 @@ def read_any(data, pos: int, registry: TypeRegistry = global_registry) -> tuple[
                             items.append(value)
                             pos += width
                             missing -= 1
-                            if not missing:
-                                break
                 if missing:
                     break
                 value = tuple(items) if kind == TAG_TUPLE else items
@@ -545,8 +595,9 @@ def read_any(data, pos: int, registry: TypeRegistry = global_registry) -> tuple[
                     # A dict with no container in it closed in a list: if
                     # siblings follow and a later one may start at its
                     # residue (the next one does, or an earlier record
-                    # already did), learn its layout.
-                    if missing > 1 and learned < _LAYOUTS:
+                    # already did), learn its layout; after a misfit, only
+                    # once some record has fitted.
+                    if missing > 1 and learned < _LAYOUTS and (unfitted != -1 or not missed):
                         residue = 1 << (record_at & 7)
                         if (pos - record_at) & 7 and not unlearned & residue:
                             unlearned |= residue
@@ -556,7 +607,7 @@ def read_any(data, pos: int, registry: TypeRegistry = global_registry) -> tuple[
                             if layout is not None:
                                 if layouts is None:
                                     layouts = [()] * 8
-                                layouts[record_at & 7] += (layout,)
+                                layouts[record_at & 7] += ((1 << learned, *layout[:-1]),)
                     record_at = None
             else:
                 return value, pos

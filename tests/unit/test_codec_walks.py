@@ -6,8 +6,9 @@ entering or leaving a container makes no call, and the CDR reader fills a
 dict as its keys and values arrive.  The nesting cap counts containers open
 at once, not containers seen, and sits at exactly ``MAX_DEPTH`` in each walk.
 The CDR reader reads a list's later records by the layouts it learned from
-earlier ones of each shape, and keeps nothing of them once it returns.  The
-CDR writer writes a list of same-shaped records as one block, in as many
+earlier ones of each shape, those of one shape in a row as one block, in as
+many calls whatever its length, and keeps nothing of them once it returns.
+The CDR writer writes a list of same-shaped records as one block, in as many
 calls whatever its length, and otherwise costs the generic loop a fixed few.
 """
 
@@ -17,6 +18,7 @@ import struct
 import sys
 import types
 from collections import Counter
+from unittest import mock
 
 import pytest
 
@@ -198,14 +200,30 @@ def nest(value, levels: int):
     return value
 
 
+def layout_reads(calls: Counter) -> dict:
+    """The ``unpack_from`` calls of learned layouts, by format."""
+    return {name: n for name, n in calls.items() if name.startswith(">") and name not in PRIMITIVES}
+
+
+def movements_frame(count: int) -> bytes:
+    """``count`` benchmark movements after 14 octets, as in a GIOP reply."""
+    buf = bytearray(14)
+    write_any(buf, movements(count))
+    return bytes(buf)
+
+
 class TestRecordLayoutCost:
     def test_a_later_history_record_is_one_unpack_from_and_no_key_is_read(self):
         """``HISTORY_64_REPLY`` holds records of two shapes, a ``set`` and two
         ``deposit`` movements in turn, and by its seventh record the reader
-        has learned both.  Each record after that costs one matching
-        ``unpack_from``, one ``decode`` (of the ``kind`` value) and one
-        ``append``, with no length read and no key decoded; a ``set`` record
-        first tries the ``deposit`` layout at its offset."""
+        has learned both.  Neither forms a block: each layout's one block
+        try stops at its look at the next sibling, which has the other shape.
+        So each record after the seventh costs one matching ``unpack_from``,
+        one ``decode`` (of the ``kind`` value) and one ``append``, with no
+        length read and no key decoded; a ``set`` record first tries the
+        ``deposit`` layout at its offset, and the ``set`` layout's block try
+        (at the seventh record, the last of the shorter list) looks at the
+        ``deposit`` record after it."""
         frame = cdr_golden.HISTORY_64_REPLY
         body = giop.decode_message(frame).body
         head = bytearray(frame[:14])
@@ -218,60 +236,90 @@ class TestRecordLayoutCost:
         (set_,) = (name for name in extra if name.startswith(">28s3s"))
         # One deposit-layout unpack per deposit record and per set record.
         assert extra == Counter(
-            {"bytes.decode": later, "list.append": later, deposit: later, set_: sets}
+            {"bytes.decode": later, "list.append": later, deposit: later, set_: sets + 1}
         )
 
     def test_a_record_of_the_one_shape_costs_three_calls(self):
-        """The benchmark's ``history`` reply: every movement a ``deposit``."""
-        def frame(count):
-            buf = bytearray(14)
-            write_any(buf, movements(count))
-            return bytes(buf)
-
-        extra = reader_calls(frame(64), 14) - reader_calls(frame(4), 14)
-        (layout,) = (name for name in extra if name.startswith(">"))
-        assert extra == Counter({layout: 60, "bytes.decode": 60, "list.append": 60})
+        """The benchmark's ``history`` reply: every movement a ``deposit``.
+        The third record, when it is the last, costs three calls: one
+        ``unpack_from`` of the layout learned from the second, a ``decode``
+        and an ``append``.  (Learning that layout, which the second record
+        of two does not, reads five lengths and one ``len``.)  With more to
+        come it starts a block, and the fourth to the last cost no call."""
+        extra = reader_calls(movements_frame(3), 14) - reader_calls(movements_frame(2), 14)
+        (layout,) = layout_reads(extra)
+        learning = {">I": 5, "len": 1}
+        assert extra == Counter({layout: 1, "bytes.decode": 1, "list.append": 1, **learning})
+        assert reader_calls(movements_frame(64), 14) == reader_calls(movements_frame(4), 14)
 
     def test_a_first_record_no_sibling_starts_like_teaches_nothing(self):
         """The benchmark's ``history`` reply: the first movement starts at
         residue 4 and every later one at 0, so only the second teaches a
-        layout, and every record from the third on is read by it."""
-        buf = bytearray(14)
-        write_any(buf, movements(64))
-        calls = reader_calls(bytes(buf), 14)
-        layouts = {name: n for name, n in calls.items() if name.startswith(">")}
-        ((layout, reads),) = (item for item in layouts.items() if item[0] not in PRIMITIVES)
-        assert reads == 1 + 62  # learning it, then the third to the last record
+        layout, and the third to the last are read by it as one block: one
+        ``unpack_from`` for the third, one for the fourth (the block try's
+        look at the next sibling), one ``iter_unpack`` for all 62."""
+        calls = reader_calls(movements_frame(64), 14)
+        (layout,) = layout_reads(calls)
+        assert layout_reads(calls) == {layout: 2}
+        assert (calls["Struct.iter_unpack"], calls["list.append"]) == (1, 2)
 
     def test_records_that_alternate_residues_still_read_by_layout(self):
         """A record 28 octets wide from either residue 0 or 4: siblings
         alternate between the two, so neither of the first two has a next
         sibling at its own residue.  The third and fourth each start where an
         earlier one did and teach a layout; from the fifth on each record is
-        one ``unpack_from``, a decode and an append."""
+        one ``unpack_from``, a decode and an append.  A width that is not a
+        multiple of 8 moves the next sibling to another residue, so these
+        records form no block."""
         def frame(count):
             return cdr_dumps([{"k": f"{i % 10000:04d}"} for i in range(count)])
 
         assert len(frame(3)) - len(frame(2)) == 28
         # Both layouts have one format: a 28-octet record has no 8-octet value.
         (layout,) = (name for name in reader_calls(frame(8), 0) if name.startswith(">24s4s"))
-        assert reader_calls(frame(8), 0)[layout] == 2 + 4  # learning two, then reading four
+        assert reader_calls(frame(8), 0)[layout] == 4  # the fifth to the eighth
         extra = reader_calls(frame(64), 0) - reader_calls(frame(8), 0)
         assert extra == Counter({layout: 56, "bytes.decode": 56, "list.append": 56})
+        assert "Struct.iter_unpack" not in reader_calls(frame(64), 0)
         assert cdr_loads(frame(64)) == [{"k": f"{i:04d}"} for i in range(64)]
 
-    def test_records_of_ever_new_shapes_stop_being_tried(self):
-        """Every text value a new length, so every record a new shape: once
-        the walk has tried ``_LAYOUTS`` records, the first record that fits
-        no layout ends the tries for the rest of the walk."""
+    def test_records_of_ever_new_shapes_stop_being_tried(self, monkeypatch):
+        """Every text value a new length, so every record a new shape: the
+        walk learns a layout from the first record, tries it on the second
+        and the third, and at that second misfit, with no record fitted,
+        stops learning and trying for the rest of the walk."""
         records = [{"id": i, "name": "x" * (3 + i), "score": i * 0.5} for i in range(64)]
         frame = cdr_dumps(records)
-        calls = reader_calls(frame, 0)
-        tries = sum(
-            n for name, n in calls.items() if name.startswith(">") and name not in PRIMITIVES
+        learned = []
+        layout = cdr._layout
+        monkeypatch.setattr(
+            cdr, "_layout", lambda *args: learned.append(args[1]) or layout(*args)
         )
-        assert tries <= 4 * cdr._LAYOUTS
+        calls = reader_calls(frame, 0)
+        assert learned == [8]  # the first record, after the list's head
+        assert list(layout_reads(calls).values()) == [2]
+        assert "Struct.iter_unpack" not in calls
         assert cdr_loads(frame) == records
+
+    def test_sixty_four_movements_read_at_the_cost_of_eight(self):
+        """The reader's converse of the writer's cost: the movements from the
+        third on are one block, checked and built by column, so its calls do
+        not grow with its records.  The generic loop reads the first two,
+        the second teaches the layout, and the block costs an ``unpack_from``
+        of the third, one of the fourth, a ``min``, an ``iter_unpack``, a
+        ``dict.fromkeys`` for the template and a ``len``."""
+        calls = reader_calls(movements_frame(64), 14)
+        assert calls == reader_calls(movements_frame(8), 14)
+        assert (calls["min"], calls["Struct.iter_unpack"], calls["dict.fromkeys"]) == (1, 1, 1)
+        assert sum(calls.values()) == 38
+
+    def test_the_golden_history_costs_what_it_did_record_by_record(self):
+        """``HISTORY_64_REPLY`` mixes ``set`` and ``deposit`` records, so it
+        forms no block; its two block tries, one ``unpack_from`` each, are
+        paid for by the two learned layouts, whose runs are sliced from the
+        record rather than unpacked.  256 calls, as when every later record
+        was read one at a time."""
+        assert sum(reader_calls(cdr_golden.HISTORY_64_REPLY, 14).values()) == 256
 
 
 def cdr_state() -> dict:
@@ -359,6 +407,25 @@ class TestRecordLayoutFallback:
             cdr_loads(bytes(first))
         assert str(by_layout.value) == str(generic.value)
         assert str(generic.value).startswith("corrupt CDR any: 'utf-8' codec can't decode")
+
+    def test_the_first_bad_text_of_a_block_fails_first(self):
+        """Two text columns, a bad text in the second column of the fifth
+        record and another in the first column of the ninth: the block
+        decodes by column, and still names the fifth record's, as the
+        generic loop does."""
+        frame = bytearray(cdr_dumps([{"a": "aaa", "b": "bbb", "n": i * 1.0} for i in range(12)]))
+        width = (len(frame) - 8) // 12
+        assert width % 8 == 0  # every record at one residue: the third on are one block
+        fifth = frame.index(b"bbb", 8 + 4 * width)
+        ninth = frame.index(b"aaa", 8 + 8 * width)
+        frame[fifth], frame[ninth + 1] = 0xFF, 0xFE
+        with pytest.raises(MarshalError) as by_block:
+            cdr_loads(bytes(frame))
+        with mock.patch.object(cdr, "_layout", lambda *args: None):
+            with pytest.raises(MarshalError) as generic:
+                cdr_loads(bytes(frame))
+        assert str(by_block.value) == str(generic.value)
+        assert "byte 0xff in position 0" in str(generic.value)
 
     def test_a_record_list_nested_at_max_depth_minus_one(self):
         value = nest(movements(8), MAX_DEPTH - 2)  # the records are at MAX_DEPTH
