@@ -33,6 +33,7 @@ import threading
 from dataclasses import dataclass
 from typing import Any
 
+from repro.serialization.tags import declare_names
 from repro.util.concurrency import DEFAULT_PRIORITY
 from repro.util.errors import ReproError, TimeoutError_
 
@@ -68,6 +69,11 @@ PB_VIEW_VERSION = "cqos_view_version"
 #: stamped view version is behind the server's: the piggyback pull path of
 #: membership-driven view changes (bootstrap re-enumeration is the fallback).
 PB_VIEW_DELTA = "cqos_view_delta"
+
+declare_names(
+    PB_REQUEST_ID, PB_CLIENT_ID, PB_PRIORITY, PB_ENCRYPTED, PB_SIGNATURE, PB_FORWARDED,
+    PB_DEADLINE, PB_ATTEMPT, PB_CACHE_EPOCH, PB_CACHE_INVALIDATE, PB_VIEW_VERSION, PB_VIEW_DELTA,
+)
 
 #: Request-id numbers: ``next()`` on a count is one C call, atomic under the GIL.
 _request_numbers = itertools.count(1)

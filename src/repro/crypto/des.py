@@ -21,7 +21,11 @@ configures no privacy never builds them (1.3 MB, most of it S-box tables):
   of fields: four tables indexed through a ``0x3F3F`` mask make a round;
 - two rounds per loop step, each half updated in place, so no swap;
 - IP and FP are eight byte-indexed lookups each, rotation included;
-- a mode unpacks and packs a whole message with one :mod:`struct` call each.
+- a mode pads, unpacks, chains and packs a message with table entries, one
+  ``iter_unpack`` of a pre-built :class:`struct.Struct`, C-level ``map``
+  and one ``join``: besides a ``_crypt_block`` per block, encrypting calls
+  ``len``, ``os.urandom`` (CBC), ``iter_unpack`` and ``join``, decrypting
+  ``iter_unpack`` and ``join``.
 
 Published test vectors and the table-per-step implementation in
 ``tests/oracles/des_reference.py`` pin it (``tests/unit/test_des.py``).
@@ -35,6 +39,8 @@ from __future__ import annotations
 import os
 import struct
 import threading
+from itertools import chain, repeat
+from operator import xor
 
 from repro.util.errors import MarshalError
 
@@ -301,6 +307,17 @@ def _pkcs5_unpad(data: bytes) -> bytes:
     return data[:-pad]
 
 
+# What the modes use in place of a call per message.  ``_PADDING[n & 7]`` is
+# the PKCS#5 padding of an ``n``-octet message; ``_TAILS[octet]`` is the one
+# valid padding that ends in ``octet`` (1 to 8), or None.
+_PADDING = tuple(_pkcs5_pad(bytes(size))[size:] for size in range(_BLOCK))
+_TAILS = (None, *reversed(_PADDING), *(None,) * (255 - _BLOCK))
+
+_WORD = struct.Struct(">Q")
+_WORDS = _WORD.iter_unpack  # a message's 64-bit blocks, each as a 1-tuple
+_PACK_WORD = _WORD.pack
+
+
 class DesCipher:
     """A DES cipher bound to one key, supporting ECB and CBC modes.
 
@@ -341,32 +358,36 @@ class DesCipher:
         In CBC mode a random IV is generated when not supplied and prepended
         to the ciphertext, so :meth:`decrypt` needs no extra state.
         """
-        padded = _pkcs5_pad(data)
-        keys = self._enc_keys
+        padded = data + _PADDING[len(data) & 7]
+        keys = repeat(self._enc_keys)
         if self.mode == "ECB":
-            blocks = struct.unpack(f">{len(padded) // _BLOCK}Q", padded)
-            out = [_crypt_block(block, keys) for block in blocks]
-            return struct.pack(f">{len(out)}Q", *out)
+            return b"".join(map(_PACK_WORD, map(_crypt_block, chain(*_WORDS(padded)), keys)))
         if iv is None:
             iv = os.urandom(_BLOCK)
         elif len(iv) != _BLOCK:
             raise ValueError("IV must be 8 bytes")
-        prev, *blocks = struct.unpack(f">{len(padded) // _BLOCK + 1}Q", iv + padded)
+        prev, *blocks = chain(*_WORDS(iv + padded))
+        # Each block is XORed with the ciphertext block before it: ``out``
+        # feeds the map that extends it, and a list iterator sees every
+        # item appended behind it, so the chain needs no Python loop.
         out = [prev]
-        for block in blocks:
-            prev = _crypt_block(block ^ prev, keys)
-            out.append(prev)
-        return struct.pack(f">{len(out)}Q", *out)
+        out += map(_crypt_block, map(xor, blocks, out), keys)
+        return b"".join(map(_PACK_WORD, out))
 
     def decrypt(self, data: bytes) -> bytes:
         """Invert :meth:`encrypt`, validating and stripping the padding."""
-        chained = self.mode == "CBC"
-        if len(data) < (2 * _BLOCK if chained else _BLOCK) or len(data) % _BLOCK:
+        try:
+            words = [*chain(*_WORDS(data))]
+        except struct.error:  # not a whole number of blocks
+            words = []
+        blocks = words[1:] if self.mode == "CBC" else words
+        if not blocks:
             raise MarshalError("invalid DES ciphertext length")
-        keys = self._dec_keys
-        blocks = struct.unpack(f">{len(data) // _BLOCK}Q", data)
-        if chained:
-            out = [_crypt_block(block, keys) ^ prev for prev, block in zip(blocks, blocks[1:])]
-        else:
-            out = [_crypt_block(block, keys) for block in blocks]
-        return _pkcs5_unpad(struct.pack(f">{len(out)}Q", *out))
+        plain = map(_crypt_block, blocks, repeat(self._dec_keys))
+        if blocks is not words:  # CBC: XORed with the block before, the IV first
+            plain = map(xor, plain, words)
+        plain = b"".join(map(_PACK_WORD, plain))
+        pad = plain[-1]
+        if plain[-pad:] != _TAILS[pad]:
+            return _pkcs5_unpad(plain)  # not PKCS#5: it raises, with its own text
+        return plain[:-pad]

@@ -35,6 +35,7 @@ from repro.idl.ast import (
 )
 from repro.idl.parser import parse_idl
 from repro.serialization.registry import TypeRegistry, global_registry
+from repro.serialization.tags import declare_names
 from repro.util.errors import ConfigurationError, InvocationError, MarshalError
 
 _INT_RANGES = {
@@ -429,6 +430,7 @@ class _Compiler:
                 f"in {interface.name}"
             )
         interface.operations[op.name] = op
+        declare_names(op.name)  # the name every call of the operation carries
 
 
 def compile_idl(source: str, registry: TypeRegistry | None = None) -> CompiledIdl:

@@ -46,9 +46,12 @@ from repro.qos.security.privacy import (
     ORDER_SERVER_VERIFY,
 )
 from repro.serialization.jser import jser_dumps
+from repro.serialization.tags import declare_names
 from repro.util.errors import IntegrityError
 
 SIG_KEY = "__cqos_sig__"
+VALUE_KEY = "v"
+declare_names(SIG_KEY, VALUE_KEY)
 ATTR_SIGNED = "integrity_signed"
 ATTR_WANTS_SIGNED_REPLY = "integrity_reply"
 
@@ -85,7 +88,7 @@ class SignedIntegrity(MicroProtocol):
         if not (isinstance(reply.value, dict) and SIG_KEY in reply.value):
             return
         signature = reply.value[SIG_KEY]
-        value = reply.value.get("v")
+        value = reply.value.get(VALUE_KEY)
         if self._mac.verify(jser_dumps(value), signature):
             reply.value = value
         else:
@@ -131,5 +134,5 @@ class SignedIntegrityServer(MicroProtocol):
             return
         value = request.stored_result
         request.set_result(
-            {SIG_KEY: self._mac.digest(jser_dumps(value)), "v": value}
+            {SIG_KEY: self._mac.digest(jser_dumps(value)), VALUE_KEY: value}
         )

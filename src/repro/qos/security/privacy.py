@@ -40,6 +40,7 @@ from repro.crypto.des import DesCipher
 from repro.crypto.keys import resolve_key
 from repro.qos.base import ATTR_SERVANT_EXCEPTION
 from repro.serialization.jser import jser_dumps, jser_loads
+from repro.serialization.tags import declare_names
 from repro.util.errors import MarshalError
 
 # Handler orders within the security layer (see package docstring).
@@ -53,6 +54,7 @@ ORDER_REPLY_ENCRYPT = 50
 ORDER_REPLY_SIGN = 55
 
 CT_KEY = "__cqos_ct__"
+declare_names(CT_KEY)
 
 ATTR_WAS_ENCRYPTED = "privacy_was_encrypted"
 

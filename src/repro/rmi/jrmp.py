@@ -12,12 +12,14 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.serialization.jser import jser_dumps, jser_loads
+from repro.serialization.tags import declare_names
 from repro.util.errors import MarshalError
 
 _KIND_CALL = "call"
 _KIND_RETURN = "return"
 _KIND_THROW = "throw"
 _KIND_SYSTEM = "system"
+declare_names(_KIND_CALL, _KIND_RETURN, _KIND_THROW, _KIND_SYSTEM)
 
 
 @dataclass

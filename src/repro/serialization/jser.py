@@ -20,7 +20,13 @@ same qualitative gap the paper reports between JDK 1.3 RMI and Visibroker.
 loop.  The enclosing containers, at most ``MAX_DEPTH`` of them, are a chain
 of tuples in a local, each holding the next one out, so a push or a pop is
 a tuple built or unpacked and no call; a tag and a length below 128 are one
-constant out and two index reads in.
+constant out and two index reads in.  A list or tuple is read into all its
+slots at once, after its count is checked against the bytes left.  Inside
+a container, a declared wire name
+(:func:`repro.serialization.tags.declare_names`) that is an exact ``str`` is
+written as its pre-built run and read back as the declared object, with no
+``encode`` or ``decode``; the walks never add one.  A ``str`` alone is a
+piggyback value or a reply, data rather than a name, and skips the table.
 """
 
 from __future__ import annotations
@@ -31,9 +37,9 @@ from typing import Any
 
 from repro.serialization.registry import TypeRegistry, global_registry
 from repro.serialization.tags import (
-    INT64_MAX, INT64_MIN, LENGTH_PREFIXED, MAX_DEPTH, TAG_BIGINT, TAG_BYTES, TAG_DICT, TAG_FALSE,
-    TAG_FLOAT, TAG_INT, TAG_LIST, TAG_NONE, TAG_OF, TAG_STR, TAG_TRUE, TAG_TUPLE, TAG_VALUE,
-    ladder_tag,
+    INT64_MAX, INT64_MIN, LENGTH_PREFIXED, MAX_DEPTH, NAME_RUNS, NAMES_BY_TEXT, TAG_BIGINT,
+    TAG_BYTES, TAG_DICT, TAG_FALSE, TAG_FLOAT, TAG_INT, TAG_LIST, TAG_NONE, TAG_OF, TAG_STR,
+    TAG_TRUE, TAG_TUPLE, TAG_VALUE, ladder_tag,
 )
 from repro.util.errors import MarshalError
 
@@ -103,15 +109,19 @@ def jser_dumps(value: Any, registry: TypeRegistry | None = None) -> bytes:
         pending = iter((value,))
         while True:
             for value in pending:
+                kind = type(value)
                 try:
-                    tag = TAG_OF[type(value)]
+                    tag = TAG_OF[kind]
                 except KeyError:
                     tag = ladder_tag(value)
                 if tag == TAG_STR:
-                    data = value.encode()
-                    n = len(data)
-                    buf += _SHORT[tag][n] if n < 0x80 else _head(tag, n)
-                    buf += data
+                    if kind is str and value in NAME_RUNS:
+                        buf += NAME_RUNS[value]
+                    else:  # undeclared, or a subclass with its own encode
+                        data = value.encode()
+                        n = len(data)
+                        buf += _SHORT[tag][n] if n < 0x80 else _head(tag, n)
+                        buf += data
                 elif tag == TAG_INT:
                     if INT64_MIN <= value <= INT64_MAX:
                         n = (value << 1) ^ (value >> 63)  # zigzag: small negatives stay small
@@ -195,7 +205,8 @@ def jser_loads(data: bytes, registry: TypeRegistry | None = None) -> Any:
         objects: list = []  # what each handle stands for, in stream order
         # The container being filled: its tag, the object collecting its
         # children, how many are still missing, and one more word -- a dict's
-        # key while its value is read, a value type's handle while its state is.
+        # key while its value is read, a value type's handle while its state
+        # is, a list's or tuple's next slot.
         kind = items = key = None
         missing = 0
         outer = None  # the containers around it: (the same four words, next link out)
@@ -222,7 +233,7 @@ def jser_loads(data: bytes, registry: TypeRegistry | None = None) -> Any:
                     value = data[pos:end]
                     pos = end
                     if tag == TAG_STR:
-                        value = value.decode()
+                        value = NAMES_BY_TEXT[value] if value in NAMES_BY_TEXT else value.decode()
                     elif tag == TAG_BIGINT:
                         value = int(value.decode("ascii"))
                     elif tag == TAG_VALUE:
@@ -243,16 +254,19 @@ def jser_loads(data: bytes, registry: TypeRegistry | None = None) -> Any:
                         raise MarshalError(f"dangling jser reference: {n}")
                     value = objects[n]
                 else:
-                    value = () if tag == TAG_TUPLE else [] if tag == TAG_LIST else {}
-                    if tag != TAG_TUPLE:
-                        objects.append(value)
                     if n:
                         if depth >= MAX_DEPTH:
                             raise MarshalError(_TOO_DEEP)
+                        if n > size - pos:  # each child takes an octet at least
+                            raise MarshalError(_TRUNCATED)
+                    value = [None] * n if tag == TAG_LIST else {} if tag == TAG_DICT else ()
+                    if tag != TAG_TUPLE:
+                        objects.append(value)
+                    if n:
                         depth += 1
                         outer = (kind, items, missing, key, outer)
-                        kind = tag
-                        items = [] if tag == TAG_TUPLE else value
+                        kind, key = tag, 0
+                        items = [None] * n if tag == TAG_TUPLE else value
                         missing = n * 2 if tag == TAG_DICT else n
                         continue
             while kind is not None:
@@ -267,7 +281,8 @@ def jser_loads(data: bytes, registry: TypeRegistry | None = None) -> Any:
                     depth -= 1
                     continue
                 else:
-                    items.append(value)
+                    items[key] = value
+                    key += 1
                 missing -= 1
                 if missing:
                     break

@@ -5,6 +5,15 @@ bytes, a list, a tuple, a dict or an instance of a registered value type
 (:mod:`repro.serialization.registry`).  Both wire formats mark the kind with
 the same tag, and both classify a Python object the same way: by its exact
 type first, a subclass as the first base it matches.
+
+It also holds the closed table of *declared wire names*: the texts the
+program itself puts on the wire (piggyback keys, JRMP frame kinds, the
+security wrappers' keys, IDL operation names), each declared by the module
+that owns it through :func:`declare_names` and never learned from a value.
+Inside a container, jser writes an exact ``str`` found there as one
+pre-built run and reads its octets back as the declared object, with no
+``encode``, ``len`` or ``decode``.  Nothing read or written is ever added,
+so the table holds no parameter, reply value, id or key material.
 """
 
 TAG_NONE = 0
@@ -54,3 +63,24 @@ def ladder_tag(value: object) -> int:
         if isinstance(value, base):
             return tag
     return TAG_VALUE
+
+
+#: Declared name -> the jser run for it: ``TAG_STR``, a one-octet length and
+#: its UTF-8 text.  Filled only by :func:`declare_names`.
+NAME_RUNS: dict[str, bytes] = {}
+#: The same names by their UTF-8 text, as jser reads them.
+NAMES_BY_TEXT: dict[bytes, str] = {}
+
+
+def declare_names(*names: str) -> None:
+    """Declare texts this program puts on the wire itself.
+
+    Only a name's owner declares it, at import or when it compiles the name
+    (an IDL operation).  A name of 128 octets or more, which would need a
+    longer length, is written and read like any other text.
+    """
+    for name in names:
+        text = name.encode()
+        if len(text) < 0x80 and name not in NAME_RUNS:
+            NAMES_BY_TEXT[text] = name
+            NAME_RUNS[name] = bytes((TAG_STR, len(text))) + text

@@ -5,6 +5,7 @@ import pytest
 from repro.apps.bank import BankAccount, bank_interface
 from repro.qos import ActiveRep, FirstSuccess, PassiveRep, PassiveRepServer, Retransmit
 from repro.util.errors import CommunicationError, ServerFailedError
+from tests.integration.test_fault_tolerance import _probe_request, _quiesce
 
 
 class TestCrashRecovery:
@@ -84,7 +85,7 @@ class TestMessageLoss:
             network.set_loss(0.0)
 
     def test_retransmit_does_not_retry_crashed_host(self, deployment, network):
-        deployment.add_replicas("acct", BankAccount, bank_interface(), replicas=2)
+        skeletons = deployment.add_replicas("acct", BankAccount, bank_interface(), replicas=2)
         stub = deployment.client_stub(
             "acct",
             bank_interface(),
@@ -95,6 +96,13 @@ class TestMessageLoss:
             ],
         )
         stub.set_balance(2.0)
+        # FirstSuccess returns on the first reply, and replica 2 may not have
+        # applied the write yet: left unwaited, the read below can reach it
+        # first, over TCP, and answer 0.0.  Wait until both replicas hold it.
+        balances = _quiesce(
+            skeletons, lambda s: s._platform.invoke_servant(_probe_request("get_balance"))
+        )
+        assert balances == [2.0, 2.0]
         deployment.crash_replica("acct", 1)
         # ServerFailedError is not transient: failover logic (FirstSuccess
         # accepting replica 2) must answer promptly, not retry replica 1.

@@ -10,6 +10,8 @@ earlier ones of each shape, those of one shape in a row as one block, in as
 many calls whatever its length, and keeps nothing of them once it returns.
 The CDR writer writes a list of same-shaped records as one block, in as many
 calls whatever its length, and otherwise costs the generic loop a fixed few.
+jser writes and reads a declared wire name with no ``encode``, ``len`` or
+``decode``, learns none from a value, and fills a list or tuple in place.
 """
 
 import copy
@@ -21,16 +23,21 @@ from collections import Counter
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.apps.bank import bank_compiled
+from repro.core import request as core_request
 from repro.orb import giop
+from repro.qos.security import integrity, privacy
 from repro.rmi import jrmp
-from repro.serialization import cdr
+from repro.serialization import cdr, jser
 from repro.serialization.cdr import MAX_DEPTH, cdr_dumps, cdr_loads, read_any, write_any
 from repro.serialization.jser import jser_dumps, jser_loads
 from repro.serialization.registry import TypeRegistry
+from repro.serialization.tags import NAME_RUNS, NAMES_BY_TEXT
 from repro.util.errors import MarshalError
 from tests.oracles import cdr_golden, cdr_tree_walk
-from tests.oracles.jser_tree_walk import tree_dumps
+from tests.oracles.jser_tree_walk import tree_dumps, tree_loads
 
 
 class Point:
@@ -89,6 +96,139 @@ class TestNoStackCalls:
         assert walks["cdr_dumps"]["list.append"] == 0
         context = builtin_calls(cdr_loads, cdr_dumps(SERVICE_CONTEXT))
         assert context["list.append"] == 0
+        # A list or tuple is filled in place: the one append is the context
+        # dict's handle, none is a child of the frame or of its arguments.
+        assert walks["jser_loads"]["list.append"] == 1
+        nested = jser_dumps(([1, (2, 3), [4]], (5, 6, 7)))
+        assert builtin_calls(jser_loads, nested)["list.append"] == 2  # two lists' handles
+
+    def test_a_call_frame_encodes_only_its_undeclared_texts(self):
+        """The frame kind, the operation and the piggyback keys are declared
+        names, written as pre-built runs and read back without a decode; the
+        object id and the two piggyback values are not."""
+        bank_compiled()  # declares the bank's operation names
+        frame = jrmp_call_frame()
+        call = jser_loads(frame)
+        texts = [call[0], call[1], call[2], *call[4], *call[4].values()]
+        undeclared = [text for text in texts if text not in NAME_RUNS]
+        assert undeclared == ["acct", "client-1", "req:1"]
+        assert builtin_calls(jser_dumps, call)["str.encode"] == len(undeclared)
+        assert builtin_calls(jser_loads, frame)["bytes.decode"] == len(undeclared)
+
+
+# -- declared wire names ----------------------------------------------------------
+
+DECLARED = (
+    "call", "return", "throw", "system",  # rmi.jrmp's frame kinds
+    core_request.PB_REQUEST_ID, core_request.PB_CLIENT_ID, core_request.PB_SIGNATURE,
+    core_request.PB_VIEW_DELTA, privacy.CT_KEY, integrity.SIG_KEY, integrity.VALUE_KEY,
+)
+
+
+class Loud(str):
+    """A ``str`` subclass both walks write through its own ``encode``."""
+
+    def encode(self, *args):
+        return str.encode(self.upper(), *args)
+
+
+def names_table() -> tuple:
+    return dict(NAME_RUNS), dict(NAMES_BY_TEXT)
+
+
+texts = st.one_of(st.sampled_from(DECLARED), st.text(max_size=12))
+named_values = st.recursive(
+    st.one_of(texts, st.none(), st.integers(-(2**70), 2**70), st.binary(max_size=12)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.dictionaries(texts, children, max_size=4),
+        st.tuples(children, children),
+    ),
+    max_leaves=20,
+)
+
+
+class TestDeclaredNames:
+    def test_the_owners_declare_their_names(self):
+        bank_compiled()
+        for name in (*DECLARED, "set_balance", "get_balance", "history"):
+            assert NAME_RUNS[name] == tree_dumps(name)  # tag, length, UTF-8
+            assert NAMES_BY_TEXT[name.encode()] == name
+
+    @given(named_values)
+    @settings(max_examples=200)
+    def test_walks_leave_the_table_as_it_was(self, value):
+        """Nothing written or read is learned: neither a declared name's
+        container nor any other text adds, drops or replaces an entry."""
+        before = names_table()
+        encoded = jser_dumps(value)
+        assert encoded == tree_dumps(value)
+        assert jser_loads(encoded) == tree_loads(encoded) == value
+        assert names_table() == before
+        assert all(NAME_RUNS[name] is run for name, run in before[0].items())
+
+    def test_a_decoded_name_is_the_declared_object(self):
+        text = "".join(["cqos_", "client"])  # built at run time: not the declared object
+        (decoded,) = jser_loads(jser_dumps([text]))
+        assert decoded is NAMES_BY_TEXT[b"cqos_client"]
+
+    @pytest.mark.parametrize(
+        "value, written",
+        [
+            (Loud("call"), b"CALL"),
+            ([Loud("call"), "call"], b"CALL"),
+            ({Loud("v"): "call", "return": Loud("v")}, b"V"),
+            ((Loud("__cqos_ct__"),), b"__CQOS_CT__"),
+        ],
+        ids=["alone", "in-a-list", "dict-key-and-value", "in-a-tuple"],
+    )
+    def test_a_str_subclass_equal_to_a_name_keeps_its_own_encode(self, value, written):
+        encoded = jser_dumps(value)
+        assert encoded == tree_dumps(value)
+        assert bytes((6, len(written))) + written in encoded
+
+    @pytest.mark.parametrize(
+        "data, text",
+        [
+            (bytes([6, 2, 0xC3, 0x28]),
+             "corrupt jser stream: 'utf-8' codec can't decode byte 0xc3 in position 0: "
+             "invalid continuation byte"),
+            (bytes([9, 1, 6, 2, 0xC3, 0x28]),
+             "corrupt jser stream: 'utf-8' codec can't decode byte 0xc3 in position 0: "
+             "invalid continuation byte"),
+            (bytes([9, 2, 6, 4]) + b"cal\xff" + bytes([0]),
+             "corrupt jser stream: 'utf-8' codec can't decode byte 0xff in position 3: "
+             "invalid start byte"),
+            (bytes([8, 3, 0, 0]), "jser stream truncated"),
+            (bytes([9, 5, 0]), "jser stream truncated"),
+            (bytes([6, 4]) + b"cal", "jser stream truncated"),
+            (bytes([9, 2, 6, 4]) + b"cal", "jser stream truncated"),
+        ],
+        ids=["str", "str-in-a-tuple", "name-with-a-bad-octet", "list-count", "tuple-count",
+             "name-cut", "name-cut-in-a-tuple"],
+    )
+    def test_bad_frames_fail_with_the_texts_they_had(self, data, text):
+        with pytest.raises(MarshalError) as raised:
+            jser_loads(data)
+        assert str(raised.value) == text
+
+    def test_every_cut_of_a_call_frame_is_truncated(self):
+        bank_compiled()
+        frame = jrmp_call_frame()
+        for cut in range(len(frame)):
+            with pytest.raises(MarshalError, match="^jser stream truncated$"):
+                jser_loads(frame[:cut])
+
+    @pytest.mark.parametrize("tag", [8, 9], ids=["list", "tuple"])
+    @pytest.mark.parametrize("count", [2**62, 2**64 + 1, 5], ids=["2**62", "2**64+1", "5"])
+    def test_a_count_the_bytes_cannot_hold_allocates_nothing(self, tag, count):
+        """Each child takes an octet at least: a larger count is refused
+        before a list of that many slots is made."""
+        with pytest.raises(MarshalError, match="^jser stream truncated$"):
+            jser_loads(jser._head(tag, count) + bytes(4))
+        assert jser_loads(bytes((tag, 4)) + bytes(4)) == (
+            [None] * 4 if tag == 8 else (None,) * 4
+        )
 
 
 def wide_values() -> list:
@@ -486,13 +626,6 @@ def tree_walk_written(value, lead: int) -> bytes:
         out.write_octet(0)
     out.write_any(value)
     return out.getvalue()
-
-
-class Loud(str):
-    """A ``str`` subclass both walks write through its own ``encode``."""
-
-    def encode(self, *args):
-        return str.encode(self.upper(), *args)
 
 
 def falling_back(count: int) -> dict:

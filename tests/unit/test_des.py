@@ -7,6 +7,7 @@ implementation it replaced (``tests/oracles/des_reference.py``).
 """
 
 import random
+import sys
 
 import pytest
 
@@ -196,3 +197,45 @@ class TestAgainstTheReference:
         assert all(len(table) == 0x3F40 for table in pair_tables)
         assert all(value < 2**32 for table in pair_tables for value in table)
         assert all(len(lut) == 256 for lut in (des._IP0, des._IP7, des._FP0, des._FP7))
+
+
+def mode_calls(call, *args) -> dict:
+    """Each call ``call`` makes: a builtin by qualified name, a Python
+    function by name."""
+    seen: dict = {}
+
+    def hook(frame, event, arg):
+        if event in ("call", "c_call"):
+            name = arg.__qualname__ if event == "c_call" else frame.f_code.co_name
+            seen[name] = seen.get(name, 0) + 1
+
+    sys.setprofile(hook)
+    try:
+        call(*args)
+    finally:
+        sys.setprofile(None)
+    del seen["setprofile"]
+    return seen
+
+
+class TestModeCalls:
+    """A mode pads, unpacks, chains and packs a message with tables, one
+    ``iter_unpack`` and C-level ``map``: its calls are a fixed few plus one
+    ``_crypt_block`` per block, whatever the message's length."""
+
+    @pytest.mark.parametrize("length", [0, 7, 8, 20, 64, 300])
+    @pytest.mark.parametrize("mode", ["CBC", "ECB"])
+    def test_calls_per_block_count(self, mode, length):
+        cipher = DesCipher(KAT_KEY, mode=mode)
+        data = (bytes(range(256)) * 2)[:length]
+        blocks = length // 8 + 1
+        fixed = {"Struct.iter_unpack": 1, "bytes.join": 1}
+        drawn = {"urandom": 1} if mode == "CBC" else {}
+        assert mode_calls(cipher.encrypt, data) == {
+            "encrypt": 1, "len": 1, **drawn, **fixed, "_crypt_block": blocks
+        }
+        ciphertext = cipher.encrypt(data)
+        assert mode_calls(cipher.decrypt, ciphertext) == {
+            "decrypt": 1, **fixed, "_crypt_block": blocks
+        }
+        assert cipher.decrypt(ciphertext) == data
