@@ -23,7 +23,6 @@ from repro.apps.bank import BankAccount, bank_compiled, bank_interface
 from repro.core.service import CqosDeployment
 from repro.net.chaos import ChaosNetwork, FaultPlan
 from repro.net.memory import InMemoryNetwork
-from repro.qos import ActiveRep, MajorityVote, TimedSched, TotalOrder
 from repro.qos.combinations import (
     FT_ACTIVE,
     FT_ACTIVE_TOTAL,
@@ -178,13 +177,17 @@ def build_table2(platform: str, config: str):
 
 # --- Table 3: service differentiation ---------------------------------------------
 
-TABLE3_CONFIGS = (
-    "timed",              # TimedSched, 1 server
-    "timed_active",       # + Active Rep, 3 servers
-    "timed_active_vote",  # + Vote
-    "timed_active_vote_total",  # + Total
-    "timed_active_total",  # Active+Total
-)
+#: Table 3's rows, each a point of the §3.5 matrix with TimedSched.  Where
+#: TotalOrder runs, every replica's TimedSched follows the sequencer's order
+#: and only the sequencer's differentiates (the paper's resolution of the
+#: ordering/differentiation conflict, in ``repro.qos.timeliness.common``).
+TABLE3_CONFIGS = {
+    "timed": Combination(timeliness="timed"),  # TimedSched, 1 server
+    "timed_active": Combination(FT_ACTIVE, timeliness="timed"),  # + Active Rep, 3 servers
+    "timed_active_vote": Combination(FT_ACTIVE_VOTE, timeliness="timed"),  # + Vote
+    "timed_active_vote_total": Combination(FT_ACTIVE_VOTE_TOTAL, timeliness="timed"),  # + Total
+    "timed_active_total": Combination(FT_ACTIVE_TOTAL, timeliness="timed"),  # Active+Total
+}
 
 TABLE3_SERVERS = {
     "timed": 1,
@@ -194,35 +197,13 @@ TABLE3_SERVERS = {
     "timed_active_total": 3,
 }
 
+#: Parameters of the Table 3 micro-protocols that take any, by name.
+TABLE3_PARAMS = {"TimedSched": {"period": 0.005, "high_rate_threshold": 2}}
+
 
 def identity_policy(request):
     """The paper's priority assignment: statically by client identity."""
     return HIGH_PRIORITY if request.client_id.startswith("high") else LOW_PRIORITY
-
-
-def _table3_protocols(config: str):
-    client = {
-        "timed": lambda: [],
-        "timed_active": lambda: [ActiveRep()],
-        "timed_active_vote": lambda: [ActiveRep(), MajorityVote()],
-        "timed_active_vote_total": lambda: [ActiveRep(), MajorityVote()],
-        "timed_active_total": lambda: [ActiveRep()],
-    }[config]
-    with_total = config in ("timed_active_vote_total", "timed_active_total")
-
-    def server_factory(replica: int):
-        # The paper's conflict resolution: the differentiation protocol runs
-        # only at the ordering coordinator (replica 1) when TotalOrder is on.
-        protocols = []
-        if with_total:
-            protocols.append(TotalOrder())
-            if replica == 1:
-                protocols.append(TimedSched(period=0.005, high_rate_threshold=2))
-        else:
-            protocols.append(TimedSched(period=0.005, high_rate_threshold=2))
-        return protocols
-
-    return client, server_factory
 
 
 class Table3Load:
@@ -232,8 +213,8 @@ class Table3Load:
     and measurement on one core makes a client-thread generator phase-lock
     with the foreground (the GIL suppresses it exactly while the foreground
     measures, emptying the windows it should fill).  So the high-priority
-    load is injected as deterministic bursts straight into the coordinator's
-    Cactus server from a timer thread — sleep wakeups preempt CPU-bound
+    load is injected as deterministic bursts straight into the replicas'
+    Cactus servers from timer threads — sleep wakeups preempt CPU-bound
     threads, so the bursts land on schedule regardless of foreground
     activity; the requests still traverse the full server pipeline and
     servant.  The burst/gap alternation guarantees both busy and quiet
@@ -244,7 +225,7 @@ class Table3Load:
     def __init__(
         self,
         deployment,
-        client_factory,
+        client_protocols,
         cactus_servers,
         low: int = 2,
         burst_count: int = 8,
@@ -254,7 +235,7 @@ class Table3Load:
         self._stop = threading.Event()
         self._threads = []
         self._extra_threads = []  # per-replica injectors, spawned lazily
-        # Coordinator first; with TotalOrder the injected requests must reach
+        # Sequencer first; with TotalOrder the injected requests must reach
         # every replica (the ActiveRep delivery pattern) or the backups'
         # execution order stalls behind sequence numbers they never receive.
         self._servers = [s for s in cactus_servers if s is not None]
@@ -267,7 +248,7 @@ class Table3Load:
         )
         for index in range(low):
             stub = deployment.client_stub(
-                "acct", iface, client_micro_protocols=client_factory,
+                "acct", iface, client_micro_protocols=client_protocols,
                 client_id=f"low-bg-{index}", runtime_workers=24,
             )
             self._threads.append(
@@ -288,7 +269,7 @@ class Table3Load:
         thread aligned to shared wall-clock cycle boundaries.  With
         TotalOrder the same request identity must reach every replica;
         backup copies are delivered by short-lived threads paced by the
-        coordinator's own execution.
+        sequencer's own execution.
         """
         import time as _time
 
@@ -381,22 +362,27 @@ def build_table3(platform: str, config: str, priority_class: str):
     """Return (deployment, load, pair_fn measuring one priority class)."""
     deployment = make_deployment(platform)
     iface = bank_interface()
-    client_factory, server_factory = _table3_protocols(config)
-    replicas = TABLE3_SERVERS[config]
-    # Per-replica configurations (TimedSched only at the coordinator when
-    # TotalOrder is on) need the lower-level install path.
-    skeletons = _install_table3_replicas(deployment, iface, replicas, server_factory)
-    # High-priority bursts go straight into the Cactus servers (coordinator
+    combo = TABLE3_CONFIGS[config]
+    skeletons = deployment.add_replicas(
+        "acct",
+        lambda: BankAccount(work_loops=TABLE3_WORK_LOOPS),
+        iface,
+        replicas=TABLE3_SERVERS[config],
+        server_micro_protocols=protocol_specs(combo.server_protocols(), TABLE3_PARAMS),
+        priority_policy=identity_policy,
+    )
+    client_protocols = protocol_specs(combo.client_protocols(), TABLE3_PARAMS)
+    # High-priority bursts go straight into the Cactus servers (sequencer
     # first; with TotalOrder the load must reach every replica).
     load = Table3Load(
-        deployment, client_factory, [s.cactus_server for s in skeletons]
+        deployment, client_protocols, [s.cactus_server for s in skeletons]
     )
     # Gated replicas park replication legs on client pool workers; size
     # the pool so parked legs never starve fresh sends (see service.py).
     stub = deployment.client_stub(
         "acct",
         iface,
-        client_micro_protocols=client_factory,
+        client_micro_protocols=client_protocols,
         client_id=f"{priority_class}-fg",
         runtime_workers=24,
     )
@@ -407,34 +393,6 @@ def build_table3(platform: str, config: str, priority_class: str):
 
     pair()
     return deployment, load, pair
-
-
-def _install_table3_replicas(deployment, iface, replicas, server_factory):
-    """Install replicas with per-replica micro-protocol configurations."""
-    from repro.core.server import CactusServer
-
-    skeletons = []
-    for replica in range(1, replicas + 1):
-        protocols = server_factory(replica)
-
-        def factory(platform, protocols=protocols):
-            server = CactusServer.with_base(
-                platform,
-                protocols,
-                name=f"cactus-server-acct-{platform.my_replica()}",
-                request_timeout=30.0,
-                priority_policy=identity_policy,
-            )
-            deployment._track(server)
-            return server
-
-        skeletons.append(
-            deployment._new_replica_host("acct", replica).install_replica(
-                "acct", replica, BankAccount(work_loops=TABLE3_WORK_LOOPS), iface,
-                cactus_server_factory=factory, total_replicas=replicas,
-            )
-        )
-    return skeletons
 
 
 @pytest.fixture(params=["corba", "rmi"])

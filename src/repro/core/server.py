@@ -28,6 +28,7 @@ from repro.util.errors import ConfigurationError, ServerFailedError
 
 SHARED_PLATFORM = "platform"
 SHARED_PRIORITY_POLICY = "priority_policy"
+SHARED_ORDERING = "ordering"  # TotalOrder publishes itself to the schedulers
 
 
 class CactusServer(CompositeProtocol):

@@ -46,7 +46,7 @@ from repro.core.events import (
 from repro.core.interfaces import ControlMessage, ServerPlatform
 from repro.core.fanout import ScatterGather
 from repro.core.request import Request
-from repro.core.server import SHARED_PLATFORM
+from repro.core.server import SHARED_ORDERING, SHARED_PLATFORM
 from repro.util.log import get_logger
 
 logger = get_logger("qos.total_order")
@@ -54,8 +54,9 @@ logger = get_logger("qos.total_order")
 CONTROL_ORDER = "order"
 
 #: Handler orders on readyToInvoke: timeliness protocols run earlier (2) so
-#: queuing happens before sequencing (the paper's conflict resolution), the
-#: duplicate check of PassiveRepServer uses 0, the servant runs at 100.
+#: the sequencer queues before it sequences and its followers admit at once
+#: (the paper's conflict resolution), the duplicate check of
+#: PassiveRepServer uses 0, the servant runs at 100.
 ORDER_ASSIGN = 5
 ORDER_CHECK = 10
 
@@ -86,6 +87,7 @@ class TotalOrder(MicroProtocol):
         self.bind(EV_READY_TO_INVOKE, self.check_order, order=ORDER_CHECK)
         self.bind(EV_INVOKE_RETURN, self.check_next)
         self.bind(CONTROL_EVENT_PREFIX + CONTROL_ORDER, self.on_order)
+        self.shared.set(SHARED_ORDERING, self)
         # One periodic watchdog serves every waiting request (per-request
         # timers would churn a timer thread per request).
         self._arm_watchdog()
@@ -98,6 +100,10 @@ class TotalOrder(MicroProtocol):
 
     def _platform(self) -> ServerPlatform:
         return self.shared.get(SHARED_PLATFORM)
+
+    def follows(self) -> bool:
+        """Whether another replica, the sequencer, orders this one's requests."""
+        return not self._stopped and self._platform().my_replica() != self._sequencer
 
     def assign_order(self, occurrence: Occurrence) -> None:
         """Coordinator: allocate a sequence number and announce it."""

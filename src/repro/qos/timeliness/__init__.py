@@ -13,11 +13,11 @@ priority requests can be implemented as relatively simple micro-protocols."
   previous time window saw fewer high-priority arrivals than a threshold.
 
 The request's priority comes from the server-side priority policy (client
-identity, per the paper) or the piggybacked value; the
-:data:`HIGH_PRIORITY_THRESHOLD` boundary classifies it.  The scheduling
-handlers bind to ``readyToInvoke`` *before* TotalOrder's sequencing, which
-is the paper's resolution of the ordering/differentiation conflict when the
-differentiation protocols run at the ordering coordinator.
+identity, per the paper) or the piggybacked value.  The two queuing
+schedulers share one base, :class:`~repro.qos.timeliness.common.QueuingSched`,
+which also carries the paper's resolution of the ordering/differentiation
+conflict: under TotalOrder only the sequencer's scheduler differentiates,
+and every other replica's admits in the announced order.
 """
 
 from repro.util import lazy_exports

@@ -1,10 +1,12 @@
-"""Shared fixtures: networks, compiled IDL, and CQoS deployments, and the
-check that every test leaves nothing running: no socket open and no thread
-of a :class:`~repro.util.concurrency.WorkerThreads` set alive."""
+"""Shared fixtures: networks, compiled IDL, and CQoS deployments, and two
+checks on every test: that it leaves nothing running (no socket open and no
+thread of a :class:`~repro.util.concurrency.WorkerThreads` set alive), and
+that the replicas of every totally ordered object end in one state."""
 
 from __future__ import annotations
 
 import os
+import reprlib
 import sys
 import threading
 import time
@@ -15,6 +17,7 @@ import pytest
 from repro.apps.bank import BankAccount, bank_compiled, bank_interface
 from repro.core.service import CqosDeployment
 from repro.net.memory import InMemoryNetwork
+from repro.net.tcp import TcpNetwork
 from repro.util.concurrency import WorkerThreads
 
 
@@ -59,6 +62,12 @@ def pytest_configure(config):
         "leaves_threads(reason): the test leaves WorkerThreads threads running "
         "on purpose, for the reason given; the check after teardown skips them",
     )
+    config.addinivalue_line(
+        "markers",
+        "replicas_may_diverge(reason): the test's totally ordered replicas may "
+        "end in different states on purpose, for the reason given; the "
+        "agreement check skips them",
+    )
 
 
 @pytest.fixture(autouse=True)
@@ -91,6 +100,110 @@ def nothing_left_running(request):
         problems.append(f"{len(threads)} WorkerThreads thread(s) still alive after teardown:")
         for thread, frame in threads.items():
             problems.append(f"--- {thread.name}\n" + "".join(traceback.format_stack(frame)))
+    if problems:
+        pytest.fail("\n".join(problems), pytrace=False)
+
+
+#: How long the agreement check waits for replicas to converge: the first
+#: reply completes a call while slower replicas may still be executing it.
+QUIESCE_S = 10.0
+
+#: Servant state the agreement check compares, by servant class.  A replica
+#: group whose servants have no probe here is not compared.
+STATE_PROBES = {
+    BankAccount: lambda servant: (servant.get_balance(), servant.history(sys.maxsize)),
+}
+
+
+def _disagreement(object_id: str, servants: dict, probe) -> str | None:
+    """Wait for ``servants`` (replica -> servant) to reach one ``probe``
+    state; describe the states if they do not within ``QUIESCE_S``."""
+    deadline = time.monotonic() + QUIESCE_S
+    while True:
+        states = {replica: probe(servant) for replica, servant in servants.items()}
+        first = next(iter(states.values()))
+        if all(state == first for state in states.values()):
+            return None
+        if time.monotonic() >= deadline:
+            shown = {replica: reprlib.repr(state) for replica, state in states.items()}
+            return f"replicas of {object_id!r} ended in different states: {shown}"
+        time.sleep(0.02)
+
+
+@pytest.fixture(autouse=True)
+def replicas_agree(request, monkeypatch):
+    """Fail a test whose live replicas of an object, every one running
+    ``TotalOrder``, end in different servant states.
+
+    Wraps ``CqosDeployment.add_replicas`` to record each replica's servant
+    and stack and compares them when their deployment closes (or at
+    teardown, if it never does).  A replica whose host ever crashed is left
+    out: it missed what was ordered while it was down.
+    """
+    marker = request.node.get_closest_marker("replicas_may_diverge")
+    if marker is not None:
+        if not (marker.args and str(marker.args[0]).strip()):
+            pytest.fail("replicas_may_diverge needs its reason", pytrace=False)
+        yield
+        return
+    groups: list = []  # (deployment, object_id, {replica: servant}, skeletons)
+    crashed: set[str] = set()
+    problems: list[str] = []
+    add_replicas = CqosDeployment.add_replicas
+    close = CqosDeployment.close
+
+    def recording_add_replicas(self, object_id, servant_factory, *args, **kwargs):
+        servants = {}
+
+        def factory():
+            servants[len(servants) + 1] = servant = servant_factory()
+            return servant
+
+        skeletons = add_replicas(self, object_id, factory, *args, **kwargs)
+        groups.append((self, object_id, servants, skeletons))
+        return skeletons
+
+    def check(deployment):
+        mine = [group for group in groups if group[0] is deployment]
+        groups[:] = [group for group in groups if group[0] is not deployment]
+        for _, object_id, servants, skeletons in mine:
+            live = {
+                replica: servant
+                for replica, servant in servants.items()
+                if deployment.replica_host_name(object_id, replica) not in crashed
+            }
+            ordered = all(
+                skeleton.cactus_server is not None
+                and "TotalOrder" in skeleton.cactus_server.micro_protocol_names()
+                for skeleton in skeletons
+            )
+            if not ordered or len(live) < 2:
+                continue
+            probe = STATE_PROBES.get(type(next(iter(live.values()))))
+            problem = probe and _disagreement(object_id, live, probe)
+            if problem:
+                problems.append(problem)
+
+    def checking_close(self):
+        try:
+            check(self)
+        finally:
+            close(self)
+
+    def recording_crash(crash):
+        def wrapper(self, host_name):
+            crashed.add(host_name)
+            return crash(self, host_name)
+
+        return wrapper
+
+    monkeypatch.setattr(CqosDeployment, "add_replicas", recording_add_replicas)
+    monkeypatch.setattr(CqosDeployment, "close", checking_close)
+    for network_class in (InMemoryNetwork, TcpNetwork):
+        monkeypatch.setattr(network_class, "crash", recording_crash(network_class.crash))
+    yield
+    for deployment in {id(group[0]): group[0] for group in groups}.values():
+        check(deployment)
     if problems:
         pytest.fail("\n".join(problems), pytrace=False)
 

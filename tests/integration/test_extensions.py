@@ -12,8 +12,17 @@ import pytest
 from repro.apps.bank import BankAccount, bank_interface
 from repro.cactus.config import MicroProtocolSpec
 from repro.core.client import SHARED_FAILED_SERVERS
-from repro.qos import ActiveRep, FirstSuccess, PassiveRep, PassiveRepServer, TotalOrder
+from repro.qos import (
+    ActiveRep,
+    FirstSuccess,
+    PassiveRep,
+    PassiveRepServer,
+    TimedSched,
+    TotalOrder,
+)
 from repro.qos.fault_tolerance import FailureDetector, RequestLog, replay_log
+from repro.qos.timeliness import HIGH_PRIORITY, LOW_PRIORITY
+from tests.integration.test_fault_tolerance import _probe_request, _quiesce
 
 
 class TestFailureDetector:
@@ -100,27 +109,55 @@ class TestRequestLogRecovery:
 
 
 class TestTotalOrderFailover:
-    def test_sequencer_failover(self, deployment):
-        """Crash the coordinator; the lowest live replica takes over."""
+    @pytest.mark.parametrize(
+        "schedulers",
+        [
+            pytest.param(lambda: [], id="alone"),
+            pytest.param(
+                lambda: [TimedSched(period=0.01, high_rate_threshold=1)], id="TimedSched"
+            ),
+        ],
+    )
+    def test_sequencer_failover(self, deployment, schedulers):
+        """Crash the coordinator; the lowest live replica takes over.  A
+        scheduler on every replica then differentiates at replica 2, the new
+        sequencer, while replica 3 follows its order."""
         skeletons = deployment.add_replicas(
             "acct",
             BankAccount,
             bank_interface(),
             replicas=3,
-            server_micro_protocols=lambda: [TotalOrder(order_timeout=0.2)],
+            server_micro_protocols=lambda: [TotalOrder(order_timeout=0.2), *schedulers()],
+            priority_policy=lambda request: (
+                HIGH_PRIORITY if request.client_id.startswith("high") else LOW_PRIORITY
+            ),
         )
-        stub = deployment.client_stub(
-            "acct",
-            bank_interface(),
-            client_micro_protocols=lambda: [ActiveRep(), FirstSuccess()],
+        orders = [s.cactus_server.micro_protocol("TotalOrder") for s in skeletons]
+        assert [order.follows() for order in orders] == [False, True, True]
+        high, low = (
+            deployment.client_stub(
+                "acct",
+                bank_interface(),
+                client_id=name,
+                client_micro_protocols=lambda: [ActiveRep(), FirstSuccess()],
+            )
+            for name in ("high-teller", "low-batch")
         )
-        stub.set_balance(1.0)
+        high.set_balance(1.0)
         deployment.crash_replica("acct", 1)
         # Requests still complete: replica 2 becomes the sequencer after
         # the order-timeout probe discovers replica 1 dead.
-        stub.deposit(2.0)
-        assert stub.get_balance() == 3.0
-        assert skeletons[1].cactus_server.micro_protocol("TotalOrder").sequencer == 2
+        high.deposit(2.0)
+        low.deposit(3.0)
+        assert low.get_balance() == 6.0
+        assert orders[1].sequencer == 2
+        assert not orders[1].follows()
+        assert orders[2].follows()
+        balances = _quiesce(
+            skeletons[1:],
+            lambda s: s._platform.invoke_servant(_probe_request("get_balance")),
+        )
+        assert balances == [6.0, 6.0]
 
 
 class TestDynamicClientConfiguration:

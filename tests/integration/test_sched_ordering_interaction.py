@@ -1,23 +1,29 @@
-"""Regression tests: schedulers + TotalOrder re-dispatch interaction.
+"""Regression tests: schedulers + TotalOrder, the paper's §3.4 conflict.
 
 A request that passed scheduler admission, took a sequence number, and
 parked in TotalOrder gets re-dispatched through ``readyToInvoke`` when its
 turn comes.  The scheduler must recognize it as already admitted — sending
 it back to the queue deadlocks both protocols (the ordering waits on a
-sequence number that sits in the scheduler queue).  This reproduces the
-paper's §3.4 conflict discussion and pins the fix (sticky admission).
+sequence number that sits in the scheduler queue); sticky admission pins
+that.  And with a scheduler on every replica, only the sequencer's may
+differentiate: a follower that queued too would hold back the sequence
+numbers its own ordering waits for, and stall or diverge.  The mixed-load
+tests put the scheduler on every replica, as the configuration matrix does,
+and require the replicas to agree.
 """
 
 import threading
 
 import pytest
 
+from repro.apps.bank import BankAccount, bank_interface
 from repro.core.events import EV_READY_TO_INVOKE
 from repro.core.request import PB_CLIENT_ID, Request
 from repro.core.server import CactusServer
-from repro.qos import QueuedSched, TimedSched, TotalOrder
+from repro.qos import ActiveRep, PrioritySched, QueuedSched, TimedSched, TotalOrder
 from repro.qos.timeliness import HIGH_PRIORITY, LOW_PRIORITY
 from repro.qos.timeliness.common import ATTR_ADMITTED
+from tests.integration.test_fault_tolerance import _probe_request, _quiesce
 from tests.unit.test_core_components import FakeServerPlatform
 
 
@@ -50,21 +56,16 @@ def test_admitted_requests_pass_scheduler_on_redispatch(scheduler_factory):
         server.runtime.shutdown()
 
 
-def test_timed_sched_with_total_order_under_mixed_load(deployment):
-    """End-to-end regression: the exact deadlock scenario — TimedSched at
-    the coordinator, TotalOrder everywhere, mixed-priority concurrency."""
-    from repro.apps.bank import BankAccount, bank_interface
-    from repro.qos import ActiveRep
-
-    deployment.add_replicas(
+def _mixed_load(deployment, schedulers):
+    """Three replicas running TotalOrder plus ``schedulers()``; two high and
+    two low ActiveRep clients make ten deposits each, concurrently.  Returns
+    the skeletons once every client is done."""
+    skeletons = deployment.add_replicas(
         "acct",
         BankAccount,
         bank_interface(),
         replicas=3,
-        server_micro_protocols=lambda: [
-            TotalOrder(),
-            TimedSched(period=0.01, high_rate_threshold=1),
-        ],
+        server_micro_protocols=lambda: [TotalOrder(), *schedulers()],
         priority_policy=policy,
     )
     errors = []
@@ -83,10 +84,8 @@ def test_timed_sched_with_total_order_under_mixed_load(deployment):
             errors.append(exc)
 
     threads = [
-        threading.Thread(target=client, args=("high-a", 10)),
-        threading.Thread(target=client, args=("high-b", 10)),
-        threading.Thread(target=client, args=("low-a", 10)),
-        threading.Thread(target=client, args=("low-b", 10)),
+        threading.Thread(target=client, args=(name, 10))
+        for name in ("high-a", "high-b", "low-a", "low-b")
     ]
     for t in threads:
         t.start()
@@ -94,3 +93,32 @@ def test_timed_sched_with_total_order_under_mixed_load(deployment):
         t.join(timeout=90)
     assert not any(t.is_alive() for t in threads), "mixed load deadlocked"
     assert not errors, errors[:3]
+    return skeletons
+
+
+def test_timed_sched_with_total_order_under_mixed_load(deployment):
+    """End-to-end regression: the exact deadlock scenario — TimedSched on
+    every replica, TotalOrder everywhere, mixed-priority concurrency."""
+    _mixed_load(deployment, lambda: [TimedSched(period=0.01, high_rate_threshold=1)])
+
+
+SCHEDULERS = {
+    "none": lambda: [],
+    "PrioritySched": lambda: [PrioritySched()],
+    "QueuedSched": lambda: [QueuedSched()],
+    "TimedSched": lambda: [TimedSched(period=0.01, high_rate_threshold=1)],
+}
+
+
+@pytest.mark.parametrize("scheduler", SCHEDULERS)
+def test_replicas_agree_under_every_scheduler(deployment, scheduler):
+    """Every replica executes all forty deposits, in one order."""
+    skeletons = _mixed_load(deployment, SCHEDULERS[scheduler])
+    histories = _quiesce(
+        skeletons,
+        lambda s: s._platform.invoke_servant(_probe_request("history", 100)),
+    )
+    assert all(history == histories[0] for history in histories), histories
+    assert [entry["balance_after"] for entry in histories[0]] == [
+        float(n) for n in range(1, 41)
+    ]
