@@ -8,6 +8,12 @@ columns of Table 3.  Medians over many measured pairs are reported; the
 paper used means over 10000 pairs on otherwise idle machines — medians are
 the robust equivalent on a shared host.
 
+The script pins itself to one CPU (the lowest it may run on) where the
+platform allows it.  Each configuration is one run, and on a shared host
+unpinned runs spread too widely to order Table 2's replicated rows: those
+rows read 1.4-9.8 ms a pair from run to run unpinned, and at most about
+1.5x apart pinned to one CPU.
+
 Run:  python benchmarks/report.py [--pairs N]
 
 The output of a run is recorded in EXPERIMENTS.md next to the paper's
@@ -18,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import statistics
 import sys
 import time
@@ -160,6 +167,8 @@ def main() -> None:
     parser.add_argument("--tables", default="1,2,3",
                         help="comma-separated table numbers to run")
     args = parser.parse_args()
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     gc.disable()
     tables = set(args.tables.split(","))
     if "1" in tables:

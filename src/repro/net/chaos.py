@@ -109,56 +109,6 @@ class FaultPlan:
                 raise ValueError(f"scheduled event time must be >= 0, got {at}")
 
 
-@dataclass
-class ChaosStats:
-    """Counters over everything the chaos layer did (thread-safe snapshot)."""
-
-    messages: int = 0
-    delivered: int = 0
-    lost: int = 0
-    duplicated: int = 0
-    corrupted: int = 0
-    resets: int = 0
-    reordered: int = 0
-    partition_blocks: int = 0
-    exempted: int = 0
-    crashes: int = 0
-    recoveries: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return dict(self.__dict__)
-
-
-@dataclass(frozen=True)
-class _Fate:
-    """The drawn fault decisions for one request/reply exchange."""
-
-    request_lost: bool
-    request_delay: float
-    request_duplicated: bool
-    request_corrupt: bool
-    #: Byte position to flip, as a fraction of the payload length (the
-    #: length is unknown at draw time; a fraction keeps the draw count fixed).
-    request_corrupt_pos: float
-    reply_lost: bool
-    reply_delay: float
-    reply_corrupt: bool
-    reply_corrupt_pos: float
-    reset: bool
-
-
-class _ChaosListener(Listener):
-    def __init__(self, inner: Listener):
-        self._inner = inner
-
-    @property
-    def address(self) -> str:
-        return self._inner.address
-
-    def close(self) -> None:
-        self._inner.close()
-
-
 class _ChaosConnection(Connection):
     def __init__(self, network: "ChaosNetwork", source_host: str, address: str, inner: Connection):
         self._network = network
@@ -166,106 +116,90 @@ class _ChaosConnection(Connection):
         self._address = address
         self._destination, _ = split_address(address)
         self._inner = inner
-        self._reseeds, self._rng = network._connection_stream(source_host, address)
+        with network._lock:
+            self._reseeds, self._rng = network._connection_stream(source_host, address)
         self._closed = False
-
-    # One lock-held draw per call keeps the stream contiguous even if the
-    # application shares a connection between threads.
-    def _draw_fate(self, plan: FaultPlan) -> _Fate:
-        rng = self._rng
-        # Always consume the same number of draws per message so the stream
-        # stays aligned between plans that enable different knobs.
-        request_lost = rng.random() < plan.loss
-        request_dup = rng.random() < plan.duplicate
-        request_corrupt = rng.random() < plan.corrupt
-        request_corrupt_pos = rng.random()
-        request_reorder = rng.random() < plan.reorder
-        request_jitter = rng.random() * plan.jitter
-        reply_lost = rng.random() < plan.loss
-        reply_corrupt = rng.random() < plan.corrupt
-        reply_corrupt_pos = rng.random()
-        reply_reorder = rng.random() < plan.reorder
-        reply_jitter = rng.random() * plan.jitter
-        reset = rng.random() < plan.reset
-        request_delay = plan.latency + request_jitter
-        reply_delay = plan.latency + reply_jitter
-        if request_reorder:
-            request_delay += plan.reorder_delay
-        if reply_reorder:
-            reply_delay += plan.reorder_delay
-        if request_reorder or reply_reorder:
-            self._network._count("reordered")
-        return _Fate(
-            request_lost=request_lost,
-            request_delay=request_delay,
-            request_duplicated=request_dup,
-            request_corrupt=request_corrupt,
-            request_corrupt_pos=request_corrupt_pos,
-            reply_lost=reply_lost,
-            reply_delay=reply_delay,
-            reply_corrupt=reply_corrupt,
-            reply_corrupt_pos=reply_corrupt_pos,
-            reset=reset,
-        )
 
     def call(self, data: bytes, timeout: float | None = None) -> bytes:
         if self._closed:
             raise CommunicationError("connection is closed")
         network = self._network
-        network._apply_due_events()
-        network._check_partition(self._source, self._destination)
-        plan = network.plan
-        if network._is_exempt(plan, self._source, self._destination):
+        source, destination = self._source, self._destination
+        plan = network._plan
+        if plan.schedule:
+            network._apply_due_events()
+        network._check_partition(source, destination)
+        if source in plan.exempt_hosts or destination in plan.exempt_hosts:
             network._count("exempted")
             return self._inner.call(data, timeout=timeout)
-        with network._rng_lock:
+        # One lock block draws the whole exchange's fate, so the stream stays
+        # contiguous even if the application shares a connection between
+        # threads.
+        with network._lock:
             if self._reseeds != network._reseeds:
                 # set_loss(seed=...) restarted every stream since our last
                 # draw: continue on the stream the new seed derives.
-                self._reseeds, self._rng = network._connection_stream(
-                    self._source, self._address
-                )
-            fate = self._draw_fate(plan)
-        network._count("messages", 2)
-        if fate.request_delay > 0:
-            network.clock.sleep(fate.request_delay)
-        if fate.request_lost:
-            network._count("lost")
-            raise CommunicationError(
-                f"chaos: request {self._source}->{self._address} lost"
-            )
-        payload = (
-            _flip_byte(data, fate.request_corrupt_pos) if fate.request_corrupt else data
-        )
-        if fate.request_corrupt:
-            network._count("corrupted")
-        reply = self._inner.call(payload, timeout=timeout)
-        if fate.request_duplicated:
+                self._reseeds, self._rng = network._connection_stream(source, self._address)
+            # Always the same twelve draws, in this order, so the stream stays
+            # aligned between plans that enable different knobs.  A corrupt
+            # byte's position is a fraction of the payload, whose length the
+            # draw does not know.
+            draw = self._rng.random
+            request_lost = draw() < plan.loss
+            duplicated = draw() < plan.duplicate
+            request_corrupt = draw() < plan.corrupt
+            request_at = draw()
+            request_reorder = draw() < plan.reorder
+            request_delay = plan.latency + draw() * plan.jitter
+            reply_lost = draw() < plan.loss
+            reply_corrupt = draw() < plan.corrupt
+            reply_at = draw()
+            reply_reorder = draw() < plan.reorder
+            reply_delay = plan.latency + draw() * plan.jitter
+            reset = draw() < plan.reset
+            stats = network._stats
+            stats["messages"] += 2
+            if request_reorder or reply_reorder:
+                stats["reordered"] += 1
+            if request_lost:
+                stats["lost"] += 1
+            elif request_corrupt:
+                stats["corrupted"] += 1
+        if request_reorder:
+            request_delay += plan.reorder_delay
+        if reply_reorder:
+            reply_delay += plan.reorder_delay
+        if request_delay > 0:
+            network.clock.sleep(request_delay)
+        if request_lost:
+            raise CommunicationError(f"chaos: request {source}->{self._address} lost")
+        if request_corrupt:
+            data = _flip_byte(data, request_at)
+        reply = self._inner.call(data, timeout=timeout)
+        if duplicated:
             network._count("duplicated")
             try:
-                self._inner.call(payload, timeout=timeout)
+                self._inner.call(data, timeout=timeout)
             except CommunicationError:
                 pass  # the duplicate's fate is irrelevant to the caller
-        if fate.reply_delay > 0:
-            network.clock.sleep(fate.reply_delay)
+        if reply_delay > 0:
+            network.clock.sleep(reply_delay)
         # The reply crosses the network too: a partition made while the
         # request executed keeps it from the caller.
-        network._check_partition(self._destination, self._source)
-        if fate.reset:
+        network._check_partition(destination, source)
+        if reset:
             network._count("resets")
             raise CommunicationError(
-                f"chaos: connection {self._source}->{self._address} reset after execution"
+                f"chaos: connection {source}->{self._address} reset after execution"
             )
-        if fate.reply_lost:
+        if reply_lost:
             network._count("lost")
-            raise CommunicationError(
-                f"chaos: reply {self._address}->{self._source} lost"
-            )
-        if fate.reply_corrupt:
-            network._count("corrupted")
-            reply = _flip_byte(reply, fate.reply_corrupt_pos)
-        network._count("delivered", 2)
-        return reply
+            raise CommunicationError(f"chaos: reply {self._address}->{source} lost")
+        with network._lock:
+            stats["delivered"] += 2
+            if reply_corrupt:
+                stats["corrupted"] += 1
+        return _flip_byte(reply, reply_at) if reply_corrupt else reply
 
     def close(self) -> None:
         self._closed = True
@@ -279,7 +213,7 @@ class _ChaosHost(Host):
         self._inner = inner
 
     def listen(self, service: str, handler: FrameHandler) -> Listener:
-        return _ChaosListener(self._inner.listen(service, handler))
+        return self._inner.listen(service, handler)
 
     def connect(self, address: str) -> Connection:
         split_address(address)
@@ -313,21 +247,18 @@ class ChaosNetwork(Network):
         self.clock: Clock = getattr(inner, "clock", None) or RealClock()
         self._plan = plan or FaultPlan()
         self._lock = threading.Lock()
-        self._rng_lock = threading.Lock()
         self._hosts: dict[str, _ChaosHost] = {}
         self._link_counts: dict[tuple[str, str], int] = {}
         self._reseeds = 0  # how many times set_loss restarted the streams
         self._partition_of: dict[str, int] = {}
-        self._stats = ChaosStats()
+        self._stats = dict.fromkeys((
+            "messages", "delivered", "lost", "duplicated", "corrupted", "resets",
+            "reordered", "partition_blocks", "exempted", "crashes", "recoveries",
+        ), 0)
         self._started_at: float | None = None
         self._pending_events: list[tuple[float, str, str]] = []
 
     # -- plan management ---------------------------------------------------
-
-    @property
-    def plan(self) -> FaultPlan:
-        with self._lock:
-            return self._plan
 
     def set_plan(self, plan: FaultPlan) -> None:
         """Swap the active fault plan (existing RNG streams continue)."""
@@ -364,17 +295,16 @@ class ChaosNetwork(Network):
                 self._link_counts.clear()
                 self._reseeds += 1
 
+    # A partition table is built whole and swapped in, so a message reads it
+    # without the lock.
     def partition(self, groups: list[list[str]]) -> None:
         """Split hosts into isolated groups; unlisted hosts join group 0."""
-        with self._lock:
-            self._partition_of = {}
-            for index, group in enumerate(groups):
-                for host_name in group:
-                    self._partition_of[host_name] = index
+        self._partition_of = {
+            host_name: index for index, group in enumerate(groups) for host_name in group
+        }
 
     def heal(self) -> None:
-        with self._lock:
-            self._partition_of = {}
+        self._partition_of = {}
 
     # -- Network interface -------------------------------------------------
 
@@ -408,47 +338,30 @@ class ChaosNetwork(Network):
     def stats(self) -> dict[str, int]:
         """Snapshot of everything the chaos layer injected so far."""
         with self._lock:
-            return self._stats.as_dict()
-
-    def reset_stats(self) -> None:
-        with self._lock:
-            self._stats = ChaosStats()
+            return dict(self._stats)
 
     # -- internals ---------------------------------------------------------
 
     def _connection_stream(self, source: str, address: str) -> tuple[int, random.Random]:
         """A fresh deterministic stream for one connection on one link, with
-        the restart count it was derived under."""
-        with self._lock:
-            key = (source, address)
-            index = self._link_counts.get(key, 0)
-            self._link_counts[key] = index + 1
-            seed = self._plan.seed
-            reseeds = self._reseeds
-        return reseeds, random.Random(f"{seed}|{source}->{address}|{index}")
-
-    def _is_exempt(self, plan: FaultPlan, source: str, destination: str) -> bool:
-        return source in plan.exempt_hosts or destination in plan.exempt_hosts
+        the restart count it was derived under.  Called with the lock held."""
+        key = (source, address)
+        index = self._link_counts.get(key, 0)
+        self._link_counts[key] = index + 1
+        return self._reseeds, random.Random(f"{self._plan.seed}|{source}->{address}|{index}")
 
     def _check_partition(self, source: str, destination: str) -> None:
-        with self._lock:
-            if not self._partition_of:
-                return
-            src_group = self._partition_of.get(source, 0)
-            dst_group = self._partition_of.get(destination, 0)
-            blocked = src_group != dst_group
-            if blocked:
-                self._stats.partition_blocks += 1
-        if blocked:
+        partition_of = self._partition_of
+        if partition_of and partition_of.get(source, 0) != partition_of.get(destination, 0):
+            self._count("partition_blocks")
             raise CommunicationError(
                 f"chaos: {source} and {destination} are in different partitions"
             )
 
     def _apply_due_events(self) -> None:
+        """Fire the scheduled events now due (called when the plan has any)."""
         due: list[tuple[float, str, str]] = []
         with self._lock:
-            if not self._pending_events and not self._plan.schedule:
-                return
             if self._started_at is None:
                 self._started_at = self.clock.now()
                 self._pending_events = sorted(self._plan.schedule)
@@ -461,6 +374,6 @@ class ChaosNetwork(Network):
             else:
                 self.recover(host_name)
 
-    def _count(self, name: str, amount: int = 1) -> None:
+    def _count(self, name: str) -> None:
         with self._lock:
-            setattr(self._stats, name, getattr(self._stats, name) + amount)
+            self._stats[name] += 1

@@ -1,5 +1,6 @@
 """Unit tests for the chaos transport decorator (deterministic fault injection)."""
 
+import sys
 import threading
 
 import pytest
@@ -369,5 +370,40 @@ class TestStats:
         assert stats["messages"] == 60
         assert stats["lost"] > 0
         assert stats["delivered"] > 0
-        net.reset_stats()
-        assert net.stats()["messages"] == 0
+
+
+def _profile_events(run) -> int:
+    """Calls into Python and C functions while ``run()`` executes, as a
+    profile hook sees them.  Counted, not timed."""
+    count = 0
+
+    def hook(frame, event, arg):
+        nonlocal count
+        if event == "call" or event == "c_call":
+            count += 1
+
+    sys.setprofile(hook)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+class TestCost:
+    def test_a_fault_free_call_costs_few_profile_events_beyond_delivery(self):
+        """Under a default plan one call through the chaos connection costs
+        at most 18 profile events beyond the same call on the in-memory
+        connection underneath: itself, the twelve seeded draws, a partition
+        check on each leg and the exits of its two lock blocks."""
+        net = ChaosNetwork(InMemoryNetwork(), FaultPlan())
+        try:
+            net.host("server").listen("echo", lambda d: d)
+            conn = net.host("client").connect("server/echo")
+            assert conn.call(b"x") == b"x"
+            bare = _profile_events(lambda: conn._inner.call(b"x"))
+            chaos = _profile_events(lambda: conn.call(b"x"))
+        finally:
+            net.close()
+        assert chaos - bare <= 18
+        assert net.stats()["messages"] == 4

@@ -33,10 +33,10 @@ This script AST-scans ``src/repro`` and fails (exit 1) on violations of:
   or in a ``from`` import) only by ``repro.util.concurrency``, whose
   ``WorkerThreads`` is the scheduler every other module borrows from.
 - no sleep-poll: ``time.sleep`` may be named (as ``time.sleep`` or in a
-  ``from time import``) only under ``repro.util`` and in ``repro.net.chaos``,
-  whose sleeps are the injected latency itself.  Code that waits for
-  something to happen waits on the thing (an event, a condition, a
-  future), not on the clock.
+  ``from time import``) only under ``repro.util``, whose clocks are the one
+  place time passes (the chaos network charges its injected latency on
+  one).  Code that waits for something to happen waits on the thing (an
+  event, a condition, a future), not on the clock.
 
 Usage::
 
@@ -171,7 +171,7 @@ def named_thread_starters(tree: ast.AST) -> list[tuple[int, str]]:
     return found
 
 
-SLEEP_OWNERS = ("repro.util", "repro.net.chaos")
+SLEEP_OWNER = "repro.util"
 
 
 def named_sleeps(tree: ast.AST) -> list[int]:
@@ -202,9 +202,7 @@ def check(root: Path) -> list[str]:
                     f"{path}:{lineno}: {module} names {name} "
                     f"(only {THREAD_OWNER} starts a thread: spawn on the deployment's set)"
                 )
-        if not any(
-            module == owner or module.startswith(owner + ".") for owner in SLEEP_OWNERS
-        ):
+        if module != SLEEP_OWNER and not module.startswith(SLEEP_OWNER + "."):
             for lineno in named_sleeps(tree):
                 violations.append(
                     f"{path}:{lineno}: {module} names time.sleep "
