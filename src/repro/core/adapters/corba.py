@@ -32,7 +32,7 @@ from repro.core.platform import (
     BaseSkeletonServant,
 )
 from repro.core.skeleton import CqosSkeleton
-from repro.idl.compiler import CompiledIdl, InterfaceDef
+from repro.idl.compiler import CompiledIdl, InterfaceDef, ServantSkeleton
 from repro.net.transport import Network
 from repro.orb.dsi import DynamicImplementation, ServerRequest
 from repro.orb.naming import (
@@ -42,7 +42,7 @@ from repro.orb.naming import (
     start_naming_service,
 )
 from repro.orb.orb import ObjectRef, Orb
-from repro.orb.stubs import StaticSkeleton, make_static_stub_class
+from repro.orb.stubs import make_static_stub_class
 
 __all__ = [
     "CorbaClientPlatform",
@@ -111,7 +111,7 @@ class CorbaServerPlatform(_CorbaNamingMixin, BaseServerPlatform):
         super().__init__(
             object_id,
             replica,
-            StaticSkeleton(servant, interface, orb.compiled),
+            ServantSkeleton(servant, interface),
             total_replicas=total_replicas,
             observers=observers,
             router=router,

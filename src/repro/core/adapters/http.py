@@ -100,7 +100,7 @@ class HttpServerPlatform(_HttpRegistryMixin, BaseServerPlatform):
         super().__init__(
             object_id,
             replica,
-            ServantSkeleton(servant, interface, server.compiled),
+            ServantSkeleton(servant, interface),
             total_replicas=total_replicas,
             observers=observers,
             router=router,

@@ -102,7 +102,7 @@ class RmiServerPlatform(_RmiRegistryMixin, BaseServerPlatform):
         super().__init__(
             object_id,
             replica,
-            ServantSkeleton(servant, interface, runtime.compiled),
+            ServantSkeleton(servant, interface),
             total_replicas=total_replicas,
             observers=observers,
             router=router,

@@ -2,13 +2,15 @@
 
 Objects mount at ``/objects/<object-id>``; an operation invocation is
 ``POST /objects/<object-id>/<operation>`` with a jser-encoded argument list
-as the body.  Replies: 200 with a jser body for normal returns, 400-series
-with a jser-encoded exception value for application exceptions (so IDL
-exceptions round-trip), 500 with a ``{type, message}`` body otherwise.
+as the body (any other body is a :class:`MarshalError`).  Replies: 200
+with a jser body for normal returns, 400-series with a jser-encoded
+exception value for application exceptions (so IDL exceptions
+round-trip), 500 with a ``{type, message}`` body otherwise.
 
 Two servant flavours mirror the other platforms:
 
-- typed (interface metadata drives dispatch and result checking);
+- typed (a :class:`~repro.idl.compiler.ServantSkeleton` dispatches and
+  checks arguments and result against the IDL);
 - generic (anything with ``invoke(method, arguments, context)`` — the CQoS
   skeleton path).
 """
@@ -22,7 +24,7 @@ from repro.http.message import format_response, parse_request
 from repro.idl.compiler import CompiledIdl, IdlRemoteException, InterfaceDef, ServantSkeleton
 from repro.net.transport import Network
 from repro.serialization.jser import jser_dumps, jser_loads
-from repro.util.errors import BindError
+from repro.util.errors import BindError, MarshalError
 
 SERVICE = "http"
 
@@ -60,7 +62,7 @@ class HttpObjectServer:
 
     def mount(self, object_id: str, servant: Any, interface: InterfaceDef) -> str:
         """Mount a typed servant; returns its URL path."""
-        skeleton = ServantSkeleton(servant, interface, self.compiled)
+        skeleton = ServantSkeleton(servant, interface)
         return self._mount(object_id, servant, skeleton)
 
     def mount_generic(self, object_id: str, servant: Any) -> str:
@@ -110,7 +112,11 @@ class HttpObjectServer:
         if mount is None:
             return format_response(404, jser_dumps({"type": "NotFound", "message": object_id}))
         servant, skeleton = mount
-        arguments = list(jser_loads(body)) if body else []
+        arguments = jser_loads(body) if body else []
+        if type(arguments) is not list:
+            raise MarshalError(
+                f"request body is not an argument list: {type(arguments).__name__}"
+            )
         if skeleton is None:
             value = servant.invoke(operation, arguments, context)
         else:

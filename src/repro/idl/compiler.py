@@ -18,6 +18,7 @@ Python-mapping restrictions (checked here, with explicit errors):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, Callable, Sequence
 
 from repro.idl.ast import (
     AttributeDecl,
@@ -38,7 +39,9 @@ from repro.serialization.registry import TypeRegistry, global_registry
 from repro.serialization.tags import declare_names
 from repro.util.errors import ConfigurationError, InvocationError, MarshalError
 
+#: IDL integer kind -> (lowest, highest) value.
 _INT_RANGES = {
+    "octet": (0, 255),
     "short": (-(2**15), 2**15 - 1),
     "unsigned short": (0, 2**16 - 1),
     "long": (-(2**31), 2**31 - 1),
@@ -46,6 +49,125 @@ _INT_RANGES = {
     "long long": (-(2**63), 2**63 - 1),
     "unsigned long long": (0, 2**64 - 1),
 }
+#: Other basic kind -> the type whose exact instances conform without a
+#: counted call, and the types whose instances conform (``bool`` only to
+#: ``boolean``: it is no number).
+_SCALARS = {
+    "void": (type(None), type(None)),
+    "boolean": (bool, bool),
+    "float": (float, (int, float)),
+    "double": (float, (int, float)),
+    "string": (str, str),
+}
+
+
+def _accept_any(value: Any) -> None:
+    """Every value conforms to ``any``."""
+
+
+def compile_check(idl_type: IdlType, compiled: CompiledIdl, what: str) -> Callable[[Any], None]:
+    """Compile "``value`` conforms to ``idl_type``" into ``check(value)``.
+
+    The one place IDL value conformance is written: the DII, every
+    platform's skeleton and the ORB's typed-CDR plans run checks built
+    here.  Type dispatch and named-type resolution happen once, in this
+    call; ``check`` raises :class:`MarshalError` naming ``what``, the value
+    and the type it misses.  A value of the exact Python type of its kind
+    passes on a ``type(value) is`` test, which costs no counted call;
+    anything else gets the ``isinstance`` verdict.  A struct or exception
+    conforms when it is an instance of its generated class whose members
+    conform; a sequence of ``any`` is checked as a container only.
+    """
+    named: dict[str, Callable[[Any], None]] = {}
+
+    def build(idl_type: IdlType) -> Callable[[Any], None]:
+        def mismatch(value: Any) -> MarshalError:
+            return MarshalError(f"{what}: {value!r} does not conform to IDL type {idl_type}")
+
+        if isinstance(idl_type, SequenceType):
+            check_item = build(idl_type.element)
+
+            def check_sequence(value: Any) -> None:
+                if type(value) is not list and not isinstance(value, (list, tuple)):
+                    raise mismatch(value)
+                if check_item is not _accept_any:
+                    for item in value:
+                        check_item(item)
+
+            return check_sequence
+        if isinstance(idl_type, NamedType):
+            check = named.get(idl_type.name)
+            if check is None:
+                cls = compiled.structs.get(idl_type.name) or compiled.exceptions.get(idl_type.name)
+                if cls is None:
+                    raise ConfigurationError(f"unresolved type {idl_type.name!r}")
+                members: list[tuple[str, Callable[[Any], None]]] = []
+
+                def check(value: Any) -> None:
+                    if not isinstance(value, cls):
+                        raise mismatch(value)
+                    for member, check_member in members:
+                        check_member(getattr(value, member, None))
+
+                # Registered before its members are built: a struct may
+                # hold a sequence of itself.
+                named[idl_type.name] = check
+                for member in cls.__members__:
+                    check_member = build(cls.__member_types__[member])
+                    if check_member is not _accept_any:
+                        members.append((member, check_member))
+            return check
+        if not isinstance(idl_type, BasicType):
+            raise ConfigurationError(f"unknown IDL type {idl_type!r}")
+        kind = idl_type.kind
+        if kind == "any":
+            return _accept_any
+        if kind in _SCALARS:
+            exact, accepted = _SCALARS[kind]
+
+            def check_scalar(value: Any) -> None:
+                if type(value) is not exact and (
+                    isinstance(value, bool) or not isinstance(value, accepted)
+                ):
+                    raise mismatch(value)
+
+            return check_scalar
+        if kind in _INT_RANGES:
+            low, high = _INT_RANGES[kind]
+
+            def check_integer(value: Any) -> None:
+                if (
+                    type(value) is not int
+                    and (isinstance(value, bool) or not isinstance(value, int))
+                ) or not low <= value <= high:
+                    raise mismatch(value)
+
+            return check_integer
+        raise ConfigurationError(f"unknown basic type {kind!r}")
+
+    return build(idl_type)
+
+
+def _compile_args_check(name: str, params: tuple, compiled: CompiledIdl) -> Callable:
+    """``check_args(args)``: the arity, then each argument, each by its check."""
+    checks = tuple(
+        compile_check(param.type, compiled, f"argument {param.name!r} of {name}()")
+        for param in params
+    )
+    arity = len(checks)
+
+    def check_args(args: Sequence) -> None:
+        # ``zip(strict=True)`` checks the arity as it goes: no ``len`` call
+        # on a call that has the right number of arguments.
+        try:
+            for check, value in zip(checks, args, strict=True):
+                check(value)
+        except ValueError:
+            raise MarshalError(
+                f"{name}() takes {arity} arguments, got {len(args)}"
+            ) from None
+
+    return check_args
 
 
 class IdlRemoteException(Exception):
@@ -97,27 +219,13 @@ class OperationDef:
     params: tuple[ParamDef, ...]
     raises: tuple[str, ...] = ()
     oneway: bool = False
-
-    def check_args(self, args: tuple, compiled: "CompiledIdl") -> None:
-        """Validate actual argument values against the declared types."""
-        if len(args) != len(self.params):
-            raise MarshalError(
-                f"{self.name}() takes {len(self.params)} arguments, got {len(args)}"
-            )
-        for param, value in zip(self.params, args):
-            if not compiled.conforms(param.type, value):
-                raise MarshalError(
-                    f"argument {param.name!r} of {self.name}(): "
-                    f"{value!r} does not conform to IDL type {param.type}"
-                )
-
-    def check_result(self, value, compiled: "CompiledIdl") -> None:
-        """Validate a return value against the declared return type."""
-        if not compiled.conforms(self.return_type, value):
-            raise MarshalError(
-                f"return value of {self.name}(): "
-                f"{value!r} does not conform to IDL type {self.return_type}"
-            )
+    #: ``check_args(args)`` and ``check_result(value)``: the signature's
+    #: conformance checks, compiled when :func:`compile_idl` finishes; each
+    #: raises :class:`MarshalError`.
+    check_args: Callable[[Sequence], None] = field(default=None, compare=False, repr=False)
+    check_result: Callable[[Any], None] = field(default=None, compare=False, repr=False)
+    #: The ORB's typed-CDR ``(argument_plan, result_plan)``, built on first use.
+    plans: tuple | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -158,63 +266,26 @@ class CompiledIdl:
             raise ConfigurationError(f"no interface named {name!r}")
         raise ConfigurationError(f"interface name {name!r} is ambiguous")
 
-    def conforms(self, idl_type: IdlType, value) -> bool:
-        """Run-time structural conformance of ``value`` to ``idl_type``."""
-        if isinstance(idl_type, BasicType):
-            kind = idl_type.kind
-            if kind == "void":
-                return value is None
-            if kind == "boolean":
-                return isinstance(value, bool)
-            if kind == "octet":
-                return isinstance(value, int) and not isinstance(value, bool) and 0 <= value <= 255
-            if kind in _INT_RANGES:
-                low, high = _INT_RANGES[kind]
-                return (
-                    isinstance(value, int)
-                    and not isinstance(value, bool)
-                    and low <= value <= high
-                )
-            if kind in ("float", "double"):
-                return isinstance(value, (int, float)) and not isinstance(value, bool)
-            if kind == "string":
-                return isinstance(value, str)
-            if kind == "any":
-                return True
-            raise ConfigurationError(f"unknown basic type {kind!r}")
-        if isinstance(idl_type, SequenceType):
-            if not isinstance(value, (list, tuple)):
-                return False
-            element = idl_type.element
-            if isinstance(element, BasicType) and element.kind == "any":
-                return True  # every element conforms to ``any``
-            return all(self.conforms(element, item) for item in value)
-        if isinstance(idl_type, NamedType):
-            cls = self.structs.get(idl_type.name) or self.exceptions.get(idl_type.name)
-            if cls is None:
-                raise ConfigurationError(f"unresolved type {idl_type.name!r}")
-            return isinstance(value, cls)
-        raise ConfigurationError(f"unknown IDL type {idl_type!r}")
-
 
 class ServantSkeleton:
     """Server-side dispatch of decoded requests to a typed servant, the
     skeleton every platform generates from the same metadata."""
 
-    def __init__(self, servant, interface: InterfaceDef, compiled: CompiledIdl):
+    def __init__(self, servant, interface: InterfaceDef):
         self._servant = servant
         self._interface = interface
-        self._compiled = compiled
 
     @property
     def interface(self) -> InterfaceDef:
         return self._interface
 
     def dispatch(self, operation_name: str, arguments: list):
-        """Invoke the servant method; validate the result against the IDL.
+        """Invoke the servant method with arguments that conform to the IDL
+        signature; validate the result against it.
 
-        Application exceptions declared in ``raises`` propagate as-is (the
-        platform maps them to its user-exception reply); anything else
+        Ill-typed arguments raise :class:`MarshalError` before the servant
+        runs.  Application exceptions declared in ``raises`` propagate as-is
+        (the platform maps them to its user-exception reply); anything else
         becomes an :class:`InvocationError` at the caller.
         """
         operation = self._interface.operation(operation_name)
@@ -223,9 +294,10 @@ class ServantSkeleton:
             raise InvocationError(
                 "NoSuchMethod", f"servant lacks method {operation_name!r}"
             )
+        operation.check_args(arguments)
         result = method(*arguments)
         if not operation.oneway:
-            operation.check_result(result, self._compiled)
+            operation.check_result(result)
         return result
 
 
@@ -287,6 +359,15 @@ class _Compiler:
         for scoped, decl in self._decls.items():
             if isinstance(decl, InterfaceDecl):
                 self._build_interface(scoped)
+        # Every type is known now: compile each operation's checks once (an
+        # inherited operation is the base interface's own object).
+        for interface in self._out.interfaces.values():
+            for op in interface.operations.values():
+                if op.check_args is None:
+                    op.check_args = _compile_args_check(op.name, op.params, self._out)
+                    op.check_result = compile_check(
+                        op.return_type, self._out, f"return value of {op.name}()"
+                    )
         return self._out
 
     def _scope_of(self, scoped: str) -> str:

@@ -70,15 +70,17 @@ class DiiRequest:
         Run-time typing: the ORB's interface metadata is consulted when the
         reference's type id is one it knows.  References to DSI servants
         carry the generic ``CORBA/Object`` type id, for which no metadata
-        exists — those requests go through unchecked, exactly like real DII
-        against an untyped reference.
+        exists — those requests leave unchecked, like real DII against an
+        untyped reference, and are checked at the server, by the typed
+        skeleton behind the DSI servant (the CQoS skeleton's servant
+        dispatch).
         """
         arguments = [nv.value for nv in self._nvlist]
         target = self._target
         orb = target._orb
         interface = orb.interfaces_by_id.get(target.ior.type_id)
         if interface is not None:
-            interface.operation(self._operation).check_args(arguments, orb.compiled)
+            interface.operation(self._operation).check_args(arguments)
         return arguments
 
     def invoke(self) -> None:

@@ -6,7 +6,10 @@ key inside each GIOP request routes to ``poa_name|object_id``.
 
 Server-side dispatch:
 
-- static servants go through their :class:`~repro.orb.stubs.StaticSkeleton`;
+- static servants go through their
+  :class:`~repro.idl.compiler.ServantSkeleton`; typed (compiled-stub)
+  requests marshal through the operation's
+  :class:`~repro.serialization.compiled.SignaturePlan` pair;
 - DSI servants get a :class:`~repro.orb.dsi.ServerRequest` via ``invoke()``;
 - IDL-declared exceptions travel back as USER_EXCEPTION replies carrying
   the exception value; everything else becomes a SYSTEM_EXCEPTION with the
@@ -23,7 +26,7 @@ import itertools
 import threading
 from typing import Any
 
-from repro.idl.compiler import CompiledIdl, IdlRemoteException
+from repro.idl.compiler import CompiledIdl, IdlRemoteException, OperationDef
 from repro.net.pool import ConnectionPool
 from repro.net.transport import Connection, Network, ReplyFuture
 from repro.orb import giop
@@ -31,12 +34,7 @@ from repro.orb.dii import DiiRequest
 from repro.orb.dsi import ServerRequest
 from repro.orb.ior import IOR, ior_to_string, repository_id, string_to_ior
 from repro.orb.poa import Poa
-from repro.orb.typed_marshal import (
-    marshal_arguments,
-    marshal_result,
-    unmarshal_arguments,
-    unmarshal_result,
-)
+from repro.serialization.compiled import SignaturePlan
 from repro.util.errors import (
     BindError,
     CommunicationError,
@@ -48,6 +46,18 @@ from repro.util.errors import (
 #: GIOP carries the request id as an unsigned long; the ORB's counter wraps
 #: to fit.  Replies are correlated by the transport's own 64-bit id.
 _REQUEST_ID_MASK = 0xFFFFFFFF
+
+
+def _plans(operation: OperationDef, compiled: CompiledIdl) -> tuple[SignaturePlan, SignaturePlan]:
+    """``(argument_plan, result_plan)`` of ``operation``: its typed CDR
+    marshalling, compiled on first use and kept on the operation."""
+    plans = operation.plans
+    if plans is None:
+        plans = operation.plans = (
+            SignaturePlan([param.type for param in operation.params], compiled),
+            SignaturePlan([operation.return_type], compiled),
+        )
+    return plans
 
 
 class ObjectRef:
@@ -242,14 +252,15 @@ class Orb:
         ``operation_def`` is the :class:`~repro.idl.compiler.OperationDef`
         the stub was generated from; both ends marshal against it.
         """
+        argument_plan, result_plan = _plans(operation_def, self.compiled)
         request = giop.RequestMessage(
             next(self._request_ids) & _REQUEST_ID_MASK,
             ior.object_key, operation_def.name, [], {}, response_expected,
-            marshal_arguments(operation_def, arguments, self.compiled),
+            argument_plan.marshal(arguments),
         )
         reply = self._exchange(ior, request, timeout)
         if reply.typed_body is not None:
-            return unmarshal_result(operation_def, reply.typed_body, self.compiled)
+            return result_plan.unmarshal(reply.typed_body)[0]
         return reply.body
 
     def _exchange(
@@ -328,13 +339,12 @@ class Orb:
                 "BadRequest", "typed request sent to a dynamic (DSI) servant"
             )
         operation = activation.skeleton.interface.operation(message.operation)
-        arguments = unmarshal_arguments(operation, message.typed_body, self.compiled)
-        result = activation.skeleton.dispatch(message.operation, arguments)
+        argument_plan, result_plan = _plans(operation, self.compiled)
+        result = activation.skeleton.dispatch(
+            message.operation, argument_plan.unmarshal(message.typed_body)
+        )
         return giop.ReplyMessage(
-            message.request_id,
-            giop.REPLY_NO_EXCEPTION,
-            None,
-            marshal_result(operation, result, self.compiled),
+            message.request_id, giop.REPLY_NO_EXCEPTION, None, result_plan.marshal([result])
         )
 
     def _find_activation(self, object_key: str):

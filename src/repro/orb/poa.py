@@ -4,8 +4,8 @@ A POA is a named registry of servants within one ORB.  Servants come in two
 flavours, matching CORBA:
 
 - *static* servants — plain Python objects whose typed methods are invoked
-  through a :class:`~repro.orb.stubs.StaticSkeleton` built from interface
-  metadata (registered with ``interface=``);
+  through a :class:`~repro.idl.compiler.ServantSkeleton` built from
+  interface metadata (registered with ``interface=``);
 - *dynamic* servants — :class:`~repro.orb.dsi.DynamicImplementation`
   instances receiving every operation through ``invoke()`` (the CQoS
   skeleton path).
@@ -20,10 +20,9 @@ from __future__ import annotations
 import threading
 from typing import TYPE_CHECKING
 
-from repro.idl.compiler import InterfaceDef
+from repro.idl.compiler import InterfaceDef, ServantSkeleton
 from repro.orb.dsi import DynamicImplementation
 from repro.orb.ior import IOR, make_object_key, repository_id
-from repro.orb.stubs import StaticSkeleton
 from repro.util.errors import BindError, ConfigurationError
 
 if TYPE_CHECKING:
@@ -33,7 +32,7 @@ if TYPE_CHECKING:
 class _Activation:
     """One activated object: either a static skeleton or a DSI servant."""
 
-    def __init__(self, servant, skeleton: StaticSkeleton | None, type_id: str):
+    def __init__(self, servant, skeleton: ServantSkeleton | None, type_id: str):
         self.servant = servant
         self.skeleton = skeleton
         self.type_id = type_id
@@ -70,7 +69,7 @@ class Poa:
                     "static servants require interface metadata (interface=...)"
                 )
             type_id = repository_id(interface.name)
-            skeleton = StaticSkeleton(servant, interface, self._orb.compiled)
+            skeleton = ServantSkeleton(servant, interface)
             activation = _Activation(servant, skeleton, type_id)
         with self._lock:
             if object_id in self._objects:

@@ -2,8 +2,8 @@
 
 These are the components a CORBA IDL compiler would emit: a client proxy
 class with one typed method per operation (marshalling straight onto the
-wire, no run-time interface lookups) and a server-side skeleton that
-dispatches a decoded request to the servant's method.
+wire, no run-time interface lookups).  The server side is the shared
+:class:`~repro.idl.compiler.ServantSkeleton`.
 
 The CQoS stub deliberately does *not* use this fast path — per the paper it
 builds an abstract request first and then converts it to a platform request
@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
-from repro.idl.compiler import CompiledIdl, InterfaceDef, OperationDef, ServantSkeleton
-from repro.orb.typed_marshal import build_plans
+from repro.idl.compiler import InterfaceDef, OperationDef
 
 if TYPE_CHECKING:
     from repro.orb.ior import IOR
@@ -64,19 +63,15 @@ def _make_method(operation: OperationDef):
     return method
 
 
-def make_static_stub_class(
-    interface: InterfaceDef, compiled: CompiledIdl | None = None
-) -> type:
+def make_static_stub_class(interface: InterfaceDef) -> type:
     """Generate the static stub class for ``interface``.
 
-    When the compiled-IDL tables are passed, marshalling plans for every
-    operation are built here — at stub generation, the IDL-compiler moment —
-    so no invocation ever pays the plan-compilation cost.  Without them the
-    plans build lazily on first use (they cache on the ``OperationDef``).
+    Each operation's marshalling plans are compiled on its first call and
+    kept on its ``OperationDef``.
 
     >>> StubCls = make_static_stub_class(compiled.interface("BankAccount"))
     >>> account = StubCls(orb, ior)
-    >>> account.balance()
+    >>> account.get_balance()
     """
     namespace: dict[str, Any] = {
         "__doc__": f"Static stub for IDL interface {interface.name}.",
@@ -84,17 +79,4 @@ def make_static_stub_class(
     }
     for operation in interface.operations.values():
         namespace[operation.name] = _make_method(operation)
-        if compiled is not None:
-            build_plans(operation, compiled)
     return type(f"{interface.simple_name}Stub", (StaticStub,), namespace)
-
-
-class StaticSkeleton(ServantSkeleton):
-    """The ORB's skeleton: servant dispatch plus the typed-CDR plans."""
-
-    def __init__(self, servant, interface: InterfaceDef, compiled: CompiledIdl):
-        super().__init__(servant, interface, compiled)
-        # Skeleton creation is the server's IDL-compiler moment: build the
-        # marshalling plans for every operation up front.
-        for operation in interface.operations.values():
-            build_plans(operation, compiled)

@@ -74,11 +74,15 @@ def decode(frame: bytes) -> CallMessage | ReturnMessage:
     if kind == _KIND_CALL:
         if len(payload) != 6:
             raise MarshalError("malformed JRMP call frame")
-        try:
-            arguments, context = list(payload[3]), dict(payload[4])
-        except (TypeError, ValueError) as exc:
-            raise MarshalError(f"malformed JRMP call frame: {exc}") from exc
-        return CallMessage(payload[1], payload[2], arguments, context, oneway=bool(payload[5]))
+        arguments, context = payload[3], payload[4]
+        if type(arguments) is not tuple or type(context) is not dict:
+            raise MarshalError(
+                "malformed JRMP call frame: arguments must be a tuple and context "
+                f"a dict, got {type(arguments).__name__} and {type(context).__name__}"
+            )
+        return CallMessage(
+            payload[1], payload[2], list(arguments), context, oneway=bool(payload[5])
+        )
     if len(payload) != 2:
         raise MarshalError("malformed JRMP return frame")
     if kind == _KIND_RETURN:

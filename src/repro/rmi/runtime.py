@@ -3,8 +3,9 @@
 One :class:`RmiRuntime` per logical host serves all of that host's exported
 objects from a single endpoint (the JVM model).  Two export flavours exist:
 
-- :meth:`RmiRuntime.export` — a typed servant dispatched by interface
-  metadata, the ordinary RMI remote object;
+- :meth:`RmiRuntime.export` — a typed servant dispatched by its
+  :class:`~repro.idl.compiler.ServantSkeleton`, the ordinary RMI remote
+  object;
 - :meth:`RmiRuntime.export_generic` — an object exposing only
   ``invoke(method, arguments, context)``.  This reproduces the paper's RMI
   CQoS skeleton, which "exports only a generic invoke method
@@ -20,7 +21,7 @@ from __future__ import annotations
 import threading
 from typing import Any, Protocol, runtime_checkable
 
-from repro.idl.compiler import CompiledIdl, IdlRemoteException, InterfaceDef
+from repro.idl.compiler import CompiledIdl, IdlRemoteException, InterfaceDef, ServantSkeleton
 from repro.net.pool import ConnectionPool
 from repro.net.transport import Connection, Network, ReplyFuture
 from repro.rmi import jrmp
@@ -28,7 +29,6 @@ from repro.serialization.registry import global_registry
 from repro.util.errors import (
     BindError,
     CommunicationError,
-    InvocationError,
     rehydrate_system_error,
 )
 from repro.util.ids import IdGenerator
@@ -70,16 +70,6 @@ class GenericRemoteObject(Protocol):
     def invoke(self, method: str, arguments: list, context: dict) -> Any: ...
 
 
-class _Export:
-    def __init__(self, servant, interface: InterfaceDef | None):
-        self.servant = servant
-        self.interface = interface  # None => generic export
-
-    @property
-    def is_generic(self) -> bool:
-        return self.interface is None
-
-
 class RmiRuntime:
     """One RMI-like runtime bound to one logical host of a network."""
 
@@ -98,7 +88,8 @@ class RmiRuntime:
         self.registry_host = registry_host
         self._host = network.host(host_name)
         self._listener = None
-        self._exports: dict[str, _Export] = {}
+        # object id -> (servant, its typed skeleton, or None for a generic servant)
+        self._exports: dict[str, tuple[Any, ServantSkeleton | None]] = {}
         self._lock = threading.Lock()
         self._ids = IdGenerator()
         self._pool = ConnectionPool(self._host)
@@ -128,7 +119,7 @@ class RmiRuntime:
         self, servant, interface: InterfaceDef, object_id: str | None = None
     ) -> RemoteRef:
         """Export a typed servant; returns its remote reference."""
-        return self._export(servant, interface, object_id)
+        return self._export(servant, ServantSkeleton(servant, interface), object_id)
 
     def export_generic(self, servant, object_id: str | None = None) -> RemoteRef:
         """Export an object with a generic ``invoke`` method (CQoS skeleton)."""
@@ -136,15 +127,17 @@ class RmiRuntime:
             raise BindError("generic exports must provide invoke(method, arguments, context)")
         return self._export(servant, None, object_id)
 
-    def _export(self, servant, interface: InterfaceDef | None, object_id: str | None) -> RemoteRef:
+    def _export(
+        self, servant, skeleton: ServantSkeleton | None, object_id: str | None
+    ) -> RemoteRef:
         if object_id is None:
             object_id = f"obj-{self._ids.next_int()}"
         with self._lock:
             if object_id in self._exports:
                 raise BindError(f"object id {object_id!r} already exported")
-            self._exports[object_id] = _Export(servant, interface)
+            self._exports[object_id] = (servant, skeleton)
         return RemoteRef(
-            interface_name=interface.name if interface else GENERIC_INTERFACE,
+            interface_name=skeleton.interface.name if skeleton else GENERIC_INTERFACE,
             address=self.endpoint_address,
             object_id=object_id,
         )
@@ -261,20 +254,11 @@ class RmiRuntime:
                 export = self._exports.get(message.object_id)
             if export is None:
                 raise BindError(f"no exported object {message.object_id!r}")
-            if export.is_generic:
-                value = export.servant.invoke(
-                    message.method, message.arguments, message.context
-                )
+            servant, skeleton = export
+            if skeleton is None:
+                value = servant.invoke(message.method, message.arguments, message.context)
             else:
-                operation = export.interface.operation(message.method)
-                method = getattr(export.servant, message.method, None)
-                if method is None:
-                    raise InvocationError(
-                        "NoSuchMethod", f"servant lacks method {message.method!r}"
-                    )
-                value = method(*message.arguments)
-                if not operation.oneway:
-                    operation.check_result(value, self.compiled)
+                value = skeleton.dispatch(message.method, message.arguments)
             return jrmp.ReturnMessage(value=value)
         except IdlRemoteException as exc:
             return jrmp.ReturnMessage(exception=exc)

@@ -21,7 +21,10 @@ reproduction:
 
 ``unsigned long long`` is two consecutive big-endian ``ulong`` values, which
 the fixed prefix packs as one ``Q`` at 4-byte alignment.  A bad value raises
-:class:`~repro.util.errors.MarshalError` at the sender with nothing written.
+:class:`~repro.util.errors.MarshalError` at the sender with nothing written:
+each value passes the IDL's one conformance check
+(:func:`~repro.idl.compiler.compile_check`) first, and the writers write
+without checking.
 ``tests/oracles/typed_tree_walk.py`` keeps a per-value tree walk that the
 plans are tested against, byte for byte.
 """
@@ -32,6 +35,7 @@ import struct
 from typing import Any, Callable
 
 from repro.idl.ast import BasicType, IdlType, NamedType, SequenceType
+from repro.idl.compiler import compile_check
 from repro.serialization.cdr import CdrInputStream, CdrOutputStream, read_any, write_any
 from repro.util.errors import MarshalError
 
@@ -62,6 +66,7 @@ _WRITE = {
     "long long": CdrOutputStream.write_longlong,
     "float": CdrOutputStream.write_double,
     "double": CdrOutputStream.write_double,
+    "string": CdrOutputStream.write_string,
 }
 _READ = {
     "boolean": CdrInputStream.read_bool,
@@ -76,44 +81,6 @@ _READ = {
     "string": CdrInputStream.read_string,
 }
 
-_INT_RANGES = {
-    "octet": (0, 255),
-    "short": (-(2**15), 2**15 - 1),
-    "unsigned short": (0, 2**16 - 1),
-    "long": (-(2**31), 2**31 - 1),
-    "unsigned long": (0, 2**32 - 1),
-    "long long": (-(2**63), 2**63 - 1),
-    "unsigned long long": (0, 2**64 - 1),
-}
-
-
-def _validator(kind: str) -> Callable[[Any], None]:
-    """Build the per-kind value check: exact type, then range."""
-    if kind == "boolean":
-
-        def check_bool(value: Any) -> None:
-            if not isinstance(value, bool):
-                raise MarshalError(f"boolean expected, got {value!r}")
-
-        return check_bool
-    if kind in ("float", "double"):
-
-        def check_float(value: Any) -> None:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise MarshalError(f"{kind} expected, got {value!r}")
-
-        return check_float
-    low, high = _INT_RANGES[kind]
-
-    def check_int(value: Any) -> None:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise MarshalError(f"{kind} expected, got {value!r}")
-        if not low <= value <= high:
-            raise MarshalError(f"{kind} out of range: {value}")
-
-    return check_int
-
-
 # -- dynamic (closure-compiled) writers and readers ---------------------------
 
 
@@ -121,62 +88,32 @@ def compile_writer(idl_type: IdlType, compiled) -> Callable[[Any, Any], None]:
     """Compile ``idl_type`` to a ``writer(out, value)`` closure.
 
     All type-model dispatch, named-type resolution, and member enumeration
-    happens here, once; the returned closure only does value checks and
-    stream writes.  ``compiled`` is the compiled-IDL table object (duck
-    typed: ``structs`` / ``exceptions`` dicts).
+    happens here, once; the returned closure only does stream writes, of a
+    value :func:`~repro.idl.compiler.compile_check`'s check has passed.
+    ``compiled`` is the compiled-IDL table object (duck typed: ``structs``
+    / ``exceptions`` dicts).
     """
     if isinstance(idl_type, BasicType):
         kind = idl_type.kind
         if kind == "void":
-
-            def write_void(out: Any, value: Any) -> None:
-                if value is not None:
-                    raise MarshalError(f"void value must be None, got {value!r}")
-
-            return write_void
-        if kind == "string":
-
-            def write_string(out: Any, value: Any) -> None:
-                if not isinstance(value, str):
-                    raise MarshalError(f"string expected, got {value!r}")
-                out.write_string(value)
-
-            return write_string
+            return lambda out, value: None
         if kind == "any":
             return lambda out, value: write_any(out.buf, value)
         if kind == "unsigned long long":
-            check_u64 = _validator(kind)
             write_ulong = CdrOutputStream.write_ulong
 
             def write_u64(out: Any, value: Any) -> None:
-                check_u64(value)
                 write_ulong(out, value >> 32)
                 write_ulong(out, value & 0xFFFFFFFF)
 
             return write_u64
         if kind in _WRITE:
-            check = _validator(kind)
-            write = _WRITE[kind]
-            if kind in ("float", "double"):
-
-                def write_widened(out: Any, value: Any) -> None:
-                    check(value)
-                    write(out, float(value))
-
-                return write_widened
-
-            def write_fixed(out: Any, value: Any) -> None:
-                check(value)
-                write(out, value)
-
-            return write_fixed
+            return _WRITE[kind]
         raise MarshalError(f"unknown basic type {kind!r}")
     if isinstance(idl_type, SequenceType):
         write_element = compile_writer(idl_type.element, compiled)
 
         def write_sequence(out: Any, value: Any) -> None:
-            if not isinstance(value, (list, tuple)):
-                raise MarshalError(f"sequence expected, got {value!r}")
             out.write_ulong(len(value))
             for item in value:
                 write_element(out, item)
@@ -191,11 +128,8 @@ def compile_writer(idl_type: IdlType, compiled) -> Callable[[Any, Any], None]:
             (member, compile_writer(member_types[member], compiled))
             for member in cls.__members__
         )
-        type_name = idl_type.name
 
         def write_struct(out: Any, value: Any) -> None:
-            if not isinstance(value, cls):
-                raise MarshalError(f"{type_name} instance expected, got {value!r}")
             for member, write_member in member_writers:
                 write_member(out, getattr(value, member))
 
@@ -261,23 +195,23 @@ class SignaturePlan:
     Splits the signature at the first variable-length type: the fixed-width
     prefix becomes one pre-built :class:`struct.Struct` (``head``), the rest
     become pre-compiled closures (``tail``).  ``void`` entries occupy no
-    wire space but keep their position (value must be None)."""
+    wire space but keep their position (value must be None).  Each value
+    passes its :func:`~repro.idl.compiler.compile_check` check before
+    anything is written."""
 
     __slots__ = (
+        "_checks",
         "_head_struct",
-        "_head_checks",
         "_head_size",
         "_head_count",
         "_tail_writers",
         "_tail_readers",
         "_arity",
         "_void_positions",
-        "all_fixed",
     )
 
     def __init__(self, types: list[IdlType] | tuple[IdlType, ...], compiled):
         head_fmt: list[str] = []
-        head_checks: list[Callable[[Any], None]] = []
         void_positions: set[int] = set()
         offset = 0
         index = 0
@@ -292,7 +226,6 @@ class SignaturePlan:
             if pad:
                 head_fmt.append(f"{pad}x")
             head_fmt.append(code)
-            head_checks.append(_validator(idl_type.kind))
             offset += pad + size
         else:
             index = len(types)
@@ -300,7 +233,6 @@ class SignaturePlan:
         self._head_struct = (
             struct.Struct(">" + "".join(head_fmt)) if head_fmt else None
         )
-        self._head_checks = tuple(head_checks)
         self._head_size = offset
         self._head_count = index
         self._void_positions = frozenset(
@@ -313,8 +245,11 @@ class SignaturePlan:
         self._tail_readers = tuple(
             compile_reader(t, compiled) for t in tail_types
         )
+        self._checks = tuple(
+            compile_check(t, compiled, f"signature value {position}")
+            for position, t in enumerate(types)
+        )
         self._arity = len(types)
-        self.all_fixed = not self._tail_writers
 
     def marshal(self, values) -> bytes:
         """Encode ``values`` (one per signature type) as a typed CDR body."""
@@ -322,30 +257,20 @@ class SignaturePlan:
             raise MarshalError(
                 f"signature takes {self._arity} values, got {len(values)}"
             )
+        for check, value in zip(self._checks, values):
+            check(value)
         head_count = self._head_count
         if self._void_positions:
-            head_values = []
-            for position in range(head_count):
-                value = values[position]
-                if position in self._void_positions:
-                    if value is not None:
-                        raise MarshalError(f"void value must be None, got {value!r}")
-                else:
-                    head_values.append(value)
+            head_values = [
+                value for position, value in enumerate(values[:head_count])
+                if position not in self._void_positions
+            ]
         elif head_count == self._arity:
             head_values = values
         else:
             head_values = values[:head_count]
-        packed = b""
-        if self._head_struct is not None:
-            # Validators enforce type strictness; pack itself then handles
-            # int -> double widening for float/double slots.
-            for check, value in zip(self._head_checks, head_values):
-                check(value)
-            try:
-                packed = self._head_struct.pack(*head_values)
-            except struct.error as exc:  # pragma: no cover - checks precede
-                raise MarshalError(str(exc)) from exc
+        # pack widens an int to a float/double slot itself.
+        packed = b"" if self._head_struct is None else self._head_struct.pack(*head_values)
         if not self._tail_writers:
             return packed
         out = CdrOutputStream()

@@ -17,6 +17,7 @@ from repro.http.message import (
     parse_response,
 )
 from repro.net.memory import InMemoryNetwork
+from repro.serialization.jser import jser_dumps, jser_loads
 from repro.util.errors import InvocationError, MarshalError
 
 
@@ -118,6 +119,28 @@ class TestObjectServer:
             server.endpoint_address, "gen", "whatever", [1], piggyback={"p": 2}
         )
         assert out == {"m": "whatever", "a": [1], "c": {"p": 2}}
+
+    @pytest.mark.parametrize(
+        "body", ["ab", {"x": 1.0}, ("ab",)], ids=["text", "dict", "tuple"]
+    )
+    def test_a_body_that_is_no_argument_list_is_refused(self, http_world, body):
+        """The client writes a list; anything else is a MarshalError before
+        the servant runs (a text would run as its characters, a dict as its
+        keys)."""
+        _, server, _, _ = http_world
+        calls = []
+
+        class Generic:
+            def invoke(self, method, arguments, context):
+                calls.append(arguments)
+
+        server.mount_generic("gen", Generic())
+        frame = server._handle_frame(format_request("/objects/gen/op", {}, jser_dumps(body)))
+        status, _, reply = parse_response(frame)
+        assert status == 500 and jser_loads(reply)["type"] == "MarshalError"
+        assert calls == []
+        server._handle_frame(format_request("/objects/gen/op", {}, jser_dumps(["ab"])))
+        assert calls == [["ab"]]
 
     def test_duplicate_mount_rejected(self, http_world):
         _, server, _, _ = http_world

@@ -295,6 +295,28 @@ def test_late_observer_sees_whole_invocations_only(deployment, bank_iface):
     ]
 
 
+def test_ill_typed_arguments_never_reach_the_servant(deployment, bank_iface):
+    """The server's typed skeleton checks the arguments against the IDL
+    signature before the servant runs, on every platform: a text for
+    ``set_balance(in double amount)`` fails at the caller with the
+    server's MarshalError, which names the parameter."""
+    calls = []
+
+    class RecordingAccount(BankAccount):
+        def set_balance(self, *args):
+            calls.append(args)
+            return super().set_balance(*args)
+
+    deployment.add_replicas("acct", RecordingAccount, bank_iface)
+    stub = deployment.client_stub("acct", bank_iface)
+    with pytest.raises(InvocationError, match="'amount'") as caught:
+        stub.set_balance("x")
+    assert caught.value.type_name == "MarshalError"
+    assert calls == []
+    stub.set_balance(2.0)
+    assert calls == [(2.0,)] and stub.get_balance() == 2.0
+
+
 def count_calls(watched: dict, run) -> dict[str, int]:
     """Enter ``run()`` under a profile hook; how often each watched code
     object (``code -> name``) was called.  Counted, not timed."""

@@ -2,11 +2,13 @@
 
 import keyword
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.idl import compile_idl
 from repro.idl.lexer import KEYWORDS
 from repro.serialization.registry import TypeRegistry
+from repro.util.errors import MarshalError
 
 identifiers = st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,12}", fullmatch=True).filter(
     lambda s: s not in KEYWORDS and not keyword.iskeyword(s)
@@ -50,9 +52,11 @@ INT_RANGES = {
 def test_integer_conformance_matches_range(kind, value):
     compiled = compile_idl(f"interface T {{ void f(in {kind} x); }};", TypeRegistry())
     low, high = INT_RANGES[kind]
-    conforms = compiled.conforms(
-        compiled.interface("T").operation("f").params[0].type, value
-    )
+    try:
+        compiled.interface("T").operation("f").check_args([value])
+        conforms = True
+    except MarshalError:
+        conforms = False
     assert conforms == (low <= value <= high)
 
 
@@ -62,9 +66,10 @@ def test_sequence_conformance(values):
     compiled = compile_idl(
         "interface T { void f(in sequence<long> xs); };", TypeRegistry()
     )
-    seq_type = compiled.interface("T").operation("f").params[0].type
-    assert compiled.conforms(seq_type, values)
-    assert not compiled.conforms(seq_type, values + ["not an int"])
+    op = compiled.interface("T").operation("f")
+    op.check_args([values])
+    with pytest.raises(MarshalError):
+        op.check_args([values + ["not an int"]])
 
 
 @given(st.text(max_size=30), st.floats(allow_nan=False))

@@ -10,7 +10,7 @@ import pytest
 
 from repro.apps.bank import bank_compiled, bank_interface
 from repro.orb import giop
-from repro.orb.typed_marshal import marshal_arguments, marshal_result
+from repro.serialization.compiled import SignaturePlan
 from repro.util.errors import MarshalError
 from tests.oracles import giop_golden
 
@@ -41,7 +41,7 @@ def golden_messages() -> dict:
         ),
         "request_typed_body": giop.RequestMessage(
             6, "bank_poa|acct", "deposit", [], {},
-            typed_body=marshal_arguments(deposit, [12.5], compiled),
+            typed_body=SignaturePlan([deposit.params[0].type], compiled).marshal([12.5]),
         ),
         "reply_no_exception": giop.ReplyMessage(2, giop.REPLY_NO_EXCEPTION, 112.5),
         "reply_oneway_acknowledgement": giop.ReplyMessage(5, giop.REPLY_NO_EXCEPTION),
@@ -50,7 +50,8 @@ def golden_messages() -> dict:
             8, giop.REPLY_SYSTEM_EXCEPTION, {"type": "BindError", "message": "no POA 'x'"}
         ),
         "reply_typed_body": giop.ReplyMessage(
-            6, giop.REPLY_NO_EXCEPTION, typed_body=marshal_result(deposit, 112.5, compiled)
+            6, giop.REPLY_NO_EXCEPTION,
+            typed_body=SignaturePlan([deposit.return_type], compiled).marshal([112.5]),
         ),
     }
 

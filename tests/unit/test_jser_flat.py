@@ -278,6 +278,12 @@ class TestErrorContract:
             pytest.param(("call", "oid", "op", (), 7, False), id="context-not-a-mapping"),
             pytest.param(("call", "oid", "op", (), [1, 2], False), id="context-bad-pairs"),
             pytest.param(("call", "oid", "op", (), "abc", False), id="context-a-string"),
+            # The encoder writes a tuple and a dict; a text would decode as
+            # its characters, a dict as its keys, pairs as a context.
+            pytest.param(("call", "oid", "op", "ab", {}, False), id="arguments-a-string"),
+            pytest.param(("call", "oid", "op", {"x": 1.0}, {}, False), id="arguments-a-dict"),
+            pytest.param(("call", "oid", "op", ["ab"], {}, False), id="arguments-a-list"),
+            pytest.param(("call", "oid", "op", (), [("k", "v")], False), id="context-pairs"),
             pytest.param(("system", 3), id="system-error-not-a-mapping"),
             pytest.param(("system", ["ab", "c"]), id="system-error-bad-pairs"),
             pytest.param(("throw", "not an exception"), id="throw-without-exception"),

@@ -4,13 +4,8 @@ import pytest
 
 from repro.idl.ast import BasicType, NamedType, SequenceType
 from repro.idl.compiler import compile_idl
-from repro.orb.typed_marshal import (
-    marshal_arguments,
-    marshal_result,
-    unmarshal_arguments,
-    unmarshal_result,
-)
 from repro.serialization.cdr import CdrInputStream, CdrOutputStream
+from repro.serialization.compiled import SignaturePlan
 from repro.serialization.registry import TypeRegistry
 from repro.util.errors import MarshalError
 from tests.oracles.typed_tree_walk import read_typed, write_typed
@@ -33,6 +28,22 @@ interface T {
 @pytest.fixture
 def compiled():
     return compile_idl(IDL, TypeRegistry())
+
+
+def marshal_arguments(op, args, compiled):
+    return SignaturePlan([param.type for param in op.params], compiled).marshal(args)
+
+
+def unmarshal_arguments(op, body, compiled):
+    return SignaturePlan([param.type for param in op.params], compiled).unmarshal(body)
+
+
+def marshal_result(op, value, compiled):
+    return SignaturePlan([op.return_type], compiled).marshal([value])
+
+
+def unmarshal_result(op, body, compiled):
+    return SignaturePlan([op.return_type], compiled).unmarshal(body)[0]
 
 
 def roundtrip(idl_type, value, compiled):
